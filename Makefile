@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench vet lint ci bench-json perf-gate baseline trace-smoke sysmon-smoke slo-smoke
+.PHONY: all build test race bench vet lint loc ci bench-json perf-gate baseline trace-smoke sysmon-smoke slo-smoke
 
 all: build test
 
@@ -44,6 +44,16 @@ LINTFORMAT ?= text
 
 lint:
 	$(GO) run ./cmd/taclint -format $(LINTFORMAT) ./...
+
+# Net line count, the metric the ROADMAP tracks for code size: Go lines
+# in the root module, split into non-test and test files. perfbench/ is
+# a separate module and testdata/ holds analyzer fixtures, so both are
+# left out, as are hidden directories such as the bench build cache.
+LOCFILES = find . -name '*.go' -not -path './perfbench/*' -not -path '*/testdata/*' -not -path './.*'
+
+loc:
+	@printf 'non-test go lines: %s\n' "$$($(LOCFILES) -not -name '*_test.go' -exec cat {} + | wc -l)"
+	@printf 'test go lines:     %s\n' "$$($(LOCFILES) -name '*_test.go' -exec cat {} + | wc -l)"
 
 ci: vet lint build test
 

@@ -55,28 +55,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "parallelism across experiments and replication cells (1 = sequential); results are identical at any setting")
 		md      = fs.Bool("md", false, "emit Markdown tables")
 		prog    = fs.Bool("progress", false, "report per-experiment and per-algorithm progress on stderr")
-		metrics = fs.String("metrics-out", "", "write event-count metrics JSON here on exit")
 		jsonOut = fs.String("json", "", "run the perf-tracking bench suite instead of -exp and write per-algorithm runtime/objective statistics to this JSON file (see tacreport)")
 	)
 	version := cliutil.VersionFlag(fs)
-	var profiles cliutil.Profiles
-	profiles.Flags(fs)
-	var telemetry cliutil.Telemetry
-	telemetry.Flags(fs)
-	var eventsFlag cliutil.EventsFlag
-	eventsFlag.Flags(fs, "structured run events (spec/algo/cell)")
-	var archive cliutil.Archive
-	archive.Flags(fs)
-	var trace cliutil.Trace
-	trace.Flags(fs)
-	var sysmonFlag cliutil.Sysmon
-	sysmonFlag.Flags(fs)
+	session := cliutil.NewObs(fs, "structured run events (spec/algo/cell)", false)
+	defer session.Close()
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *version {
 		cliutil.FprintVersion(stdout, "tacbench")
 		return 0
+	}
+	if err := session.Validate(); err != nil {
+		fmt.Fprintf(stderr, "tacbench: %v\n", err)
+		return 2
 	}
 	if *list {
 		for _, s := range taccc.Experiments() {
@@ -103,93 +96,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	if err := archive.Start("tacbench", fs, *seed); err != nil {
+	if err := session.Start(*seed, stdout, stderr); err != nil {
 		fmt.Fprintf(stderr, "tacbench: %v\n", err)
 		return 1
 	}
-	// The resource sampler starts before tracing so the root phase (and
-	// everything under it) carries begin/end resource attributes.
-	if err := sysmonFlag.Start(&archive, trace.Enabled()); err != nil {
-		fmt.Fprintf(stderr, "tacbench: %v\n", err)
-		return 1
-	}
-	defer sysmonFlag.Stop()
-	traceRoot, err := trace.Start("tacbench", &archive, sysmonFlag.Source())
-	if err != nil {
-		fmt.Fprintf(stderr, "tacbench: %v\n", err)
-		return 1
-	}
-	stopProfiles, err := profiles.Start(stderr)
-	if err != nil {
-		fmt.Fprintf(stderr, "tacbench: %v\n", err)
-		return 1
-	}
-	defer stopProfiles()
-
 	// Observability: sinks are strictly observational, so tables are
 	// identical whether or not any is attached.
-	var sinks []obs.Sink
+	var printer obs.Sink
 	if *prog {
-		sinks = append(sinks, &progressPrinter{w: stderr})
+		printer = &progressPrinter{w: stderr}
 	}
-	eventStream, err := eventsFlag.Open()
-	if err != nil {
-		fmt.Fprintf(stderr, "tacbench: %v\n", err)
-		return 1
+	progressSink := obs.MultiSink(printer, session.Sink())
+	if reg := session.Registry(); reg != nil {
+		progressSink = obs.CountEvents(reg, progressSink)
 	}
-	defer eventStream.Close() //lint:allow sinkerr backstop for early returns; the success path checks Close in finishObs
-	if eventStream != nil {
-		sinks = append(sinks, eventStream.Sink())
-	}
-	if archive.Enabled() {
-		sinks = append(sinks, archive.Sink())
-	}
-	var metricsReg *obs.Registry
-	progressSink := obs.MultiSink(sinks...)
-	if *metrics != "" || telemetry.Enabled() || archive.Enabled() {
-		metricsReg = obs.NewRegistry()
-		progressSink = obs.CountEvents(metricsReg, progressSink)
-	}
-	stopTelemetry, err := telemetry.Start(stderr, metricsReg, sysmonFlag.Registry())
-	if err != nil {
-		fmt.Fprintf(stderr, "tacbench: %v\n", err)
-		return 1
-	}
-	defer stopTelemetry()
-
 	finish := func(summary runlog.Summary) int {
-		// Detach the sampler from the archive/trace sinks, then finish
-		// tracing first so the final spans reach the archive's trace
-		// stream before Finish seals it.
-		sysmonFlag.CloseStreams()
-		if err := trace.Finish(stdout, sysmonFlag.Counters()); err != nil {
+		if err := session.Finish(summary); err != nil {
 			fmt.Fprintf(stderr, "tacbench: %v\n", err)
 			return 1
-		}
-		if err := eventStream.Close(); err != nil {
-			fmt.Fprintf(stderr, "tacbench: events: %v\n", err)
-			return 1
-		}
-		if err := archive.Finish(metricsReg, summary, stdout); err != nil {
-			fmt.Fprintf(stderr, "tacbench: %v\n", err)
-			return 1
-		}
-		if *metrics != "" {
-			f, err := os.Create(*metrics)
-			if err != nil {
-				fmt.Fprintf(stderr, "tacbench: %v\n", err)
-				return 1
-			}
-			defer f.Close()
-			if err := metricsReg.WriteJSON(f); err != nil {
-				fmt.Fprintf(stderr, "tacbench: metrics: %v\n", err)
-				return 1
-			}
 		}
 		return 0
 	}
 
-	opts := taccc.ExperimentOptions{Reps: *reps, Quick: *quick, Seed: *seed, Workers: *workers, Progress: progressSink, Trace: traceRoot}
+	opts := taccc.ExperimentOptions{Reps: *reps, Quick: *quick, Seed: *seed, Workers: *workers, Progress: progressSink, Trace: session.Root()}
 	if *jsonOut != "" {
 		return runBenchJSON(opts, *jsonOut, finish, stdout, stderr)
 	}

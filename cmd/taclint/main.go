@@ -6,7 +6,7 @@
 //	detrand     no time.Now / math/rand in the deterministic packages
 //	maporder    no map iteration feeding ordered output unsorted
 //	nilrecv     nil-receiver guards on the obs sink/metric types
-//	sinkerr     no dropped event-sink Flush/Close errors in cmd/
+//	sinkerr     no dropped event-sink Flush/Close errors in cmd/, cliutil
 //	hotloop     no gap TotalCost calls inside loops in internal/assign
 //	resmon      no runtime memory/scheduler stats reads outside obs/sysmon
 //	taintclock  no laundered time.Now / math/rand reached through helpers

@@ -21,7 +21,6 @@ import (
 
 	taccc "taccc"
 	"taccc/internal/cliutil"
-	"taccc/internal/obs"
 	"taccc/internal/obs/runlog"
 )
 
@@ -51,24 +50,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers     = fs.Int("workers", 0, "parallelism for delay-matrix construction (<= 0 = all cores, 1 = sequential); output is identical at any setting")
 		progress    = fs.Bool("progress", false, "print solver improvements to stderr while assigning")
 		traceSample = fs.Float64("trace-sample", 0, "fraction of requests emitted as spans with -events/-archive, in [0,1] (0 = all)")
-		metricsOut  = fs.String("metrics-out", "", "write the simulator's metrics-registry snapshot JSON here (request counters, queue gauges, latency and per-phase delay histograms)")
 		linger      = fs.Duration("linger", 0, "keep the -listen telemetry server up this long after the run finishes")
 	)
 	version := cliutil.VersionFlag(fs)
-	var profiles cliutil.Profiles
-	profiles.Flags(fs)
-	var telemetry cliutil.Telemetry
-	telemetry.Flags(fs)
-	var eventsFlag cliutil.EventsFlag
-	eventsFlag.Flags(fs, "solver iteration and per-request span events")
-	var archive cliutil.Archive
-	archive.Flags(fs)
-	var pipeTrace cliutil.Trace
-	pipeTrace.Flags(fs)
-	var sysmonFlag cliutil.Sysmon
-	sysmonFlag.Flags(fs)
-	var sloFlag cliutil.SLO
-	sloFlag.Flags(fs)
+	session := cliutil.NewObs(fs, "solver iteration and per-request span events", true)
+	defer session.Close()
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -76,40 +62,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cliutil.FprintVersion(stdout, "tacsim")
 		return 0
 	}
-	if err := sysmonFlag.Validate(); err != nil {
+	if err := session.Validate(); err != nil {
 		fmt.Fprintf(stderr, "tacsim: %v\n", err)
 		return 2
 	}
-	if err := sloFlag.Validate(); err != nil {
+	a, err := taccc.NewAlgorithmRegistry().New(*algo, *seed)
+	if err != nil {
 		fmt.Fprintf(stderr, "tacsim: %v\n", err)
 		return 2
 	}
-	if err := archive.Start("tacsim", fs, *seed); err != nil {
+	disc := taccc.DisciplineFIFO
+	switch *discipline {
+	case "fifo":
+	case "ps":
+		disc = taccc.DisciplinePS
+	default:
+		fmt.Fprintf(stderr, "tacsim: unknown discipline %q\n", *discipline)
+		return 2
+	}
+	if err := session.Start(*seed, stdout, stderr); err != nil {
 		fmt.Fprintf(stderr, "tacsim: %v\n", err)
 		return 1
 	}
-	// The resource sampler starts before tracing so the root phase (and
-	// everything under it) carries begin/end resource attributes.
-	if err := sysmonFlag.Start(&archive, pipeTrace.Enabled()); err != nil {
-		fmt.Fprintf(stderr, "tacsim: %v\n", err)
-		return 1
-	}
-	defer sysmonFlag.Stop()
-	if err := sloFlag.Start(&archive); err != nil {
-		fmt.Fprintf(stderr, "tacsim: %v\n", err)
-		return 1
-	}
-	traceRoot, err := pipeTrace.Start("tacsim", &archive, sysmonFlag.Source())
-	if err != nil {
-		fmt.Fprintf(stderr, "tacsim: %v\n", err)
-		return 1
-	}
-	stopProfiles, err := profiles.Start(stderr)
-	if err != nil {
-		fmt.Fprintf(stderr, "tacsim: %v\n", err)
-		return 1
-	}
-	defer stopProfiles()
+	traceRoot := session.Root()
 	built, err := taccc.Scenario{
 		Family: taccc.Family(*family),
 		NumIoT: *iot, NumEdge: *edge, Rho: *rho, PayloadKB: *payload, Seed: *seed,
@@ -119,48 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tacsim: %v\n", err)
 		return 1
 	}
-	var sinks []taccc.ProgressSink
-	if *progress {
-		sinks = append(sinks, taccc.NewProgressWriter(stderr))
-	}
-	eventStream, err := eventsFlag.Open()
-	if err != nil {
-		fmt.Fprintf(stderr, "tacsim: %v\n", err)
-		return 1
-	}
-	defer eventStream.Close() //lint:allow sinkerr backstop for early returns; the success path checks Close in finishObs
-	// Iteration events and request spans flow to the -events file and the
-	// -archive event stream alike.
-	var evSinks []obs.Sink
-	if eventStream != nil {
-		evSinks = append(evSinks, eventStream.Sink())
-	}
-	if archive.Enabled() {
-		evSinks = append(evSinks, archive.Sink())
-	}
-	eventSink := obs.MultiSink(evSinks...)
-	if eventSink != nil {
-		sinks = append(sinks, taccc.EventProgress(eventSink))
-	}
-	var metricsReg *taccc.MetricsRegistry
-	if *metricsOut != "" || telemetry.Enabled() || archive.Enabled() {
-		metricsReg = taccc.NewMetricsRegistry()
-		sinks = append(sinks, taccc.MetricsProgress(metricsReg))
-	}
-	stopTelemetry, err := telemetry.Start(stderr, metricsReg, sysmonFlag.Registry(), sloFlag.Registry())
-	if err != nil {
-		fmt.Fprintf(stderr, "tacsim: %v\n", err)
-		return 1
-	}
-	defer stopTelemetry()
-
-	reg := taccc.NewAlgorithmRegistry()
-	a, err := reg.New(*algo, *seed)
-	if err != nil {
-		fmt.Fprintf(stderr, "tacsim: %v\n", err)
-		return 2
-	}
-	if sink := taccc.MultiProgress(sinks...); sink != nil {
+	if sink := session.Progress(*progress); sink != nil {
 		taccc.WithProgress(a, sink)
 	}
 	solvePh := traceRoot.Child("solve")
@@ -174,16 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "assignment: algo=%s mean-delay=%.3fms max-delay=%.3fms imbalance=%.2f\n",
 		*algo, built.Instance.MeanCost(got), built.Instance.MaxCost(got), built.Instance.Imbalance(got))
-
-	disc := taccc.DisciplineFIFO
-	switch *discipline {
-	case "fifo":
-	case "ps":
-		disc = taccc.DisciplinePS
-	default:
-		fmt.Fprintf(stderr, "tacsim: unknown discipline %q\n", *discipline)
-		return 2
-	}
 
 	var recorder taccc.Recorder
 	var traceWriter *taccc.TraceWriter
@@ -213,12 +137,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Discipline:  disc,
 		MaxQueue:    *maxQueue,
 		Recorder:    recorder,
-		Metrics:     metricsReg,
-		SLO:         sloFlag.Tracker(),
+		Metrics:     session.Registry(),
+		SLO:         session.SLO(),
 		JitterSigma: *jitter,
 		Seed:        *seed,
 	}
-	if eventSink != nil {
+	if eventSink := session.Sink(); eventSink != nil {
 		cfg.Spans = eventSink
 		cfg.TraceSampleRate = *traceSample
 	}
@@ -246,7 +170,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "latency:    p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms\n",
 		res.Latency.Median(), res.Latency.P95(), res.Latency.P99(), res.Latency.Quantile(1))
 	fmt.Fprintf(stdout, "deadlines:  %d missed (%.2f%%)\n", res.DeadlineMisses, 100*res.MissRate())
-	sloFlag.PrintSummary(stdout)
+	session.PrintSLO()
 	fmt.Fprint(stdout, "edge util: ")
 	for _, u := range res.Utilization() {
 		fmt.Fprintf(stdout, " %.2f", u)
@@ -258,19 +182,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintf(stdout, "trace:      %d records -> %s\n", traceWriter.N(), *tracePath)
-	}
-	// Detach the sampler from the archive/trace sinks (it keeps updating
-	// the registry through the -linger window below, so tactop's
-	// staleness age stays honest), then finish tracing first so the final
-	// spans reach the archive's trace stream before Finish seals it.
-	sysmonFlag.CloseStreams()
-	if err := pipeTrace.Finish(stdout, sysmonFlag.Counters()); err != nil {
-		fmt.Fprintf(stderr, "tacsim: %v\n", err)
-		return 1
-	}
-	if err := eventStream.Close(); err != nil {
-		fmt.Fprintf(stderr, "tacsim: events: %v\n", err)
-		return 1
 	}
 	summary := runlog.Summary{
 		"assignment.mean_delay_ms": built.Instance.MeanCost(got),
@@ -285,24 +196,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"sim.latency_p99_ms":       res.Latency.P99(),
 		"sim.latency_max_ms":       res.Latency.Quantile(1),
 	}
-	if err := archive.Finish(metricsReg, summary, stdout); err != nil {
+	// The sampler keeps refreshing its registry through the -linger
+	// window below, so tactop's staleness age stays honest.
+	if err := session.Finish(summary); err != nil {
 		fmt.Fprintf(stderr, "tacsim: %v\n", err)
 		return 1
 	}
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			fmt.Fprintf(stderr, "tacsim: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := metricsReg.WriteJSON(f); err != nil {
-			fmt.Fprintf(stderr, "tacsim: metrics: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "metrics:    registry snapshot -> %s\n", *metricsOut)
+	if path := session.MetricsOut(); path != "" {
+		fmt.Fprintf(stdout, "metrics:    registry snapshot -> %s\n", path)
 	}
-	if telemetry.Enabled() && *linger > 0 {
+	if session.Serving() && *linger > 0 {
 		fmt.Fprintf(stderr, "telemetry: lingering %s for scrapes\n", *linger)
 		time.Sleep(*linger)
 	}

@@ -24,7 +24,6 @@ import (
 
 	taccc "taccc"
 	"taccc/internal/cliutil"
-	"taccc/internal/obs"
 	"taccc/internal/obs/runlog"
 )
 
@@ -47,23 +46,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list     = fs.Bool("list", false, "list available algorithms and exit")
 		workers  = fs.Int("workers", runtime.GOMAXPROCS(0), "parallelism for -algo all (1 = sequential); the portfolio algorithm always runs its members concurrently")
 		progress = fs.Bool("progress", false, "print solver improvements to stderr as they happen")
-		metrics  = fs.String("metrics-out", "", "write a metrics-registry snapshot JSON here on exit")
 	)
 	version := cliutil.VersionFlag(fs)
-	var profiles cliutil.Profiles
-	profiles.Flags(fs)
-	var telemetry cliutil.Telemetry
-	telemetry.Flags(fs)
-	var eventsFlag cliutil.EventsFlag
-	eventsFlag.Flags(fs, "per-iteration solver events")
-	var archive cliutil.Archive
-	archive.Flags(fs)
-	var trace cliutil.Trace
-	trace.Flags(fs)
-	var sysmonFlag cliutil.Sysmon
-	sysmonFlag.Flags(fs)
-	var sloFlag cliutil.SLO
-	sloFlag.Flags(fs)
+	session := cliutil.NewObs(fs, "per-iteration solver events", true)
+	defer session.Close()
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -71,129 +57,51 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cliutil.FprintVersion(stdout, "tacsolve")
 		return 0
 	}
-	if err := sysmonFlag.Validate(); err != nil {
+	if err := session.Validate(); err != nil {
 		fmt.Fprintf(stderr, "tacsolve: %v\n", err)
 		return 2
 	}
-	if err := sloFlag.Validate(); err != nil {
-		fmt.Fprintf(stderr, "tacsolve: %v\n", err)
-		return 2
-	}
-	if err := archive.Start("tacsolve", fs, *seed); err != nil {
-		fmt.Fprintf(stderr, "tacsolve: %v\n", err)
-		return 1
-	}
-	// The resource sampler starts before tracing so the root phase (and
-	// everything under it) carries begin/end resource attributes.
-	if err := sysmonFlag.Start(&archive, trace.Enabled()); err != nil {
-		fmt.Fprintf(stderr, "tacsolve: %v\n", err)
-		return 1
-	}
-	defer sysmonFlag.Stop()
-	if err := sloFlag.Start(&archive); err != nil {
-		fmt.Fprintf(stderr, "tacsolve: %v\n", err)
-		return 1
-	}
-	traceRoot, err := trace.Start("tacsolve", &archive, sysmonFlag.Source())
-	if err != nil {
-		fmt.Fprintf(stderr, "tacsolve: %v\n", err)
-		return 1
-	}
-	stopProfiles, err := profiles.Start(stderr)
-	if err != nil {
-		fmt.Fprintf(stderr, "tacsolve: %v\n", err)
-		return 1
-	}
-	defer stopProfiles()
-
-	// Observability hooks: all optional, none changes solver results.
-	var sinks []taccc.ProgressSink
-	if *progress {
-		sinks = append(sinks, taccc.NewProgressWriter(stderr))
-	}
-	eventStream, err := eventsFlag.Open()
-	if err != nil {
-		fmt.Fprintf(stderr, "tacsolve: %v\n", err)
-		return 1
-	}
-	defer eventStream.Close() //lint:allow sinkerr backstop for early returns; the success path checks Close in finishObs
-	// Solver iteration events flow to the -events file and the -archive
-	// event stream alike.
-	var evSinks []obs.Sink
-	if eventStream != nil {
-		evSinks = append(evSinks, eventStream.Sink())
-	}
-	if archive.Enabled() {
-		evSinks = append(evSinks, archive.Sink())
-	}
-	if eventSink := obs.MultiSink(evSinks...); eventSink != nil {
-		sinks = append(sinks, taccc.EventProgress(eventSink))
-	}
-	var metricsReg *taccc.MetricsRegistry
-	if *metrics != "" || telemetry.Enabled() || archive.Enabled() {
-		metricsReg = taccc.NewMetricsRegistry()
-		sinks = append(sinks, taccc.MetricsProgress(metricsReg))
-	}
-	stopTelemetry, err := telemetry.Start(stderr, metricsReg, sysmonFlag.Registry(), sloFlag.Registry())
-	if err != nil {
-		fmt.Fprintf(stderr, "tacsolve: %v\n", err)
-		return 1
-	}
-	defer stopTelemetry()
-	sink := taccc.MultiProgress(sinks...)
-	finishObs := func(summary runlog.Summary) int {
-		// Detach the resource sampler from the archive/trace sinks (with
-		// one final sample) before those streams are sealed, then finish
-		// tracing first: it ends the root phase, so the final spans are in
-		// the archive's trace stream before Finish seals it.
-		sysmonFlag.CloseStreams()
-		if err := trace.Finish(stdout, sysmonFlag.Counters()); err != nil {
-			fmt.Fprintf(stderr, "tacsolve: %v\n", err)
-			return 1
-		}
-		if err := eventStream.Close(); err != nil {
-			fmt.Fprintf(stderr, "tacsolve: events: %v\n", err)
-			return 1
-		}
-		if err := archive.Finish(metricsReg, summary, stdout); err != nil {
-			fmt.Fprintf(stderr, "tacsolve: %v\n", err)
-			return 1
-		}
-		if *metrics != "" {
-			f, err := os.Create(*metrics)
-			if err != nil {
-				fmt.Fprintf(stderr, "tacsolve: %v\n", err)
-				return 1
-			}
-			defer f.Close()
-			if err := metricsReg.WriteJSON(f); err != nil {
-				fmt.Fprintf(stderr, "tacsolve: metrics: %v\n", err)
-				return 1
-			}
-		}
-		return 0
-	}
-
 	reg := taccc.NewAlgorithmRegistry()
 	if *list {
 		fmt.Fprintln(stdout, strings.Join(append(reg.Names(), "exact"), "\n"))
 		return 0
 	}
 	scenarioMode := *iot > 0 || *edge > 0
-	if scenarioMode && *instPath != "" {
+	switch {
+	case scenarioMode && *instPath != "":
 		fmt.Fprintln(stderr, "tacsolve: -instance and -iot/-edge are mutually exclusive")
 		return 2
-	}
-	if !scenarioMode && *instPath == "" {
+	case !scenarioMode && *instPath == "":
 		fmt.Fprintln(stderr, "tacsolve: either -instance or -iot/-edge is required")
 		return 2
+	case scenarioMode && (*iot <= 0 || *edge <= 0):
+		fmt.Fprintln(stderr, "tacsolve: scenario mode needs both -iot and -edge > 0")
+		return 2
 	}
-	var in *taccc.Instance
-	if scenarioMode {
-		if *iot <= 0 || *edge <= 0 {
-			fmt.Fprintln(stderr, "tacsolve: scenario mode needs both -iot and -edge > 0")
+	var a taccc.Assigner
+	if *algo != "all" && *algo != "exact" {
+		var err error
+		if a, err = reg.New(*algo, *seed); err != nil {
+			fmt.Fprintf(stderr, "tacsolve: %v\n", err)
 			return 2
 		}
+	}
+	if err := session.Start(*seed, stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "tacsolve: %v\n", err)
+		return 1
+	}
+	finish := func(summary runlog.Summary) int {
+		if err := session.Finish(summary); err != nil {
+			fmt.Fprintf(stderr, "tacsolve: %v\n", err)
+			return 1
+		}
+		return 0
+	}
+	traceRoot := session.Root()
+	sink := session.Progress(*progress)
+
+	var in *taccc.Instance
+	if scenarioMode {
 		sc := taccc.Scenario{
 			Family: taccc.Family(*family), NumIoT: *iot, NumEdge: *edge,
 			Rho: *rho, Seed: *seed, Workers: *workers, Trace: traceRoot,
@@ -219,18 +127,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *algo == "all" {
-		summary, code := compareAll(in, reg, *seed, *workers, sink, traceRoot, stdout)
-		if code != 0 {
-			return code
-		}
-		return finishObs(summary)
+		return finish(compareAll(in, reg, *seed, *workers, sink, traceRoot, stdout))
 	}
 
 	start := time.Now()
 	solvePh := traceRoot.Child("solve")
 	solvePh.SetAttr("algo", *algo)
 	var got *taccc.Assignment
-	if *algo == "exact" {
+	if a == nil {
 		res, err := taccc.BranchAndBound(in, taccc.BnBOptions{})
 		if err != nil {
 			solvePh.End()
@@ -240,16 +144,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		got = res.Assignment
 		fmt.Fprintf(stdout, "proven optimal: %v (nodes expanded: %d)\n", res.Proven, res.Nodes)
 	} else {
-		a, err := reg.New(*algo, *seed)
-		if err != nil {
-			solvePh.End()
-			fmt.Fprintf(stderr, "tacsolve: %v\n", err)
-			return 2
-		}
 		if sink != nil && !taccc.WithProgress(a, sink) {
 			fmt.Fprintf(stderr, "tacsolve: note: %s does not report iteration progress\n", *algo)
 		}
 		taccc.WithPhases(a, solvePh)
+		var err error
 		got, err = a.Assign(in)
 		if err != nil {
 			solvePh.End()
@@ -260,18 +159,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	solvePh.End()
 	elapsed := time.Since(start)
 
+	// Each figure is computed once and feeds both stdout and the archive
+	// summary, so the printed and archived values cannot disagree.
+	var (
+		total     = in.TotalCost(got)
+		mean      = in.MeanCost(got)
+		maxDelay  = in.MaxCost(got)
+		bound     = taccc.LowerBound(in)
+		imbalance = in.Imbalance(got)
+		feasible  = in.Feasible(got)
+	)
 	fmt.Fprintf(stdout, "algorithm:    %s\n", *algo)
 	fmt.Fprintf(stdout, "devices:      %d  edges: %d\n", in.N(), in.M())
-	fmt.Fprintf(stdout, "total delay:  %.3f ms\n", in.TotalCost(got))
-	fmt.Fprintf(stdout, "mean delay:   %.3f ms\n", in.MeanCost(got))
-	fmt.Fprintf(stdout, "max delay:    %.3f ms\n", in.MaxCost(got))
-	fmt.Fprintf(stdout, "lower bound:  %.3f ms (total)\n", taccc.LowerBound(in))
-	fmt.Fprintf(stdout, "imbalance:    %.3f\n", in.Imbalance(got))
-	fmt.Fprintf(stdout, "feasible:     %v\n", in.Feasible(got))
+	fmt.Fprintf(stdout, "total delay:  %.3f ms\n", total)
+	fmt.Fprintf(stdout, "mean delay:   %.3f ms\n", mean)
+	fmt.Fprintf(stdout, "max delay:    %.3f ms\n", maxDelay)
+	fmt.Fprintf(stdout, "lower bound:  %.3f ms (total)\n", bound)
+	fmt.Fprintf(stdout, "imbalance:    %.3f\n", imbalance)
+	fmt.Fprintf(stdout, "feasible:     %v\n", feasible)
 	fmt.Fprintf(stdout, "solve time:   %s\n", elapsed.Round(time.Microsecond))
-	util := in.Utilization(got)
 	fmt.Fprint(stdout, "edge utilization:")
-	for _, u := range util {
+	for _, u := range in.Utilization(got) {
 		fmt.Fprintf(stdout, " %.2f", u)
 	}
 	fmt.Fprintln(stdout)
@@ -293,27 +201,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// placement lands in window 0 and the verdict is "does this
 	// assignment meet the objectives before load is applied". (tacsim
 	// gives the dynamic, queue-aware verdict.)
-	if tr := sloFlag.Tracker(); tr != nil {
+	if tr := session.SLO(); tr != nil {
 		for i := 0; i < in.N(); i++ {
 			tr.Observe(0, in.CostAt(i, got.Of[i]), false)
 		}
 		tr.Finish(tr.WindowMs())
-		sloFlag.PrintSummary(stdout)
+		session.PrintSLO()
 	}
-	feasible := 0.0
-	if in.Feasible(got) {
-		feasible = 1
-	}
-	return finishObs(runlog.Summary{
+	return finish(runlog.Summary{
 		"instance.devices":     float64(in.N()),
 		"instance.edges":       float64(in.M()),
-		"solve.total_delay_ms": in.TotalCost(got),
-		"solve.mean_delay_ms":  in.MeanCost(got),
-		"solve.max_delay_ms":   in.MaxCost(got),
-		"solve.lower_bound_ms": taccc.LowerBound(in),
-		"solve.imbalance":      in.Imbalance(got),
-		"solve.feasible":       feasible,
+		"solve.total_delay_ms": total,
+		"solve.mean_delay_ms":  mean,
+		"solve.max_delay_ms":   maxDelay,
+		"solve.lower_bound_ms": bound,
+		"solve.imbalance":      imbalance,
+		"solve.feasible":       boolFloat(feasible),
 	})
+}
+
+// boolFloat encodes a flag as 0/1 for the archive summary.
+func boolFloat(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // compareAll solves the instance with every registered algorithm — up to
@@ -323,7 +235,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // identical at any parallelism. The progress sink, when non-nil, is
 // attached to every supporting algorithm; events from concurrent solvers
 // interleave but each carries its algorithm name.
-func compareAll(in *taccc.Instance, reg *taccc.AlgorithmRegistry, seed int64, workers int, sink taccc.ProgressSink, traceRoot *taccc.Phase, stdout io.Writer) (runlog.Summary, int) {
+func compareAll(in *taccc.Instance, reg *taccc.AlgorithmRegistry, seed int64, workers int, sink taccc.ProgressSink, traceRoot *taccc.Phase, stdout io.Writer) runlog.Summary {
 	type row struct {
 		got     *taccc.Assignment
 		err     error
@@ -359,10 +271,11 @@ func compareAll(in *taccc.Instance, reg *taccc.AlgorithmRegistry, seed int64, wo
 		}(i, name, a)
 	}
 	wg.Wait()
+	bound := taccc.LowerBound(in)
 	summary := runlog.Summary{
 		"instance.devices":     float64(in.N()),
 		"instance.edges":       float64(in.M()),
-		"solve.lower_bound_ms": taccc.LowerBound(in),
+		"solve.lower_bound_ms": bound,
 	}
 	fmt.Fprintf(stdout, "%-18s %12s %12s %10s %12s\n", "algorithm", "mean ms", "max ms", "feasible", "time")
 	fmt.Fprintf(stdout, "%-18s %12s %12s %10s %12s\n", "---------", "-------", "------", "--------", "----")
@@ -373,16 +286,12 @@ func compareAll(in *taccc.Instance, reg *taccc.AlgorithmRegistry, seed int64, wo
 			summary["algo."+name+".feasible"] = 0
 			continue
 		}
-		fmt.Fprintf(stdout, "%-18s %12.3f %12.3f %10v %12s\n",
-			name, in.MeanCost(r.got), in.MaxCost(r.got), in.Feasible(r.got), r.elapsed)
-		summary["algo."+name+".mean_delay_ms"] = in.MeanCost(r.got)
-		summary["algo."+name+".max_delay_ms"] = in.MaxCost(r.got)
-		feasible := 0.0
-		if in.Feasible(r.got) {
-			feasible = 1
-		}
-		summary["algo."+name+".feasible"] = feasible
+		mean, maxDelay, feasible := in.MeanCost(r.got), in.MaxCost(r.got), in.Feasible(r.got)
+		fmt.Fprintf(stdout, "%-18s %12.3f %12.3f %10v %12s\n", name, mean, maxDelay, feasible, r.elapsed)
+		summary["algo."+name+".mean_delay_ms"] = mean
+		summary["algo."+name+".max_delay_ms"] = maxDelay
+		summary["algo."+name+".feasible"] = boolFloat(feasible)
 	}
-	fmt.Fprintf(stdout, "lower bound (mean): %.3f ms\n", taccc.LowerBound(in)/float64(in.N()))
-	return summary, 0
+	fmt.Fprintf(stdout, "lower bound (mean): %.3f ms\n", bound/float64(in.N()))
+	return summary
 }

@@ -1,5 +1,6 @@
-// Package cliutil holds the small pieces shared by every taccc command:
-// build-info version reporting and pprof profiling flags.
+// Package cliutil holds the pieces shared by the taccc commands:
+// build-info version reporting, the -events file stream, and Obs, the
+// one observability session tacsolve, tacsim and tacbench run under.
 package cliutil
 
 import (
@@ -7,8 +8,6 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
-
-	"taccc/internal/obs"
 )
 
 // Version returns a human-readable version string from the binary's
@@ -49,41 +48,8 @@ func FprintVersion(w io.Writer, tool string) {
 	fmt.Fprintf(w, "%s %s (taccc)\n", tool, Version())
 }
 
-// Profiles wires -cpuprofile/-memprofile flags into a FlagSet and manages
-// the profile lifecycle around a command run.
-type Profiles struct {
-	CPU string
-	Mem string
-}
-
-// Flags registers the profiling flags on fs.
-func (p *Profiles) Flags(fs *flag.FlagSet) {
-	fs.StringVar(&p.CPU, "cpuprofile", "", "write a CPU profile to this file")
-	fs.StringVar(&p.Mem, "memprofile", "", "write a heap profile to this file on exit")
-}
-
-// Start begins CPU profiling if requested and returns a stop function
-// that finishes the CPU profile and writes the heap profile. The stop
-// function reports problems to errw rather than failing the run —
-// profiles are diagnostics, not outputs.
-func (p *Profiles) Start(errw io.Writer) (stop func(), err error) {
-	var stopCPU func() error
-	if p.CPU != "" {
-		stopCPU, err = obs.StartCPUProfile(p.CPU)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return func() {
-		if stopCPU != nil {
-			if err := stopCPU(); err != nil {
-				fmt.Fprintf(errw, "cpuprofile: %v\n", err)
-			}
-		}
-		if p.Mem != "" {
-			if err := obs.WriteHeapProfile(p.Mem); err != nil {
-				fmt.Fprintf(errw, "memprofile: %v\n", err)
-			}
-		}
-	}, nil
+// VersionFlag registers the standard -version flag on fs; every taccc
+// tool exposes it and prints the shared FprintVersion banner.
+func VersionFlag(fs *flag.FlagSet) *bool {
+	return fs.Bool("version", false, "print version and exit")
 }

@@ -2,9 +2,6 @@ package cliutil
 
 import (
 	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -25,61 +22,5 @@ func TestFprintVersion(t *testing.T) {
 	}
 	if !strings.HasSuffix(out, "\n") {
 		t.Fatal("banner should end with a newline")
-	}
-}
-
-func TestProfilesLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	var p Profiles
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	p.Flags(fs)
-	cpu := filepath.Join(dir, "cpu.pprof")
-	mem := filepath.Join(dir, "mem.pprof")
-	if err := fs.Parse([]string{"-cpuprofile", cpu, "-memprofile", mem}); err != nil {
-		t.Fatal(err)
-	}
-	var errw bytes.Buffer
-	stop, err := p.Start(&errw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Burn a little CPU so the profile has samples to write.
-	x := 0
-	for i := 0; i < 1_000_000; i++ {
-		x += i * i
-	}
-	_ = x
-	stop()
-	if errw.Len() != 0 {
-		t.Fatalf("stop reported errors: %s", errw.String())
-	}
-	for _, f := range []string{cpu, mem} {
-		st, err := os.Stat(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Size() == 0 {
-			t.Fatalf("%s is empty", f)
-		}
-	}
-}
-
-func TestProfilesDisabledIsNoop(t *testing.T) {
-	var p Profiles
-	var errw bytes.Buffer
-	stop, err := p.Start(&errw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop()
-	if errw.Len() != 0 {
-		t.Fatalf("no-op profiles wrote errors: %s", errw.String())
-	}
-}
-
-func TestProfilesBadPath(t *testing.T) {
-	p := Profiles{CPU: filepath.Join(t.TempDir(), "missing-dir", "cpu.pprof")}
-	if _, err := p.Start(&bytes.Buffer{}); err == nil {
-		t.Fatal("unwritable CPU profile path should fail Start")
 	}
 }

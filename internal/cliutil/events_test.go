@@ -3,9 +3,6 @@ package cliutil
 import (
 	"bytes"
 	"errors"
-	"flag"
-	"io"
-	"net/http"
 	"os"
 	"strings"
 	"testing"
@@ -72,52 +69,5 @@ func TestCreateEventsRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"trace":7`) {
 		t.Fatalf("event lost: %q", data)
-	}
-}
-
-func TestTelemetryDisabledIsNoOp(t *testing.T) {
-	var tel Telemetry
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	tel.Flags(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if tel.Enabled() {
-		t.Fatal("no -listen should mean disabled")
-	}
-	stop, err := tel.Start(io.Discard, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop()
-}
-
-func TestTelemetryServesMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Counter("cluster.requests.sent").Add(42)
-	tel := Telemetry{Listen: "127.0.0.1:0"}
-	var log bytes.Buffer
-	stop, err := tel.Start(&log, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	announced := log.String()
-	i := strings.Index(announced, "http://")
-	if i < 0 {
-		t.Fatalf("no address announced: %q", announced)
-	}
-	addr := strings.TrimSpace(announced[i:])
-	resp, err := http.Get(addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(body), "cluster_requests_sent 42") {
-		t.Fatalf("metrics not served: %q", body)
 	}
 }

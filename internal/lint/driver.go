@@ -59,8 +59,8 @@ var ClockDisciplinePackages = []string{
 //   - maporder everywhere — ordered output can leak from any layer;
 //   - nilrecv over internal/obs, where the nil-safe sink/metric types
 //     live;
-//   - sinkerr over cmd/, where event streams are opened and must fail
-//     loudly;
+//   - sinkerr over cmd/ and internal/cliutil, where event streams are
+//     opened and sealed for the CLIs and must fail loudly;
 //   - hotloop over internal/assign, where every solver inner loop is
 //     expected to price moves through the incremental gap.Evaluator;
 //   - resmon everywhere except internal/obs/sysmon, the one sanctioned
@@ -98,7 +98,9 @@ func DefaultRules() []Rule {
 		{Analyzer: Detrand, Match: inDetrandScope},
 		{Analyzer: Maporder, Match: func(string) bool { return true }},
 		{Analyzer: Nilrecv, Match: func(path string) bool { return path == "taccc/internal/obs" }},
-		{Analyzer: Sinkerr, Match: func(path string) bool { return strings.HasPrefix(path, "taccc/cmd/") }},
+		{Analyzer: Sinkerr, Match: func(path string) bool {
+			return strings.HasPrefix(path, "taccc/cmd/") || path == "taccc/internal/cliutil"
+		}},
 		{Analyzer: Hotloop, Match: func(path string) bool {
 			return path == "taccc/internal/assign" || strings.HasPrefix(path, "taccc/internal/assign/")
 		}},

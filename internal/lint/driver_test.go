@@ -304,3 +304,44 @@ func main() { _ = time.Now() }
 		t.Errorf("cmd/ wall-clock read should be out of detrand's scope, got %v", findings)
 	}
 }
+
+// TestSinkerrScopeCoversCLISession: the CLI observability session in
+// internal/cliutil seals the event streams for every tool, so a dropped
+// Close there is flagged just as in cmd/ — while the same drop in a
+// library package outside the scope is not.
+func TestSinkerrScopeCoversCLISession(t *testing.T) {
+	drop := func(pkg string) string {
+		return `package ` + pkg + `
+
+import "taccc/internal/obs"
+
+func Seal(s *obs.Stream) { s.Close() }
+`
+	}
+	dir := seedModule(t, map[string]string{
+		"internal/obs/obs.go": `package obs
+
+type Stream struct{}
+
+func (*Stream) Close() error { return nil }
+`,
+		"internal/cliutil/session.go": drop("cliutil"),
+		"internal/report/report.go":   drop("report"),
+	})
+	l, modPath, err := lint.NewModuleLoader(dir)
+	if err != nil {
+		t.Fatalf("NewModuleLoader: %v", err)
+	}
+	paths, err := lint.ExpandPatterns(dir, modPath, []string{"./..."})
+	if err != nil {
+		t.Fatalf("ExpandPatterns: %v", err)
+	}
+	findings, err := lint.Run(l, paths, lint.DefaultRules())
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(findings) != 1 || findings[0].Analyzer != "sinkerr" ||
+		filepath.Base(filepath.Dir(findings[0].Pos.Filename)) != "cliutil" {
+		t.Fatalf("want one sinkerr finding in internal/cliutil, got %v", findings)
+	}
+}
