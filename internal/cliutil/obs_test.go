@@ -160,6 +160,110 @@ func TestObsAllPlanesOff(t *testing.T) {
 	}
 }
 
+// TestProfilesDisabledIsNoop: with no -cpuprofile or -memprofile, Start
+// and a repeated Close report nothing, and Close is safe before Start.
+func TestProfilesDisabledIsNoop(t *testing.T) {
+	parseObs(t, false).Close()
+	o := parseObs(t, false)
+	var errw bytes.Buffer
+	if err := o.Start(1, io.Discard, &errw); err != nil {
+		t.Fatal(err)
+	}
+	o.Close()
+	o.Close()
+	if errw.Len() != 0 {
+		t.Fatalf("no-op profiles wrote errors: %s", errw.String())
+	}
+}
+
+// TestTelemetryDisabledIsNoOp: without -listen no server starts and
+// nothing is announced, even when the registry is on for -metrics-out.
+func TestTelemetryDisabledIsNoOp(t *testing.T) {
+	o := parseObs(t, false, "-metrics-out", filepath.Join(t.TempDir(), "m.json"))
+	var errw bytes.Buffer
+	if err := o.Start(1, io.Discard, &errw); err != nil {
+		t.Fatal(err)
+	}
+	if o.Serving() || o.srv != nil {
+		t.Fatal("no -listen should mean disabled")
+	}
+	if o.Registry() == nil {
+		t.Fatal("-metrics-out must still build a registry")
+	}
+	if err := o.Finish(nil); err != nil {
+		t.Fatal(err)
+	}
+	o.Close()
+	if errw.Len() != 0 {
+		t.Fatalf("disabled telemetry announced itself: %q", errw.String())
+	}
+}
+
+// TestSysmonNilAndOffSafe: without -sysmon the session holds no sampler,
+// collector or registry, Finish and Close go through the nil sampler, and
+// neither the archive nor the trace gains resource data.
+func TestSysmonNilAndOffSafe(t *testing.T) {
+	parseObs(t, false).Close()
+	tmp := t.TempDir()
+	dir := filepath.Join(tmp, "run")
+	tracePath := filepath.Join(tmp, "trace.json")
+	o, _ := startObs(t, false, "-trace-out", tracePath, "-archive", dir)
+	if o.sampler != nil || o.counters != nil || o.sysReg != nil {
+		t.Fatal("off sysmon produced a sampler, collector or registry")
+	}
+	if err := o.Finish(runlog.Summary{}); err != nil {
+		t.Fatal(err)
+	}
+	o.Close()
+	if _, err := os.Stat(filepath.Join(dir, runlog.ResourcesFile)); !os.IsNotExist(err) {
+		t.Fatalf("off sysmon left %s in the archive: %v", runlog.ResourcesFile, err)
+	}
+	f, err := os.Open(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tr, err := obs.ReadChromeTrace(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range tr.TraceEvents {
+		if ev.Ph == "C" {
+			t.Fatalf("off sysmon wrote a counter track: %+v", ev)
+		}
+	}
+}
+
+// TestSLONilAndOffSafe: without -slo the tracker and its registry are
+// nil, the nil tracker absorbs observations, PrintSLO prints nothing and
+// neither the archive nor -listen carries SLO data.
+func TestSLONilAndOffSafe(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "run")
+	o, stdout := startObs(t, true, "-archive", dir, "-listen", "127.0.0.1:0")
+	tr := o.SLO()
+	if tr != nil || o.sloReg != nil {
+		t.Fatal("off SLO produced a tracker or registry")
+	}
+	tr.Observe(100, 500, false)
+	tr.Finish(500)
+	if tr.Results() != nil {
+		t.Fatal("nil tracker returned results")
+	}
+	o.PrintSLO()
+	if strings.Contains(stdout.String(), "slo:") {
+		t.Fatalf("off SLO printed a summary:\n%s", stdout.String())
+	}
+	if body := scrape(t, o, "/metrics"); strings.Contains(body, "slo_") {
+		t.Fatalf("off SLO served gauges:\n%s", body)
+	}
+	if err := o.Finish(runlog.Summary{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, runlog.SLOFile)); !os.IsNotExist(err) {
+		t.Fatalf("off SLO left %s in the archive: %v", runlog.SLOFile, err)
+	}
+}
+
 // TestObsArchiveStreamsFollowPlanes: the archive gains a stream file for
 // exactly the planes that are on.
 func TestObsArchiveStreamsFollowPlanes(t *testing.T) {
