@@ -19,12 +19,12 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	taccc "taccc"
 	"taccc/internal/cliutil"
 	"taccc/internal/obs/runlog"
+	"taccc/internal/par"
 )
 
 func main() {
@@ -243,34 +243,22 @@ func compareAll(in *taccc.Instance, reg *taccc.AlgorithmRegistry, seed int64, wo
 	}
 	names := reg.Names()
 	rows := make([]row, len(names))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, name := range names {
-		a, err := reg.New(name, seed)
+	par.For(par.Workers(workers), len(names), func(i int) {
+		a, err := reg.New(names[i], seed)
 		if err != nil {
 			rows[i].err = err
-			continue
+			return
 		}
 		if sink != nil {
 			taccc.WithProgress(a, sink)
 		}
-		wg.Add(1)
-		go func(i int, name string, a taccc.Assigner) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			ph := traceRoot.Child(name)
-			taccc.WithPhases(a, ph)
-			start := time.Now()
-			rows[i].got, rows[i].err = a.Assign(in)
-			rows[i].elapsed = time.Since(start).Round(time.Microsecond)
-			ph.End()
-		}(i, name, a)
-	}
-	wg.Wait()
+		ph := traceRoot.Child(names[i])
+		taccc.WithPhases(a, ph)
+		start := time.Now()
+		rows[i].got, rows[i].err = a.Assign(in)
+		rows[i].elapsed = time.Since(start).Round(time.Microsecond)
+		ph.End()
+	})
 	bound := taccc.LowerBound(in)
 	summary := runlog.Summary{
 		"instance.devices":     float64(in.N()),

@@ -89,16 +89,41 @@ func TestSolveErrors(t *testing.T) {
 	}
 }
 
+// TestSolveAll runs the comparison table sequentially and on four
+// workers: apart from the wall-clock time column, the table rows and the
+// archived summary.json must be identical.
 func TestSolveAll(t *testing.T) {
 	path := writeInstance(t)
-	var out, errBuf bytes.Buffer
-	code := run([]string{"-instance", path, "-algo", "all"}, &out, &errBuf)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errBuf.String())
-	}
-	for _, want := range []string{"greedy", "qlearning", "minmax", "lower bound"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("compare output missing %q", want)
+	var tables, summaries []string
+	for _, workers := range []string{"1", "4"} {
+		dir := filepath.Join(t.TempDir(), "run")
+		var out, errBuf bytes.Buffer
+		code := run([]string{"-instance", path, "-algo", "all", "-workers", workers, "-archive", dir}, &out, &errBuf)
+		if code != 0 {
+			t.Fatalf("-workers %s: exit %d: %s", workers, code, errBuf.String())
 		}
+		for _, want := range []string{"greedy", "qlearning", "minmax", "lower bound"} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("-workers %s: compare output missing %q", workers, want)
+			}
+		}
+		var rows []string
+		for _, line := range strings.Split(out.String(), "\n") {
+			if f := strings.Fields(line); len(f) == 5 {
+				rows = append(rows, strings.Join(f[:4], " "))
+			}
+		}
+		tables = append(tables, strings.Join(rows, "\n"))
+		summary, err := os.ReadFile(filepath.Join(dir, "summary.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		summaries = append(summaries, string(summary))
+	}
+	if tables[0] != tables[1] {
+		t.Errorf("table differs between -workers 1 and 4:\n%s\n---\n%s", tables[0], tables[1])
+	}
+	if summaries[0] != summaries[1] {
+		t.Errorf("summary.json differs between -workers 1 and 4:\n%s\n---\n%s", summaries[0], summaries[1])
 	}
 }

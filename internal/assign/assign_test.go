@@ -349,7 +349,7 @@ func TestRLParamsDefaults(t *testing.T) {
 
 func TestMDPStateKey(t *testing.T) {
 	in := mustSynthetic(t, gap.SyntheticUniform, 4, 3, 0.5, 1)
-	env := newMDP(in, 4)
+	env := newMDP(in, 4, true)
 	env.reset()
 	k1 := env.stateKey()
 	if k1 != "0|aaa" {

@@ -1,7 +1,6 @@
 package assign
 
 import (
-	"fmt"
 	"math"
 
 	"taccc/internal/gap"
@@ -28,63 +27,45 @@ func (*Bandit) Name() string { return "bandit" }
 
 // Assign implements Assigner.
 func (b *Bandit) Assign(in *gap.Instance) (*gap.Assignment, error) {
-	episodes := b.Episodes
-	if episodes <= 0 {
-		episodes = 400
-	}
 	explore := b.Explore
 	if explore <= 0 {
 		explore = math.Sqrt2
 	}
-	src := xrand.NewSplit(b.seed, "bandit")
-	env := newMDP(in, 1)
+	// One load level: the bandit ignores the state signature. It trains
+	// from scratch, so the incumbent is not primed.
+	t := newTrainer("bandit", in, RLParams{Episodes: b.Episodes, LoadLevels: 1}, xrand.NewSplit(b.seed, "bandit"))
+	env := t.env
 	n, m := in.N(), in.M()
 
 	// Per-position statistics.
 	counts := make([][]float64, n)
 	sums := make([][]float64, n)
-	for t := range counts {
-		counts[t] = make([]float64, m)
-		sums[t] = make([]float64, m)
+	for k := range counts {
+		counts[k] = make([]float64, m)
+		sums[k] = make([]float64, m)
 	}
 	pulls := make([]float64, n)
 
 	var actBuf []int
-	of := make([]int, n)
-	bestOf := make([]int, n)
-	bestCost := math.Inf(1)
-	found := false
-
-	for ep := 0; ep < episodes; ep++ {
-		env.reset()
+	return t.train(func() (float64, bool) {
 		cost := 0.0
-		feasibleRun := true
 		for !env.done() {
-			t := env.step
+			s := env.step
 			actBuf = env.feasibleActions(actBuf)
 			if len(actBuf) == 0 {
-				feasibleRun = false
-				break
+				return cost, false
 			}
-			a := ucbPick(counts[t], sums[t], pulls[t], actBuf, explore, src)
+			a := ucbPick(counts[s], sums[s], pulls[s], actBuf, explore, t.src)
 			i := env.device()
 			r := env.take(a)
 			cost -= r
-			of[i] = a
-			counts[t][a]++
-			sums[t][a] += r
-			pulls[t]++
+			t.of[i] = a
+			counts[s][a]++
+			sums[s][a] += r
+			pulls[s]++
 		}
-		if feasibleRun && cost < bestCost {
-			bestCost = cost
-			copy(bestOf, of)
-			found = true
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("assign/bandit: no feasible episode in %d attempts: %w", episodes, gap.ErrInfeasible)
-	}
-	return finish(in, bestOf, "bandit")
+		return cost, true
+	}, false)
 }
 
 // ucbPick chooses among feasible arms by UCB1, preferring untried arms

@@ -22,7 +22,9 @@ var goldenShapes = []struct {
 }
 
 // goldenHashes pins the exact assignment every metaheuristic produces per
-// (shape, seed), captured on the pre-Evaluator implementations. Hash is
+// (shape, seed), captured on the pre-Evaluator implementations; the six
+// RL assigners' rows were captured before their training loops were
+// merged into one trainer. Hash is
 // FNV-64a over the placement vector's entries as little-endian 4-byte
 // words; "ERR" marks cells where the solver deterministically reports
 // infeasibility. Any diff here means a solver's per-seed arithmetic — not
@@ -40,54 +42,108 @@ var goldenHashes = []struct {
 	{0, 1, "lns", "5a94c0d4246676d4"},
 	{0, 1, "genetic", "5a94c0d4246676d4"},
 	{0, 1, "lagrangian", "5a94c0d4246676d4"},
+	{0, 1, "qlearning", "5a94c0d4246676d4"},
+	{0, 1, "sarsa", "5a94c0d4246676d4"},
+	{0, 1, "expected-sarsa", "5a94c0d4246676d4"},
+	{0, 1, "double-qlearning", "5a94c0d4246676d4"},
+	{0, 1, "nstep-qlearning", "5a94c0d4246676d4"},
+	{0, 1, "bandit", "ca8755168723d160"},
 	{0, 2, "local-search", "dbf27d8438714ec7"},
 	{0, 2, "sim-anneal", "b8ac6b3c5021ba46"},
 	{0, 2, "tabu", "b8ac6b3c5021ba46"},
 	{0, 2, "lns", "b8ac6b3c5021ba46"},
 	{0, 2, "genetic", "b8ac6b3c5021ba46"},
 	{0, 2, "lagrangian", "b8ac6b3c5021ba46"},
+	{0, 2, "qlearning", "b8ac6b3c5021ba46"},
+	{0, 2, "sarsa", "b8ac6b3c5021ba46"},
+	{0, 2, "expected-sarsa", "b8ac6b3c5021ba46"},
+	{0, 2, "double-qlearning", "b8ac6b3c5021ba46"},
+	{0, 2, "nstep-qlearning", "b8ac6b3c5021ba46"},
+	{0, 2, "bandit", "b8ac6b3c5021ba46"},
 	{0, 3, "local-search", "da4416e23f19f8a2"},
 	{0, 3, "sim-anneal", "da4416e23f19f8a2"},
 	{0, 3, "tabu", "da4416e23f19f8a2"},
 	{0, 3, "lns", "da4416e23f19f8a2"},
 	{0, 3, "genetic", "da4416e23f19f8a2"},
 	{0, 3, "lagrangian", "02d6e700c9493ca4"},
+	{0, 3, "qlearning", "da4416e23f19f8a2"},
+	{0, 3, "sarsa", "da4416e23f19f8a2"},
+	{0, 3, "expected-sarsa", "da4416e23f19f8a2"},
+	{0, 3, "double-qlearning", "da4416e23f19f8a2"},
+	{0, 3, "nstep-qlearning", "da4416e23f19f8a2"},
+	{0, 3, "bandit", "da4416e23f19f8a2"},
 	{1, 1, "local-search", "67abaac9c8d89ae7"},
 	{1, 1, "sim-anneal", "9ed837806a8c6cb7"},
 	{1, 1, "tabu", "f31118b2c4818944"},
 	{1, 1, "lns", "d7e151bbaa0355d5"},
 	{1, 1, "genetic", "ea8d155a62d73744"},
 	{1, 1, "lagrangian", "c87d28732abbe317"},
+	{1, 1, "qlearning", "e47016af67a97cf5"},
+	{1, 1, "sarsa", "73bda1fe4d1cef14"},
+	{1, 1, "expected-sarsa", "ca4e7b5bdebab076"},
+	{1, 1, "double-qlearning", "a5a48165489f4595"},
+	{1, 1, "nstep-qlearning", "790684ccd6fbe064"},
+	{1, 1, "bandit", "3bea5cb13c9ee5c5"},
 	{1, 2, "local-search", "c74705e50bd37be7"},
 	{1, 2, "sim-anneal", "ee7063f55d406836"},
 	{1, 2, "tabu", "69189c99d49f00e6"},
 	{1, 2, "lns", "a7055cbb398c9404"},
 	{1, 2, "genetic", "ac7b5178e31a8f06"},
 	{1, 2, "lagrangian", "ERR"},
+	{1, 2, "qlearning", "dc311e3b66623167"},
+	{1, 2, "sarsa", "610bbe8b18152ce6"},
+	{1, 2, "expected-sarsa", "7eb992526183ea27"},
+	{1, 2, "double-qlearning", "77c3b75de0f035f6"},
+	{1, 2, "nstep-qlearning", "2b6fdc4cf0cf5e37"},
+	{1, 2, "bandit", "e495f16dddbb1ab4"},
 	{1, 3, "local-search", "cda832038f9e3906"},
 	{1, 3, "sim-anneal", "ce2a363676a323e4"},
 	{1, 3, "tabu", "25e9aa5597b2e477"},
 	{1, 3, "lns", "910d908b78617915"},
 	{1, 3, "genetic", "9df81dedd3f2c9f6"},
 	{1, 3, "lagrangian", "ERR"},
+	{1, 3, "qlearning", "6c1bb83a87de0e34"},
+	{1, 3, "sarsa", "3d17f271c1377da6"},
+	{1, 3, "expected-sarsa", "a71ed79f7eb85514"},
+	{1, 3, "double-qlearning", "2aba2446b50c8a27"},
+	{1, 3, "nstep-qlearning", "a644113617036fb6"},
+	{1, 3, "bandit", "13053e1ae16abc85"},
 	{2, 1, "local-search", "621c3cc4c902b391"},
 	{2, 1, "sim-anneal", "c26ef5cd4389bcb3"},
 	{2, 1, "tabu", "014197c1ee8f81f7"},
 	{2, 1, "lns", "8bb17f2234f72261"},
 	{2, 1, "genetic", "014197c1ee8f81f7"},
 	{2, 1, "lagrangian", "8bb17f2234f72261"},
+	{2, 1, "qlearning", "014197c1ee8f81f7"},
+	{2, 1, "sarsa", "014197c1ee8f81f7"},
+	{2, 1, "expected-sarsa", "014197c1ee8f81f7"},
+	{2, 1, "double-qlearning", "014197c1ee8f81f7"},
+	{2, 1, "nstep-qlearning", "014197c1ee8f81f7"},
+	{2, 1, "bandit", "51a9a1f90a630867"},
 	{2, 2, "local-search", "7831ff3057cfc9d7"},
 	{2, 2, "sim-anneal", "05205b3f45285466"},
 	{2, 2, "tabu", "ff5154e46a6a2ae0"},
 	{2, 2, "lns", "650669b07eb1e197"},
 	{2, 2, "genetic", "650669b07eb1e197"},
 	{2, 2, "lagrangian", "04b90673240a9a26"},
+	{2, 2, "qlearning", "650669b07eb1e197"},
+	{2, 2, "sarsa", "650669b07eb1e197"},
+	{2, 2, "expected-sarsa", "650669b07eb1e197"},
+	{2, 2, "double-qlearning", "650669b07eb1e197"},
+	{2, 2, "nstep-qlearning", "650669b07eb1e197"},
+	{2, 2, "bandit", "e6cb99d4aed5cb76"},
 	{2, 3, "local-search", "72370d91a6435a30"},
 	{2, 3, "sim-anneal", "8051e89f20524c15"},
 	{2, 3, "tabu", "d41fb595853a38b1"},
 	{2, 3, "lns", "055b1acac105bb42"},
 	{2, 3, "genetic", "055b1acac105bb42"},
 	{2, 3, "lagrangian", "8d56302634d80382"},
+	{2, 3, "qlearning", "055b1acac105bb42"},
+	{2, 3, "sarsa", "055b1acac105bb42"},
+	{2, 3, "expected-sarsa", "055b1acac105bb42"},
+	{2, 3, "double-qlearning", "055b1acac105bb42"},
+	{2, 3, "nstep-qlearning", "055b1acac105bb42"},
+	{2, 3, "bandit", "171b679dcbb75d27"},
 }
 
 // hashOf folds a placement vector with FNV-64a, each entry as a

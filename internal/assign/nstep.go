@@ -1,9 +1,6 @@
 package assign
 
 import (
-	"fmt"
-	"math"
-
 	"taccc/internal/gap"
 	"taccc/internal/xrand"
 )
@@ -30,33 +27,14 @@ func (*NStepQLearning) Name() string { return "nstep-qlearning" }
 
 // Assign implements Assigner.
 func (nq *NStepQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
-	p := nq.Params.withDefaults()
 	nStep := nq.N
 	if nStep <= 0 {
 		nStep = 3
 	}
-	src := xrand.NewSplit(nq.seed, "nstep-q")
-	env := newMDPSeeded(in, p.LoadLevels, !p.NoCostSeeding)
-	table := make(qtable, p.Episodes)
+	t := newTrainer("nstep-qlearning", in, nq.Params, xrand.NewSplit(nq.seed, "nstep-q"))
+	t.prime()
+	env, p := t.env, t.p
 	var actBuf []int
-
-	bestOf := make([]int, in.N())
-	bestCost := math.Inf(1)
-	found := false
-	of := make([]int, in.N())
-
-	if c, ok := greedyRollout(env, table, of); ok {
-		bestCost = c
-		copy(bestOf, of)
-		found = true
-	}
-	if !p.NoWarmStart {
-		if c, warm := warmStart(in); warm != nil && c < bestCost {
-			bestCost = c
-			copy(bestOf, warm)
-			found = true
-		}
-	}
 
 	// Per-step trajectory storage, reused across episodes.
 	type step struct {
@@ -67,9 +45,7 @@ func (nq *NStepQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	}
 	traj := make([]step, 0, in.N())
 
-	eps := p.Epsilon0
-	for ep := 0; ep < p.Episodes; ep++ {
-		env.reset()
+	return t.train(func() (float64, bool) {
 		traj = traj[:0]
 		cost := 0.0
 		feasibleRun := true
@@ -80,12 +56,12 @@ func (nq *NStepQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 				feasibleRun = false
 				break
 			}
-			row := table.row(key, env.rowInit[env.step])
-			a := epsGreedyMode(row, actBuf, eps, src, p.UniformExploration)
+			row := t.q.row(key, env.rowInit[env.step])
+			a := t.pick(row, actBuf)
 			i := env.device()
 			r := env.take(a)
 			cost -= r
-			of[i] = a
+			t.of[i] = a
 			traj = append(traj, step{
 				row:      row,
 				action:   a,
@@ -101,14 +77,14 @@ func (nq *NStepQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 		}
 		// Batch n-step backward updates against the current table.
 		T := len(traj)
-		for t := 0; t < T; t++ {
+		for s := 0; s < T; s++ {
 			g := 0.0
 			discount := 1.0
-			end := t + nStep
+			end := s + nStep
 			if end > T {
 				end = T
 			}
-			for k := t; k < end; k++ {
+			for k := s; k < end; k++ {
 				g += discount * traj[k].reward
 				discount *= p.Gamma
 			}
@@ -121,25 +97,8 @@ func (nq *NStepQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			} else {
 				g += discount * terminal
 			}
-			traj[t].row[traj[t].action] += p.Alpha * (g - traj[t].row[traj[t].action])
+			traj[s].row[traj[s].action] += p.Alpha * (g - traj[s].row[traj[s].action])
 		}
-		if feasibleRun && cost < bestCost {
-			bestCost = cost
-			copy(bestOf, of)
-			found = true
-		}
-		eps *= p.EpsilonDecay
-		if eps < p.EpsilonMin {
-			eps = p.EpsilonMin
-		}
-	}
-	if c, ok := greedyRollout(env, table, of); ok && c < bestCost {
-		bestCost = c
-		copy(bestOf, of)
-		found = true
-	}
-	if !found {
-		return nil, fmt.Errorf("assign/nstep-qlearning: no feasible episode in %d attempts: %w", p.Episodes, gap.ErrInfeasible)
-	}
-	return finish(in, bestOf, "nstep-qlearning")
+		return cost, feasibleRun
+	}, true)
 }

@@ -118,22 +118,63 @@ func TestPortfolioDefaultMembers(t *testing.T) {
 	}
 }
 
+// rlParams returns the RLParams of a Q-table assigner.
+func rlParams(t *testing.T, a Assigner) *RLParams {
+	t.Helper()
+	switch a := a.(type) {
+	case *QLearning:
+		return &a.Params
+	case *SARSA:
+		return &a.Params
+	case *ExpectedSARSA:
+		return &a.Params
+	case *DoubleQLearning:
+		return &a.Params
+	case *NStepQLearning:
+		return &a.Params
+	}
+	t.Fatalf("%s has no RLParams", a.Name())
+	return nil
+}
+
+// TestQLearningAblationSwitches requires every Q-table assigner to honour
+// every RLParams ablation switch: each switch set alone changes the
+// assignment on a fixed instance, and every ablated run stays feasible.
+// NoCostSeeding and UniformExploration are compared with warm start off,
+// since a winning regret-greedy warm start would hide what training
+// learned.
 func TestQLearningAblationSwitches(t *testing.T) {
-	in := mustSynthetic(t, gap.SyntheticCorrelated, 15, 3, 0.85, 4)
-	for _, mut := range []func(*RLParams){
-		func(p *RLParams) { p.NoCostSeeding = true },
-		func(p *RLParams) { p.NoWarmStart = true },
-		func(p *RLParams) { p.UniformExploration = true },
-		func(p *RLParams) { p.NoCostSeeding = true; p.NoWarmStart = true; p.UniformExploration = true },
-	} {
-		q := NewQLearning(4)
-		mut(&q.Params)
-		got, err := q.Assign(in)
-		if err != nil {
-			t.Fatalf("ablated variant failed: %v", err)
+	in := mustSynthetic(t, gap.SyntheticCorrelated, 20, 4, 0.85, 4)
+	reg := NewRegistry()
+	for _, name := range []string{"qlearning", "sarsa", "expected-sarsa", "double-qlearning", "nstep-qlearning"} {
+		solve := func(mut func(*RLParams)) string {
+			a, err := reg.New(name, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mut(rlParams(t, a))
+			got, err := a.Assign(in)
+			if err != nil {
+				t.Fatalf("%s: ablated variant failed: %v", name, err)
+			}
+			if !in.Feasible(got) {
+				t.Fatalf("%s: ablated variant produced infeasible result", name)
+			}
+			return hashOf(got.Of)
 		}
-		if !in.Feasible(got) {
-			t.Fatal("ablated variant produced infeasible result")
+		noWarm := func(p *RLParams) { p.NoWarmStart = true }
+		for _, c := range []struct {
+			name      string
+			base, mut func(*RLParams)
+		}{
+			{"NoWarmStart", func(*RLParams) {}, noWarm},
+			{"NoCostSeeding", noWarm, func(p *RLParams) { p.NoWarmStart = true; p.NoCostSeeding = true }},
+			{"UniformExploration", noWarm, func(p *RLParams) { p.NoWarmStart = true; p.UniformExploration = true }},
+		} {
+			if solve(c.base) == solve(c.mut) {
+				t.Errorf("%s ignores %s: same assignment with it on and off", name, c.name)
+			}
 		}
+		solve(func(p *RLParams) { p.NoCostSeeding = true; p.NoWarmStart = true; p.UniformExploration = true })
 	}
 }

@@ -84,12 +84,8 @@ type mdp struct {
 	rowInit [][]float64
 }
 
-func newMDP(in *gap.Instance, levels int) *mdp {
-	return newMDPSeeded(in, levels, true)
-}
-
-// newMDPSeeded builds the MDP with or without cost-seeded Q rows.
-func newMDPSeeded(in *gap.Instance, levels int, costSeed bool) *mdp {
+// newMDP builds the MDP with or without cost-seeded Q rows.
+func newMDP(in *gap.Instance, levels int, costSeed bool) *mdp {
 	m := &mdp{
 		in:       in,
 		order:    byDecreasingLoad(in),
@@ -202,50 +198,6 @@ func bestQ(row []float64, feasible []int) (int, float64) {
 	return best, bestV
 }
 
-// epsGreedy picks a feasible action: explore with probability eps,
-// otherwise exploit the Q row. Exploration is cost-biased (softmax over
-// the Q row rather than uniform) so exploratory episodes sample plausible
-// alternative placements instead of arbitrary far-away edges — uniform
-// exploration wastes most episodes on assignments no policy would choose.
-func epsGreedy(row []float64, feasible []int, eps float64, src *xrand.Source) int {
-	return epsGreedyMode(row, feasible, eps, src, false)
-}
-
-// epsGreedyMode is epsGreedy with selectable exploration (uniform for the
-// F11 ablation).
-func epsGreedyMode(row []float64, feasible []int, eps float64, src *xrand.Source, uniform bool) int {
-	if !src.Bernoulli(eps) {
-		a, _ := bestQ(row, feasible)
-		return a
-	}
-	if uniform {
-		return feasible[src.Intn(len(feasible))]
-	}
-	// Softmax over Q values with a temperature tied to their spread.
-	best := math.Inf(-1)
-	worst := math.Inf(1)
-	for _, a := range feasible {
-		if row[a] > best {
-			best = row[a]
-		}
-		if row[a] < worst {
-			worst = row[a]
-		}
-	}
-	temp := (best - worst) / 3
-	if temp <= eps0Temp {
-		return feasible[src.Intn(len(feasible))] // flat row: uniform
-	}
-	weights := make([]float64, len(feasible))
-	for k, a := range feasible {
-		weights[k] = math.Exp((row[a] - best) / temp)
-	}
-	return feasible[src.Choice(weights)]
-}
-
-// eps0Temp guards against zero/negligible Q spread in softmax exploration.
-const eps0Temp = 1e-12
-
 // QLearning is the paper's primary heuristic: tabular Q-learning over the
 // placement MDP with load-quantized states, feasibility-masked actions
 // (overload is structurally impossible) and an epsilon-greedy schedule.
@@ -284,59 +236,28 @@ func (q *QLearning) Trace() []float64 {
 
 // Assign implements Assigner.
 func (q *QLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
-	p := q.Params.withDefaults()
-	src := xrand.NewSplit(q.seed, "qlearning")
-	env := newMDPSeeded(in, p.LoadLevels, !p.NoCostSeeding)
-	table := make(qtable, p.Episodes)
+	t := newTrainer("qlearning", in, q.Params, xrand.NewSplit(q.seed, "qlearning"))
+	t.progress = q.progress
+	t.prime()
+	env, p := t.env, t.p
 	var actBuf, nextBuf []int
-
-	bestOf := make([]int, in.N())
-	bestCost := math.Inf(1)
-	found := false
-	of := make([]int, in.N())
-	q.lastTrace = make([]float64, 0, p.Episodes)
-
-	// Incumbent seeding: one pure-exploitation rollout (with cost-seeded
-	// Q rows this reproduces min-delay greedy) plus the regret-greedy
-	// constructive solution. The returned assignment can therefore never
-	// be worse than either constructive baseline; the episodes below
-	// only improve on the warm start.
-	if c, ok := greedyRollout(env, table, of); ok {
-		bestCost = c
-		copy(bestOf, of)
-		found = true
-	}
-	if !p.NoWarmStart {
-		if c, warm := warmStart(in); warm != nil && c < bestCost {
-			bestCost = c
-			copy(bestOf, warm)
-			found = true
-		}
-	}
-
-	eps := p.Epsilon0
-	for ep := 0; ep < p.Episodes; ep++ {
-		env.reset()
+	got, err := t.train(func() (float64, bool) {
 		cost := 0.0
-		feasibleRun := true
 		for !env.done() {
 			key := env.stateKey()
 			actBuf = env.feasibleActions(actBuf)
 			if len(actBuf) == 0 {
-				// Dead end: punish the whole visited path is
-				// unnecessary — Q of the last action gets the
-				// penalty so the policy steers away.
-				feasibleRun = false
-				break
+				return cost, false
 			}
-			row := table.row(key, env.rowInit[env.step])
-			a := epsGreedyMode(row, actBuf, eps, src, p.UniformExploration)
+			row := t.q.row(key, env.rowInit[env.step])
+			a := t.pick(row, actBuf)
 			i := env.device()
 			r := env.take(a)
 			cost -= r
-			of[i] = a
+			t.of[i] = a
 
 			var target float64
+			feasibleRun := true
 			if env.done() {
 				target = r
 			} else {
@@ -347,78 +268,20 @@ func (q *QLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 					target = r - deadEndPenalty(in)
 					feasibleRun = false
 				} else {
-					nextRow := table.row(env.stateKey(), env.rowInit[env.step])
+					nextRow := t.q.row(env.stateKey(), env.rowInit[env.step])
 					_, nv := bestQ(nextRow, nextBuf)
 					target = r + p.Gamma*nv
 				}
 			}
 			row[a] += p.Alpha * (target - row[a])
 			if !feasibleRun {
-				break
+				return cost, false
 			}
 		}
-		if feasibleRun && cost < bestCost {
-			bestCost = cost
-			copy(bestOf, of)
-			found = true
-		}
-		if found {
-			q.lastTrace = append(q.lastTrace, bestCost)
-		} else {
-			q.lastTrace = append(q.lastTrace, math.Inf(1))
-		}
-		obs.EmitIter(q.progress, "qlearning", ep, bestCost, found)
-		eps *= p.EpsilonDecay
-		if eps < p.EpsilonMin {
-			eps = p.EpsilonMin
-		}
-	}
-
-	// Final pure-exploitation rollout over the learned table; keep it if
-	// it beats the best training episode.
-	if c, ok := greedyRollout(env, table, of); ok && c < bestCost {
-		bestCost = c
-		copy(bestOf, of)
-		found = true
-	}
-	if !found {
-		return nil, fmt.Errorf("assign/qlearning: no feasible episode in %d attempts: %w", p.Episodes, gap.ErrInfeasible)
-	}
-	return finish(in, bestOf, "qlearning")
-}
-
-// warmStart returns the regret-greedy constructive solution and its cost,
-// or (0, nil) when that heuristic fails. RL assigners use it to prime
-// their incumbent, the standard warm-start that makes episodic search an
-// anytime improver over the best constructive baseline.
-func warmStart(in *gap.Instance) (float64, []int) {
-	rg, err := NewRegretGreedy().Assign(in)
-	if err != nil {
-		return 0, nil
-	}
-	return in.TotalCost(rg), rg.Of
-}
-
-// greedyRollout performs one epsilon=0 episode against the current table,
-// writing the placement into of. It reports the episode cost and whether a
-// complete feasible placement was reached. Q rows touched are created (and
-// therefore cost-seeded) but not updated.
-func greedyRollout(env *mdp, table qtable, of []int) (float64, bool) {
-	env.reset()
-	cost := 0.0
-	var buf []int
-	for !env.done() {
-		buf = env.feasibleActions(buf)
-		if len(buf) == 0 {
-			return 0, false
-		}
-		row := table.row(env.stateKey(), env.rowInit[env.step])
-		a, _ := bestQ(row, buf)
-		i := env.device()
-		cost -= env.take(a)
-		of[i] = a
-	}
-	return cost, true
+		return cost, true
+	}, true)
+	q.lastTrace = t.curve
+	return got, err
 }
 
 // deadEndPenalty scales the infeasibility punishment to the instance's
@@ -453,87 +316,41 @@ func (*SARSA) Name() string { return "sarsa" }
 
 // Assign implements Assigner.
 func (s *SARSA) Assign(in *gap.Instance) (*gap.Assignment, error) {
-	p := s.Params.withDefaults()
-	src := xrand.NewSplit(s.seed, "sarsa")
-	env := newMDP(in, p.LoadLevels)
-	table := make(qtable, p.Episodes)
+	t := newTrainer("sarsa", in, s.Params, xrand.NewSplit(s.seed, "sarsa"))
+	env, p := t.env, t.p
+	// The body picks its first action before entering the update loop,
+	// so an instance whose first device fits nowhere is rejected here.
+	env.reset()
+	if len(env.feasibleActions(nil)) == 0 {
+		return nil, fmt.Errorf("assign/sarsa: no feasible first action: %w", gap.ErrInfeasible)
+	}
+	t.prime()
 	var actBuf []int
-
-	bestOf := make([]int, in.N())
-	bestCost := math.Inf(1)
-	found := false
-	of := make([]int, in.N())
-
-	// Same incumbent seeding as QLearning: start from the greedy-quality
-	// exploitation rollout and the regret-greedy warm start so training
-	// can only improve the result.
-	if c, ok := greedyRollout(env, table, of); ok {
-		bestCost = c
-		copy(bestOf, of)
-		found = true
-	}
-	if !p.NoWarmStart {
-		if c, warm := warmStart(in); warm != nil && c < bestCost {
-			bestCost = c
-			copy(bestOf, warm)
-			found = true
-		}
-	}
-
-	eps := p.Epsilon0
-	for ep := 0; ep < p.Episodes; ep++ {
-		env.reset()
+	return t.train(func() (float64, bool) {
 		cost := 0.0
-		feasibleRun := true
-
-		key := env.stateKey()
 		actBuf = env.feasibleActions(actBuf)
-		if len(actBuf) == 0 {
-			return nil, fmt.Errorf("assign/sarsa: no feasible first action: %w", gap.ErrInfeasible)
-		}
-		row := table.row(key, env.rowInit[env.step])
-		a := epsGreedy(row, actBuf, eps, src)
-
+		row := t.q.row(env.stateKey(), env.rowInit[env.step])
+		a := t.pick(row, actBuf)
 		for {
 			i := env.device()
 			r := env.take(a)
 			cost -= r
-			of[i] = a
+			t.of[i] = a
 			prevRow, prevA := row, a
 
 			if env.done() {
 				prevRow[prevA] += p.Alpha * (r - prevRow[prevA])
-				break
+				return cost, true
 			}
 			actBuf = env.feasibleActions(actBuf)
 			if len(actBuf) == 0 {
 				prevRow[prevA] += p.Alpha * (r - deadEndPenalty(in) - prevRow[prevA])
-				feasibleRun = false
-				break
+				return cost, false
 			}
-			key = env.stateKey()
-			row = table.row(key, env.rowInit[env.step])
-			a = epsGreedy(row, actBuf, eps, src)
+			row = t.q.row(env.stateKey(), env.rowInit[env.step])
+			a = t.pick(row, actBuf)
 			target := r + p.Gamma*row[a]
 			prevRow[prevA] += p.Alpha * (target - prevRow[prevA])
 		}
-		if feasibleRun && cost < bestCost {
-			bestCost = cost
-			copy(bestOf, of)
-			found = true
-		}
-		eps *= p.EpsilonDecay
-		if eps < p.EpsilonMin {
-			eps = p.EpsilonMin
-		}
-	}
-	if c, ok := greedyRollout(env, table, of); ok && c < bestCost {
-		bestCost = c
-		copy(bestOf, of)
-		found = true
-	}
-	if !found {
-		return nil, fmt.Errorf("assign/sarsa: no feasible episode in %d attempts: %w", p.Episodes, gap.ErrInfeasible)
-	}
-	return finish(in, bestOf, "sarsa")
+	}, true)
 }

@@ -1,9 +1,6 @@
 package assign
 
 import (
-	"fmt"
-	"math"
-
 	"taccc/internal/gap"
 	"taccc/internal/xrand"
 )
@@ -26,43 +23,19 @@ func (*DoubleQLearning) Name() string { return "double-qlearning" }
 
 // Assign implements Assigner.
 func (dq *DoubleQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
-	p := dq.Params.withDefaults()
-	src := xrand.NewSplit(dq.seed, "double-q")
-	env := newMDP(in, p.LoadLevels)
-	tableA := make(qtable, p.Episodes)
-	tableB := make(qtable, p.Episodes)
+	t := newTrainer("double-qlearning", in, dq.Params, xrand.NewSplit(dq.seed, "double-q"))
+	t.prime()
+	env, p := t.env, t.p
+	tableA, tableB := t.q, make(qtable, p.Episodes)
 	var actBuf, nextBuf []int
 	sumRow := make([]float64, in.M())
-
-	bestOf := make([]int, in.N())
-	bestCost := math.Inf(1)
-	found := false
-	of := make([]int, in.N())
-
-	if c, ok := greedyRollout(env, tableA, of); ok {
-		bestCost = c
-		copy(bestOf, of)
-		found = true
-	}
-	if !p.NoWarmStart {
-		if c, warm := warmStart(in); warm != nil && c < bestCost {
-			bestCost = c
-			copy(bestOf, warm)
-			found = true
-		}
-	}
-
-	eps := p.Epsilon0
-	for ep := 0; ep < p.Episodes; ep++ {
-		env.reset()
+	return t.train(func() (float64, bool) {
 		cost := 0.0
-		feasibleRun := true
 		for !env.done() {
 			key := env.stateKey()
 			actBuf = env.feasibleActions(actBuf)
 			if len(actBuf) == 0 {
-				feasibleRun = false
-				break
+				return cost, false
 			}
 			rowA := tableA.row(key, env.rowInit[env.step])
 			rowB := tableB.row(key, env.rowInit[env.step])
@@ -70,20 +43,21 @@ func (dq *DoubleQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			for j := range sumRow {
 				sumRow[j] = rowA[j] + rowB[j]
 			}
-			a := epsGreedy(sumRow, actBuf, eps, src)
+			a := t.pick(sumRow, actBuf)
 			i := env.device()
 			r := env.take(a)
 			cost -= r
-			of[i] = a
+			t.of[i] = a
 
 			// Flip a coin: update one table using the other as
 			// the evaluator of its own argmax.
-			updateA := src.Bernoulli(0.5)
+			updateA := t.src.Bernoulli(0.5)
 			upd := rowA
 			if !updateA {
 				upd = rowB
 			}
 			var target float64
+			feasibleRun := true
 			if env.done() {
 				target = r
 			} else {
@@ -105,23 +79,11 @@ func (dq *DoubleQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			}
 			upd[a] += p.Alpha * (target - upd[a])
 			if !feasibleRun {
-				break
+				return cost, false
 			}
 		}
-		if feasibleRun && cost < bestCost {
-			bestCost = cost
-			copy(bestOf, of)
-			found = true
-		}
-		eps *= p.EpsilonDecay
-		if eps < p.EpsilonMin {
-			eps = p.EpsilonMin
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("assign/double-qlearning: no feasible episode in %d attempts: %w", p.Episodes, gap.ErrInfeasible)
-	}
-	return finish(in, bestOf, "double-qlearning")
+		return cost, true
+	}, false)
 }
 
 // ExpectedSARSA replaces the SARSA sample of the next action with its
@@ -141,50 +103,27 @@ func (*ExpectedSARSA) Name() string { return "expected-sarsa" }
 
 // Assign implements Assigner.
 func (es *ExpectedSARSA) Assign(in *gap.Instance) (*gap.Assignment, error) {
-	p := es.Params.withDefaults()
-	src := xrand.NewSplit(es.seed, "expected-sarsa")
-	env := newMDP(in, p.LoadLevels)
-	table := make(qtable, p.Episodes)
+	t := newTrainer("expected-sarsa", in, es.Params, xrand.NewSplit(es.seed, "expected-sarsa"))
+	t.prime()
+	env, p := t.env, t.p
 	var actBuf, nextBuf []int
-
-	bestOf := make([]int, in.N())
-	bestCost := math.Inf(1)
-	found := false
-	of := make([]int, in.N())
-
-	if c, ok := greedyRollout(env, table, of); ok {
-		bestCost = c
-		copy(bestOf, of)
-		found = true
-	}
-	if !p.NoWarmStart {
-		if c, warm := warmStart(in); warm != nil && c < bestCost {
-			bestCost = c
-			copy(bestOf, warm)
-			found = true
-		}
-	}
-
-	eps := p.Epsilon0
-	for ep := 0; ep < p.Episodes; ep++ {
-		env.reset()
+	return t.train(func() (float64, bool) {
 		cost := 0.0
-		feasibleRun := true
 		for !env.done() {
 			key := env.stateKey()
 			actBuf = env.feasibleActions(actBuf)
 			if len(actBuf) == 0 {
-				feasibleRun = false
-				break
+				return cost, false
 			}
-			row := table.row(key, env.rowInit[env.step])
-			a := epsGreedy(row, actBuf, eps, src)
+			row := t.q.row(key, env.rowInit[env.step])
+			a := t.pick(row, actBuf)
 			i := env.device()
 			r := env.take(a)
 			cost -= r
-			of[i] = a
+			t.of[i] = a
 
 			var target float64
+			feasibleRun := true
 			if env.done() {
 				target = r
 			} else {
@@ -193,29 +132,17 @@ func (es *ExpectedSARSA) Assign(in *gap.Instance) (*gap.Assignment, error) {
 					target = r - deadEndPenalty(in)
 					feasibleRun = false
 				} else {
-					nextRow := table.row(env.stateKey(), env.rowInit[env.step])
-					target = r + p.Gamma*expectedValue(nextRow, nextBuf, eps)
+					nextRow := t.q.row(env.stateKey(), env.rowInit[env.step])
+					target = r + p.Gamma*expectedValue(nextRow, nextBuf, t.eps)
 				}
 			}
 			row[a] += p.Alpha * (target - row[a])
 			if !feasibleRun {
-				break
+				return cost, false
 			}
 		}
-		if feasibleRun && cost < bestCost {
-			bestCost = cost
-			copy(bestOf, of)
-			found = true
-		}
-		eps *= p.EpsilonDecay
-		if eps < p.EpsilonMin {
-			eps = p.EpsilonMin
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("assign/expected-sarsa: no feasible episode in %d attempts: %w", p.Episodes, gap.ErrInfeasible)
-	}
-	return finish(in, bestOf, "expected-sarsa")
+		return cost, true
+	}, false)
 }
 
 // expectedValue computes E[Q(s', A')] under an epsilon-greedy policy that

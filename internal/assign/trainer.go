@@ -1,0 +1,176 @@
+package assign
+
+import (
+	"fmt"
+	"math"
+
+	"taccc/internal/gap"
+	"taccc/internal/obs"
+	"taccc/internal/xrand"
+)
+
+// trainer owns what the RL assigners share: defaulted parameters, the
+// placement MDP and its (primary) Q table, the incumbent, the epsilon
+// schedule, best-episode tracking, the final exploitation rollout and the
+// "no feasible episode" error. Each assigner supplies only its episode
+// body, so every variant honours the same RLParams switches.
+type trainer struct {
+	name string
+	in   *gap.Instance
+	p    RLParams
+	env  *mdp
+	q    qtable
+	src  *xrand.Source
+	// eps is the current exploration rate; train decays it after every
+	// episode.
+	eps float64
+	// of is the placement the current episode (or rollout) writes.
+	of []int
+
+	bestOf   []int
+	bestCost float64
+	found    bool
+
+	// curve is the best cost after each episode (+Inf before the first
+	// feasible one); progress, when non-nil, receives it live.
+	curve    []float64
+	progress obs.ProgressSink
+}
+
+// newTrainer defaults params and builds the MDP, an empty Q table and an
+// empty incumbent; call prime to seed the incumbent before training.
+func newTrainer(name string, in *gap.Instance, params RLParams, src *xrand.Source) *trainer {
+	p := params.withDefaults()
+	return &trainer{
+		name:     name,
+		in:       in,
+		p:        p,
+		env:      newMDP(in, p.LoadLevels, !p.NoCostSeeding),
+		q:        make(qtable, p.Episodes),
+		src:      src,
+		eps:      p.Epsilon0,
+		of:       make([]int, in.N()),
+		bestOf:   make([]int, in.N()),
+		bestCost: math.Inf(1),
+		curve:    make([]float64, 0, p.Episodes),
+	}
+}
+
+// keep makes of, at the given cost, the incumbent.
+func (t *trainer) keep(cost float64, of []int) {
+	t.bestCost = cost
+	copy(t.bestOf, of)
+	t.found = true
+}
+
+// prime seeds the incumbent with one pure-exploitation rollout (with
+// cost-seeded Q rows this reproduces min-delay greedy) plus, unless
+// NoWarmStart is set, the regret-greedy constructive solution when that
+// heuristic succeeds. The returned assignment can then never be worse than
+// either constructive baseline: the standard warm start that makes
+// episodic search an anytime improver, whose episodes only improve on it.
+func (t *trainer) prime() {
+	if c, ok := t.rollout(); ok {
+		t.keep(c, t.of)
+	}
+	if t.p.NoWarmStart {
+		return
+	}
+	if rg, err := NewRegretGreedy().Assign(t.in); err == nil {
+		if c := t.in.TotalCost(rg); c < t.bestCost {
+			t.keep(c, rg.Of)
+		}
+	}
+}
+
+// rollout performs one epsilon=0 episode against t.q, writing the
+// placement into t.of. It reports the episode cost and whether a complete
+// feasible placement was reached. Q rows touched are created (and
+// therefore initialized) but not updated.
+func (t *trainer) rollout() (float64, bool) {
+	env := t.env
+	env.reset()
+	cost := 0.0
+	var buf []int
+	for !env.done() {
+		buf = env.feasibleActions(buf)
+		if len(buf) == 0 {
+			return 0, false
+		}
+		row := t.q.row(env.stateKey(), env.rowInit[env.step])
+		a, _ := bestQ(row, buf)
+		i := env.device()
+		cost -= env.take(a)
+		t.of[i] = a
+	}
+	return cost, true
+}
+
+// pick chooses a feasible action: explore with probability eps, otherwise
+// exploit the row. Exploration is cost-biased (softmax over the row
+// rather than uniform) so exploratory episodes sample plausible
+// alternative placements instead of arbitrary far-away edges — uniform
+// exploration wastes most episodes on assignments no policy would choose.
+// UniformExploration (the F11 ablation) restores the uniform draw.
+func (t *trainer) pick(row []float64, feasible []int) int {
+	if !t.src.Bernoulli(t.eps) {
+		a, _ := bestQ(row, feasible)
+		return a
+	}
+	if t.p.UniformExploration {
+		return feasible[t.src.Intn(len(feasible))]
+	}
+	// Softmax over Q values with a temperature tied to their spread.
+	best := math.Inf(-1)
+	worst := math.Inf(1)
+	for _, a := range feasible {
+		if row[a] > best {
+			best = row[a]
+		}
+		if row[a] < worst {
+			worst = row[a]
+		}
+	}
+	temp := (best - worst) / 3
+	if temp <= eps0Temp {
+		return feasible[t.src.Intn(len(feasible))] // flat row: uniform
+	}
+	weights := make([]float64, len(feasible))
+	for k, a := range feasible {
+		weights[k] = math.Exp((row[a] - best) / temp)
+	}
+	return feasible[t.src.Choice(weights)]
+}
+
+// eps0Temp guards against zero/negligible Q spread in softmax exploration.
+const eps0Temp = 1e-12
+
+// train runs p.Episodes episodes and returns the best feasible placement
+// seen. Each episode starts from a reset MDP; the body places devices into
+// t.of and reports the episode's cost and whether it placed all of them.
+// After every episode the incumbent, the curve and the progress sink are
+// updated and eps decays. With final set, one more exploitation rollout
+// over the learned table competes for the incumbent.
+func (t *trainer) train(episode func() (cost float64, feasible bool), final bool) (*gap.Assignment, error) {
+	for ep := 0; ep < t.p.Episodes; ep++ {
+		t.env.reset()
+		if c, ok := episode(); ok && c < t.bestCost {
+			t.keep(c, t.of)
+		}
+		t.curve = append(t.curve, t.bestCost)
+		obs.EmitIter(t.progress, t.name, ep, t.bestCost, t.found)
+		t.eps *= t.p.EpsilonDecay
+		if t.eps < t.p.EpsilonMin {
+			t.eps = t.p.EpsilonMin
+		}
+	}
+	if final {
+		if c, ok := t.rollout(); ok && c < t.bestCost {
+			t.keep(c, t.of)
+		}
+	}
+	if !t.found {
+		return nil, fmt.Errorf("assign/%s: no feasible episode in %d attempts: %w", t.name, t.p.Episodes, gap.ErrInfeasible)
+	}
+	return finish(t.in, t.bestOf, t.name)
+}

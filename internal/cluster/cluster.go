@@ -154,23 +154,8 @@ func (c Config) validate() error {
 	if m == 0 {
 		return errors.New("cluster: no edge servers")
 	}
-	if len(c.UplinkMs) != n {
-		return fmt.Errorf("cluster: uplink matrix has %d rows, want %d", len(c.UplinkMs), n)
-	}
-	for i, row := range c.UplinkMs {
-		if len(row) != m {
-			return fmt.Errorf("cluster: uplink row %d has %d cols, want %d", i, len(row), m)
-		}
-	}
-	if c.DownlinkMs != nil {
-		if len(c.DownlinkMs) != n {
-			return fmt.Errorf("cluster: downlink matrix has %d rows, want %d", len(c.DownlinkMs), n)
-		}
-		for i, row := range c.DownlinkMs {
-			if len(row) != m {
-				return fmt.Errorf("cluster: downlink row %d has %d cols, want %d", i, len(row), m)
-			}
-		}
+	if err := checkDelays(c.UplinkMs, c.DownlinkMs, n, m); err != nil {
+		return err
 	}
 	for j, r := range c.ServiceRate {
 		if r <= 0 || math.IsNaN(r) || math.IsInf(r, 0) {
@@ -211,6 +196,34 @@ func (c Config) validate() error {
 		}
 	}
 	return nil
+}
+
+// checkDelays validates a pair of delay matrices for n devices and m
+// edges: each is n-by-m (downlink may be nil to mirror the uplink) with no
+// NaN or negative entry. A +Inf uplink marks an unreachable pair, whose
+// requests drop at the device; a +Inf downlink is accepted only behind
+// one, because a reachable pair must be able to answer.
+func checkDelays(uplink, downlink [][]float64, n, m int) error {
+	check := func(label string, ms [][]float64) error {
+		if len(ms) != n {
+			return fmt.Errorf("cluster: %s matrix has %d rows, want %d", label, len(ms), n)
+		}
+		for i, row := range ms {
+			if len(row) != m {
+				return fmt.Errorf("cluster: %s row %d has %d cols, want %d", label, i, len(row), m)
+			}
+			for j, d := range row {
+				if math.IsNaN(d) || d < 0 || (math.IsInf(d, 1) && !math.IsInf(uplink[i][j], 1)) {
+					return fmt.Errorf("cluster: invalid %s delay %v from device %d to edge %d", label, d, i, j)
+				}
+			}
+		}
+		return nil
+	}
+	if err := check("uplink", uplink); err != nil || downlink == nil {
+		return err
+	}
+	return check("downlink", downlink)
 }
 
 // servers returns edge j's server count.
@@ -292,9 +305,8 @@ type Simulator struct {
 	spanSrc   *xrand.Source
 	nextTrace uint64
 
-	result  Result
-	horizon float64
-	ran     bool
+	result Result
+	ran    bool
 }
 
 // metricsSet pre-resolves the simulator's live metrics once at
@@ -329,18 +341,15 @@ func newMetricsSet(r *obs.Registry, edges int) metricsSet {
 	return ms
 }
 
-// observeDone records a completed request in the live metrics.
-func (ms *metricsSet) observeDone(latencyMs float64, outcome Outcome) {
+// observeDone records a completed request and its per-phase split in the
+// live metrics.
+func (ms *metricsSet) observeDone(outcome Outcome, latencyMs, uplinkMs, queueMs, serviceMs, downlinkMs float64) {
 	if outcome == OutcomeMissed {
 		ms.missed.Add(1)
 	} else {
 		ms.ok.Add(1)
 	}
 	ms.latency.Observe(latencyMs)
-}
-
-// observePhases attributes one completed request's latency to its phases.
-func (ms *metricsSet) observePhases(uplinkMs, queueMs, serviceMs, downlinkMs float64) {
 	ms.phaseUplink.Observe(uplinkMs)
 	ms.phaseQueue.Observe(queueMs)
 	ms.phaseService.Observe(serviceMs)
@@ -397,13 +406,24 @@ func New(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
+// request is one request's trip through the simulator, timestamped in
+// simulated ms.
+type request struct {
+	dev, edge int
+	trace     obs.TraceID // 0 = untraced
+	sentAt    float64     // left the device
+	edgeAt    float64     // reached the edge (end of uplink), or was dropped
+	start     float64     // entered service
+	finish    float64     // left service
+	// serviceMs is the service phase: FIFO's computed demand (which
+	// finish - start reproduces only up to rounding), PS's finish - start.
+	serviceMs float64
+}
+
 // psJob is one in-service request under processor sharing.
 type psJob struct {
+	request
 	remaining float64 // compute units left
-	devIdx    int
-	sentAt    float64
-	arriveAt  float64     // when the request reached the edge
-	trace     obs.TraceID // 0 = untraced
 }
 
 // psServer shares its rate equally among active jobs. Remaining work is
@@ -449,13 +469,6 @@ func (p *psServer) nextCompletion(now float64) (int64, float64) {
 	return bestID, now + best*float64(len(p.jobs))*1000/p.rate
 }
 
-// record forwards to the configured recorder, if any.
-func (s *Simulator) record(rec RequestRecord) {
-	if s.cfg.Recorder != nil {
-		s.cfg.Recorder.Record(rec)
-	}
-}
-
 // Span IDs within a trace are fixed — the root request span is 1 and each
 // phase child has a stable ID — so readers join phases without any
 // per-trace bookkeeping.
@@ -489,44 +502,30 @@ func (s *Simulator) childSpan(tid obs.TraceID, id obs.SpanID, name string, start
 	})
 }
 
-// rootSpan emits trace tid's root request span, after its children so a
-// streaming reader sees a trace complete when the root arrives.
-func (s *Simulator) rootSpan(tid obs.TraceID, dev, edge int, startMs, endMs float64, outcome Outcome) {
+// emitTrace writes request r's trace when it is sampled: its phase
+// children, then the root request span (sentAt to end, with the outcome)
+// so a streaming reader sees a trace complete when the root arrives. A
+// drop spent only its uplink; a completion's four children (uplink, queue
+// wait, service, downlink) partition the root exactly.
+func (s *Simulator) emitTrace(r request, end float64, outcome Outcome) {
+	if r.trace == 0 {
+		return
+	}
+	s.childSpan(r.trace, spanUplink, "uplink", r.sentAt, r.edgeAt)
+	if outcome != OutcomeDropped {
+		s.childSpan(r.trace, spanQueue, "queue", r.edgeAt, r.start)
+		s.childSpan(r.trace, spanService, "service", r.start, r.finish)
+		s.childSpan(r.trace, spanDownlink, "downlink", r.finish, end)
+	}
 	obs.EmitSpan(s.cfg.Spans, obs.Span{
-		Trace: tid, ID: spanRoot, Name: "request",
-		StartMs: startMs, EndMs: endMs,
+		Trace: r.trace, ID: spanRoot, Name: "request",
+		StartMs: r.sentAt, EndMs: end,
 		Attrs: map[string]interface{}{
-			"device":  dev,
-			"edge":    edge,
+			"device":  r.dev,
+			"edge":    r.edge,
 			"outcome": string(outcome),
 		},
 	})
-}
-
-// emitTrace writes one completed request's trace: the four phase children
-// (uplink, queue wait, service, downlink) followed by the root. The child
-// durations partition the root exactly: uplink+queue+service+downlink ==
-// end-to-end latency.
-func (s *Simulator) emitTrace(tid obs.TraceID, dev, edge int, sentAt, edgeAt, startSvc, finish, downMs float64, outcome Outcome) {
-	if tid == 0 {
-		return
-	}
-	end := finish + downMs
-	s.childSpan(tid, spanUplink, "uplink", sentAt, edgeAt)
-	s.childSpan(tid, spanQueue, "queue", edgeAt, startSvc)
-	s.childSpan(tid, spanService, "service", startSvc, finish)
-	s.childSpan(tid, spanDownlink, "downlink", finish, end)
-	s.rootSpan(tid, dev, edge, sentAt, end, outcome)
-}
-
-// emitDropTrace writes the trace of a request dropped on arrival at the
-// edge: the uplink child it spent, then the root marked dropped.
-func (s *Simulator) emitDropTrace(tid obs.TraceID, dev, edge int, sentAt, dropAt float64) {
-	if tid == 0 {
-		return
-	}
-	s.childSpan(tid, spanUplink, "uplink", sentAt, dropAt)
-	s.rootSpan(tid, dev, edge, sentAt, dropAt, OutcomeDropped)
 }
 
 // downlinkDelay returns the response delay for (device, edge).
@@ -550,32 +549,14 @@ func (s *Simulator) jitter(delayMs float64) float64 {
 	return delayMs * factor
 }
 
-// validateMatrix checks an n-by-m delay matrix.
-func (s *Simulator) validateMatrix(ms [][]float64, label string) error {
-	if len(ms) != len(s.cfg.Devices) {
-		return fmt.Errorf("cluster: %s matrix has %d rows, want %d", label, len(ms), len(s.cfg.Devices))
-	}
-	for i, row := range ms {
-		if len(row) != len(s.cfg.ServiceRate) {
-			return fmt.Errorf("cluster: %s row %d has %d cols, want %d", label, i, len(row), len(s.cfg.ServiceRate))
-		}
-	}
-	return nil
-}
-
 // ScheduleUplinkUpdate swaps the live delay matrices at virtual time tMs —
 // the mechanism for replaying mobility-driven topology drift inside one
 // simulation run. downlink may be nil to mirror the uplink. Must be called
 // before Run. The matrices are used as-is (not copied); do not mutate them
 // after scheduling.
 func (s *Simulator) ScheduleUplinkUpdate(tMs float64, uplink, downlink [][]float64) error {
-	if err := s.validateMatrix(uplink, "uplink"); err != nil {
+	if err := checkDelays(uplink, downlink, len(s.cfg.Devices), len(s.cfg.ServiceRate)); err != nil {
 		return err
-	}
-	if downlink != nil {
-		if err := s.validateMatrix(downlink, "downlink"); err != nil {
-			return err
-		}
 	}
 	s.engine.Schedule(tMs, func(*sim.Engine) {
 		s.uplink = uplink
@@ -702,131 +683,110 @@ func (s *Simulator) arrive(e *sim.Engine, i int) {
 	}
 	now := e.Now()
 	j := s.assignment[i]
-	measured := now >= s.cfg.WarmupMs
 	s.met.sent.Add(1)
-
-	if s.failed[j] {
-		if measured {
-			s.result.Dropped++
-		}
-		s.met.dropped.Add(1)
-		s.cfg.SLO.ObserveDrop(now)
-		s.record(RequestRecord{Device: i, Edge: j, SentAtMs: now, DoneAtMs: now, Outcome: OutcomeDropped})
+	if up := s.uplink[i][j]; !s.failed[j] && !math.IsInf(up, 1) {
+		r := request{dev: i, edge: j, sentAt: now, edgeAt: now + s.jitter(up), trace: s.sampleTrace()}
+		e.Schedule(r.edgeAt, func(e *sim.Engine) { s.serve(e, r) })
 	} else {
-		uplink := s.uplink[i][j]
-		if math.IsInf(uplink, 1) {
-			if measured {
-				s.result.Dropped++
-			}
-			s.met.dropped.Add(1)
-			s.cfg.SLO.ObserveDrop(now)
-			s.record(RequestRecord{Device: i, Edge: j, SentAtMs: now, DoneAtMs: now, Outcome: OutcomeDropped})
-		} else {
-			arriveAtEdge := now + s.jitter(uplink)
-			tid := s.sampleTrace()
-			e.Schedule(arriveAtEdge, func(e *sim.Engine) { s.serve(e, i, j, now, tid) })
-		}
+		// Dropped at the device (failed or unreachable edge): never
+		// uplinked, so never traced.
+		s.exit(request{dev: i, edge: j, sentAt: now, edgeAt: now}, false)
 	}
 	s.scheduleNextArrival(e, i)
 }
 
-// serve enqueues the request at edge j under the configured discipline.
-func (s *Simulator) serve(e *sim.Engine, i, j int, sentAt float64, tid obs.TraceID) {
-	if s.failed[j] {
-		if sentAt >= s.cfg.WarmupMs {
-			s.result.Dropped++
-		}
-		s.met.dropped.Add(1)
-		s.cfg.SLO.ObserveDrop(e.Now())
-		s.emitDropTrace(tid, i, j, sentAt, e.Now())
-		s.record(RequestRecord{Device: i, Edge: j, SentAtMs: sentAt, DoneAtMs: e.Now(), Outcome: OutcomeDropped})
+// serve admits request r at its edge under the configured discipline, or
+// drops it there when the edge has failed or its queue is full.
+func (s *Simulator) serve(e *sim.Engine, r request) {
+	j := r.edge
+	if s.failed[j] || (s.cfg.MaxQueue > 0 && s.inFlight[j] >= s.cfg.MaxQueue) {
+		s.exit(r, false)
 		return
 	}
-	if s.cfg.MaxQueue > 0 && s.inFlight[j] >= s.cfg.MaxQueue {
-		if sentAt >= s.cfg.WarmupMs {
-			s.result.Dropped++
-		}
-		s.met.dropped.Add(1)
-		s.cfg.SLO.ObserveDrop(e.Now())
-		s.emitDropTrace(tid, i, j, sentAt, e.Now())
-		s.record(RequestRecord{Device: i, Edge: j, SentAtMs: sentAt, DoneAtMs: e.Now(), Outcome: OutcomeDropped})
-		return
+	// Admission books the request's service demand at one server's rate
+	// as busy time. A PS station is busy whenever any job is present, so
+	// in total this equals FIFO's accounting.
+	demandMs := s.cfg.Devices[r.dev].ComputeUnits / s.cfg.ServiceRate[j] * 1000
+	s.inFlight[j]++
+	s.met.queueDepth[j].Set(float64(s.inFlight[j]))
+	if s.inFlight[j] > s.result.PeakQueue[j] {
+		s.result.PeakQueue[j] = s.inFlight[j]
 	}
+	if r.sentAt >= s.cfg.WarmupMs {
+		s.result.EdgeBusyMs[j] += demandMs
+	}
+	r.start = r.edgeAt
 	if s.cfg.Discipline == DisciplinePS {
-		s.servePS(e, i, j, sentAt, tid)
+		p := s.ps[j]
+		p.advance(r.edgeAt)
+		p.jobs[p.nextID] = &psJob{request: r, remaining: s.cfg.Devices[r.dev].ComputeUnits}
+		p.nextID++
+		s.reschedulePS(e, j)
 		return
 	}
-	now := e.Now()
-	edgeAt := now // uplink ends here; queue wait starts
-	d := s.cfg.Devices[i]
-	serviceMs := d.ComputeUnits / s.cfg.ServiceRate[j] * 1000
 	// FIFO with c parallel servers: the request takes the server that
 	// frees up first.
+	busy := s.busyUntil[j]
 	srv := 0
-	for k := 1; k < len(s.busyUntil[j]); k++ {
-		if s.busyUntil[j][k] < s.busyUntil[j][srv] {
+	for k := 1; k < len(busy); k++ {
+		if busy[k] < busy[srv] {
 			srv = k
 		}
 	}
-	start := now
-	if s.busyUntil[j][srv] > start {
-		start = s.busyUntil[j][srv]
+	if busy[srv] > r.start {
+		r.start = busy[srv]
 	}
-	finish := start + serviceMs
-	s.busyUntil[j][srv] = finish
-	s.inFlight[j]++
-	s.met.queueDepth[j].Set(float64(s.inFlight[j]))
-	if s.inFlight[j] > s.result.PeakQueue[j] {
-		s.result.PeakQueue[j] = s.inFlight[j]
-	}
-	if sentAt >= s.cfg.WarmupMs {
-		s.result.EdgeBusyMs[j] += serviceMs
-	}
-	e.Schedule(finish, func(e *sim.Engine) {
+	r.serviceMs = demandMs
+	r.finish = r.start + demandMs
+	busy[srv] = r.finish
+	e.Schedule(r.finish, func(*sim.Engine) { s.exit(r, true) })
+}
+
+// exit is the one place a request leaves the simulator, and the only code
+// that books it: a drop when served is false (at r.edgeAt), otherwise the
+// completion of its service at r.finish, which first frees its place at
+// the edge and draws the downlink delay. Result counts requests sent after
+// warmup; the metrics handles, the SLO tracker and the Recorder see every
+// request; sampled requests emit their trace.
+func (s *Simulator) exit(r request, served bool) {
+	measured := r.sentAt >= s.cfg.WarmupMs
+	rec := RequestRecord{Device: r.dev, Edge: r.edge, SentAtMs: r.sentAt, DoneAtMs: r.edgeAt, Outcome: OutcomeDropped}
+	end := r.edgeAt
+	if !served {
+		if measured {
+			s.result.Dropped++
+		}
+		s.met.dropped.Add(1)
+		s.cfg.SLO.ObserveDrop(r.edgeAt)
+	} else {
+		j := r.edge
 		s.inFlight[j]--
 		s.met.queueDepth[j].Set(float64(s.inFlight[j]))
-		down := s.downlinkDelay(i, j)
-		latency := e.Now() + down - sentAt
-		outcome := OutcomeOK
-		if d.DeadlineMs > 0 && latency > d.DeadlineMs {
-			outcome = OutcomeMissed
+		down := s.downlinkDelay(r.dev, j)
+		end = r.finish + down
+		latency := end - r.sentAt
+		rec.DoneAtMs, rec.LatencyMs, rec.Outcome = r.sentAt+latency, latency, OutcomeOK
+		if dl := s.cfg.Devices[r.dev].DeadlineMs; dl > 0 && latency > dl {
+			rec.Outcome = OutcomeMissed
 		}
-		if sentAt >= s.cfg.WarmupMs {
+		missed := rec.Outcome == OutcomeMissed
+		if measured {
 			s.result.Completed++
 			s.result.Latency.Add(latency)
-			if outcome == OutcomeMissed {
+			if missed {
 				s.result.DeadlineMisses++
 			}
 		}
-		s.met.observeDone(latency, outcome)
-		s.met.observePhases(edgeAt-sentAt, start-edgeAt, serviceMs, down)
-		s.cfg.SLO.ObserveRequest(e.Now(), edgeAt-sentAt, start-edgeAt, serviceMs, down, latency, outcome == OutcomeMissed)
-		s.emitTrace(tid, i, j, sentAt, edgeAt, start, finish, down, outcome)
-		s.record(RequestRecord{Device: i, Edge: j, SentAtMs: sentAt, DoneAtMs: sentAt + latency, LatencyMs: latency, Outcome: outcome})
-	})
-}
-
-// servePS admits the request into the edge's processor-sharing pool and
-// (re)schedules the next completion.
-func (s *Simulator) servePS(e *sim.Engine, i, j int, sentAt float64, tid obs.TraceID) {
-	p := s.ps[j]
-	now := e.Now()
-	p.advance(now)
-	id := p.nextID
-	p.nextID++
-	p.jobs[id] = &psJob{remaining: s.cfg.Devices[i].ComputeUnits, devIdx: i, sentAt: sentAt, arriveAt: now, trace: tid}
-	s.inFlight[j]++
-	s.met.queueDepth[j].Set(float64(s.inFlight[j]))
-	if s.inFlight[j] > s.result.PeakQueue[j] {
-		s.result.PeakQueue[j] = s.inFlight[j]
+		uplink, queue := r.edgeAt-r.sentAt, r.start-r.edgeAt
+		s.met.observeDone(rec.Outcome, latency, uplink, queue, r.serviceMs, down)
+		// SLO windows are keyed by service completion, not by the
+		// response's arrival at the device.
+		s.cfg.SLO.ObserveRequest(r.finish, uplink, queue, r.serviceMs, down, latency, missed)
 	}
-	if sentAt >= s.cfg.WarmupMs {
-		// A PS server is busy whenever any job is present; attribute
-		// per-request service demand as busy time (equivalent in
-		// total to FIFO accounting).
-		s.result.EdgeBusyMs[j] += s.cfg.Devices[i].ComputeUnits / s.cfg.ServiceRate[j] * 1000
+	s.emitTrace(r, end, rec.Outcome)
+	if s.cfg.Recorder != nil {
+		s.cfg.Recorder.Record(rec)
 	}
-	s.reschedulePS(e, j)
 }
 
 // reschedulePS cancels and re-arms edge j's completion wake-up.
@@ -862,28 +822,10 @@ func (s *Simulator) completePS(e *sim.Engine, j int) {
 	for _, id := range done {
 		job := p.jobs[id]
 		delete(p.jobs, id)
-		s.inFlight[j]--
-		s.met.queueDepth[j].Set(float64(s.inFlight[j]))
-		down := s.downlinkDelay(job.devIdx, j)
-		latency := now + down - job.sentAt
-		outcome := OutcomeOK
-		if dl := s.cfg.Devices[job.devIdx].DeadlineMs; dl > 0 && latency > dl {
-			outcome = OutcomeMissed
-		}
-		if job.sentAt >= s.cfg.WarmupMs {
-			s.result.Completed++
-			s.result.Latency.Add(latency)
-			if outcome == OutcomeMissed {
-				s.result.DeadlineMisses++
-			}
-		}
-		s.met.observeDone(latency, outcome)
 		// Under PS a job is in service from arrival, so its queue-wait
 		// phase is empty and service absorbs the sharing slowdown.
-		s.met.observePhases(job.arriveAt-job.sentAt, 0, now-job.arriveAt, down)
-		s.cfg.SLO.ObserveRequest(now, job.arriveAt-job.sentAt, 0, now-job.arriveAt, down, latency, outcome == OutcomeMissed)
-		s.emitTrace(job.trace, job.devIdx, j, job.sentAt, job.arriveAt, job.arriveAt, now, down, outcome)
-		s.record(RequestRecord{Device: job.devIdx, Edge: j, SentAtMs: job.sentAt, DoneAtMs: job.sentAt + latency, LatencyMs: latency, Outcome: outcome})
+		job.finish, job.serviceMs = now, now-job.start
+		s.exit(job.request, true)
 	}
 	s.reschedulePS(e, j)
 }
@@ -898,7 +840,6 @@ func (s *Simulator) Run(durationMs float64) (*Result, error) {
 		return nil, fmt.Errorf("cluster: duration %v must exceed warmup %v", durationMs, s.cfg.WarmupMs)
 	}
 	s.ran = true
-	s.horizon = durationMs
 	for i := range s.cfg.Devices {
 		s.scheduleNextArrival(&s.engine, i)
 	}

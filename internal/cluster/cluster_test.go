@@ -40,6 +40,11 @@ func TestValidation(t *testing.T) {
 		{"assignment len", func(c *Config) { c.Assignment = []int{0} }},
 		{"assignment range", func(c *Config) { c.Assignment = []int{0, 7} }},
 		{"negative warmup", func(c *Config) { c.WarmupMs = -1 }},
+		{"NaN uplink", func(c *Config) { c.UplinkMs[0][1] = math.NaN() }},
+		{"negative uplink", func(c *Config) { c.UplinkMs[1][0] = -5 }},
+		{"NaN downlink", func(c *Config) { c.DownlinkMs = [][]float64{{1, 1}, {math.NaN(), 1}} }},
+		{"negative downlink", func(c *Config) { c.DownlinkMs = [][]float64{{1, -1}, {1, 1}} }},
+		{"+Inf downlink behind a finite uplink", func(c *Config) { c.DownlinkMs = [][]float64{{1, math.Inf(1)}, {1, 1}} }},
 	}
 	for _, tc := range cases {
 		cfg := simpleConfig()

@@ -44,8 +44,32 @@ func TestScheduleUplinkUpdateValidation(t *testing.T) {
 	if err := s.ScheduleUplinkUpdate(1, ok, [][]float64{{1}, {1}}); err == nil {
 		t.Error("narrow downlink accepted")
 	}
+	inf := math.Inf(1)
+	for _, bad := range []struct {
+		name             string
+		uplink, downlink [][]float64
+	}{
+		{"NaN uplink", [][]float64{{1, math.NaN()}, {1, 1}}, nil},
+		{"negative uplink", [][]float64{{1, 1}, {-5, 1}}, nil},
+		{"NaN downlink", ok, [][]float64{{1, 1}, {math.NaN(), 1}}},
+		{"negative downlink", ok, [][]float64{{1, -1}, {1, 1}}},
+		{"+Inf downlink behind a finite uplink", ok, [][]float64{{1, inf}, {1, 1}}},
+	} {
+		if err := s.ScheduleUplinkUpdate(1, bad.uplink, bad.downlink); err == nil {
+			t.Errorf("%s accepted", bad.name)
+		}
+	}
 	if err := s.ScheduleUplinkUpdate(1, ok, nil); err != nil {
 		t.Fatal(err)
+	}
+	// An unreachable pair (+Inf both ways, or +Inf uplink mirrored) stays
+	// the supported "drop at the device" case.
+	unreachable := [][]float64{{1, inf}, {1, 1}}
+	if err := s.ScheduleUplinkUpdate(2, unreachable, nil); err != nil {
+		t.Errorf("+Inf uplink rejected: %v", err)
+	}
+	if err := s.ScheduleUplinkUpdate(3, unreachable, unreachable); err != nil {
+		t.Errorf("+Inf uplink and downlink rejected: %v", err)
 	}
 }
 
