@@ -23,13 +23,13 @@ race:
 
 # Benchmark the parallel kernels at workers=1 vs workers=GOMAXPROCS, the
 # cluster simulator with span tracing off/on, the Q-learning assigner
-# (the RL training loop every tabular variant shares), plus the
-# pre-existing hot-path micro-benchmarks. Override BENCHTIME (e.g. 1x in
-# CI smoke).
+# (the RL training loop every tabular variant shares), regret-greedy (the
+# RL warm start) up to 2000 devices, plus the pre-existing hot-path
+# micro-benchmarks. Override BENCHTIME (e.g. 1x in CI smoke).
 BENCHTIME ?= 2x
 
 bench:
-	$(GO) test -bench 'Workers|ParallelPortfolio|ClusterSim|AssignQLearning' -benchtime $(BENCHTIME) -run '^$$' .
+	$(GO) test -bench 'Workers|ParallelPortfolio|ClusterSim|AssignQLearning|AssignRegret' -benchtime $(BENCHTIME) -run '^$$' .
 
 vet:
 	$(GO) vet ./...

@@ -103,6 +103,7 @@ func benchAssigner(b *testing.B, name string, n, m int) {
 
 func BenchmarkAssignGreedy100(b *testing.B)      { benchAssigner(b, "greedy", 100, 10) }
 func BenchmarkAssignRegret100(b *testing.B)      { benchAssigner(b, "regret-greedy", 100, 10) }
+func BenchmarkAssignRegret2000(b *testing.B)     { benchAssigner(b, "regret-greedy", 2000, 50) }
 func BenchmarkAssignLocalSearch100(b *testing.B) { benchAssigner(b, "local-search", 100, 10) }
 func BenchmarkAssignLagrangian100(b *testing.B)  { benchAssigner(b, "lagrangian", 100, 10) }
 func BenchmarkAssignQLearning100(b *testing.B)   { benchAssigner(b, "qlearning", 100, 10) }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"taccc/internal/gap"
+	"taccc/internal/xrand"
 )
 
 // allocsPerAssign measures the average heap allocations of one full solve
@@ -100,6 +101,28 @@ func TestTracingOffAddsZeroAllocs(t *testing.T) {
 				t.Fatalf("tracing-off solve allocates %.0f, plain solve %.0f — nil phases must be free", detached, plain)
 			}
 		})
+	}
+}
+
+// TestRolloutAllocFree pins the allocation-free state key: once the Q
+// table holds every state an exploitation rollout visits, a second
+// rollout allocates nothing — the key is built in a reused buffer, looked
+// up without copying, and the feasible-action buffer is reused.
+func TestRolloutAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are perturbed by race-detector shadow allocations")
+	}
+	in, err := gap.Synthetic(gap.SyntheticUniform, 120, 12, 0.85, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := newTrainer("qlearning", in, RLParams{}, xrand.New(1))
+	tr.prime()
+	if _, ok := tr.rollout(); !ok {
+		t.Fatal("rollout found no feasible placement")
+	}
+	if allocs := testing.AllocsPerRun(5, func() { tr.rollout() }); allocs != 0 {
+		t.Fatalf("a rollout over a filled Q table allocates %.0f times, want 0", allocs)
 	}
 }
 

@@ -3,10 +3,12 @@ package assign
 import (
 	"errors"
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 
 	"taccc/internal/gap"
+	"taccc/internal/xrand"
 )
 
 // mustSynthetic builds a synthetic instance or fails the test.
@@ -347,11 +349,30 @@ func TestRLParamsDefaults(t *testing.T) {
 	}
 }
 
+// stateKeyFromLoads computes the state key from scratch, requantizing
+// every edge's load; the MDP's incrementally kept key must equal it.
+func stateKeyFromLoads(m *mdp) string {
+	buf := strconv.AppendInt(nil, int64(m.step), 10)
+	buf = append(buf, '|')
+	for j, load := range m.loads {
+		level := m.levels - 1
+		if m.in.Capacity[j] > 0 {
+			u := load / m.in.Capacity[j]
+			if u >= 1 {
+				u = 1 - 1e-9
+			}
+			level = int(u * float64(m.levels))
+		}
+		buf = append(buf, byte('a'+level))
+	}
+	return string(buf)
+}
+
 func TestMDPStateKey(t *testing.T) {
 	in := mustSynthetic(t, gap.SyntheticUniform, 4, 3, 0.5, 1)
 	env := newMDP(in, 4, true)
 	env.reset()
-	k1 := env.stateKey()
+	k1 := string(env.stateKey())
 	if k1 != "0|aaa" {
 		t.Fatalf("initial state key = %q, want 0|aaa", k1)
 	}
@@ -361,9 +382,37 @@ func TestMDPStateKey(t *testing.T) {
 		t.Fatal("no feasible actions in fresh MDP")
 	}
 	env.take(buf[0])
-	k2 := env.stateKey()
+	k2 := string(env.stateKey())
 	if k2 == k1 {
 		t.Fatal("state key did not change after take")
+	}
+
+	// Random episodes, one of whose edges has zero capacity and whose
+	// placements ignore capacity so that levels saturate: after every
+	// reset and every take the incrementally kept key must equal the
+	// key requantized from loads.
+	base := mustSynthetic(t, gap.SyntheticUniform, 40, 5, 0.9, 3)
+	capacity := append([]float64(nil), base.Capacity...)
+	capacity[2] = 0
+	zeroCap, err := gap.NewInstance(base.CostMs, base.Weight, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := xrand.New(9)
+	for _, levels := range []int{1, 2, 4, 8} {
+		env := newMDP(zeroCap, levels, true)
+		for ep := 0; ep < 5; ep++ {
+			env.reset()
+			for {
+				if got, want := string(env.stateKey()), stateKeyFromLoads(env); got != want {
+					t.Fatalf("levels %d episode %d step %d: key %q, from loads %q", levels, ep, env.step, got, want)
+				}
+				if env.done() {
+					break
+				}
+				env.take(src.Intn(zeroCap.M()))
+			}
+		}
 	}
 }
 

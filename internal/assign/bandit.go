@@ -31,8 +31,8 @@ func (b *Bandit) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	if explore <= 0 {
 		explore = math.Sqrt2
 	}
-	// One load level: the bandit ignores the state signature. It trains
-	// from scratch, so the incumbent is not primed.
+	// One load level: the bandit ignores the state signature. It keeps no
+	// Q table and trains from scratch, so the trainer is not primed.
 	t := newTrainer("bandit", in, RLParams{Episodes: b.Episodes, LoadLevels: 1}, xrand.NewSplit(b.seed, "bandit"))
 	env := t.env
 	n, m := in.N(), in.M()

@@ -3,28 +3,48 @@ package assign
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"testing"
 
 	"taccc/internal/gap"
 )
 
 // goldenShapes are the instance families the golden determinism test
-// sweeps: a comfortable uniform case, a correlated case and a larger
-// tight one, each at three seeds.
+// sweeps: a comfortable uniform case, a correlated case, a larger tight
+// one and a tie-heavy one whose costs are rounded to whole milliseconds
+// (so regret ties and regret-greedy cache invalidations are common), each
+// at three seeds.
 var goldenShapes = []struct {
-	kind gap.SyntheticKind
-	n, m int
-	rho  float64
+	kind  gap.SyntheticKind
+	n, m  int
+	rho   float64
+	round bool
 }{
-	{gap.SyntheticUniform, 30, 5, 0.8},
-	{gap.SyntheticCorrelated, 25, 4, 0.85},
-	{gap.SyntheticUniform, 60, 8, 0.9},
+	{gap.SyntheticUniform, 30, 5, 0.8, false},
+	{gap.SyntheticCorrelated, 25, 4, 0.85, false},
+	{gap.SyntheticUniform, 60, 8, 0.9, false},
+	{gap.SyntheticUniform, 120, 8, 0.98, true},
+}
+
+// roundedCosts rebuilds in with every finite cost rounded to a whole
+// millisecond, the tie-heavy variant of a synthetic instance.
+func roundedCosts(in *gap.Instance) (*gap.Instance, error) {
+	cost := make([][]float64, in.N())
+	for i, row := range in.CostMs {
+		cost[i] = make([]float64, len(row))
+		for j, c := range row {
+			cost[i][j] = math.Round(c)
+		}
+	}
+	return gap.NewInstance(cost, in.Weight, in.Capacity)
 }
 
 // goldenHashes pins the exact assignment every metaheuristic produces per
 // (shape, seed), captured on the pre-Evaluator implementations; the six
 // RL assigners' rows were captured before their training loops were
-// merged into one trainer. Hash is
+// merged into one trainer, and the greedy, regret-greedy and tie-heavy
+// rows before regret-greedy's cached rescan and the MDP's incremental
+// state key. Hash is
 // FNV-64a over the placement vector's entries as little-endian 4-byte
 // words; "ERR" marks cells where the solver deterministically reports
 // infeasibility. Any diff here means a solver's per-seed arithmetic — not
@@ -144,6 +164,30 @@ var goldenHashes = []struct {
 	{2, 3, "double-qlearning", "055b1acac105bb42"},
 	{2, 3, "nstep-qlearning", "055b1acac105bb42"},
 	{2, 3, "bandit", "171b679dcbb75d27"},
+	{0, 1, "greedy", "510794fe5e9618c1"},
+	{0, 1, "regret-greedy", "5a94c0d4246676d4"},
+	{0, 2, "greedy", "dbf27d8438714ec7"},
+	{0, 2, "regret-greedy", "b8ac6b3c5021ba46"},
+	{0, 3, "greedy", "da4416e23f19f8a2"},
+	{0, 3, "regret-greedy", "da4416e23f19f8a2"},
+	{1, 1, "greedy", "ERR"},
+	{1, 1, "regret-greedy", "ERR"},
+	{1, 2, "greedy", "ERR"},
+	{1, 2, "regret-greedy", "ERR"},
+	{1, 3, "greedy", "ERR"},
+	{1, 3, "regret-greedy", "ERR"},
+	{2, 1, "greedy", "26bd3fdda7ba3e86"},
+	{2, 1, "regret-greedy", "014197c1ee8f81f7"},
+	{2, 2, "greedy", "ee099c515ce1f231"},
+	{2, 2, "regret-greedy", "650669b07eb1e197"},
+	{2, 3, "greedy", "55d738b607eecbd1"},
+	{2, 3, "regret-greedy", "055b1acac105bb42"},
+	{3, 1, "regret-greedy", "b9ce5742c273e2c1"},
+	{3, 1, "qlearning", "b9ce5742c273e2c1"},
+	{3, 2, "regret-greedy", "ERR"},
+	{3, 2, "qlearning", "72dc877fb6799184"},
+	{3, 3, "regret-greedy", "ERR"},
+	{3, 3, "qlearning", "52fbbeb9ed1e6460"},
 }
 
 // hashOf folds a placement vector with FNV-64a, each entry as a
@@ -169,6 +213,9 @@ func TestMetaheuristicsGoldenAssignments(t *testing.T) {
 	for si, sh := range goldenShapes {
 		for seed := int64(1); seed <= 3; seed++ {
 			in, err := gap.Synthetic(sh.kind, sh.n, sh.m, sh.rho, seed)
+			if err == nil && sh.round {
+				in, err = roundedCosts(in)
+			}
 			if err != nil {
 				t.Fatalf("shape %d seed %d: %v", si, seed, err)
 			}

@@ -47,46 +47,72 @@ func NewRegretGreedy() *RegretGreedy { return &RegretGreedy{} }
 func (*RegretGreedy) Name() string { return "regret-greedy" }
 
 // Assign implements Assigner.
+//
+// Each unassigned device caches its best feasible cost, the edge that
+// attains it first and its second-best cost, so a round is one pass over
+// the caches instead of a rescan of every device over every edge. The
+// caches stay exact because residuals only fall (NewInstance requires
+// positive weights): placing a device on edge j can only drop j from
+// other devices' feasible sets, and dropping an edge that costs more than
+// a device's cached second-best changes neither cached value nor the best
+// edge. Only devices for which j stopped fitting and whose cost on j is at
+// most their second-best are rescanned.
 func (rg *RegretGreedy) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	n := in.N()
 	of := make([]int, n)
 	assigned := make([]bool, n)
 	residual := residuals(in)
+	first := make([]float64, n)
+	second := make([]float64, n)
+	firstJ := make([]int, n)
+	scan := func(i int) {
+		first[i], second[i], firstJ[i] = math.Inf(1), math.Inf(1), -1
+		for j := 0; j < in.M(); j++ {
+			if !fits(in, residual, i, j) {
+				continue
+			}
+			c := in.CostMs[i][j]
+			switch {
+			case c < first[i]:
+				second[i], first[i], firstJ[i] = first[i], c, j
+			case c < second[i]:
+				second[i] = c
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		scan(i)
+	}
 	for placed := 0; placed < n; placed++ {
-		bestDev, bestEdge := -1, -1
+		bestDev := -1
 		bestRegret := math.Inf(-1)
 		for i := 0; i < n; i++ {
 			if assigned[i] {
 				continue
 			}
-			first, second, firstJ := math.Inf(1), math.Inf(1), -1
-			for j := 0; j < in.M(); j++ {
-				if !fits(in, residual, i, j) {
-					continue
-				}
-				c := in.CostMs[i][j]
-				switch {
-				case c < first:
-					second, first, firstJ = first, c, j
-				case c < second:
-					second = c
-				}
-			}
-			if firstJ < 0 {
+			if firstJ[i] < 0 {
 				return nil, fmt.Errorf("assign/regret-greedy: device %d has no edge with capacity: %w", i, gap.ErrInfeasible)
 			}
-			regret := second - first
-			if math.IsInf(second, 1) {
+			regret := second[i] - first[i]
+			if math.IsInf(second[i], 1) {
 				// Only one feasible edge left: must place now.
 				regret = math.Inf(1)
 			}
 			if regret > bestRegret {
-				bestRegret, bestDev, bestEdge = regret, i, firstJ
+				bestRegret, bestDev = regret, i
 			}
 		}
-		of[bestDev] = bestEdge
+		j := firstJ[bestDev]
+		of[bestDev] = j
 		assigned[bestDev] = true
-		residual[bestEdge] -= in.Weight[bestDev][bestEdge]
+		before := residual[j]
+		residual[j] -= in.Weight[bestDev][j]
+		for i := 0; i < n; i++ {
+			w := in.Weight[i][j]
+			if !assigned[i] && in.CostMs[i][j] <= second[i] && w <= before+1e-12 && w > residual[j]+1e-12 {
+				scan(i)
+			}
+		}
 	}
 	return finish(in, of, "regret-greedy")
 }

@@ -79,7 +79,12 @@ type mdp struct {
 	levels   int
 	residual []float64
 	loads    []float64
-	step     int
+	// level[j] is edge j's quantized-load byte, kept current by take and
+	// reset so that stateKey copies bytes instead of requantizing.
+	level []byte
+	// key is the buffer stateKey writes into.
+	key  []byte
+	step int
 	// rowInit[t] is the Q-row initialization for any state at step t.
 	rowInit [][]float64
 }
@@ -92,6 +97,8 @@ func newMDP(in *gap.Instance, levels int, costSeed bool) *mdp {
 		levels:   levels,
 		residual: make([]float64, in.M()),
 		loads:    make([]float64, in.M()),
+		level:    make([]byte, in.M()),
+		key:      make([]byte, 0, 8+in.M()),
 	}
 	// Cost-seeded Q initialization: a fresh row for step t starts at
 	// -cost(device(t), j), so the untrained greedy policy already acts
@@ -119,6 +126,7 @@ func (m *mdp) reset() {
 	copy(m.residual, m.in.Capacity)
 	for j := range m.loads {
 		m.loads[j] = 0
+		m.level[j] = m.levelOf(j)
 	}
 	m.step = 0
 }
@@ -129,26 +137,28 @@ func (m *mdp) done() bool { return m.step >= len(m.order) }
 // device returns the device placed at the current step.
 func (m *mdp) device() int { return m.order[m.step] }
 
-// stateKey encodes (step, quantized utilization vector). Utilization is
-// load/capacity clipped to [0, 1); zero-capacity edges are always at the
-// top level.
-func (m *mdp) stateKey() string {
-	// Preallocate: step digits + one byte per edge.
-	buf := make([]byte, 0, 8+len(m.loads))
-	buf = strconv.AppendInt(buf, int64(m.step), 10)
-	buf = append(buf, '|')
-	for j, load := range m.loads {
-		level := m.levels - 1
-		if m.in.Capacity[j] > 0 {
-			u := load / m.in.Capacity[j]
-			if u >= 1 {
-				u = 1 - 1e-9
-			}
-			level = int(u * float64(m.levels))
+// levelOf quantizes edge j's utilization, load/capacity clipped to
+// [0, 1), into one byte; zero-capacity edges are always at the top level.
+func (m *mdp) levelOf(j int) byte {
+	level := m.levels - 1
+	if m.in.Capacity[j] > 0 {
+		u := m.loads[j] / m.in.Capacity[j]
+		if u >= 1 {
+			u = 1 - 1e-9
 		}
-		buf = append(buf, byte('a'+level))
+		level = int(u * float64(m.levels))
 	}
-	return string(buf)
+	return byte('a' + level)
+}
+
+// stateKey encodes (step, quantized utilization vector) as "<step>|" plus
+// one level byte per edge. The bytes live in a buffer the next call
+// overwrites; qtable.row copies them only when it creates a row.
+func (m *mdp) stateKey() []byte {
+	m.key = strconv.AppendInt(m.key[:0], int64(m.step), 10)
+	m.key = append(m.key, '|')
+	m.key = append(m.key, m.level...)
+	return m.key
 }
 
 // feasibleActions lists edges with remaining capacity for the current
@@ -169,6 +179,7 @@ func (m *mdp) take(j int) float64 {
 	i := m.device()
 	m.residual[j] -= m.in.Weight[i][j]
 	m.loads[j] += m.in.Weight[i][j]
+	m.level[j] = m.levelOf(j)
 	m.step++
 	return -m.in.CostMs[i][j]
 }
@@ -177,13 +188,15 @@ func (m *mdp) take(j int) float64 {
 // step's initialization vector.
 type qtable map[string][]float64
 
-func (q qtable) row(key string, init []float64) []float64 {
-	if r, ok := q[key]; ok {
+// row returns the row stored under key, creating it from init if absent.
+// The lookup converts key without copying it, so only a new row allocates.
+func (q qtable) row(key []byte, init []float64) []float64 {
+	if r, ok := q[string(key)]; ok {
 		return r
 	}
 	r := make([]float64, len(init))
 	copy(r, init)
-	q[key] = r
+	q[string(key)] = r
 	return r
 }
 
@@ -243,42 +256,37 @@ func (q *QLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	var actBuf, nextBuf []int
 	got, err := t.train(func() (float64, bool) {
 		cost := 0.0
-		for !env.done() {
-			key := env.stateKey()
-			actBuf = env.feasibleActions(actBuf)
-			if len(actBuf) == 0 {
-				return cost, false
-			}
-			row := t.q.row(key, env.rowInit[env.step])
+		actBuf = env.feasibleActions(actBuf)
+		if len(actBuf) == 0 {
+			return cost, false
+		}
+		row := t.q.row(env.stateKey(), env.rowInit[env.step])
+		for {
 			a := t.pick(row, actBuf)
 			i := env.device()
 			r := env.take(a)
 			cost -= r
 			t.of[i] = a
 
-			var target float64
-			feasibleRun := true
 			if env.done() {
-				target = r
-			} else {
-				nextBuf = env.feasibleActions(nextBuf)
-				if len(nextBuf) == 0 {
-					// Next state is a dead end: large
-					// penalty as the terminal value.
-					target = r - deadEndPenalty(in)
-					feasibleRun = false
-				} else {
-					nextRow := t.q.row(env.stateKey(), env.rowInit[env.step])
-					_, nv := bestQ(nextRow, nextBuf)
-					target = r + p.Gamma*nv
-				}
+				row[a] += p.Alpha * (r - row[a])
+				return cost, true
 			}
-			row[a] += p.Alpha * (target - row[a])
-			if !feasibleRun {
+			nextBuf = env.feasibleActions(nextBuf)
+			if len(nextBuf) == 0 {
+				// Next state is a dead end: large penalty as the
+				// terminal value.
+				row[a] += p.Alpha * (r - deadEndPenalty(in) - row[a])
 				return cost, false
 			}
+			// The next state's row and feasible set are the ones the
+			// following step acts on.
+			nextRow := t.q.row(env.stateKey(), env.rowInit[env.step])
+			_, nv := bestQ(nextRow, nextBuf)
+			target := r + p.Gamma*nv
+			row[a] += p.Alpha * (target - row[a])
+			row, actBuf, nextBuf = nextRow, nextBuf, actBuf
 		}
-		return cost, true
 	}, true)
 	q.lastTrace = t.curve
 	return got, err

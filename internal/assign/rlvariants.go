@@ -31,14 +31,14 @@ func (dq *DoubleQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	sumRow := make([]float64, in.M())
 	return t.train(func() (float64, bool) {
 		cost := 0.0
-		for !env.done() {
-			key := env.stateKey()
-			actBuf = env.feasibleActions(actBuf)
-			if len(actBuf) == 0 {
-				return cost, false
-			}
-			rowA := tableA.row(key, env.rowInit[env.step])
-			rowB := tableB.row(key, env.rowInit[env.step])
+		actBuf = env.feasibleActions(actBuf)
+		if len(actBuf) == 0 {
+			return cost, false
+		}
+		key := env.stateKey()
+		rowA := tableA.row(key, env.rowInit[env.step])
+		rowB := tableB.row(key, env.rowInit[env.step])
+		for {
 			// Behaviour policy acts on the sum of the two tables.
 			for j := range sumRow {
 				sumRow[j] = rowA[j] + rowB[j]
@@ -56,33 +56,27 @@ func (dq *DoubleQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			if !updateA {
 				upd = rowB
 			}
-			var target float64
-			feasibleRun := true
 			if env.done() {
-				target = r
-			} else {
-				nextBuf = env.feasibleActions(nextBuf)
-				if len(nextBuf) == 0 {
-					target = r - deadEndPenalty(in)
-					feasibleRun = false
-				} else {
-					nk := env.stateKey()
-					nA := tableA.row(nk, env.rowInit[env.step])
-					nB := tableB.row(nk, env.rowInit[env.step])
-					nUpd, nEval := nA, nB
-					if !updateA {
-						nUpd, nEval = nB, nA
-					}
-					am, _ := bestQ(nUpd, nextBuf)
-					target = r + p.Gamma*nEval[am]
-				}
+				upd[a] += p.Alpha * (r - upd[a])
+				return cost, true
 			}
-			upd[a] += p.Alpha * (target - upd[a])
-			if !feasibleRun {
+			nextBuf = env.feasibleActions(nextBuf)
+			if len(nextBuf) == 0 {
+				upd[a] += p.Alpha * (r - deadEndPenalty(in) - upd[a])
 				return cost, false
 			}
+			nk := env.stateKey()
+			nA := tableA.row(nk, env.rowInit[env.step])
+			nB := tableB.row(nk, env.rowInit[env.step])
+			nUpd, nEval := nA, nB
+			if !updateA {
+				nUpd, nEval = nB, nA
+			}
+			am, _ := bestQ(nUpd, nextBuf)
+			target := r + p.Gamma*nEval[am]
+			upd[a] += p.Alpha * (target - upd[a])
+			rowA, rowB, actBuf, nextBuf = nA, nB, nextBuf, actBuf
 		}
-		return cost, true
 	}, false)
 }
 
@@ -109,39 +103,32 @@ func (es *ExpectedSARSA) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	var actBuf, nextBuf []int
 	return t.train(func() (float64, bool) {
 		cost := 0.0
-		for !env.done() {
-			key := env.stateKey()
-			actBuf = env.feasibleActions(actBuf)
-			if len(actBuf) == 0 {
-				return cost, false
-			}
-			row := t.q.row(key, env.rowInit[env.step])
+		actBuf = env.feasibleActions(actBuf)
+		if len(actBuf) == 0 {
+			return cost, false
+		}
+		row := t.q.row(env.stateKey(), env.rowInit[env.step])
+		for {
 			a := t.pick(row, actBuf)
 			i := env.device()
 			r := env.take(a)
 			cost -= r
 			t.of[i] = a
 
-			var target float64
-			feasibleRun := true
 			if env.done() {
-				target = r
-			} else {
-				nextBuf = env.feasibleActions(nextBuf)
-				if len(nextBuf) == 0 {
-					target = r - deadEndPenalty(in)
-					feasibleRun = false
-				} else {
-					nextRow := t.q.row(env.stateKey(), env.rowInit[env.step])
-					target = r + p.Gamma*expectedValue(nextRow, nextBuf, t.eps)
-				}
+				row[a] += p.Alpha * (r - row[a])
+				return cost, true
 			}
-			row[a] += p.Alpha * (target - row[a])
-			if !feasibleRun {
+			nextBuf = env.feasibleActions(nextBuf)
+			if len(nextBuf) == 0 {
+				row[a] += p.Alpha * (r - deadEndPenalty(in) - row[a])
 				return cost, false
 			}
+			nextRow := t.q.row(env.stateKey(), env.rowInit[env.step])
+			target := r + p.Gamma*expectedValue(nextRow, nextBuf, t.eps)
+			row[a] += p.Alpha * (target - row[a])
+			row, actBuf, nextBuf = nextRow, nextBuf, actBuf
 		}
-		return cost, true
 	}, false)
 }
 

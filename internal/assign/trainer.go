@@ -10,10 +10,10 @@ import (
 )
 
 // trainer owns what the RL assigners share: defaulted parameters, the
-// placement MDP and its (primary) Q table, the incumbent, the epsilon
-// schedule, best-episode tracking, the final exploitation rollout and the
-// "no feasible episode" error. Each assigner supplies only its episode
-// body, so every variant honours the same RLParams switches.
+// placement MDP and (once primed) its primary Q table, the incumbent, the
+// epsilon schedule, best-episode tracking, the final exploitation rollout
+// and the "no feasible episode" error. Each assigner supplies only its
+// episode body, so every variant honours the same RLParams switches.
 type trainer struct {
 	name string
 	in   *gap.Instance
@@ -26,6 +26,10 @@ type trainer struct {
 	eps float64
 	// of is the placement the current episode (or rollout) writes.
 	of []int
+	// act is rollout's feasible-action buffer and weights pick's softmax
+	// buffer, both reused across calls.
+	act     []int
+	weights []float64
 
 	bestOf   []int
 	bestCost float64
@@ -37,8 +41,8 @@ type trainer struct {
 	progress obs.ProgressSink
 }
 
-// newTrainer defaults params and builds the MDP, an empty Q table and an
-// empty incumbent; call prime to seed the incumbent before training.
+// newTrainer defaults params and builds the MDP and an empty incumbent;
+// call prime to create the Q table and seed the incumbent before training.
 func newTrainer(name string, in *gap.Instance, params RLParams, src *xrand.Source) *trainer {
 	p := params.withDefaults()
 	return &trainer{
@@ -46,7 +50,6 @@ func newTrainer(name string, in *gap.Instance, params RLParams, src *xrand.Sourc
 		in:       in,
 		p:        p,
 		env:      newMDP(in, p.LoadLevels, !p.NoCostSeeding),
-		q:        make(qtable, p.Episodes),
 		src:      src,
 		eps:      p.Epsilon0,
 		of:       make([]int, in.N()),
@@ -63,13 +66,15 @@ func (t *trainer) keep(cost float64, of []int) {
 	t.found = true
 }
 
-// prime seeds the incumbent with one pure-exploitation rollout (with
-// cost-seeded Q rows this reproduces min-delay greedy) plus, unless
-// NoWarmStart is set, the regret-greedy constructive solution when that
-// heuristic succeeds. The returned assignment can then never be worse than
-// either constructive baseline: the standard warm start that makes
-// episodic search an anytime improver, whose episodes only improve on it.
+// prime creates the Q table and seeds the incumbent with one
+// pure-exploitation rollout (with cost-seeded Q rows this reproduces
+// min-delay greedy) plus, unless NoWarmStart is set, the regret-greedy
+// constructive solution when that heuristic succeeds. The returned
+// assignment can then never be worse than either constructive baseline:
+// the standard warm start that makes episodic search an anytime improver,
+// whose episodes only improve on it.
 func (t *trainer) prime() {
+	t.q = make(qtable, t.p.Episodes)
 	if c, ok := t.rollout(); ok {
 		t.keep(c, t.of)
 	}
@@ -91,14 +96,13 @@ func (t *trainer) rollout() (float64, bool) {
 	env := t.env
 	env.reset()
 	cost := 0.0
-	var buf []int
 	for !env.done() {
-		buf = env.feasibleActions(buf)
-		if len(buf) == 0 {
+		t.act = env.feasibleActions(t.act)
+		if len(t.act) == 0 {
 			return 0, false
 		}
 		row := t.q.row(env.stateKey(), env.rowInit[env.step])
-		a, _ := bestQ(row, buf)
+		a, _ := bestQ(row, t.act)
 		i := env.device()
 		cost -= env.take(a)
 		t.of[i] = a
@@ -135,11 +139,11 @@ func (t *trainer) pick(row []float64, feasible []int) int {
 	if temp <= eps0Temp {
 		return feasible[t.src.Intn(len(feasible))] // flat row: uniform
 	}
-	weights := make([]float64, len(feasible))
-	for k, a := range feasible {
-		weights[k] = math.Exp((row[a] - best) / temp)
+	t.weights = t.weights[:0]
+	for _, a := range feasible {
+		t.weights = append(t.weights, math.Exp((row[a]-best)/temp))
 	}
-	return feasible[t.src.Choice(weights)]
+	return feasible[t.src.Choice(t.weights)]
 }
 
 // eps0Temp guards against zero/negligible Q spread in softmax exploration.
