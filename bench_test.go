@@ -264,6 +264,32 @@ func BenchmarkLowerBound(b *testing.B) {
 	}
 }
 
+// wideScenario is the shape of perfbench's wide-greedy workload: 20,000
+// devices on 200 edge servers, where topology generation, the delay matrix
+// and LowerBound dominate the run.
+var wideScenario = taccc.Scenario{NumIoT: 20000, NumEdge: 200, Rho: 0.7, Seed: 1}
+
+func BenchmarkScenarioBuildWide(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := wideScenario.Build(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkLowerBoundWide(b *testing.B) {
+	built, err := wideScenario.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = taccc.LowerBound(built.Instance)
+	}
+}
+
 // --- Parallel execution layer: workers=1 vs workers=GOMAXPROCS ---
 //
 // Compare sub-benchmarks to see the speedup, e.g.:

@@ -126,7 +126,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		recorder = traceWriter
 	}
 
+	downPh := traceRoot.Child("downlink-matrix")
 	down := taccc.NewDelayMatrixWorkers(built.Graph, taccc.LatencyCost, *workers)
+	downPh.End()
 	cfg := taccc.SimConfig{
 		UplinkMs:    built.Delay.DelayMs,
 		DownlinkMs:  down.DelayMs,

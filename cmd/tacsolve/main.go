@@ -161,14 +161,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Each figure is computed once and feeds both stdout and the archive
 	// summary, so the printed and archived values cannot disagree.
+	boundPh := traceRoot.Child("lower-bound")
+	bound := taccc.LowerBound(in)
+	boundPh.End()
+	evalPh := traceRoot.Child("evaluate")
 	var (
 		total     = in.TotalCost(got)
 		mean      = in.MeanCost(got)
 		maxDelay  = in.MaxCost(got)
-		bound     = taccc.LowerBound(in)
 		imbalance = in.Imbalance(got)
 		feasible  = in.Feasible(got)
 	)
+	evalPh.End()
 	fmt.Fprintf(stdout, "algorithm:    %s\n", *algo)
 	fmt.Fprintf(stdout, "devices:      %d  edges: %d\n", in.N(), in.M())
 	fmt.Fprintf(stdout, "total delay:  %.3f ms\n", total)
@@ -259,7 +263,9 @@ func compareAll(in *taccc.Instance, reg *taccc.AlgorithmRegistry, seed int64, wo
 		rows[i].elapsed = time.Since(start).Round(time.Microsecond)
 		ph.End()
 	})
+	boundPh := traceRoot.Child("lower-bound")
 	bound := taccc.LowerBound(in)
+	boundPh.End()
 	summary := runlog.Summary{
 		"instance.devices":     float64(in.N()),
 		"instance.edges":       float64(in.M()),

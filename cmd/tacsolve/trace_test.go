@@ -87,7 +87,7 @@ func TestTraceOutProducesValidChromeTrace(t *testing.T) {
 				sp.Name, sp.StartMs, sp.EndMs, par.Name, par.StartMs, par.EndMs)
 		}
 	}
-	for _, want := range []string{"topology", "delay-matrix", "workload", "instance", "solve", "construction", "improvement"} {
+	for _, want := range []string{"topology", "delay-matrix", "workload", "instance", "solve", "construction", "improvement", "lower-bound", "evaluate"} {
 		if names[want] == 0 {
 			t.Fatalf("missing %q span; got %v", want, names)
 		}
@@ -110,6 +110,31 @@ func TestTraceOutProducesValidChromeTrace(t *testing.T) {
 		}
 	}
 	p := report.PipelineFromSpans(spans)
+	if p == nil {
+		t.Fatal("pipeline fold failed")
+	}
+	if p.CoveragePct < 95 {
+		t.Fatalf("trace covers %.1f%% of wall time, want >= 95%%", p.CoveragePct)
+	}
+}
+
+// TestTraceCoversBoundHeavyGreedy pins the coverage of a run whose time
+// goes to the lower bound rather than the solver: greedy on 2000 devices
+// spends longer in LowerBound than in solve, so the trace only reaches
+// 95% of wall time if the bound has its own span.
+func TestTraceCoversBoundHeavyGreedy(t *testing.T) {
+	arDir := filepath.Join(t.TempDir(), "run")
+	var out, errBuf bytes.Buffer
+	args := []string{"-iot", "2000", "-edge", "50", "-rho", "0.7", "-algo", "greedy", "-seed", "1",
+		"-trace-out", filepath.Join(t.TempDir(), "trace.json"), "-archive", arDir}
+	if code := run(args, &out, &errBuf); code != 0 {
+		t.Fatalf("exit %d: %s", code, errBuf.String())
+	}
+	ar, err := runlog.Load(arDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := report.PipelineFromSpans(ar.Spans())
 	if p == nil {
 		t.Fatal("pipeline fold failed")
 	}

@@ -29,6 +29,11 @@ func Workers(n int) int {
 // For runs fn(i) for every i in [0, n) on at most workers goroutines and
 // returns when all calls have completed. workers <= 1 (or n <= 1) executes
 // sequentially on the calling goroutine with no synchronization overhead.
+// Workers claim consecutive indices in batches of about n/(64·workers), so
+// a loop over many cheap cells (the rows of a matrix) does not pay one
+// contended atomic per cell, while a loop over fewer than 128 cells per
+// worker (Dijkstra sources, experiment cells) still hands them out one
+// at a time.
 //
 // Determinism contract: fn must write only to state owned by index i
 // (e.g. out[i]); it must not append to shared slices, fold into shared
@@ -46,6 +51,7 @@ func For(workers, n int, fn func(i int)) {
 		}
 		return
 	}
+	batch := max(1, n/(64*workers))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -53,11 +59,13 @@ func For(workers, n int, fn func(i int)) {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				lo := int(next.Add(int64(batch))) - batch
+				if lo >= n {
 					return
 				}
-				fn(i)
+				for i := lo; i < min(lo+batch, n); i++ {
+					fn(i)
+				}
 			}
 		}()
 	}

@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"math"
 
 	"taccc/internal/xrand"
 )
@@ -32,6 +31,9 @@ func HierarchicalInfra(cfg Config) (*Graph, error) {
 	if cfg.NumEdge <= 0 || cfg.NumGateways <= 0 {
 		return nil, fmt.Errorf("topology: infra needs NumEdge and NumGateways > 0, got %d, %d", cfg.NumEdge, cfg.NumGateways)
 	}
+	if err := validArea(cfg.AreaMeters); err != nil {
+		return nil, err
+	}
 	if cfg.NumRouters <= 0 {
 		cfg.NumRouters = cfg.NumEdge
 	}
@@ -46,15 +48,11 @@ func HierarchicalInfra(cfg Config) (*Graph, error) {
 			g.MustAddLink(routers[r], parent, cfg.Links.wired(g, routers[r], parent), cfg.Links.WiredBandwidthMbps)
 		}
 	}
+	near := newNearestGrid(g, routers)
 	for gw := 0; gw < cfg.NumGateways; gw++ {
 		id := g.MustAddNode(KindGateway, fmt.Sprintf("gw-%d", gw),
 			src.Uniform(0, cfg.AreaMeters), src.Uniform(0, cfg.AreaMeters))
-		best, bestD := routers[0], math.Inf(1)
-		for _, r := range routers {
-			if d := g.Dist(id, r); d < bestD {
-				best, bestD = r, d
-			}
-		}
+		best := near.nearest(id)
 		g.MustAddLink(id, best, cfg.Links.wired(g, id, best), cfg.Links.WiredBandwidthMbps)
 	}
 	placeEdges(g, cfg, routers, src)
@@ -66,10 +64,16 @@ func HierarchicalInfra(cfg Config) (*Graph, error) {
 
 // AttachIoTAt adds one IoT node per coordinate pair, each wired to its
 // nearest gateway with a wireless link. Names are iot-0..iot-(k-1); the
-// graph must not already contain IoT nodes with those names.
+// graph must not already contain IoT nodes with those names. A NaN or
+// infinite coordinate is an error, reported before the graph is touched.
 func AttachIoTAt(g *Graph, xs, ys []float64, links LinkParams, seed int64) error {
 	if len(xs) != len(ys) {
 		return fmt.Errorf("topology: AttachIoTAt got %d xs and %d ys", len(xs), len(ys))
+	}
+	for i := range xs {
+		if !finitePoint(xs[i], ys[i]) {
+			return fmt.Errorf("topology: AttachIoTAt device %d has non-finite coordinates (%v, %v)", i, xs[i], ys[i])
+		}
 	}
 	gateways := g.NodesOfKind(KindGateway)
 	if len(gateways) == 0 {
@@ -78,19 +82,14 @@ func AttachIoTAt(g *Graph, xs, ys []float64, links LinkParams, seed int64) error
 	if (links == LinkParams{}) {
 		links = DefaultLinkParams()
 	}
+	near := newNearestGrid(g, gateways)
 	src := xrand.NewSplit(seed, "attach-iot")
 	for i := range xs {
 		id, err := g.AddNode(KindIoT, fmt.Sprintf("iot-%d", i), xs[i], ys[i])
 		if err != nil {
 			return err
 		}
-		best, bestD := gateways[0], math.Inf(1)
-		for _, gw := range gateways {
-			if d := g.Dist(id, gw); d < bestD {
-				best, bestD = gw, d
-			}
-		}
-		if err := g.AddLink(id, best, links.wireless(src), links.WirelessBandwidthMbps); err != nil {
+		if err := g.AddLink(id, near.nearest(id), links.wireless(src), links.WirelessBandwidthMbps); err != nil {
 			return err
 		}
 	}

@@ -84,8 +84,15 @@ func (c Config) validate() error {
 	if c.NumGateways <= 0 {
 		return fmt.Errorf("topology: config needs NumGateways > 0, got %d", c.NumGateways)
 	}
-	if c.AreaMeters <= 0 {
-		return fmt.Errorf("topology: config needs AreaMeters > 0, got %v", c.AreaMeters)
+	return validArea(c.AreaMeters)
+}
+
+// validArea rejects a deployment side that is not a positive finite
+// length: a NaN or infinite area would place nodes at non-finite
+// coordinates.
+func validArea(area float64) error {
+	if !(area > 0) || math.IsInf(area, 1) {
+		return fmt.Errorf("topology: config needs a finite AreaMeters > 0, got %v", area)
 	}
 	return nil
 }
@@ -106,6 +113,7 @@ const (
 // gateway with a wireless link. Placement is uniform or hotspot-clustered.
 func attachIoT(g *Graph, cfg Config, place Placement, src *xrand.Source) {
 	gateways := g.NodesOfKind(KindGateway)
+	near := newNearestGrid(g, gateways)
 	var hotspots [][2]float64
 	if place == PlaceHotspot {
 		k := len(gateways)/3 + 1
@@ -128,13 +136,7 @@ func attachIoT(g *Graph, cfg Config, place Placement, src *xrand.Source) {
 			y = src.Uniform(0, cfg.AreaMeters)
 		}
 		id := g.MustAddNode(KindIoT, fmt.Sprintf("iot-%d", i), x, y)
-		best, bestDist := gateways[0], math.Inf(1)
-		for _, gw := range gateways {
-			if d := g.Dist(id, gw); d < bestDist {
-				best, bestDist = gw, d
-			}
-		}
-		g.MustAddLink(id, best, cfg.Links.wireless(src), cfg.Links.WirelessBandwidthMbps)
+		g.MustAddLink(id, near.nearest(id), cfg.Links.wireless(src), cfg.Links.WirelessBandwidthMbps)
 	}
 }
 
@@ -246,16 +248,12 @@ func Hierarchical(cfg Config, place Placement) (*Graph, error) {
 			g.MustAddLink(routers[r], parent, cfg.Links.wired(g, routers[r], parent), cfg.Links.WiredBandwidthMbps)
 		}
 	}
+	near := newNearestGrid(g, routers)
 	for gw := 0; gw < cfg.NumGateways; gw++ {
 		id := g.MustAddNode(KindGateway, fmt.Sprintf("gw-%d", gw),
 			src.Uniform(0, cfg.AreaMeters), src.Uniform(0, cfg.AreaMeters))
 		// Attach to the nearest router.
-		best, bestD := routers[0], math.Inf(1)
-		for _, r := range routers {
-			if d := g.Dist(id, r); d < bestD {
-				best, bestD = r, d
-			}
-		}
+		best := near.nearest(id)
 		g.MustAddLink(id, best, cfg.Links.wired(g, id, best), cfg.Links.WiredBandwidthMbps)
 	}
 	placeEdges(g, cfg, routers, src)

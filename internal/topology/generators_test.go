@@ -300,3 +300,35 @@ func TestSortIDs(t *testing.T) {
 		t.Fatalf("sortIDs = %v", ids)
 	}
 }
+
+// TestNonFiniteGeometryIsAnError: a NaN or infinite deployment area, or a
+// device coordinate, is an error returned before the graph is touched —
+// not a panic on the first NaN link latency, and not a device silently
+// attached to the first gateway.
+func TestNonFiniteGeometryIsAnError(t *testing.T) {
+	for _, area := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := Config{NumIoT: 10, NumEdge: 2, NumGateways: 4, AreaMeters: area, Seed: 1}
+		for _, fam := range Families() {
+			if _, err := Generate(fam, cfg, PlaceUniform); err == nil {
+				t.Errorf("%s accepted AreaMeters %v", fam, area)
+			}
+		}
+		if _, err := HierarchicalInfra(cfg); err == nil {
+			t.Errorf("HierarchicalInfra accepted AreaMeters %v", area)
+		}
+	}
+	infra, err := HierarchicalInfra(Config{NumEdge: 2, NumGateways: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, xy := range [][2]float64{{math.NaN(), 1}, {1, math.NaN()}, {math.Inf(1), 1}, {1, math.Inf(-1)}} {
+		g := infra.Clone()
+		nodes, links := g.NumNodes(), g.NumLinks()
+		if err := AttachIoTAt(g, []float64{10, xy[0]}, []float64{10, xy[1]}, LinkParams{}, 1); err == nil {
+			t.Errorf("AttachIoTAt accepted device at (%v, %v)", xy[0], xy[1])
+		}
+		if g.NumNodes() != nodes || g.NumLinks() != links {
+			t.Errorf("AttachIoTAt at (%v, %v) changed the graph before failing", xy[0], xy[1])
+		}
+	}
+}

@@ -217,55 +217,49 @@ type DelayMatrix struct {
 }
 
 // NewDelayMatrix computes shortest-path delays from every IoT node to every
-// edge node under the given cost model. Dijkstra runs from each edge node
-// (there are typically far fewer edges than IoT devices), with sources
-// fanned out across all cores. Use NewDelayMatrixWorkers to bound the
-// parallelism.
+// edge node under the given cost model, with edge sources fanned out
+// across all cores. Use NewDelayMatrixWorkers to bound the parallelism.
 func NewDelayMatrix(g *Graph, cost LinkCost) *DelayMatrix {
-	return NewDelayMatrixWorkers(g, cost, 0)
+	return NewDelayMatrixTraced(g, cost, 0, nil)
 }
 
 // NewDelayMatrixWorkers is NewDelayMatrix with an explicit worker count
-// (<= 0 means all cores, 1 is fully sequential). Each goroutine owns one
-// edge source and writes only column j of the pre-sized matrix, so the
-// result is identical for every worker count.
+// (<= 0 means all cores, 1 is fully sequential). The matrix is identical
+// for every worker count.
 func NewDelayMatrixWorkers(g *Graph, cost LinkCost, workers int) *DelayMatrix {
-	iot := g.NodesOfKind(KindIoT)
-	edge := g.NodesOfKind(KindEdge)
-	m := make([][]float64, len(iot))
-	for i := range m {
-		m[i] = make([]float64, len(edge))
-	}
-	par.For(par.Workers(workers), len(edge), func(j int) {
-		sp := g.Dijkstra(edge[j], cost)
-		for i, d := range iot {
-			m[i][j] = sp.Dist[d]
-		}
-	})
-	return &DelayMatrix{IoT: iot, Edge: edge, DelayMs: m}
+	return NewDelayMatrixTraced(g, cost, workers, nil)
 }
 
 // NewDelayMatrixTraced is NewDelayMatrixWorkers with wall-clock tracing:
 // when phase is a live obs phase (the "delay-matrix" span of a pipeline
-// trace), each worker's shard is emitted as a child span named "shard"
-// with worker ID, items processed and busy time, giving Perfetto one
-// timeline row per worker. A nil phase is exactly NewDelayMatrixWorkers:
-// no clock reads, no spans, bit-identical matrix.
+// trace), each worker's shard of edge sources is emitted as a child span
+// named "shard" with worker ID, items processed and busy time, giving
+// Perfetto one timeline row per worker. A nil phase means no clock reads
+// and no spans; the matrix is bit-identical either way.
+//
+// Dijkstra runs from each edge node (one work item per edge) over the
+// graph's core: every node except the pendant IoT devices, those with
+// exactly one link, to a non-IoT node. Each pendant device's row is then
+// filled, in row order, as dist(edge, gateway) + cost(gateway→device),
+// kept only when it is below +Inf. That is exactly what a full Dijkstra
+// computes: a pendant vertex lies on no other node's shortest path, and
+// Dijkstra settles it with that same single relaxation. Devices with
+// several links, or linked to another device, stay in the core.
 func NewDelayMatrixTraced(g *Graph, cost LinkCost, workers int, phase *obs.Phase) *DelayMatrix {
 	iot := g.NodesOfKind(KindIoT)
 	edge := g.NodesOfKind(KindEdge)
-	m := make([][]float64, len(iot))
-	for i := range m {
-		m[i] = make([]float64, len(edge))
-	}
+	c := newCoreGraph(g, cost)
+	// coreDist[v*k+j] is the distance from edge j to core node v; each
+	// source writes only its own column.
+	k := len(edge)
+	coreDist := make([]float64, len(c.ids)*k)
 	var now func() float64
 	if phase != nil {
 		now = phase.NowMs
 	}
-	shards := par.ForShards(par.Workers(workers), len(edge), now, func(j int) {
-		sp := g.Dijkstra(edge[j], cost)
-		for i, d := range iot {
-			m[i][j] = sp.Dist[d]
+	shards := par.ForShards(par.Workers(workers), k, now, func(j int) {
+		for v, d := range c.dijkstra(c.index[edge[j]]) {
+			coreDist[v*k+j] = d
 		}
 	})
 	for _, sh := range shards {
@@ -275,7 +269,123 @@ func NewDelayMatrixTraced(g *Graph, cost LinkCost, workers int, phase *obs.Phase
 			"busy_ms": sh.BusyMs,
 		})
 	}
+	m := make([][]float64, len(iot))
+	flat := make([]float64, len(iot)*k)
+	for i, d := range iot {
+		row := flat[i*k : (i+1)*k : (i+1)*k]
+		m[i] = row
+		if v := c.index[d]; v >= 0 {
+			copy(row, coreDist[v*k:(v+1)*k])
+			continue
+		}
+		h := g.adj[d][0]
+		gw := c.index[h.to]
+		base := coreDist[gw*k : (gw+1)*k]
+		cf := cost(Link{A: h.to, B: d, LatencyMs: h.latencyMs, BandwidthMbps: h.bwMbps})
+		for j, b := range base {
+			row[j] = Infinity
+			if nd := b + cf; nd < Infinity {
+				row[j] = nd
+			}
+		}
+		checkPendantCosts(cost, d, h, cf, base, row)
+	}
 	return &DelayMatrix{IoT: iot, Edge: edge, DelayMs: m}
+}
+
+// checkPendantCosts panics wherever a full Dijkstra would on pendant
+// device d's only link h, to its gateway: on a negative cost out of the
+// gateway once some edge reaches the gateway (base holds its distances),
+// and on a negative cost back out of d once some edge reaches d (row).
+func checkPendantCosts(cost LinkCost, d NodeID, h halfLink, cf float64, base, row []float64) {
+	reached := func(ds []float64) bool {
+		for _, v := range ds {
+			if v < Infinity {
+				return true
+			}
+		}
+		return false
+	}
+	if cf < 0 && reached(base) {
+		panic(fmt.Sprintf("topology: negative link cost %v on %d-%d", cf, h.to, d))
+	}
+	if cb := cost(Link{A: d, B: h.to, LatencyMs: h.latencyMs, BandwidthMbps: h.bwMbps}); cb < 0 && reached(row) {
+		panic(fmt.Sprintf("topology: negative link cost %v on %d-%d", cb, d, h.to))
+	}
+}
+
+// pendant reports whether v is an IoT device whose only link goes to a
+// non-IoT node: the wireless hop every generator gives a device.
+func (g *Graph) pendant(v NodeID) bool {
+	return g.nodes[v].Kind == KindIoT && len(g.adj[v]) == 1 && g.nodes[g.adj[v][0].to].Kind != KindIoT
+}
+
+// coreGraph is a graph without its pendant devices, in compact form, with
+// every directed link's cost evaluated once.
+type coreGraph struct {
+	// index maps a node ID to its core index (-1 for a pendant device),
+	// ids maps a core index back to its node ID.
+	index []int
+	ids   []NodeID
+	// The links out of core node u go to to[start[u]:start[u+1]], at the
+	// costs in the same positions of cost.
+	start []int
+	to    []int
+	cost  []float64
+}
+
+func newCoreGraph(g *Graph, cost LinkCost) *coreGraph {
+	c := &coreGraph{index: make([]int, len(g.nodes))}
+	for v := range g.nodes {
+		c.index[v] = -1
+		if !g.pendant(NodeID(v)) {
+			c.index[v] = len(c.ids)
+			c.ids = append(c.ids, NodeID(v))
+		}
+	}
+	c.start = make([]int, len(c.ids)+1)
+	for u, id := range c.ids {
+		for _, h := range g.adj[id] {
+			if v := c.index[h.to]; v >= 0 {
+				c.to = append(c.to, v)
+				c.cost = append(c.cost, cost(Link{A: id, B: h.to, LatencyMs: h.latencyMs, BandwidthMbps: h.bwMbps}))
+			}
+		}
+		c.start[u+1] = len(c.to)
+	}
+	return c
+}
+
+// dijkstra returns the distance from core node src to every core node. It
+// relaxes exactly as Graph.Dijkstra does (its queue items carry core
+// indices), so each distance has the same bits.
+func (c *coreGraph) dijkstra(src int) []float64 {
+	dist := make([]float64, len(c.ids))
+	for i := range dist {
+		dist[i] = Infinity
+	}
+	done := make([]bool, len(c.ids))
+	dist[src] = 0
+	q := &pq{{node: NodeID(src), dist: 0}}
+	for q.Len() > 0 {
+		item := heap.Pop(q).(pqItem)
+		u := int(item.node)
+		if done[u] {
+			continue
+		}
+		done[u] = true
+		for e := c.start[u]; e < c.start[u+1]; e++ {
+			v, w := c.to[e], c.cost[e]
+			if w < 0 {
+				panic(fmt.Sprintf("topology: negative link cost %v on %d-%d", w, c.ids[u], c.ids[v]))
+			}
+			if nd := item.dist + w; nd < dist[v] {
+				dist[v] = nd
+				heap.Push(q, pqItem{node: NodeID(v), dist: nd})
+			}
+		}
+	}
+	return dist
 }
 
 // NumIoT returns the number of IoT rows.
