@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench vet lint loc ci bench-json perf-gate baseline trace-smoke sysmon-smoke slo-smoke
+.PHONY: all build test race bench vet lint loc ci fuzz-smoke bench-json perf-gate baseline trace-smoke sysmon-smoke slo-smoke
 
 all: build test
 
@@ -59,6 +59,22 @@ loc:
 	@printf 'test go lines:     %s\n' "$$($(LOCFILES) -name '*_test.go' -exec cat {} + | wc -l)"
 
 ci: vet lint build test
+
+# Fuzz smoke: every native fuzz target in the module (each `func Fuzz*`
+# in a test file) runs for FUZZTIME past its seed corpus; plain `go test`
+# runs only the seeds. Go fuzzes one target per invocation, so each gets
+# its own `go test -fuzz` call. A failing input lands under the package's
+# testdata/fuzz/, where it becomes a regression seed once committed.
+FUZZTIME ?= 10s
+FUZZFILES = find . -name '*_test.go' -not -path './perfbench/*' -not -path './.*' -exec grep -l '^func Fuzz' {} +
+
+fuzz-smoke:
+	@set -e; for file in $$($(FUZZFILES) | sort); do \
+	  for name in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$file); do \
+	    echo "fuzz-smoke: $$name in $$(dirname $$file) for $(FUZZTIME)"; \
+	    $(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$(dirname $$file); \
+	  done; \
+	done
 
 # Perf gate: run the fixed bench suite to JSON and diff it against the
 # committed baseline with tacreport. Verdicts subtract the propagated

@@ -93,7 +93,7 @@ func main() {
 
 		served, sum := 0, 0.0
 		for i, j := range static.Of {
-			if c := in.CostMs[i][j]; !math.IsInf(c, 1) {
+			if c := in.CostAt(i, j); !math.IsInf(c, 1) {
 				sum += c
 				served++
 			}

@@ -39,10 +39,10 @@ func byDecreasingLoad(in *gap.Instance) []int {
 		order[i] = i
 	}
 	maxW := make([]float64, in.N())
-	for i := 0; i < in.N(); i++ {
-		for j := 0; j < in.M(); j++ {
-			if in.Weight[i][j] > maxW[i] {
-				maxW[i] = in.Weight[i][j]
+	for i := range maxW {
+		for _, w := range in.WeightRow(i) {
+			if w > maxW[i] {
+				maxW[i] = w
 			}
 		}
 	}
@@ -60,16 +60,16 @@ func residuals(in *gap.Instance) []float64 {
 // fits reports whether device i can be placed on edge j given residual
 // capacity, with a small epsilon for floating-point accumulation.
 func fits(in *gap.Instance, residual []float64, i, j int) bool {
-	return in.Weight[i][j] <= residual[j]+1e-12 && !math.IsInf(in.CostMs[i][j], 1)
+	return in.WeightAt(i, j) <= residual[j]+1e-12 && !math.IsInf(in.CostAt(i, j), 1)
 }
 
 // cheapestFeasible returns the minimum-cost edge for device i with residual
 // capacity, or -1 if none fits.
 func cheapestFeasible(in *gap.Instance, residual []float64, i int) int {
 	best, bestCost := -1, math.Inf(1)
-	for j := 0; j < in.M(); j++ {
-		if fits(in, residual, i, j) && in.CostMs[i][j] < bestCost {
-			best, bestCost = j, in.CostMs[i][j]
+	for j, c := range in.CostRow(i) {
+		if fits(in, residual, i, j) && c < bestCost {
+			best, bestCost = j, c
 		}
 	}
 	return best

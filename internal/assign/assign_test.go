@@ -394,7 +394,8 @@ func TestMDPStateKey(t *testing.T) {
 	base := mustSynthetic(t, gap.SyntheticUniform, 40, 5, 0.9, 3)
 	capacity := append([]float64(nil), base.Capacity...)
 	capacity[2] = 0
-	zeroCap, err := gap.NewInstance(base.CostMs, base.Weight, capacity)
+	cost, weight := matrices(base)
+	zeroCap, err := gap.NewInstance(cost, weight, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}

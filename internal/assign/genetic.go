@@ -168,11 +168,11 @@ func (rs *repairState) repair(in *gap.Instance, of []int, src *xrand.Source) boo
 	residual := rs.residual
 	copy(residual, in.Capacity)
 	for i, j := range of {
-		if j < 0 || j >= m || math.IsInf(in.CostMs[i][j], 1) {
+		if j < 0 || j >= m || math.IsInf(in.CostAt(i, j), 1) {
 			of[i] = -1
 			continue
 		}
-		residual[j] -= in.Weight[i][j]
+		residual[j] -= in.WeightAt(i, j)
 	}
 	// Evict from overloaded edges until all fit. Evict the device whose
 	// move is cheapest-looking (smallest weight) for gentler repair.
@@ -183,14 +183,14 @@ func (rs *repairState) repair(in *gap.Instance, of []int, src *xrand.Source) boo
 				if cur != j {
 					continue
 				}
-				if evict < 0 || in.Weight[i][j] < in.Weight[evict][j] {
+				if evict < 0 || in.WeightAt(i, j) < in.WeightAt(evict, j) {
 					evict = i
 				}
 			}
 			if evict < 0 {
 				return false
 			}
-			residual[j] += in.Weight[evict][j]
+			residual[j] += in.WeightAt(evict, j)
 			of[evict] = -1
 		}
 	}
@@ -209,7 +209,7 @@ func (rs *repairState) repair(in *gap.Instance, of []int, src *xrand.Source) boo
 			return false
 		}
 		of[i] = j
-		residual[j] -= in.Weight[i][j]
+		residual[j] -= in.WeightAt(i, j)
 	}
 	return true
 }

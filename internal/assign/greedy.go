@@ -30,7 +30,7 @@ func (g *Greedy) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			return nil, fmt.Errorf("assign/greedy: device %d has no edge with capacity: %w", i, gap.ErrInfeasible)
 		}
 		of[i] = j
-		residual[j] -= in.Weight[i][j]
+		residual[j] -= in.WeightAt(i, j)
 	}
 	return finish(in, of, "greedy")
 }
@@ -67,11 +67,10 @@ func (rg *RegretGreedy) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	firstJ := make([]int, n)
 	scan := func(i int) {
 		first[i], second[i], firstJ[i] = math.Inf(1), math.Inf(1), -1
-		for j := 0; j < in.M(); j++ {
+		for j, c := range in.CostRow(i) {
 			if !fits(in, residual, i, j) {
 				continue
 			}
-			c := in.CostMs[i][j]
 			switch {
 			case c < first[i]:
 				second[i], first[i], firstJ[i] = first[i], c, j
@@ -106,10 +105,10 @@ func (rg *RegretGreedy) Assign(in *gap.Instance) (*gap.Assignment, error) {
 		of[bestDev] = j
 		assigned[bestDev] = true
 		before := residual[j]
-		residual[j] -= in.Weight[bestDev][j]
+		residual[j] -= in.WeightAt(bestDev, j)
 		for i := 0; i < n; i++ {
-			w := in.Weight[i][j]
-			if !assigned[i] && in.CostMs[i][j] <= second[i] && w <= before+1e-12 && w > residual[j]+1e-12 {
+			w := in.WeightAt(i, j)
+			if !assigned[i] && in.CostAt(i, j) <= second[i] && w <= before+1e-12 && w > residual[j]+1e-12 {
 				scan(i)
 			}
 		}
@@ -136,7 +135,7 @@ func (ff *FirstFit) Assign(in *gap.Instance) (*gap.Assignment, error) {
 		for j := 0; j < in.M(); j++ {
 			if fits(in, residual, i, j) {
 				of[i] = j
-				residual[j] -= in.Weight[i][j]
+				residual[j] -= in.WeightAt(i, j)
 				placed = true
 				break
 			}
@@ -169,7 +168,7 @@ func (rr *RoundRobin) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			j := (next + tries) % in.M()
 			if fits(in, residual, i, j) {
 				of[i] = j
-				residual[j] -= in.Weight[i][j]
+				residual[j] -= in.WeightAt(i, j)
 				next = (j + 1) % in.M()
 				placed = true
 				break
@@ -213,7 +212,7 @@ func (r *Random) Assign(in *gap.Instance) (*gap.Assignment, error) {
 		}
 		j := feasible[src.Intn(len(feasible))]
 		of[i] = j
-		residual[j] -= in.Weight[i][j]
+		residual[j] -= in.WeightAt(i, j)
 	}
 	return finish(in, of, "random")
 }

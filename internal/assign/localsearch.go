@@ -41,7 +41,6 @@ func (ls *LocalSearch) Assign(in *gap.Instance) (*gap.Assignment, error) {
 		return nil, fmt.Errorf("assign/local-search: %w", err)
 	}
 	ev := gap.NewEvaluator(in)
-	ev.SetUndoTracking(false)
 	ev.Reset(start.Of)
 	maxRounds := ls.MaxRounds
 	if maxRounds <= 0 {
@@ -172,7 +171,6 @@ func (sa *SimulatedAnnealing) Assign(in *gap.Instance) (*gap.Assignment, error) 
 	}
 	src := xrand.NewSplit(sa.seed, "sa")
 	ev := gap.NewEvaluator(in)
-	ev.SetUndoTracking(false)
 	ev.Reset(start.Of)
 	cur := ev.Total()
 	bestOf := ev.Assignment(start.Of)

@@ -43,7 +43,7 @@ func (lr *LPRounding) Assign(in *gap.Instance) (*gap.Assignment, error) {
 		for j := 0; j < m; j++ {
 			if x[i][j] >= integral {
 				of[i] = j
-				residual[j] -= in.Weight[i][j]
+				residual[j] -= in.WeightAt(i, j)
 				placed = true
 				break
 			}
@@ -74,7 +74,7 @@ func (lr *LPRounding) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			continue
 		}
 		of[i] = best
-		residual[best] -= in.Weight[i][best]
+		residual[best] -= in.WeightAt(i, best)
 	}
 	for _, i := range fractional {
 		if of[i] >= 0 {
@@ -91,8 +91,8 @@ func (lr *LPRounding) Assign(in *gap.Instance) (*gap.Assignment, error) {
 
 func maxWeight(in *gap.Instance, i int) float64 {
 	max := 0.0
-	for j := 0; j < in.M(); j++ {
-		if w := in.Weight[i][j]; !math.IsInf(w, 0) && w > max {
+	for _, w := range in.WeightRow(i) {
+		if !math.IsInf(w, 0) && w > max {
 			max = w
 		}
 	}

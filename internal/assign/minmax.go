@@ -39,8 +39,8 @@ func (mm *MinMax) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	// Candidate thresholds: every distinct finite cost.
 	var costs []float64
 	for i := 0; i < in.N(); i++ {
-		for j := 0; j < in.M(); j++ {
-			if c := in.CostMs[i][j]; !math.IsInf(c, 1) {
+		for _, c := range in.CostRow(i) {
+			if !math.IsInf(c, 1) {
 				costs = append(costs, c)
 			}
 		}
@@ -79,7 +79,6 @@ func (mm *MinMax) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	defer polishPh.End()
 	masked := maskAbove(in, in.MaxCost(best))
 	ev := gap.NewEvaluator(masked)
-	ev.SetUndoTracking(false)
 	ev.Reset(best.Of)
 	for round := 0; round < 50; round++ {
 		if !improveOnce(ev) {
@@ -100,23 +99,15 @@ func (mm *MinMax) packUnder(in *gap.Instance, t float64) *gap.Assignment {
 	return a
 }
 
-// maskAbove returns a copy of in whose cells with cost > t are unreachable.
+// maskAbove returns a copy of in whose cells with cost > t+1e-12 are
+// unreachable: a deadline of t+1e-12 on every device, positive because
+// costs are non-negative.
 func maskAbove(in *gap.Instance, t float64) *gap.Instance {
-	n, m := in.N(), in.M()
-	cost := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		row := make([]float64, m)
-		for j := 0; j < m; j++ {
-			c := in.CostMs[i][j]
-			if c > t+1e-12 {
-				c = math.Inf(1)
-			}
-			row[j] = c
-		}
-		cost[i] = row
+	budget := make([]float64, in.N())
+	for i := range budget {
+		budget[i] = t + 1e-12
 	}
-	// Weights and capacities are shared read-only.
-	masked, err := gap.NewInstance(cost, in.Weight, in.Capacity)
+	masked, err := gap.WithDeadlines(in, budget)
 	if err != nil {
 		// Construction from a valid instance cannot fail.
 		panic(fmt.Sprintf("assign/minmax: internal error building mask: %v", err))

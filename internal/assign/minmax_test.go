@@ -92,7 +92,7 @@ func TestWithDeadlines(t *testing.T) {
 	budgets := make([]float64, 10)
 	minC := math.Inf(1)
 	for j := 0; j < 3; j++ {
-		if c := in.CostMs[0][j]; c < minC {
+		if c := in.CostAt(0, j); c < minC {
 			minC = c
 		}
 	}
@@ -103,7 +103,7 @@ func TestWithDeadlines(t *testing.T) {
 	}
 	reachable := 0
 	for j := 0; j < 3; j++ {
-		if !math.IsInf(masked.CostMs[0][j], 1) {
+		if !math.IsInf(masked.CostAt(0, j), 1) {
 			reachable++
 		}
 	}
@@ -129,7 +129,7 @@ func TestWithDeadlines(t *testing.T) {
 	}
 	want := 0
 	for i, j := range g.Of {
-		if budgets[i] > 0 && in.CostMs[i][j] > budgets[i] {
+		if budgets[i] > 0 && in.CostAt(i, j) > budgets[i] {
 			want++
 		}
 	}

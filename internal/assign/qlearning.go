@@ -108,12 +108,12 @@ func newMDP(in *gap.Instance, levels int, costSeed bool) *mdp {
 	m.rowInit = make([][]float64, in.N())
 	for t, dev := range m.order {
 		row := make([]float64, in.M())
-		for j := 0; j < in.M(); j++ {
+		for j, c := range in.CostRow(dev) {
 			switch {
-			case math.IsInf(in.CostMs[dev][j], 1):
+			case math.IsInf(c, 1):
 				row[j] = math.Inf(-1)
 			case costSeed:
-				row[j] = -in.CostMs[dev][j]
+				row[j] = -c
 			}
 		}
 		m.rowInit[t] = row
@@ -177,11 +177,12 @@ func (m *mdp) feasibleActions(buf []int) []int {
 // take places the current device on edge j, returning the reward.
 func (m *mdp) take(j int) float64 {
 	i := m.device()
-	m.residual[j] -= m.in.Weight[i][j]
-	m.loads[j] += m.in.Weight[i][j]
+	w := m.in.WeightAt(i, j)
+	m.residual[j] -= w
+	m.loads[j] += w
 	m.level[j] = m.levelOf(j)
 	m.step++
-	return -m.in.CostMs[i][j]
+	return -m.in.CostAt(i, j)
 }
 
 // qtable is a lazily grown state-action value table; fresh rows copy the
@@ -297,8 +298,8 @@ func (q *QLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 func deadEndPenalty(in *gap.Instance) float64 {
 	max := 0.0
 	for i := 0; i < in.N(); i++ {
-		for j := 0; j < in.M(); j++ {
-			if c := in.CostMs[i][j]; !math.IsInf(c, 1) && c > max {
+		for _, c := range in.CostRow(i) {
+			if !math.IsInf(c, 1) && c > max {
 				max = c
 			}
 		}

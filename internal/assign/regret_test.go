@@ -25,11 +25,10 @@ func regretGreedyReference(in *gap.Instance) (*gap.Assignment, error) {
 				continue
 			}
 			first, second, firstJ := math.Inf(1), math.Inf(1), -1
-			for j := 0; j < in.M(); j++ {
+			for j, c := range in.CostRow(i) {
 				if !fits(in, residual, i, j) {
 					continue
 				}
-				c := in.CostMs[i][j]
 				switch {
 				case c < first:
 					second, first, firstJ = first, c, j
@@ -50,7 +49,7 @@ func regretGreedyReference(in *gap.Instance) (*gap.Assignment, error) {
 		}
 		of[bestDev] = bestEdge
 		assigned[bestDev] = true
-		residual[bestEdge] -= in.Weight[bestDev][bestEdge]
+		residual[bestEdge] -= in.WeightAt(bestDev, bestEdge)
 	}
 	return finish(in, of, "regret-greedy")
 }
@@ -68,12 +67,11 @@ func regretCase(kind gap.SyntheticKind, n, m int, rho float64, round, unreachabl
 		return nil, err
 	}
 	src := xrand.New(seed)
-	cost := make([][]float64, n)
-	for i, row := range in.CostMs {
-		cost[i] = append([]float64(nil), row...)
-		for j := range cost[i] {
+	cost, weight := matrices(in)
+	for _, row := range cost {
+		for j := range row {
 			if unreachable && src.Bernoulli(0.05) {
-				cost[i][j] = math.Inf(1)
+				row[j] = math.Inf(1)
 			}
 		}
 	}
@@ -81,7 +79,7 @@ func regretCase(kind gap.SyntheticKind, n, m int, rho float64, round, unreachabl
 	for j := range capacity {
 		capacity[j] /= math.Max(rho, 1)
 	}
-	return gap.NewInstance(cost, in.Weight, capacity)
+	return gap.NewInstance(cost, weight, capacity)
 }
 
 // TestRegretGreedyMatchesReference compares the cached rescan with the

@@ -97,7 +97,6 @@ func (ts *TabuSearch) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	}
 
 	ev := gap.NewEvaluator(in)
-	ev.SetUndoTracking(false)
 	ev.Reset(start.Of)
 	bestOf := ev.Assignment(start.Of)
 	bestCost := ev.Total()
@@ -216,7 +215,6 @@ func (l *LNS) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	// One evaluator and one permutation buffer serve every round: the
 	// destroy/repair loop allocates nothing in steady state.
 	ev := gap.NewEvaluator(in)
-	ev.SetUndoTracking(false)
 	var rein reinserter
 	perm := make([]int, n)
 	impPh := l.phases.Child("improvement")

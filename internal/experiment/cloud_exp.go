@@ -50,11 +50,16 @@ func F16(o Options) ([]*Table, error) {
 				}
 				// Shrink/grow the edge tier relative to demand
 				// (instances are read-only: rebuild).
-				scaled := make([]float64, len(b.Instance.Capacity))
-				for j, c := range b.Instance.Capacity {
+				in := b.Instance
+				scaled := make([]float64, in.M())
+				for j, c := range in.Capacity {
 					scaled[j] = c * scale
 				}
-				rebuilt, err := gap.NewInstance(b.Instance.CostMs, b.Instance.Weight, scaled)
+				cost, weight := make([][]float64, in.N()), make([][]float64, in.N())
+				for i := range cost {
+					cost[i], weight[i] = in.CostRow(i), in.WeightRow(i)
+				}
+				rebuilt, err := gap.NewInstance(cost, weight, scaled)
 				if err != nil {
 					return nil, err
 				}

@@ -118,7 +118,7 @@ func F7(o Options) ([]*Table, error) {
 		served := 0
 		staticSum := 0.0
 		for i, j := range static.Of {
-			if c := in.CostMs[i][j]; !math.IsInf(c, 1) {
+			if c := in.CostAt(i, j); !math.IsInf(c, 1) {
 				staticSum += c
 				served++
 			}

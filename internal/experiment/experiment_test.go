@@ -101,9 +101,9 @@ func TestScenarioPayloadAwareCostsHigher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range plain.Instance.CostMs {
-		for j := range plain.Instance.CostMs[i] {
-			if heavy.Instance.CostMs[i][j] <= plain.Instance.CostMs[i][j] {
+	for i := 0; i < plain.Instance.N(); i++ {
+		for j := 0; j < plain.Instance.M(); j++ {
+			if heavy.Instance.CostAt(i, j) <= plain.Instance.CostAt(i, j) {
 				t.Fatal("payload-aware delay not larger")
 			}
 		}

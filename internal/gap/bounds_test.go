@@ -7,16 +7,17 @@ import (
 	"testing"
 )
 
-// nestedRowMinBound and nestedLagrangianBound are the sequential bounds
-// over the nested CostMs/Weight matrices that the flat, parallel ones
-// replaced, kept as the reference they must match bit for bit.
+// nestedRowMinBound and nestedLagrangianBound are the sequential bounds,
+// reading one cell at a time through CostAt and WeightAt, that the
+// row-wise parallel ones replaced, kept as the reference they must match
+// bit for bit.
 func nestedRowMinBound(in *Instance) float64 {
 	total := 0.0
 	for i := 0; i < in.N(); i++ {
 		min := math.Inf(1)
 		for j := 0; j < in.M(); j++ {
-			if in.CostMs[i][j] < min {
-				min = in.CostMs[i][j]
+			if c := in.CostAt(i, j); c < min {
+				min = c
 			}
 		}
 		total += min
@@ -38,14 +39,14 @@ func nestedLagrangianBound(in *Instance, iters int) (float64, []float64) {
 		for i := 0; i < n; i++ {
 			minV, minJ := math.Inf(1), -1
 			for j := 0; j < m; j++ {
-				v := in.CostMs[i][j] + lambda[j]*in.Weight[i][j]
+				v := in.CostAt(i, j) + lambda[j]*in.WeightAt(i, j)
 				if v < minV {
 					minV, minJ = v, j
 				}
 			}
 			if minJ >= 0 && !math.IsInf(minV, 1) {
 				val += minV
-				demand[minJ] += in.Weight[i][minJ]
+				demand[minJ] += in.WeightAt(i, minJ)
 			} else {
 				return math.Inf(1), lambda
 			}
@@ -77,19 +78,20 @@ func nestedLagrangianBound(in *Instance, iters int) (float64, []float64) {
 	return bestVal, best
 }
 
-// withInfCells returns a copy of in (built through NewInstance, so with
-// flat rows) in which the listed cells are +Inf; a row listed in full is
-// unreachable from every edge.
+// withInfCells returns a copy of in, built through NewInstance, in which
+// the listed cells are +Inf; a row listed in full is unreachable from
+// every edge.
 func withInfCells(t *testing.T, in *Instance, cells [][2]int) *Instance {
 	t.Helper()
 	cost := make([][]float64, in.N())
+	weight := make([][]float64, in.N())
 	for i := range cost {
-		cost[i] = append([]float64(nil), in.CostMs[i]...)
+		cost[i], weight[i] = append([]float64(nil), in.CostRow(i)...), in.WeightRow(i)
 	}
 	for _, c := range cells {
 		cost[c[0]][c[1]] = math.Inf(1)
 	}
-	out, err := NewInstance(cost, in.Weight, in.Capacity)
+	out, err := NewInstance(cost, weight, in.Capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +110,7 @@ func infRow(i, m int) [][2]int {
 // 8 workers, to the nested sequential reference: the bound value and
 // every multiplier must keep their bits. The table covers both synthetic
 // families from loose to over-tight capacity, scattered +Inf cells, rows
-// with only +Inf entries (first, middle and last), and a struct-literal
-// instance without flat storage.
+// with only +Inf entries (first, middle and last).
 func TestFlatBoundsMatchNested(t *testing.T) {
 	cases := map[string]*Instance{}
 	for _, kind := range []SyntheticKind{SyntheticUniform, SyntheticCorrelated} {
@@ -132,11 +133,6 @@ func TestFlatBoundsMatchNested(t *testing.T) {
 	cases["inf-row-first"] = withInfCells(t, base, infRow(0, 6))
 	cases["inf-row-middle"] = withInfCells(t, base, infRow(21, 6))
 	cases["inf-row-last"] = withInfCells(t, base, infRow(39, 6))
-	cases["nested-only"] = &Instance{
-		CostMs:   [][]float64{{4, 9, 2}, {7, 1, 8}, {3, 3, math.Inf(1)}, {6, 5, 4}},
-		Weight:   [][]float64{{2, 3, 4}, {5, 1, 2}, {3, 3, 3}, {1, 2, 6}},
-		Capacity: []float64{4, 3, 5},
-	}
 
 	for name, in := range cases {
 		wantRow := nestedRowMinBound(in)

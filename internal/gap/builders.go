@@ -19,20 +19,19 @@ func FromTopology(dm *topology.DelayMatrix, devices []workload.Device, capacity 
 		return nil, fmt.Errorf("gap: delay matrix has %d edge cols, got %d capacities", dm.NumEdge(), len(capacity))
 	}
 	n, m := dm.NumIoT(), dm.NumEdge()
-	cost := make([][]float64, n)
-	weight := make([][]float64, n)
+	cost := make([]float64, n*m)
+	weight := make([]float64, n*m)
 	for i := 0; i < n; i++ {
-		cost[i] = make([]float64, m)
-		copy(cost[i], dm.DelayMs[i])
-		weight[i] = make([]float64, m)
+		copy(cost[i*m:(i+1)*m], dm.DelayMs[i])
 		load := devices[i].Load()
-		for j := 0; j < m; j++ {
-			weight[i][j] = load
+		row := weight[i*m : (i+1)*m]
+		for j := range row {
+			row[j] = load
 		}
 	}
 	capCopy := make([]float64, m)
 	copy(capCopy, capacity)
-	return NewInstance(cost, weight, capCopy)
+	return newInstance(n, cost, weight, capCopy)
 }
 
 // UniformCapacities returns m equal capacities sized so that the cluster's
@@ -81,12 +80,10 @@ func Synthetic(kind SyntheticKind, n, m int, rho float64, seed int64) (*Instance
 		return nil, fmt.Errorf("gap: rho must be in (0,1], got %v", rho)
 	}
 	src := xrand.NewSplit(seed, "gap-synthetic")
-	cost := make([][]float64, n)
-	weight := make([][]float64, n)
+	cost := make([]float64, n*m)
+	weight := make([]float64, n*m)
 	totalAvgW := 0.0
 	for i := 0; i < n; i++ {
-		cost[i] = make([]float64, m)
-		weight[i] = make([]float64, m)
 		rowSum := 0.0
 		for j := 0; j < m; j++ {
 			w := src.Uniform(5, 25)
@@ -104,8 +101,8 @@ func Synthetic(kind SyntheticKind, n, m int, rho float64, seed int64) (*Instance
 			default:
 				return nil, fmt.Errorf("gap: unknown synthetic kind %d", kind)
 			}
-			cost[i][j] = c
-			weight[i][j] = w
+			cost[i*m+j] = c
+			weight[i*m+j] = w
 			rowSum += w
 		}
 		totalAvgW += rowSum / float64(m)
@@ -119,5 +116,5 @@ func Synthetic(kind SyntheticKind, n, m int, rho float64, seed int64) (*Instance
 	for j := range capacity {
 		capacity[j] = per
 	}
-	return NewInstance(cost, weight, capacity)
+	return newInstance(n, cost, weight, capacity)
 }

@@ -16,31 +16,31 @@ func WithCloud(in *Instance, cloudDelayMs float64) (*Instance, error) {
 		return nil, fmt.Errorf("gap: invalid cloud delay %v", cloudDelayMs)
 	}
 	n, m := in.N(), in.M()
-	cost := make([][]float64, n)
-	weight := make([][]float64, n)
+	cost := make([]float64, n*(m+1))
+	weight := make([]float64, n*(m+1))
 	totalW := 0.0
 	for i := 0; i < n; i++ {
-		cost[i] = make([]float64, m+1)
-		copy(cost[i], in.CostMs[i])
-		cost[i][m] = cloudDelayMs
-		weight[i] = make([]float64, m+1)
-		copy(weight[i], in.Weight[i])
+		costRow := cost[i*(m+1) : (i+1)*(m+1)]
+		copy(costRow, in.CostRow(i))
+		costRow[m] = cloudDelayMs
+		weightRow := weight[i*(m+1) : (i+1)*(m+1)]
+		copy(weightRow, in.WeightRow(i))
 		// The cloud charges the device's cheapest edge-side weight (a
 		// neutral choice; cloud capacity is sized to absorb everything
 		// anyway).
 		minW := math.Inf(1)
-		for j := 0; j < m; j++ {
-			if in.Weight[i][j] < minW {
-				minW = in.Weight[i][j]
+		for _, w := range in.WeightRow(i) {
+			if w < minW {
+				minW = w
 			}
 		}
-		weight[i][m] = minW
+		weightRow[m] = minW
 		totalW += minW
 	}
 	capacity := make([]float64, m+1)
 	copy(capacity, in.Capacity)
 	capacity[m] = totalW * 2 // headroom so the cloud never binds
-	return NewInstance(cost, weight, capacity)
+	return newInstance(n, cost, weight, capacity)
 }
 
 // CloudOffload reports how an assignment over a WithCloud instance uses

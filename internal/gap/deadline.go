@@ -16,21 +16,22 @@ func WithDeadlines(in *Instance, budgetMs []float64) (*Instance, error) {
 	if len(budgetMs) != in.N() {
 		return nil, fmt.Errorf("gap: %d deadline budgets for %d devices", len(budgetMs), in.N())
 	}
-	n, m := in.N(), in.M()
-	cost := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		row := make([]float64, m)
-		copy(row, in.CostMs[i])
-		if b := budgetMs[i]; b > 0 {
-			for j := 0; j < m; j++ {
-				if row[j] > b {
-					row[j] = math.Inf(1)
-				}
+	cost := make([]float64, len(in.cost))
+	copy(cost, in.cost)
+	m := in.M()
+	for i, b := range budgetMs {
+		if b <= 0 {
+			continue
+		}
+		row := cost[i*m : (i+1)*m]
+		for j, c := range row {
+			if c > b {
+				row[j] = math.Inf(1)
 			}
 		}
-		cost[i] = row
 	}
-	return NewInstance(cost, in.Weight, in.Capacity)
+	// The weight store and capacities are shared read-only.
+	return newInstance(in.N(), cost, in.weight, in.Capacity)
 }
 
 // DeadlineViolations counts devices whose assigned delay exceeds their
@@ -44,7 +45,7 @@ func DeadlineViolations(in *Instance, a *Assignment, budgetMs []float64) (int, e
 	}
 	count := 0
 	for i, j := range a.Of {
-		if b := budgetMs[i]; b > 0 && in.CostMs[i][j] > b {
+		if b := budgetMs[i]; b > 0 && in.CostAt(i, j) > b {
 			count++
 		}
 	}

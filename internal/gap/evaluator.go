@@ -7,38 +7,13 @@ import "math"
 // so Evaluator-based feasibility tests reproduce their decisions exactly.
 const capEps = 1e-12
 
-// evalOp tags one entry of the Evaluator's undo log.
-type evalOp uint8
-
-const (
-	opMove evalOp = iota
-	opSwap
-	opUnassign
-	opPlace
-)
-
-// undoRec captures everything needed to restore the Evaluator to its
-// state before one applied operation. Residuals are restored from saved
-// values — not recomputed — so an Apply/Undo pair is bit-exact.
-type undoRec struct {
-	op          evalOp
-	a, b        int // devices (b unused except for swaps)
-	fromA       int // a's edge before the op (-1 for Place)
-	fromB       int // b's edge before a swap
-	prevTotal   float64
-	prevResI    int     // first touched edge
-	prevResJ    int     // second touched edge (-1 when only one)
-	prevResVal  float64 // residual[prevResI] before the op
-	prevResVal2 float64
-}
-
 // Evaluator maintains the running objective and per-edge feasibility
 // slack of one assignment over one instance, and prices single-device
 // moves and pairwise swaps in O(1) instead of the O(n) full re-cost of
 // Instance.TotalCost. It is the one delta-cost implementation in the
 // repository: the metaheuristics in internal/assign drive their inner
 // loops through it, and Diff's per-device deltas agree with it by
-// construction (both read the same flat cost storage).
+// construction (both read the instance's one cost store).
 //
 // Contract:
 //
@@ -52,11 +27,6 @@ type undoRec struct {
 //   - Applied operations update the running total as total += delta, the
 //     exact arithmetic the pre-Evaluator solvers performed; solver
 //     results therefore stay bit-identical per seed.
-//   - Every mutating operation pushes one undo record (unless tracking is
-//     disabled via SetUndoTracking); Undo pops and restores the previous
-//     state bit-exactly (saved values, never recomputed). The log depth is
-//     unbounded but reuses its backing array, so steady-state Apply/Undo
-//     cycles allocate nothing.
 //   - Total() drifts from CostOf only by float rounding accumulated over
 //     applied deltas; RecomputeTotal() re-sums in device order when a
 //     solver needs the canonical full-scan value (LNS acceptance does).
@@ -69,13 +39,11 @@ type Evaluator struct {
 	// residual slices.
 	residual []float64
 	total    float64
-	track    bool
-	log      []undoRec
 }
 
 // NewEvaluator returns an Evaluator for in with every device unplaced.
-// Allocation happens only here (and on first log growth); Reset and the
-// operations reuse the buffers.
+// Allocation happens only here; Reset and the operations reuse the
+// buffers.
 func NewEvaluator(in *Instance) *Evaluator {
 	e := &Evaluator{
 		in:       in,
@@ -83,8 +51,6 @@ func NewEvaluator(in *Instance) *Evaluator {
 		m:        in.M(),
 		of:       make([]int, in.N()),
 		residual: make([]float64, in.M()),
-		track:    true,
-		log:      make([]undoRec, 0, 16),
 	}
 	for i := range e.of {
 		e.of[i] = -1
@@ -97,8 +63,8 @@ func NewEvaluator(in *Instance) *Evaluator {
 func (e *Evaluator) Instance() *Instance { return e.in }
 
 // Reset loads the placement (of[i] = edge of device i, -1 = unplaced),
-// rebuilding the running total and residuals from scratch and clearing
-// the undo log. of is copied, not retained.
+// rebuilding the running total and residuals from scratch. of is copied,
+// not retained.
 func (e *Evaluator) Reset(of []int) {
 	copy(e.of, of)
 	copy(e.residual, e.in.Capacity)
@@ -112,7 +78,6 @@ func (e *Evaluator) Reset(of []int) {
 		total += e.in.CostRow(i)[j]
 	}
 	e.total = total
-	e.log = e.log[:0]
 }
 
 // Total returns the running total cost of the loaded placement.
@@ -214,33 +179,13 @@ func (e *Evaluator) SwapFits(a, b int) bool {
 	return wB[ja] <= resA+capEps && wA[jb] <= resB+capEps
 }
 
-// SetUndoTracking enables or disables the undo log (on by default).
-// Solvers that commit to every applied move — they never call Undo —
-// turn it off so the hot path skips the record copy entirely. Disabling
-// drops any pending history.
-func (e *Evaluator) SetUndoTracking(enabled bool) {
-	e.track = enabled
-	e.log = e.log[:0]
-}
-
-// push appends an undo record, reusing the log's backing array. Callers
-// guard on e.track so the record is not even built when tracking is off.
-func (e *Evaluator) push(r undoRec) { e.log = append(e.log, r) }
-
 // Move applies the shift of device i to edge `to`, updating residuals and
 // the running total with the same arithmetic sequence the classic shift
-// move used, and pushes an undo record. Returns the cost delta.
+// move used. Returns the cost delta.
 func (e *Evaluator) Move(i, to int) float64 {
 	from := e.of[i]
 	wRow := e.in.WeightRow(i)
 	delta := e.DeltaMove(i, to)
-	if e.track {
-		e.push(undoRec{
-			op: opMove, a: i, fromA: from, prevTotal: e.total,
-			prevResI: from, prevResJ: to,
-			prevResVal: e.residual[from], prevResVal2: e.residual[to],
-		})
-	}
 	e.residual[from] += wRow[from]
 	e.residual[to] -= wRow[to]
 	e.of[i] = to
@@ -250,18 +195,11 @@ func (e *Evaluator) Move(i, to int) float64 {
 
 // Swap applies the exchange of devices a's and b's edges (which must
 // differ), updating residuals with the classic release-then-place
-// sequence, and pushes an undo record. Returns the cost delta.
+// sequence. Returns the cost delta.
 func (e *Evaluator) Swap(a, b int) float64 {
 	ja, jb := e.of[a], e.of[b]
 	wA, wB := e.in.WeightRow(a), e.in.WeightRow(b)
 	delta := e.DeltaSwap(a, b)
-	if e.track {
-		e.push(undoRec{
-			op: opSwap, a: a, b: b, fromA: ja, fromB: jb, prevTotal: e.total,
-			prevResI: ja, prevResJ: jb,
-			prevResVal: e.residual[ja], prevResVal2: e.residual[jb],
-		})
-	}
 	resA := e.residual[ja] + wA[ja]
 	resB := e.residual[jb] + wB[jb]
 	e.residual[ja] = resA - wB[ja]
@@ -274,12 +212,6 @@ func (e *Evaluator) Swap(a, b int) float64 {
 // Unassign removes placed device i, releasing its capacity and cost.
 func (e *Evaluator) Unassign(i int) {
 	j := e.of[i]
-	if e.track {
-		e.push(undoRec{
-			op: opUnassign, a: i, fromA: j, prevTotal: e.total,
-			prevResI: j, prevResJ: -1, prevResVal: e.residual[j],
-		})
-	}
 	e.residual[j] += e.in.WeightRow(i)[j]
 	e.total -= e.in.CostRow(i)[j]
 	e.of[i] = -1
@@ -287,44 +219,7 @@ func (e *Evaluator) Unassign(i int) {
 
 // Place assigns unplaced device i to edge j.
 func (e *Evaluator) Place(i, j int) {
-	if e.track {
-		e.push(undoRec{
-			op: opPlace, a: i, fromA: -1, prevTotal: e.total,
-			prevResI: j, prevResJ: -1, prevResVal: e.residual[j],
-		})
-	}
 	e.residual[j] -= e.in.WeightRow(i)[j]
 	e.total += e.in.CostRow(i)[j]
 	e.of[i] = j
 }
-
-// Undo reverts the most recently applied operation bit-exactly from its
-// saved state. Reports whether there was anything to undo.
-func (e *Evaluator) Undo() bool {
-	if len(e.log) == 0 {
-		return false
-	}
-	r := e.log[len(e.log)-1]
-	e.log = e.log[:len(e.log)-1]
-	e.total = r.prevTotal
-	e.residual[r.prevResI] = r.prevResVal
-	if r.prevResJ >= 0 {
-		e.residual[r.prevResJ] = r.prevResVal2
-	}
-	switch r.op {
-	case opMove, opUnassign, opPlace:
-		e.of[r.a] = r.fromA
-	case opSwap:
-		e.of[r.a], e.of[r.b] = r.fromA, r.fromB
-	}
-	return true
-}
-
-// UndoDepth returns how many applied operations the undo log holds.
-func (e *Evaluator) UndoDepth() int { return len(e.log) }
-
-// ClearUndo drops the undo history without touching the state. Solvers
-// that commit to every applied move call it each iteration so the log —
-// which reuses its backing array — never grows past one iteration's
-// operations, keeping steady-state iterations allocation-free.
-func (e *Evaluator) ClearUndo() { e.log = e.log[:0] }

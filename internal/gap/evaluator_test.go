@@ -10,7 +10,7 @@ import (
 // evalFixtures returns the instances the evaluator tests sweep: the tiny
 // hand-built case plus synthetic instances across both families, several
 // shapes and seeds.
-func evalFixtures(t *testing.T) []*Instance {
+func evalFixtures(t testing.TB) []*Instance {
 	t.Helper()
 	out := []*Instance{tiny(t)}
 	shapes := []struct {
@@ -163,154 +163,79 @@ func checkEvaluatorState(t *testing.T, in *Instance, ev *Evaluator) {
 	}
 }
 
-// TestEvaluatorRandomOpsDifferential drives random operation sequences —
-// moves, swaps, unassign/place pairs and undos — and after every step
-// checks total, loads and feasibility against a full recomputation. This
-// is the differential test backing the incremental-evaluation contract;
-// `go test -race` runs it too.
-func TestEvaluatorRandomOpsDifferential(t *testing.T) {
-	for _, in := range evalFixtures(t) {
+// FuzzEvaluatorOps decodes an operation sequence three bytes at a time —
+// an opcode and two operands — and applies each operation the Evaluator
+// accepts to one of the evaluator fixtures, starting from its cheapest
+// placement: a move of a placed device to a reachable edge, a swap of two
+// placed devices on different edges whose exchanged cells are reachable,
+// or an unassign of a placed device (a place of an unplaced one onto a
+// reachable edge). After every step it checks total, loads and
+// feasibility against a full recomputation. This is the differential
+// test backing the incremental-evaluation contract; the seed corpus holds
+// 200 operations drawn from seeds 10, 11 and 12 for every fixture, so
+// plain `go test` (and `go test -race`) runs them.
+func FuzzEvaluatorOps(f *testing.F) {
+	fixtures := evalFixtures(f)
+	for k := range fixtures {
 		for seed := int64(10); seed < 13; seed++ {
 			src := xrand.New(seed)
-			ev := NewEvaluator(in)
-			ev.Reset(cheapestOf(in))
-			n, m := in.N(), in.M()
-			for step := 0; step < 200; step++ {
-				switch op := src.Intn(4); op {
-				case 0: // move
-					i, to := src.Intn(n), src.Intn(m)
-					if ev.Of(i) >= 0 && !math.IsInf(in.CostAt(i, to), 1) {
-						ev.Move(i, to)
-					}
-				case 1: // swap
-					// Swap requires distinct edges (same-edge pairs are
-					// no-ops every solver skips before pricing).
-					a, b := src.Intn(n), src.Intn(n)
-					if a != b && ev.Of(a) >= 0 && ev.Of(b) >= 0 && ev.Of(a) != ev.Of(b) &&
-						!math.IsInf(in.CostAt(a, ev.Of(b)), 1) && !math.IsInf(in.CostAt(b, ev.Of(a)), 1) {
-						ev.Swap(a, b)
-					}
-				case 2: // unassign / place
-					i := src.Intn(n)
-					if ev.Of(i) >= 0 {
-						ev.Unassign(i)
-					} else if to := src.Intn(m); !math.IsInf(in.CostAt(i, to), 1) {
-						ev.Place(i, to)
-					}
-				case 3:
-					ev.Undo()
-				}
-				checkEvaluatorState(t, in, ev)
+			ops := make([]byte, 3*200)
+			for b := range ops {
+				ops[b] = byte(src.Intn(256))
 			}
+			f.Add(uint8(k), ops)
 		}
 	}
-}
-
-// TestEvaluatorUndoBitExact applies a burst of operations and unwinds the
-// whole log, requiring the restored state to equal the starting state
-// bit-for-bit — not merely within epsilon.
-func TestEvaluatorUndoBitExact(t *testing.T) {
-	for _, in := range evalFixtures(t) {
-		src := xrand.New(99)
+	f.Fuzz(func(t *testing.T, fixture uint8, ops []byte) {
+		in := fixtures[int(fixture)%len(fixtures)]
 		ev := NewEvaluator(in)
 		ev.Reset(cheapestOf(in))
-		of0 := ev.Assignment(nil)
-		res0 := append([]float64(nil), ev.Residuals()...)
-		total0 := ev.Total()
-
 		n, m := in.N(), in.M()
-		applied := 0
-		for step := 0; step < 100; step++ {
-			switch src.Intn(3) {
-			case 0:
-				i, to := src.Intn(n), src.Intn(m)
+		for k := 0; k+2 < len(ops); k += 3 {
+			x, y := int(ops[k+1]), int(ops[k+2])
+			switch ops[k] % 3 {
+			case 0: // move
+				i, to := x%n, y%m
 				if ev.Of(i) >= 0 && !math.IsInf(in.CostAt(i, to), 1) {
 					ev.Move(i, to)
-					applied++
 				}
-			case 1:
-				a, b := src.Intn(n), src.Intn(n)
+			case 1: // swap
+				// Swap requires distinct edges (same-edge pairs are
+				// no-ops every solver skips before pricing).
+				a, b := x%n, y%n
 				if a != b && ev.Of(a) >= 0 && ev.Of(b) >= 0 && ev.Of(a) != ev.Of(b) &&
 					!math.IsInf(in.CostAt(a, ev.Of(b)), 1) && !math.IsInf(in.CostAt(b, ev.Of(a)), 1) {
 					ev.Swap(a, b)
-					applied++
 				}
-			case 2:
-				i := src.Intn(n)
+			case 2: // unassign / place
+				i := x % n
 				if ev.Of(i) >= 0 {
 					ev.Unassign(i)
-					applied++
+				} else if to := y % m; !math.IsInf(in.CostAt(i, to), 1) {
+					ev.Place(i, to)
 				}
 			}
+			checkEvaluatorState(t, in, ev)
 		}
-		if got := ev.UndoDepth(); got != applied {
-			t.Fatalf("UndoDepth = %d after %d applied ops", got, applied)
-		}
-		for ev.Undo() {
-		}
-		if ev.Total() != total0 {
-			t.Fatalf("total not restored bit-exactly: %v != %v", ev.Total(), total0)
-		}
-		for i, j := range ev.Placement() {
-			if j != of0[i] {
-				t.Fatalf("of[%d] = %d, want %d", i, j, of0[i])
-			}
-		}
-		for j, r := range ev.Residuals() {
-			if r != res0[j] {
-				t.Fatalf("residual[%d] = %v, want %v (bit-exact)", j, r, res0[j])
-			}
-		}
-	}
-}
-
-func TestEvaluatorSetUndoTracking(t *testing.T) {
-	in := tiny(t)
-	ev := NewEvaluator(in)
-	ev.SetUndoTracking(false)
-	ev.Reset([]int{0, 1, 0})
-	ev.Move(0, 1)
-	ev.Swap(0, 2)
-	if d := ev.UndoDepth(); d != 0 {
-		t.Fatalf("UndoDepth = %d with tracking off", d)
-	}
-	if ev.Undo() {
-		t.Fatal("Undo succeeded with an empty log")
-	}
-	ev.SetUndoTracking(true)
-	ev.Move(1, 0)
-	if d := ev.UndoDepth(); d != 1 {
-		t.Fatalf("UndoDepth = %d after re-enabling", d)
-	}
-	if !ev.Undo() || ev.Of(1) != 1 {
-		t.Fatal("Undo after re-enabling did not restore")
-	}
-	ev.Move(1, 0)
-	ev.ClearUndo()
-	if d := ev.UndoDepth(); d != 0 {
-		t.Fatalf("UndoDepth = %d after ClearUndo", d)
-	}
+	})
 }
 
 // TestEvaluatorSteadyStateAllocs pins the allocation-free contract of the
-// hot-path operations: once constructed, Reset and Move/Swap/Undo cycles
-// must not allocate.
+// hot-path operations: once constructed, Reset and Move/Swap/Unassign/
+// Place cycles must not allocate.
 func TestEvaluatorSteadyStateAllocs(t *testing.T) {
 	in := tiny(t)
 	ev := NewEvaluator(in)
 	of := []int{0, 1, 0}
-	ev.Reset(of)
-	ev.Move(0, 1) // grow the log once
-	ev.Undo()
 	allocs := testing.AllocsPerRun(100, func() {
 		ev.Reset(of)
 		ev.Move(0, 1)
 		ev.Swap(1, 2)
-		ev.Undo()
-		ev.Undo()
+		ev.Unassign(0)
+		ev.Place(0, 0)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Reset/Move/Swap/Undo allocates %.1f/op", allocs)
+		t.Fatalf("steady-state Reset/Move/Swap/Unassign/Place allocates %.1f/op", allocs)
 	}
 }
 

@@ -30,14 +30,15 @@ func BruteForce(in *Instance) (*Assignment, error) {
 			copy(bestOf, of)
 			return
 		}
+		cRow, wRow := in.CostRow(i), in.WeightRow(i)
 		for j := 0; j < m; j++ {
-			w := in.Weight[i][j]
-			if w > residual[j]+1e-12 || math.IsInf(in.CostMs[i][j], 1) {
+			w := wRow[j]
+			if w > residual[j]+1e-12 || math.IsInf(cRow[j], 1) {
 				continue
 			}
 			of[i] = j
 			residual[j] -= w
-			rec(i+1, cost+in.CostMs[i][j])
+			rec(i+1, cost+cRow[j])
 			residual[j] += w
 		}
 	}
@@ -94,8 +95,7 @@ func BranchAndBound(in *Instance, opts BnBOptions) (*BnBResult, error) {
 	regret := make([]float64, n)
 	for i := 0; i < n; i++ {
 		best, second := math.Inf(1), math.Inf(1)
-		for j := 0; j < m; j++ {
-			c := in.CostMs[i][j]
+		for _, c := range in.CostRow(i) {
 			switch {
 			case c < best:
 				second, best = best, c
@@ -117,7 +117,8 @@ func BranchAndBound(in *Instance, opts BnBOptions) (*BnBResult, error) {
 		for j := range eo {
 			eo[j] = j
 		}
-		sort.SliceStable(eo, func(a, b int) bool { return in.CostMs[i][eo[a]] < in.CostMs[i][eo[b]] })
+		row := in.CostRow(i)
+		sort.SliceStable(eo, func(a, b int) bool { return row[eo[a]] < row[eo[b]] })
 		edgeOrder[i] = eo
 	}
 
@@ -140,9 +141,10 @@ func BranchAndBound(in *Instance, opts BnBOptions) (*BnBResult, error) {
 		for p := pos; p < n; p++ {
 			i := order[p]
 			min := math.Inf(1)
-			for j := 0; j < m; j++ {
-				if in.Weight[i][j] <= residual[j]+1e-12 && in.CostMs[i][j] < min {
-					min = in.CostMs[i][j]
+			wRow := in.WeightRow(i)
+			for j, c := range in.CostRow(i) {
+				if wRow[j] <= residual[j]+1e-12 && c < min {
+					min = c
 				}
 			}
 			if math.IsInf(min, 1) {
@@ -172,12 +174,13 @@ func BranchAndBound(in *Instance, opts BnBOptions) (*BnBResult, error) {
 			return
 		}
 		i := order[pos]
+		cRow, wRow := in.CostRow(i), in.WeightRow(i)
 		for _, j := range edgeOrder[i] {
-			c := in.CostMs[i][j]
+			c := cRow[j]
 			if math.IsInf(c, 1) {
 				break // remaining edges in this order are worse
 			}
-			w := in.Weight[i][j]
+			w := wRow[j]
 			if w > residual[j]+1e-12 {
 				continue
 			}

@@ -21,38 +21,33 @@ var ErrInfeasible = errors.New("gap: no feasible assignment found")
 // validates) and treat as read-only afterwards; solvers share instances
 // across goroutines.
 type Instance struct {
-	// CostMs[i][j] is the communication delay of serving device i from
-	// edge j, in milliseconds. Entries may be +Inf for unreachable pairs.
-	CostMs [][]float64
-	// Weight[i][j] is the capacity consumed on edge j by device i.
-	Weight [][]float64
 	// Capacity[j] is edge j's capacity.
 	Capacity []float64
 
-	// flatCost and flatWeight are row-major copies of CostMs and Weight
-	// (entry (i,j) at index i*M()+j), built once by NewInstance. The
-	// solver hot paths index these through CostRow/WeightRow: one bounds
-	// check and no per-row slice-header load, where the nested form pays
-	// both per access. Instances constructed as struct literals (tests)
-	// leave them nil; the accessors fall back to the nested matrices.
-	flatCost, flatWeight []float64
+	// n is the device count. cost and weight hold the n×M() delay (ms,
+	// +Inf for unreachable pairs) and capacity-consumption matrices
+	// row-major, entry (i,j) at index i*M()+j. They are the instance's
+	// only copy of either matrix and are read through CostRow, WeightRow,
+	// CostAt and WeightAt.
+	n            int
+	cost, weight []float64
 }
 
-// NewInstance validates and wraps the given matrices. Dimensions must
-// agree, weights must be positive and finite, capacities non-negative, and
-// costs non-negative (+Inf allowed to mark unreachable pairs).
+// NewInstance validates the given matrices and copies them into the
+// instance's store; the caller keeps ownership of its slices. Dimensions
+// must agree, weights must be positive and finite, capacities
+// non-negative, and costs non-negative (+Inf allowed to mark unreachable
+// pairs).
 func NewInstance(costMs, weight [][]float64, capacity []float64) (*Instance, error) {
-	n := len(costMs)
-	if n == 0 {
-		return nil, errors.New("gap: instance has no devices")
-	}
-	m := len(capacity)
-	if m == 0 {
-		return nil, errors.New("gap: instance has no edge devices")
+	n, m := len(costMs), len(capacity)
+	if err := checkDims(n, m); err != nil {
+		return nil, err
 	}
 	if len(weight) != n {
 		return nil, fmt.Errorf("gap: weight rows %d != cost rows %d", len(weight), n)
 	}
+	// Check every row's shape before allocating, so the store is never
+	// larger than the input.
 	for i := 0; i < n; i++ {
 		if len(costMs[i]) != m {
 			return nil, fmt.Errorf("gap: cost row %d has %d cols, want %d", i, len(costMs[i]), m)
@@ -60,15 +55,29 @@ func NewInstance(costMs, weight [][]float64, capacity []float64) (*Instance, err
 		if len(weight[i]) != m {
 			return nil, fmt.Errorf("gap: weight row %d has %d cols, want %d", i, len(weight[i]), m)
 		}
-		for j := 0; j < m; j++ {
-			c := costMs[i][j]
-			if math.IsNaN(c) || c < 0 {
-				return nil, fmt.Errorf("gap: invalid cost %v at (%d,%d)", c, i, j)
-			}
-			w := weight[i][j]
-			if math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 {
-				return nil, fmt.Errorf("gap: invalid weight %v at (%d,%d)", w, i, j)
-			}
+	}
+	cost, w := make([]float64, n*m), make([]float64, n*m)
+	for i := 0; i < n; i++ {
+		copy(cost[i*m:], costMs[i])
+		copy(w[i*m:], weight[i])
+	}
+	return newInstance(n, cost, w, capacity)
+}
+
+// newInstance validates a row-major store of n devices over len(capacity)
+// edges, with NewInstance's checks and error text, and adopts the slices
+// without copying them.
+func newInstance(n int, cost, weight, capacity []float64) (*Instance, error) {
+	m := len(capacity)
+	if err := checkDims(n, m); err != nil {
+		return nil, err
+	}
+	for k, c := range cost {
+		if math.IsNaN(c) || c < 0 {
+			return nil, fmt.Errorf("gap: invalid cost %v at (%d,%d)", c, k/m, k%m)
+		}
+		if w := weight[k]; math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 {
+			return nil, fmt.Errorf("gap: invalid weight %v at (%d,%d)", w, k/m, k%m)
 		}
 	}
 	for j, c := range capacity {
@@ -76,58 +85,41 @@ func NewInstance(costMs, weight [][]float64, capacity []float64) (*Instance, err
 			return nil, fmt.Errorf("gap: invalid capacity %v at edge %d", c, j)
 		}
 	}
-	in := &Instance{CostMs: costMs, Weight: weight, Capacity: capacity}
-	in.flatCost, in.flatWeight = flatten(costMs, m), flatten(weight, m)
-	return in, nil
+	return &Instance{Capacity: capacity, n: n, cost: cost, weight: weight}, nil
 }
 
-// flatten packs an n×m nested matrix into one row-major slice.
-func flatten(rows [][]float64, m int) []float64 {
-	flat := make([]float64, len(rows)*m)
-	for i, row := range rows {
-		copy(flat[i*m:(i+1)*m], row)
+// checkDims rejects an instance without devices or without edges.
+func checkDims(n, m int) error {
+	if n == 0 {
+		return errors.New("gap: instance has no devices")
 	}
-	return flat
+	if m == 0 {
+		return errors.New("gap: instance has no edge devices")
+	}
+	return nil
 }
 
-// CostRow returns device i's delay row as a contiguous []float64 of
-// length M(). The values are bit-identical to CostMs[i]; only the storage
-// differs (row-major flat array when the instance came from NewInstance).
+// CostRow returns device i's delay row, a length-M() view of the store
+// that callers must not write to.
 func (in *Instance) CostRow(i int) []float64 {
-	if in.flatCost != nil {
-		m := len(in.Capacity)
-		return in.flatCost[i*m : (i+1)*m : (i+1)*m]
-	}
-	return in.CostMs[i]
+	m := len(in.Capacity)
+	return in.cost[i*m : (i+1)*m : (i+1)*m]
 }
 
 // WeightRow returns device i's weight row; see CostRow.
 func (in *Instance) WeightRow(i int) []float64 {
-	if in.flatWeight != nil {
-		m := len(in.Capacity)
-		return in.flatWeight[i*m : (i+1)*m : (i+1)*m]
-	}
-	return in.Weight[i]
+	m := len(in.Capacity)
+	return in.weight[i*m : (i+1)*m : (i+1)*m]
 }
 
-// CostAt returns CostMs[i][j] through the flat storage when available.
-func (in *Instance) CostAt(i, j int) float64 {
-	if in.flatCost != nil {
-		return in.flatCost[i*len(in.Capacity)+j]
-	}
-	return in.CostMs[i][j]
-}
+// CostAt returns the delay of serving device i from edge j.
+func (in *Instance) CostAt(i, j int) float64 { return in.cost[i*len(in.Capacity)+j] }
 
-// WeightAt returns Weight[i][j] through the flat storage when available.
-func (in *Instance) WeightAt(i, j int) float64 {
-	if in.flatWeight != nil {
-		return in.flatWeight[i*len(in.Capacity)+j]
-	}
-	return in.Weight[i][j]
-}
+// WeightAt returns the capacity device i consumes on edge j.
+func (in *Instance) WeightAt(i, j int) float64 { return in.weight[i*len(in.Capacity)+j] }
 
 // N returns the number of devices.
-func (in *Instance) N() int { return len(in.CostMs) }
+func (in *Instance) N() int { return in.n }
 
 // M returns the number of edge devices.
 func (in *Instance) M() int { return len(in.Capacity) }
@@ -149,7 +141,7 @@ func NewAssignment(in *Instance, of []int) (*Assignment, error) {
 		if j < 0 || j >= in.M() {
 			return nil, fmt.Errorf("gap: device %d assigned to out-of-range edge %d", i, j)
 		}
-		if math.IsInf(in.CostMs[i][j], 1) {
+		if math.IsInf(in.CostAt(i, j), 1) {
 			return nil, fmt.Errorf("gap: device %d assigned to unreachable edge %d", i, j)
 		}
 	}
@@ -176,18 +168,9 @@ func (in *Instance) TotalCost(a *Assignment) float64 {
 // the contract every incremental evaluation must reproduce.
 func (in *Instance) CostOf(of []int) float64 {
 	total := 0.0
-	if in.flatCost != nil {
-		m := len(in.Capacity)
-		for i, j := range of {
-			if j >= 0 {
-				total += in.flatCost[i*m+j]
-			}
-		}
-		return total
-	}
 	for i, j := range of {
 		if j >= 0 {
-			total += in.CostMs[i][j]
+			total += in.CostAt(i, j)
 		}
 	}
 	return total
@@ -206,8 +189,8 @@ func (in *Instance) MeanCost(a *Assignment) float64 {
 func (in *Instance) MaxCost(a *Assignment) float64 {
 	max := 0.0
 	for i, j := range a.Of {
-		if in.CostMs[i][j] > max {
-			max = in.CostMs[i][j]
+		if c := in.CostAt(i, j); c > max {
+			max = c
 		}
 	}
 	return max
@@ -217,7 +200,7 @@ func (in *Instance) MaxCost(a *Assignment) float64 {
 func (in *Instance) Loads(a *Assignment) []float64 {
 	loads := make([]float64, in.M())
 	for i, j := range a.Of {
-		loads[j] += in.Weight[i][j]
+		loads[j] += in.WeightAt(i, j)
 	}
 	return loads
 }
@@ -287,9 +270,9 @@ func (in *Instance) Tightness() float64 {
 	totalW := 0.0
 	for i := 0; i < in.N(); i++ {
 		minW := math.Inf(1)
-		for j := 0; j < in.M(); j++ {
-			if in.Weight[i][j] < minW {
-				minW = in.Weight[i][j]
+		for _, w := range in.WeightRow(i) {
+			if w < minW {
+				minW = w
 			}
 		}
 		totalW += minW

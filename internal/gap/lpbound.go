@@ -24,7 +24,7 @@ func LPRelaxation(in *Instance) ([][]float64, float64, error) {
 	for i := 0; i < n; i++ {
 		varOf[i] = make([]int, m)
 		for j := 0; j < m; j++ {
-			if math.IsInf(in.CostMs[i][j], 1) {
+			if math.IsInf(in.CostAt(i, j), 1) {
 				varOf[i][j] = -1
 				continue
 			}
@@ -44,7 +44,7 @@ func LPRelaxation(in *Instance) ([][]float64, float64, error) {
 		for j := 0; j < m; j++ {
 			if v := varOf[i][j]; v >= 0 {
 				row[v] = 1
-				c[v] = in.CostMs[i][j]
+				c[v] = in.CostAt(i, j)
 				any = true
 			}
 		}
@@ -60,7 +60,7 @@ func LPRelaxation(in *Instance) ([][]float64, float64, error) {
 		row := make([]float64, nVars)
 		for i := 0; i < n; i++ {
 			if v := varOf[i][j]; v >= 0 {
-				row[v] = in.Weight[i][j]
+				row[v] = in.WeightAt(i, j)
 			}
 		}
 		aub[j] = row

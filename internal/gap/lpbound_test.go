@@ -34,7 +34,7 @@ func TestLPRelaxationTiny(t *testing.T) {
 	for j := 0; j < in.M(); j++ {
 		load := 0.0
 		for i := 0; i < in.N(); i++ {
-			load += x[i][j] * in.Weight[i][j]
+			load += x[i][j] * in.WeightAt(i, j)
 		}
 		if load > in.Capacity[j]+1e-6 {
 			t.Fatalf("fractional load %v exceeds capacity %v on edge %d", load, in.Capacity[j], j)

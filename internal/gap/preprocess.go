@@ -44,7 +44,7 @@ func Preprocess(in *Instance) (*Reduction, error) {
 	}
 
 	usable := func(i, j int) bool {
-		return !math.IsInf(in.CostMs[i][j], 1) && in.Weight[i][j] <= capacity[j]+1e-12
+		return !math.IsInf(in.CostAt(i, j), 1) && in.WeightAt(i, j) <= capacity[j]+1e-12
 	}
 
 	for changed := true; changed; {
@@ -66,7 +66,7 @@ func Preprocess(in *Instance) (*Reduction, error) {
 			case 1:
 				fixed[i] = only
 				free[i] = false
-				capacity[only] -= in.Weight[i][only]
+				capacity[only] -= in.WeightAt(i, only)
 				changed = true
 			}
 		}
@@ -81,23 +81,20 @@ func Preprocess(in *Instance) (*Reduction, error) {
 	if len(red.Free) == 0 {
 		return red, nil
 	}
-	cost := make([][]float64, len(red.Free))
-	weight := make([][]float64, len(red.Free))
+	cost := make([]float64, len(red.Free)*m)
+	weight := make([]float64, len(red.Free)*m)
 	for k, i := range red.Free {
-		cost[k] = make([]float64, m)
-		weight[k] = make([]float64, m)
+		copy(cost[k*m:(k+1)*m], in.CostRow(i))
+		copy(weight[k*m:(k+1)*m], in.WeightRow(i))
+		// Re-run cell elimination against committed capacity so the
+		// residual encodes it.
 		for j := 0; j < m; j++ {
-			c := in.CostMs[i][j]
-			// Re-run cell elimination against committed capacity so
-			// the residual encodes it.
 			if !usable(i, j) {
-				c = math.Inf(1)
+				cost[k*m+j] = math.Inf(1)
 			}
-			cost[k][j] = c
-			weight[k][j] = in.Weight[i][j]
 		}
 	}
-	residual, err := NewInstance(cost, weight, capacity)
+	residual, err := newInstance(len(red.Free), cost, weight, capacity)
 	if err != nil {
 		return nil, fmt.Errorf("gap: preprocess: building residual: %w", err)
 	}

@@ -13,11 +13,16 @@ type instanceJSON struct {
 	Capacity []float64   `json:"capacity"`
 }
 
-// WriteJSON serializes the instance.
+// WriteJSON serializes the instance. The nested matrices are views of
+// the store's rows, so nothing is copied.
 func (in *Instance) WriteJSON(w io.Writer) error {
+	ij := instanceJSON{CostMs: make([][]float64, in.N()), Weight: make([][]float64, in.N()), Capacity: in.Capacity}
+	for i := range ij.CostMs {
+		ij.CostMs[i], ij.Weight[i] = in.CostRow(i), in.WeightRow(i)
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(instanceJSON{CostMs: in.CostMs, Weight: in.Weight, Capacity: in.Capacity})
+	return enc.Encode(ij)
 }
 
 // ReadJSON parses and validates an instance written by WriteJSON.
