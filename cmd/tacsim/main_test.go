@@ -80,6 +80,7 @@ func TestSimulateErrors(t *testing.T) {
 		{"-algo", "bogus"},
 		{"-discipline", "bogus"},
 		{"-fail-edge", "99", "-iot", "10", "-edge", "2", "-duration", "3", "-warmup", "1"},
+		{"-jitter", "1000", "-iot", "10", "-edge", "2", "-duration", "3", "-warmup", "1"},
 		{"-bogus-flag"},
 	}
 	for _, args := range cases {

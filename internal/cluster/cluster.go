@@ -179,8 +179,11 @@ func (c Config) validate() error {
 	if c.MaxQueue < 0 {
 		return fmt.Errorf("cluster: negative MaxQueue %d", c.MaxQueue)
 	}
-	if c.JitterSigma < 0 || math.IsNaN(c.JitterSigma) {
-		return fmt.Errorf("cluster: invalid JitterSigma %v", c.JitterSigma)
+	// jitter divides by exp(sigma^2/2), which overflows to +Inf above
+	// sigma ≈ 37.68 (and at sigma = +Inf): every delay would become 0 or
+	// NaN.
+	if sigma := c.JitterSigma; sigma < 0 || math.IsNaN(sigma) || math.IsInf(math.Exp(sigma*sigma/2), 1) {
+		return fmt.Errorf("cluster: invalid JitterSigma %v", sigma)
 	}
 	if c.TraceSampleRate < 0 || c.TraceSampleRate > 1 || math.IsNaN(c.TraceSampleRate) {
 		return fmt.Errorf("cluster: TraceSampleRate %v outside [0,1]", c.TraceSampleRate)
@@ -282,10 +285,10 @@ type Simulator struct {
 	arrival []workload.Arrivals
 
 	assignment []int
-	active     []bool
+	state      []deviceState
 	failed     []bool
-	// nextArrive[i] is device i's pending arrival event; deactivation
-	// cancels it so reactivation can never duplicate the stream.
+	// nextArrive[i] is device i's pending arrival event; stopping the
+	// stream cancels it so a restart can never duplicate the stream.
 	nextArrive []*sim.Event
 	// uplink/downlink are the live delay matrices (swappable at runtime
 	// via ScheduleUplinkUpdate).
@@ -367,7 +370,7 @@ func New(cfg Config) (*Simulator, error) {
 		src:        src,
 		arrival:    make([]workload.Arrivals, len(cfg.Devices)),
 		assignment: make([]int, len(cfg.Assignment)),
-		active:     make([]bool, len(cfg.Devices)),
+		state:      make([]deviceState, len(cfg.Devices)),
 		failed:     make([]bool, len(cfg.ServiceRate)),
 		nextArrive: make([]*sim.Event, len(cfg.Devices)),
 		busyUntil:  make([][]float64, len(cfg.ServiceRate)),
@@ -389,7 +392,7 @@ func New(cfg Config) (*Simulator, error) {
 			return nil, fmt.Errorf("cluster: device %d: %w", i, err)
 		}
 		s.arrival[i] = a
-		s.active[i] = true
+		s.state[i].present = true
 	}
 	s.result.EdgeBusyMs = make([]float64, len(cfg.ServiceRate))
 	s.result.PeakQueue = make([]int, len(cfg.ServiceRate))
@@ -566,9 +569,10 @@ func (s *Simulator) ScheduleUplinkUpdate(tMs float64, uplink, downlink [][]float
 }
 
 // ScheduleReconfigureWithPause swaps the assignment at tMs like
-// ScheduleReconfigure, but devices whose placement changed pause for
-// pauseMs (their state is migrating): their arrival streams stop and
-// resume when the migration completes. Must be called before Run.
+// ScheduleReconfigure, but sending devices whose placement changed pause
+// for pauseMs (their state is migrating): their arrival streams stop and
+// resume when the migration completes, unless the device churned out in
+// the meantime. Must be called before Run.
 func (s *Simulator) ScheduleReconfigureWithPause(tMs float64, assignment []int, pauseMs float64) error {
 	if len(assignment) != len(s.cfg.Devices) {
 		return fmt.Errorf("cluster: reconfigure assignment length %d, want %d", len(assignment), len(s.cfg.Devices))
@@ -585,12 +589,12 @@ func (s *Simulator) ScheduleReconfigureWithPause(tMs float64, assignment []int, 
 	copy(of, assignment)
 	s.engine.Schedule(tMs, func(e *sim.Engine) {
 		for i := range of {
-			if s.assignment[i] == of[i] || !s.active[i] {
+			if s.assignment[i] == of[i] || !s.state[i].sending() {
 				continue
 			}
 			i := i
-			s.deactivateDevice(e, i)
-			e.After(pauseMs, func(e *sim.Engine) { s.activateDevice(e, i) })
+			s.setDevice(e, i, s.state[i].present, true)
+			e.After(pauseMs, func(e *sim.Engine) { s.setDevice(e, i, s.state[i].present, false) })
 		}
 		copy(s.assignment, of)
 	})
@@ -635,19 +639,15 @@ func (s *Simulator) ScheduleEdgeRecovery(tMs float64, j int) error {
 	return nil
 }
 
-// ScheduleDeviceChurn toggles device i's activity at tMs (join = true
-// resumes arrivals, false silences the device). Must be called before Run.
+// ScheduleDeviceChurn sets device i's presence at tMs (join = true
+// resumes arrivals, false silences the device). A device that joins
+// during its migration pause starts sending when the pause ends. Must be
+// called before Run.
 func (s *Simulator) ScheduleDeviceChurn(tMs float64, i int, join bool) error {
 	if i < 0 || i >= len(s.cfg.Devices) {
 		return fmt.Errorf("cluster: churn on invalid device %d", i)
 	}
-	s.engine.Schedule(tMs, func(e *sim.Engine) {
-		if join {
-			s.activateDevice(e, i)
-		} else {
-			s.deactivateDevice(e, i)
-		}
-	})
+	s.engine.Schedule(tMs, func(e *sim.Engine) { s.setDevice(e, i, join, s.state[i].migrating) })
 	return nil
 }
 
@@ -657,29 +657,33 @@ func (s *Simulator) scheduleNextArrival(e *sim.Engine, i int) {
 	s.nextArrive[i] = e.After(s.arrival[i].NextGapMs(), func(e *sim.Engine) { s.arrive(e, i) })
 }
 
-// deactivateDevice silences device i and cancels its pending arrival.
-func (s *Simulator) deactivateDevice(e *sim.Engine, i int) {
-	s.active[i] = false
-	if ev := s.nextArrive[i]; ev != nil {
-		e.Cancel(ev)
+// deviceState is a device's churn and migration state. A device sends
+// while it is present (churn) and not migrating (a reconfiguration
+// pause); the two change independently.
+type deviceState struct{ present, migrating bool }
+
+func (d deviceState) sending() bool { return d.present && !d.migrating }
+
+// setDevice sets device i's presence and migration state, starting its
+// arrival stream when it begins sending and cancelling the pending
+// arrival when it stops.
+func (s *Simulator) setDevice(e *sim.Engine, i int, present, migrating bool) {
+	was := s.state[i].sending()
+	s.state[i] = deviceState{present: present, migrating: migrating}
+	switch now := s.state[i].sending(); {
+	case now && !was:
+		s.scheduleNextArrival(e, i)
+	case was && !now:
+		e.Cancel(s.nextArrive[i])
 		s.nextArrive[i] = nil
 	}
-}
-
-// activateDevice resumes device i's arrival stream if it was silent.
-func (s *Simulator) activateDevice(e *sim.Engine, i int) {
-	if s.active[i] {
-		return
-	}
-	s.active[i] = true
-	s.scheduleNextArrival(e, i)
 }
 
 // arrive handles one request arrival from device i and schedules the next.
 func (s *Simulator) arrive(e *sim.Engine, i int) {
 	s.nextArrive[i] = nil
-	if !s.active[i] {
-		return // deactivated after this event was armed: stream stops
+	if !s.state[i].sending() {
+		return // stopped after this event was armed: stream stops
 	}
 	now := e.Now()
 	j := s.assignment[i]

@@ -1,0 +1,198 @@
+package cluster
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"taccc/internal/obs"
+	"taccc/internal/workload"
+	"taccc/internal/xrand"
+)
+
+// conservationCase is one random small simulation with a schedule of
+// edge failures and recoveries, reconfigurations with a migration pause
+// and device churn. Every device churns out by lastChurnMs and the edges
+// have capacity to spare, so the queues drain well before horizonMs.
+type conservationCase struct {
+	cfg      Config
+	schedule func(*Simulator) error
+	// desc names the configuration in failure messages.
+	desc string
+}
+
+const (
+	lastChurnMs = 8_000
+	horizonMs   = 20_000
+)
+
+func newConservationCase(seed int64) conservationCase {
+	src := xrand.New(seed)
+	n, m := src.UniformInt(2, 6), src.UniformInt(2, 4)
+	cfg := Config{
+		UplinkMs:    make([][]float64, n),
+		Devices:     make([]workload.Device, n),
+		ServiceRate: make([]float64, m),
+		Assignment:  make([]int, n),
+		WarmupMs:    src.Uniform(0, 500),
+		Seed:        seed,
+	}
+	demand := 0.0
+	for i := range cfg.Devices {
+		cfg.Devices[i] = workload.Device{
+			ID: i, RateHz: src.Uniform(5, 40), ComputeUnits: src.Uniform(0.5, 2), DeadlineMs: src.Uniform(0, 60),
+		}
+		demand += cfg.Devices[i].RateHz * cfg.Devices[i].ComputeUnits
+		cfg.UplinkMs[i] = make([]float64, m)
+		for j := range cfg.UplinkMs[i] {
+			cfg.UplinkMs[i][j] = src.Uniform(0.5, 20)
+		}
+		cfg.Assignment[i] = src.Intn(m)
+	}
+	if src.Bernoulli(0.3) {
+		// One unreachable pair: its requests drop at the device, untraced.
+		cfg.UplinkMs[0][cfg.Assignment[0]] = math.Inf(1)
+	}
+	// Any one edge can serve all the traffic at utilisation below 2/3.
+	for j := range cfg.ServiceRate {
+		cfg.ServiceRate[j] = demand * src.Uniform(1.5, 3)
+	}
+	if src.Bernoulli(0.5) {
+		cfg.Discipline = DisciplinePS
+	}
+	if src.Bernoulli(0.5) {
+		cfg.MaxQueue = src.UniformInt(1, 4)
+	}
+	if src.Bernoulli(0.5) {
+		cfg.JitterSigma = 0.3
+	}
+
+	type churn struct {
+		at   float64
+		i    int
+		join bool
+	}
+	var churns []churn
+	for i := 0; i < n; i++ {
+		out := src.Uniform(2_000, lastChurnMs)
+		if src.Bernoulli(0.5) {
+			away := src.Uniform(500, out-500)
+			churns = append(churns, churn{away, i, false}, churn{src.Uniform(away, out), i, true})
+		}
+		churns = append(churns, churn{out, i, false})
+	}
+	type reconfig struct {
+		at, pause float64
+		of        []int
+	}
+	reconfigs := make([]reconfig, src.UniformInt(1, 2))
+	for k := range reconfigs {
+		of := make([]int, n)
+		for i := range of {
+			of[i] = src.Intn(m)
+		}
+		reconfigs[k] = reconfig{src.Uniform(1_000, 6_000), src.Uniform(0, 3_000), of}
+	}
+	failEdge := src.Intn(m)
+	failAt := src.Uniform(500, lastChurnMs)
+	recoverAt := failAt + src.Uniform(100, 3_000)
+
+	return conservationCase{
+		cfg: cfg,
+		schedule: func(s *Simulator) error {
+			for _, c := range churns {
+				if err := s.ScheduleDeviceChurn(c.at, c.i, c.join); err != nil {
+					return err
+				}
+			}
+			for _, r := range reconfigs {
+				if err := s.ScheduleReconfigureWithPause(r.at, r.of, r.pause); err != nil {
+					return err
+				}
+			}
+			if err := s.ScheduleEdgeFailure(failAt, failEdge); err != nil {
+				return err
+			}
+			return s.ScheduleEdgeRecovery(recoverAt, failEdge)
+		},
+		desc: fmt.Sprintf("seed %d: %d devices, %d edges, discipline %d, MaxQueue %d, jitter %v",
+			seed, n, m, cfg.Discipline, cfg.MaxQueue, cfg.JitterSigma),
+	}
+}
+
+// TestConservationUnderSchedules runs random small configurations under
+// failure, migration-pause and churn schedules, with every request
+// traced. Once the queues drain, every request sent has exited exactly
+// once: the requests_sent counter equals the ok, missed and dropped
+// counters together, and the Recorder's record count. Every trace is
+// complete: a drop at the edge has only its uplink child, and a
+// completion's four children partition its root.
+func TestConservationUnderSchedules(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		tc := newConservationCase(seed)
+		cfg := tc.cfg
+		reg := obs.NewRegistry()
+		col := newSpanCollector()
+		records, deviceDrops := 0, 0
+		cfg.Metrics, cfg.Spans = reg, col
+		cfg.Recorder = recorderFunc(func(r RequestRecord) {
+			records++
+			if r.Outcome == OutcomeDropped && r.DoneAtMs == r.SentAtMs {
+				deviceDrops++
+			}
+		})
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.desc, err)
+		}
+		if err := tc.schedule(s); err != nil {
+			t.Fatalf("%s: %v", tc.desc, err)
+		}
+		if _, err := s.Run(horizonMs); err != nil {
+			t.Fatalf("%s: %v", tc.desc, err)
+		}
+
+		count := func(name string) int { return int(reg.Counter("cluster." + name).Value()) }
+		sent := count("requests_sent")
+		exited := count("requests_ok") + count("requests_missed") + count("requests_dropped")
+		if sent == 0 || sent != exited || sent != records {
+			t.Fatalf("%s: %d requests sent, %d exited by the counters, %d recorded", tc.desc, sent, exited, records)
+		}
+		if got, want := len(col.traces), records-deviceDrops; got != want {
+			t.Fatalf("%s: %d traces, want one per request that left its device (%d)", tc.desc, got, want)
+		}
+		for _, tid := range col.order {
+			checkTracePartition(t, tc.desc, col.traces[tid])
+		}
+	}
+}
+
+// checkTracePartition checks one complete trace: its children in order,
+// contiguous from the root's start to its end, then the root.
+func checkTracePartition(t *testing.T, desc string, spans []obs.Span) {
+	t.Helper()
+	root := spans[len(spans)-1]
+	if root.Name != "request" || root.Parent != 0 {
+		t.Fatalf("%s: trace %d does not end with its root: %+v", desc, root.Trace, spans)
+	}
+	want := []string{"uplink", "queue", "service", "downlink"}
+	if outcome, _ := root.AttrStr("outcome"); outcome == string(OutcomeDropped) {
+		want = want[:1]
+	}
+	children := spans[:len(spans)-1]
+	if len(children) != len(want) {
+		t.Fatalf("%s: trace %d has %d children, want %v: %+v", desc, root.Trace, len(children), want, spans)
+	}
+	at, sum := root.StartMs, 0.0
+	for k, sp := range children {
+		if sp.Name != want[k] || sp.Parent != root.ID || sp.StartMs != at || sp.EndMs < sp.StartMs {
+			t.Fatalf("%s: trace %d child %d is %+v, want %q from %v", desc, root.Trace, k, sp, want[k], at)
+		}
+		at = sp.EndMs
+		sum += sp.DurationMs()
+	}
+	if at != root.EndMs || math.Abs(sum-root.DurationMs()) > phaseTol {
+		t.Fatalf("%s: trace %d children end at %v and sum to %v; root ends at %v and lasts %v",
+			desc, root.Trace, at, sum, root.EndMs, root.DurationMs())
+	}
+}

@@ -1,20 +1,30 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
 
 func TestJitterValidation(t *testing.T) {
-	cfg := simpleConfig()
-	cfg.JitterSigma = -0.1
-	if _, err := New(cfg); err == nil {
-		t.Error("negative jitter accepted")
+	// exp(sigma^2/2), the mean the jitter factor is normalized by,
+	// overflows above sigma ≈ 37.68; such a sigma would zero every delay
+	// (or, at +Inf, make it NaN).
+	for _, sigma := range []float64{-0.1, math.NaN(), 40, 1000, math.Inf(1)} {
+		cfg := simpleConfig()
+		cfg.JitterSigma = sigma
+		if _, err := New(cfg); err == nil {
+			t.Errorf("jitter %v accepted", sigma)
+		} else if want := fmt.Sprintf("cluster: invalid JitterSigma %v", sigma); err.Error() != want {
+			t.Errorf("jitter %v: error %q, want %q", sigma, err, want)
+		}
 	}
-	cfg = simpleConfig()
-	cfg.JitterSigma = math.NaN()
-	if _, err := New(cfg); err == nil {
-		t.Error("NaN jitter accepted")
+	for _, sigma := range []float64{0, 0.3, 37} {
+		cfg := simpleConfig()
+		cfg.JitterSigma = sigma
+		if _, err := New(cfg); err != nil {
+			t.Errorf("jitter %v rejected: %v", sigma, err)
+		}
 	}
 }
 

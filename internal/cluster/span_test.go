@@ -21,21 +21,9 @@ func newSpanCollector() *spanCollector {
 }
 
 func (c *spanCollector) Emit(e obs.Event) {
-	if e.Kind != "span" {
+	sp, ok := obs.SpanFromEvent(e)
+	if !ok {
 		return
-	}
-	sp := obs.Span{
-		Trace:   obs.TraceID(e.Fields["trace"].(uint64)),
-		ID:      obs.SpanID(e.Fields["span"].(uint64)),
-		Name:    e.Fields["name"].(string),
-		StartMs: e.Fields["start_ms"].(float64),
-		EndMs:   e.Fields["end_ms"].(float64),
-	}
-	if p, ok := e.Fields["parent"].(uint64); ok {
-		sp.Parent = obs.SpanID(p)
-	}
-	if o, ok := e.Fields["attr.outcome"].(string); ok {
-		sp.Attrs = map[string]interface{}{"outcome": o}
 	}
 	if _, seen := c.traces[sp.Trace]; !seen {
 		c.order = append(c.order, sp.Trace)

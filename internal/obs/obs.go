@@ -26,9 +26,15 @@ import (
 // Event is one structured observation. Kind names the event type ("iter",
 // "cell", "spec-start", ...); Fields carry the payload. Field values must
 // be JSON-serializable (strings, bools, finite numbers).
+//
+// A live span event (from Span.Event, EmitSpan or a tracer Phase) carries
+// its Span as a typed payload instead and has nil Fields; SpanFromEvent
+// is how sinks read it. Spans decoded from a stream arrive as Fields.
 type Event struct {
 	Kind   string
 	Fields map[string]interface{}
+
+	span *Span
 }
 
 // Sink consumes events. Implementations must be safe for concurrent use;
@@ -102,6 +108,7 @@ func CountEvents(r *Registry, next Sink) Sink {
 type JSONL struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
+	buf []byte // the line being encoded, reused across events
 	err error
 	n   int
 }
@@ -123,13 +130,13 @@ func (s *JSONL) Emit(e Event) {
 	if s.err != nil {
 		return
 	}
-	// encodeLine sorts object keys, so lines are deterministic per event.
-	buf, err := encodeLine(e)
-	if err != nil {
+	// appendLine sorts object keys, so lines are deterministic per event.
+	var err error
+	if s.buf, err = appendLine(s.buf[:0], e); err != nil {
 		s.err = err
 		return
 	}
-	if _, err := s.w.Write(buf); err != nil {
+	if _, err := s.w.Write(s.buf); err != nil {
 		s.err = err
 		return
 	}

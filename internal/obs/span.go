@@ -34,26 +34,15 @@ type SpanID uint64
 // DurationMs returns the span's length.
 func (sp Span) DurationMs() float64 { return sp.EndMs - sp.StartMs }
 
-// Event renders the span as a Sink event of kind "span": trace, span,
-// parent (omitted for roots), name, start_ms/end_ms/dur_ms, and each
-// attribute under an "attr."-prefixed key. The field set is fixed and
-// JSONL encoding sorts keys, so a deterministic span sequence serializes
-// byte-identically.
+// Event renders the span as a Sink event of kind "span". The span rides
+// as the event's typed payload (Fields is nil); SpanFromEvent reads it
+// back and the JSONL encoding writes it as the object trace, span,
+// parent (omitted for roots), name, start_ms/end_ms/dur_ms and each
+// attribute under an "attr."-prefixed key, in sorted key order, so a
+// deterministic span sequence serializes byte-identically. Sinks share
+// the Attrs map, so an emitter must not change it after emitting.
 func (sp Span) Event() Event {
-	fields := make(map[string]interface{}, 6+len(sp.Attrs))
-	fields["trace"] = uint64(sp.Trace)
-	fields["span"] = uint64(sp.ID)
-	fields["name"] = sp.Name
-	fields["start_ms"] = sp.StartMs
-	fields["end_ms"] = sp.EndMs
-	fields["dur_ms"] = sp.EndMs - sp.StartMs
-	if sp.Parent != 0 {
-		fields["parent"] = uint64(sp.Parent)
-	}
-	for k, v := range sp.Attrs {
-		fields["attr."+k] = v
-	}
-	return Event{Kind: "span", Fields: fields}
+	return Event{Kind: "span", span: &sp}
 }
 
 // EmitSpan sends sp into s, tolerating a nil sink.
@@ -64,14 +53,18 @@ func EmitSpan(s Sink, sp Span) {
 	s.Emit(sp.Event())
 }
 
-// SpanFromEvent inverts Span.Event: it decodes a "span" event (live or
-// read back from a JSONL stream) into a Span. ok is false for any other
-// kind or when a required field is missing/mistyped. Attribute values
-// keep their decoded representation (json.Number from streams); read
-// them through AttrNum/AttrStr.
+// SpanFromEvent inverts Span.Event: it returns a live event's span
+// payload, or decodes a "span" event read back from a JSONL stream into
+// a Span. It is the one reader of span events. ok is false for any
+// other kind or when a decoded event's required field is
+// missing/mistyped. Decoded attribute values keep their stream
+// representation (json.Number); read them through AttrNum/AttrStr.
 func SpanFromEvent(e Event) (Span, bool) {
 	if e.Kind != "span" {
 		return Span{}, false
+	}
+	if e.span != nil {
+		return *e.span, true
 	}
 	tr, ok := e.Int("trace")
 	if !ok {

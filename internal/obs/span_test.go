@@ -3,7 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,25 +20,24 @@ func TestSpanEventFields(t *testing.T) {
 		Attrs: map[string]interface{}{"edge": 2, "outcome": "ok"},
 	}
 	e := sp.Event()
-	if e.Kind != "span" {
-		t.Fatalf("kind = %q", e.Kind)
+	if e.Kind != "span" || e.Fields != nil {
+		t.Fatalf("span event = %+v, want kind span and nil Fields", e)
 	}
-	if e.Fields["trace"] != uint64(7) || e.Fields["span"] != uint64(3) || e.Fields["parent"] != uint64(1) {
-		t.Fatalf("ids lost: %+v", e.Fields)
+	if got, ok := SpanFromEvent(e); !ok || !reflect.DeepEqual(got, sp) {
+		t.Fatalf("SpanFromEvent = %+v, %v; want %+v", got, ok, sp)
 	}
-	if e.Fields["dur_ms"] != 4.5 || e.Fields["name"] != "service" {
-		t.Fatalf("timing lost: %+v", e.Fields)
-	}
-	if e.Fields["attr.edge"] != 2 || e.Fields["attr.outcome"] != "ok" {
-		t.Fatalf("attrs lost: %+v", e.Fields)
+	const want = `{"attr.edge":2,"attr.outcome":"ok","dur_ms":4.5,"end_ms":14.5,"kind":"span","name":"service","parent":1,"span":3,"start_ms":10,"trace":7}` + "\n"
+	if line, err := EncodeEventLine(e); err != nil || string(line) != want {
+		t.Fatalf("span line = %q, %v; want %q", line, err, want)
 	}
 	if sp.DurationMs() != 4.5 {
 		t.Fatalf("DurationMs = %v", sp.DurationMs())
 	}
 
 	root := Span{Trace: 7, ID: 1, Name: "request", StartMs: 0, EndMs: 20}
-	if _, hasParent := root.Event().Fields["parent"]; hasParent {
-		t.Fatal("root span must omit the parent field")
+	line, err := EncodeEventLine(root.Event())
+	if err != nil || strings.Contains(string(line), `"parent"`) {
+		t.Fatalf("root span must omit the parent field: %q, %v", line, err)
 	}
 }
 
@@ -130,5 +131,56 @@ func TestMultiSinkCountEventsConcurrent(t *testing.T) {
 	}
 	if got := len(strings.Split(strings.TrimSpace(buf.String()), "\n")); got != n {
 		t.Fatalf("JSONL wrote %d lines, want %d", got, n)
+	}
+}
+
+// allocSink holds the sink TestEmitSpanAllocs emits into. A package
+// variable keeps the compiler from devirtualizing Emit, so spans and
+// maps escape to the heap as they do behind Config.Spans.
+var allocSink Sink
+
+// TestEmitSpanAllocs pins the span plane's hot path: a span, or an
+// iteration event with its field map, reaches JSONL bytes without a map
+// copy, reflection or per-line buffer. The allocations left are the
+// emitter's own, so the JSONL sink costs no more than a sink that drops
+// the event: the span payload, the attrs or fields map (two), and boxing
+// a string or float64. Go boxes ints below 256 without allocating; a
+// larger device ID or iteration index adds one allocation to both sinks.
+func TestEmitSpanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are perturbed by race-detector shadow allocations")
+	}
+	dev, edge, iter, outcome := 17, 3, 7, "missed"
+	start, end := 1520.375, 1529.0625
+	progress := EventProgress(SinkFunc(func(e Event) { allocSink.Emit(e) }))
+	cases := []struct {
+		name string
+		max  float64
+		emit func()
+	}{
+		{"child span", 1, func() {
+			EmitSpan(allocSink, Span{Trace: 4321, ID: 3, Parent: 1, Name: "queue", StartMs: start, EndMs: end})
+		}},
+		{"root span with attrs", 4, func() {
+			EmitSpan(allocSink, Span{
+				Trace: 4321, ID: 1, Name: "request", StartMs: start, EndMs: end,
+				Attrs: map[string]interface{}{"device": dev, "edge": edge, "outcome": outcome},
+			})
+		}},
+		{"iteration event", 4, func() { EmitIter(progress, "tabu", iter, end, true) }},
+	}
+	jsonl := NewJSONL(io.Discard)
+	for _, tc := range cases {
+		allocSink = SinkFunc(func(Event) {})
+		dropped := testing.AllocsPerRun(100, tc.emit)
+		allocSink = jsonl
+		got := testing.AllocsPerRun(100, tc.emit)
+		if got > tc.max || got > dropped {
+			t.Errorf("%s: %.0f allocations per event into JSONL, want at most %.0f and at most a dropping sink's %.0f",
+				tc.name, got, tc.max, dropped)
+		}
+	}
+	if err := jsonl.Flush(); err != nil {
+		t.Fatal(err)
 	}
 }

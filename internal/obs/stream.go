@@ -6,31 +6,200 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"strconv"
+	"unicode/utf8"
 )
 
-// encodeLine renders one event as its canonical JSONL line (trailing
-// newline included): the event's fields plus the kind under "kind",
-// marshaled as a JSON object. encoding/json sorts object keys, so the
-// encoding is deterministic per event — the JSONL sink writes through
-// this function and the runlog archive rewriter reproduces stored
-// streams byte-for-byte with it.
-func encodeLine(e Event) ([]byte, error) {
-	line := make(map[string]interface{}, len(e.Fields)+1)
-	for k, v := range e.Fields {
-		line[k] = v
-	}
-	line["kind"] = e.Kind
-	buf, err := json.Marshal(line)
+// EncodeEventLine renders one event as its canonical JSONL line (trailing
+// newline included): the event's fields plus the kind under "kind", as
+// one JSON object with its keys in sorted order. The JSONL sink writes
+// the same bytes, so consumers that re-serialize decoded streams (run
+// archives, filters) reproduce stored streams byte-for-byte with it.
+func EncodeEventLine(e Event) ([]byte, error) {
+	buf, err := appendLine(nil, e)
 	if err != nil {
 		return nil, err
 	}
-	return append(buf, '\n'), nil
+	return buf, nil
 }
 
-// EncodeEventLine is the exported form of the canonical JSONL encoding;
-// consumers that re-serialize decoded streams (run archives, filters)
-// use it to stay byte-compatible with the JSONL sink.
-func EncodeEventLine(e Event) ([]byte, error) { return encodeLine(e) }
+// appendLine appends e's canonical line to dst. The bytes are exactly
+// what json.Marshal writes for the same object — a map holding the
+// fields plus "kind", which json.Marshal sorts by key — but without the
+// map copy or the reflection: a typed span writes its fixed key order,
+// and any other event sorts its field names and writes each value
+// through appendValue. On error dst is returned unfinished and must be
+// discarded.
+func appendLine(dst []byte, e Event) ([]byte, error) {
+	if e.span != nil {
+		return appendSpanLine(dst, e.span)
+	}
+	var names [16]string
+	keys := names[:0]
+	for k := range e.Fields {
+		if k != "kind" {
+			keys = append(keys, k)
+		}
+	}
+	keys = append(keys, "kind")
+	slices.Sort(keys)
+	dst = append(dst, '{')
+	var err error
+	for i, k := range keys {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(appendString(dst, k), ':')
+		if k == "kind" {
+			dst = appendString(dst, e.Kind)
+		} else if dst, err = appendValue(dst, e.Fields[k]); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, '}', '\n'), nil
+}
+
+// appendSpanLine writes sp in the order json.Marshal sorts its keys
+// into: the "attr."-prefixed attributes, then dur_ms, end_ms, kind,
+// name, parent (roots have none), span, start_ms and trace.
+func appendSpanLine(dst []byte, sp *Span) ([]byte, error) {
+	var names [8]string
+	keys := names[:0]
+	for k := range sp.Attrs {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	dst = append(dst, '{')
+	var err error
+	for _, k := range keys {
+		dst = append(appendEscaped(append(dst, `"attr.`...), k), '"', ':')
+		if dst, err = appendValue(dst, sp.Attrs[k]); err != nil {
+			return dst, err
+		}
+		dst = append(dst, ',')
+	}
+	if dst, err = appendFloat(append(dst, `"dur_ms":`...), sp.EndMs-sp.StartMs); err != nil {
+		return dst, err
+	}
+	if dst, err = appendFloat(append(dst, `,"end_ms":`...), sp.EndMs); err != nil {
+		return dst, err
+	}
+	dst = appendString(append(dst, `,"kind":"span","name":`...), sp.Name)
+	if sp.Parent != 0 {
+		dst = strconv.AppendUint(append(dst, `,"parent":`...), uint64(sp.Parent), 10)
+	}
+	dst = strconv.AppendUint(append(dst, `,"span":`...), uint64(sp.ID), 10)
+	if dst, err = appendFloat(append(dst, `,"start_ms":`...), sp.StartMs); err != nil {
+		return dst, err
+	}
+	dst = strconv.AppendUint(append(dst, `,"trace":`...), uint64(sp.Trace), 10)
+	return append(dst, '}', '\n'), nil
+}
+
+// appendValue writes one field value as encoding/json would. The kinds
+// the repository emits are written directly; anything else — the
+// json.Number values and nested maps and slices of decoded streams —
+// goes through json.Marshal.
+func appendValue(dst []byte, v interface{}) ([]byte, error) {
+	switch v := v.(type) {
+	case string:
+		return appendString(dst, v), nil
+	case float64:
+		return appendFloat(dst, v)
+	case int:
+		return strconv.AppendInt(dst, int64(v), 10), nil
+	case int64:
+		return strconv.AppendInt(dst, v, 10), nil
+	case uint64:
+		return strconv.AppendUint(dst, v, 10), nil
+	case bool:
+		return strconv.AppendBool(dst, v), nil
+	case nil:
+		return append(dst, "null"...), nil
+	}
+	buf, err := json.Marshal(v)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, buf...), nil
+}
+
+// appendFloat writes f like encoding/json: the shortest representation
+// that round-trips, in 'e' notation below 1e-6 and from 1e21 up, with a
+// one-digit negative exponent unpadded. NaN and ±Inf return
+// json.Marshal's own error.
+func appendFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		_, err := json.Marshal(f)
+		return dst, err
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1] // e-09 becomes e-9
+		dst = dst[:n-1]
+	}
+	return dst, nil
+}
+
+// appendString writes s as a quoted JSON string.
+func appendString(dst []byte, s string) []byte {
+	return append(appendEscaped(append(dst, '"'), s), '"')
+}
+
+// appendEscaped writes the body of a JSON string with encoding/json's
+// escaping, HTML escaping included: quote, backslash and control bytes,
+// <, > and &, invalid UTF-8 (as U+FFFD) and U+2028/U+2029.
+func appendEscaped(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(dst, s[start:]...)
+}
 
 // StreamReader decodes a JSONL event stream as written by the JSONL
 // sink: one JSON object per line with the event kind under "kind" and

@@ -5,7 +5,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -17,45 +16,22 @@ type Event struct {
 	// Fn is invoked with the engine so handlers can schedule follow-ups.
 	Fn func(*Engine)
 
-	seq   int64 // tie-break so equal-time events run in schedule order
-	index int   // heap bookkeeping
-	dead  bool  // cancelled
+	seq  int64 // tie-break so equal-time events run in schedule order
+	dead bool  // cancelled
 }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].Time != h[j].Time {
-		return h[i].Time < h[j].Time
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x interface{}) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+// before orders events by (Time, seq). seq is unique and Schedule
+// rejects NaN times, so this is a strict total order: the queue pops
+// events in one sequence whatever its internal layout.
+func (ev *Event) before(other *Event) bool {
+	return ev.Time < other.Time || (ev.Time == other.Time && ev.seq < other.seq)
 }
 
 // Engine owns the clock and the pending-event queue. The zero value is
 // ready to use.
 type Engine struct {
 	now     float64
-	queue   eventHeap
+	queue   []*Event // binary min-heap on (Time, seq)
 	nextSeq int64
 	stopped bool
 	// processed counts executed events, exposed for tests and progress
@@ -69,8 +45,8 @@ func (e *Engine) Now() float64 { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() int64 { return e.processed }
 
-// Pending returns the number of events still queued (including cancelled
-// ones not yet drained).
+// Pending returns the number of events still queued, not counting
+// cancelled ones that have not been drained yet.
 func (e *Engine) Pending() int {
 	n := 0
 	for _, ev := range e.queue {
@@ -90,8 +66,55 @@ func (e *Engine) Schedule(t float64, fn func(*Engine)) *Event {
 	}
 	ev := &Event{Time: t, Fn: fn, seq: e.nextSeq}
 	e.nextSeq++
-	heap.Push(&e.queue, ev)
+	e.push(ev)
 	return ev
+}
+
+// push adds ev to the queue, sifting it up from the last leaf.
+func (e *Engine) push(ev *Event) {
+	q := append(e.queue, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+	e.queue = q
+}
+
+// pop removes and returns the queue's first event, sifting the last leaf
+// down from the root. The queue must not be empty.
+func (e *Engine) pop() *Event {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			child := 2*i + 1
+			if child >= n {
+				break
+			}
+			if right := child + 1; right < n && q[right].before(q[child]) {
+				child = right
+			}
+			if !q[child].before(last) {
+				break
+			}
+			q[i] = q[child]
+			i = child
+		}
+		q[i] = last
+	}
+	e.queue = q
+	return top
 }
 
 // After queues fn to run delay milliseconds from now.
@@ -117,7 +140,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
+		ev := e.pop()
 		if ev.dead {
 			continue
 		}
@@ -141,7 +164,7 @@ func (e *Engine) Run(until float64) int64 {
 		var next *Event
 		for len(e.queue) > 0 {
 			if e.queue[0].dead {
-				heap.Pop(&e.queue)
+				e.pop()
 				continue
 			}
 			next = e.queue[0]
