@@ -132,8 +132,9 @@ sysmon-smoke:
 	@echo "sysmon smoke passed; report in $(SYSMON_DIR)/report.md"
 
 # SLO smoke: an overloaded tacsim run with the streaming SLO plane on
-# must archive slo.jsonl with at least one fired alert, and tacreport
-# must render the compliance section with the alert timeline.
+# must archive slo.jsonl with at least one fired alert, tacreport must
+# render the compliance section with the alert timeline, and tactrace
+# must rebuild the request records from the archive's request spans.
 SLO_DIR ?= /tmp/taccc-slo-smoke
 
 slo-smoke:
@@ -147,4 +148,6 @@ slo-smoke:
 	$(GO) run ./cmd/tacreport $(SLO_DIR)/run -o $(SLO_DIR)/report.md
 	grep -q '^## SLO compliance' $(SLO_DIR)/report.md
 	grep -q '^### Alert timeline' $(SLO_DIR)/report.md
+	$(GO) run ./cmd/tactrace -in $(SLO_DIR)/run > $(SLO_DIR)/trace.txt
+	grep -q '^records:' $(SLO_DIR)/trace.txt
 	@echo "slo smoke passed; report in $(SLO_DIR)/report.md"

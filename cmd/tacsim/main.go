@@ -44,7 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		failAt      = fs.Float64("fail-at", 30, "failure time in seconds")
 		discipline  = fs.String("discipline", "fifo", "edge queueing: fifo | ps")
 		maxQueue    = fs.Int("max-queue", 0, "per-edge queue cap (0 = unlimited)")
-		tracePath   = fs.String("trace", "", "write a per-request CSV trace to this file")
 		jitter      = fs.Float64("jitter", 0, "lognormal network jitter sigma (0 = deterministic delays)")
 		seed        = fs.Int64("seed", 1, "random seed")
 		workers     = fs.Int("workers", 0, "parallelism for delay-matrix construction (<= 0 = all cores, 1 = sequential); output is identical at any setting")
@@ -109,23 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "assignment: algo=%s mean-delay=%.3fms max-delay=%.3fms imbalance=%.2f\n",
 		*algo, built.Instance.MeanCost(got), built.Instance.MaxCost(got), built.Instance.Imbalance(got))
 
-	var recorder taccc.Recorder
-	var traceWriter *taccc.TraceWriter
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "tacsim: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		traceWriter, err = taccc.NewTraceWriter(f)
-		if err != nil {
-			fmt.Fprintf(stderr, "tacsim: %v\n", err)
-			return 1
-		}
-		recorder = traceWriter
-	}
-
 	downPh := traceRoot.Child("downlink-matrix")
 	down := taccc.NewDelayMatrixWorkers(built.Graph, taccc.LatencyCost, *workers)
 	downPh.End()
@@ -138,7 +120,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		WarmupMs:    *warmup * 1000,
 		Discipline:  disc,
 		MaxQueue:    *maxQueue,
-		Recorder:    recorder,
 		Metrics:     session.Registry(),
 		SLO:         session.SLO(),
 		JitterSigma: *jitter,
@@ -178,13 +159,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, " %.2f", u)
 	}
 	fmt.Fprintln(stdout)
-	if traceWriter != nil {
-		if err := traceWriter.Flush(); err != nil {
-			fmt.Fprintf(stderr, "tacsim: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "trace:      %d records -> %s\n", traceWriter.N(), *tracePath)
-	}
 	summary := runlog.Summary{
 		"assignment.mean_delay_ms": built.Instance.MeanCost(got),
 		"assignment.max_delay_ms":  built.Instance.MaxCost(got),

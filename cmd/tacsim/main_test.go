@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -49,28 +47,6 @@ func TestSimulatePSDiscipline(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "latency:") {
 		t.Fatal("no latency line")
-	}
-}
-
-func TestSimulateWithTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.csv")
-	var out, errBuf bytes.Buffer
-	code := run([]string{
-		"-iot", "10", "-edge", "2", "-algo", "greedy",
-		"-duration", "3", "-warmup", "1", "-trace", path,
-	}, &out, &errBuf)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errBuf.String())
-	}
-	if !strings.Contains(out.String(), "trace:") {
-		t.Fatal("trace line missing")
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(data), "device,edge,") {
-		t.Fatalf("trace file missing header: %q", string(data[:40]))
 	}
 }
 

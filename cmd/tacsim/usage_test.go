@@ -7,13 +7,15 @@ import (
 	"testing"
 )
 
-// TestUsageErrorsLeaveNoArtifacts: an unknown algorithm or discipline or
-// a bad observability flag exits 2 before the scenario is built or
-// solved, creating no archive directory and no -trace-out file.
+// TestUsageErrorsLeaveNoArtifacts: an unknown algorithm, discipline or
+// flag (such as the retired CSV -trace) or a bad observability flag exits
+// 2 before the scenario is built or solved, creating no archive directory
+// and no -trace-out file.
 func TestUsageErrorsLeaveNoArtifacts(t *testing.T) {
 	cases := [][]string{
 		{"-algo", "nope"},
 		{"-discipline", "bogus"},
+		{"-trace", "x.csv"},
 		{"-slo", "p95>=20"},
 		{"-slo", "p95<=20", "-slo-window", "0"},
 		{"-sysmon", "-sysmon-interval", "-1s"},

@@ -1,18 +1,15 @@
-// Command tactrace analyzes a per-request trace: either a CSV produced
-// by tacsim -trace (or any cluster.Recorder feeding taccc.TraceWriter)
-// or a run-archive directory whose event stream carries request spans
-// (tacsim -archive). Output: aggregate summary, per-edge breakdown, and
-// a latency-over-time series. -chrome instead validates a Chrome
-// trace-event JSON export (tacsolve/tacbench/tacsim -trace-out) with
-// the strict decoder — the CI trace-smoke gate.
+// Command tactrace analyzes the per-request records of a run archive
+// (tacsim -archive), rebuilt from the request spans in its event stream.
+// Output: aggregate summary, per-edge breakdown, and a latency-over-time
+// series. -chrome instead validates a Chrome trace-event JSON export
+// (tacsolve/tacbench/tacsim -trace-out) with the strict decoder — the CI
+// trace-smoke gate.
 //
 // Usage:
 //
-//	tacsim -iot 100 -edge 10 -duration 60 -trace run.csv
-//	tactrace -in run.csv
-//	tactrace -in run.csv -window 5000
 //	tacsim -iot 100 -edge 10 -archive runs/a
 //	tactrace -in runs/a
+//	tactrace -in runs/a -window 5000
 //	tactrace -chrome trace.json
 package main
 
@@ -37,7 +34,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tactrace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		in     = fs.String("in", "", "trace CSV file or run-archive directory (required unless -chrome)")
+		in     = fs.String("in", "", "run-archive directory (required unless -chrome)")
 		window = fs.Float64("window", 10_000, "time-series bucket width in ms (must be > 0)")
 		chrome = fs.String("chrome", "", "validate a Chrome trace-event JSON export (from -trace-out) and exit")
 	)
@@ -58,6 +55,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *window <= 0 {
 		fmt.Fprintf(stderr, "tactrace: -window must be > 0, got %g\n", *window)
+		return 2
+	}
+	st, err := os.Stat(*in)
+	if err != nil {
+		fmt.Fprintf(stderr, "tactrace: %v\n", err)
+		return 1
+	}
+	if !st.IsDir() {
+		fmt.Fprintf(stderr, "tactrace: -in takes a run-archive directory (tacsim -archive); %s is not a directory\n", *in)
 		return 2
 	}
 	records, err := loadRecords(*in)
@@ -101,34 +107,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// loadRecords reads request records from path: a run-archive directory
-// (via the same loader tacreport uses, extracting the event stream's
-// request spans) or a CSV trace file.
-func loadRecords(path string) ([]taccc.RequestRecord, error) {
-	st, err := os.Stat(path)
+// loadRecords reads the request records of the run archive in dir, via
+// the same loader tacreport uses, from its event stream's request spans.
+func loadRecords(dir string) ([]taccc.RequestRecord, error) {
+	src, err := report.LoadSource(dir)
 	if err != nil {
 		return nil, err
 	}
-	if st.IsDir() {
-		src, err := report.LoadSource(path)
-		if err != nil {
-			return nil, err
-		}
-		records, err := taccc.TraceFromSpanEvents(src.Archive.Events)
-		if err != nil {
-			return nil, err
-		}
-		if len(records) == 0 {
-			return nil, fmt.Errorf("%s: archive carries no request spans (run tacsim with -archive to record them)", path)
-		}
-		return records, nil
-	}
-	f, err := os.Open(path)
+	records, err := taccc.TraceFromSpanEvents(src.Archive.Events)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return taccc.ReadTrace(f)
+	if len(records) == 0 {
+		return nil, fmt.Errorf("%s: archive carries no request spans (run tacsim with -archive to record them)", dir)
+	}
+	return records, nil
 }
 
 // validateChrome strictly decodes a Chrome trace-event export and

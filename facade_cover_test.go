@@ -119,13 +119,4 @@ func TestFacadeWrappers(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = taccc.MigrationGain(moves)
-
-	// Replay arrivals.
-	rep, err := taccc.NewReplayArrivals([]float64{7, 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.NextGapMs() != 7 || rep.NextGapMs() != 11 || rep.NextGapMs() != 7 {
-		t.Fatal("replay sequence wrong")
-	}
 }

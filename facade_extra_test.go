@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	taccc "taccc"
+	"taccc/internal/obs"
 )
 
 func TestPublicOnlineController(t *testing.T) {
@@ -95,64 +96,73 @@ func TestPublicKShortestPaths(t *testing.T) {
 	}
 }
 
-func TestPublicPreprocessAndPortfolio(t *testing.T) {
+func TestPublicPortfolio(t *testing.T) {
 	in, err := taccc.SyntheticInstance(taccc.SyntheticCorrelated, 12, 3, 0.9, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, err := taccc.Preprocess(in)
+	p := taccc.NewPortfolio(8)
+	a, err := p.Assign(in)
 	if err != nil {
 		if errors.Is(err, taccc.ErrInfeasible) {
-			t.Skip("instance preprocessed to infeasible")
+			t.Skip("instance infeasible")
 		}
 		t.Fatal(err)
 	}
-	target := red.Residual
-	if target == nil {
-		t.Skip("fully fixed by preprocessing")
+	if !in.Feasible(a) {
+		t.Fatal("portfolio assignment infeasible")
 	}
-	p := taccc.NewPortfolio(8)
-	sub, err := p.Assign(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := red.Expand(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !in.Feasible(full) {
-		t.Fatal("expanded portfolio assignment infeasible")
-	}
-	if lpb := taccc.LPBound(in); in.TotalCost(full) < lpb-1e-6 {
-		t.Fatalf("cost %v below LP bound %v", in.TotalCost(full), lpb)
+	if lpb := taccc.LPBound(in); in.TotalCost(a) < lpb-1e-6 {
+		t.Fatalf("cost %v below LP bound %v", in.TotalCost(a), lpb)
 	}
 }
 
+// TestPublicTraceRoundTrip: a simulation's request spans, written as
+// JSONL, decode back into request records that summarize and bucket.
 func TestPublicTraceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := taccc.NewTraceWriter(&buf)
+	sink := taccc.NewJSONLSink(&buf)
+	sim, err := taccc.NewSimulator(taccc.SimConfig{
+		UplinkMs:    [][]float64{{2, 3}, {4, 1}},
+		Devices:     []taccc.Device{{ID: 0, RateHz: 5, ComputeUnits: 1}, {ID: 1, RateHz: 5, ComputeUnits: 1}},
+		ServiceRate: []float64{100, 100},
+		Assignment:  []int{0, 1},
+		Spans:       sink,
+		Seed:        3,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Record(taccc.RequestRecord{Device: 1, Edge: 0, SentAtMs: 5, DoneAtMs: 20, LatencyMs: 15, Outcome: taccc.OutcomeOK})
-	w.Record(taccc.RequestRecord{Device: 2, Edge: 1, SentAtMs: 6, DoneAtMs: 6, Outcome: taccc.OutcomeDropped})
-	if err := w.Flush(); err != nil {
+	if err := sim.ScheduleEdgeFailure(1_000, 1); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := taccc.ReadTrace(&buf)
+	res, err := sim.Run(2_000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadEventStream(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := taccc.TraceFromSpanEvents(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Requests dropped at the device by the failed edge count in the
+	// result but are never traced.
 	sum := taccc.SummarizeTrace(recs)
-	if sum.Completed != 1 || sum.Dropped != 1 {
-		t.Fatalf("summary = %+v", sum)
+	if sum.Completed != res.Completed || sum.Completed == 0 || sum.Dropped != 0 || res.Dropped == 0 {
+		t.Fatalf("summary = %+v, result completed %d, dropped %d", sum, res.Completed, res.Dropped)
 	}
-	ts, err := taccc.TraceTimeSeries(recs, 10)
+	ts, err := taccc.TraceTimeSeries(recs, 1_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ts) != 2 {
-		t.Fatalf("windows = %d, want 2", len(ts))
+	if len(ts) != 2 || ts[0].Completed+ts[1].Completed != sum.Completed {
+		t.Fatalf("windows = %+v, want two holding %d completions", ts, sum.Completed)
 	}
 }
 

@@ -118,7 +118,6 @@ slo
 slo-window 1
 sysmon
 sysmon-interval 250ms
-trace
 trace-out
 trace-sample
 version

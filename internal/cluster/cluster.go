@@ -44,16 +44,10 @@ type Config struct {
 	DownlinkMs [][]float64
 	// Devices holds the demand profiles; Devices[i] pairs with row i.
 	Devices []workload.Device
-	// ServiceRate[j] is the processing rate of ONE server at edge j, in
+	// ServiceRate[j] is the processing rate of edge j's one server, in
 	// compute units per second; a request of c units takes c/rate
 	// seconds of service.
 	ServiceRate []float64
-	// ServersPerEdge[j] is the number of parallel servers at edge j
-	// (an M/M/c-style station under FIFO). Nil means one server
-	// everywhere. Under processor sharing the servers pool into one
-	// PS station of aggregate rate c*rate (the standard fluid
-	// approximation).
-	ServersPerEdge []int
 	// Assignment[i] is the edge serving device i.
 	Assignment []int
 	// WarmupMs excludes the initial transient from statistics.
@@ -63,10 +57,6 @@ type Config struct {
 	// MaxQueue caps the number of requests queued or in service per
 	// edge; arrivals beyond the cap are dropped. 0 means unlimited.
 	MaxQueue int
-	// Recorder, when non-nil, receives one RequestRecord per request
-	// (completions and drops, including warmup traffic). Use
-	// internal/trace to persist and analyze.
-	Recorder Recorder
 	// Metrics, when non-nil, receives live counters as the simulation
 	// progresses: cluster.requests_sent / _ok / _missed / _dropped,
 	// per-edge cluster.edge_<j>.queue_depth gauges, a cluster.latency_ms
@@ -124,27 +114,6 @@ const (
 	OutcomeDropped Outcome = "dropped"
 )
 
-// RequestRecord is one request's lifecycle for trace recording.
-type RequestRecord struct {
-	// Device and Edge identify the request's endpoints; Edge is -1 for
-	// requests dropped before edge selection mattered.
-	Device int
-	Edge   int
-	// SentAtMs and DoneAtMs bound the lifecycle (DoneAtMs is the drop
-	// time for dropped requests).
-	SentAtMs float64
-	DoneAtMs float64
-	// LatencyMs is end-to-end latency (0 for drops).
-	LatencyMs float64
-	// Outcome classifies the ending.
-	Outcome Outcome
-}
-
-// Recorder consumes request records as the simulation produces them.
-type Recorder interface {
-	Record(RequestRecord)
-}
-
 func (c Config) validate() error {
 	n := len(c.Devices)
 	if n == 0 {
@@ -188,16 +157,6 @@ func (c Config) validate() error {
 	if c.TraceSampleRate < 0 || c.TraceSampleRate > 1 || math.IsNaN(c.TraceSampleRate) {
 		return fmt.Errorf("cluster: TraceSampleRate %v outside [0,1]", c.TraceSampleRate)
 	}
-	if c.ServersPerEdge != nil {
-		if len(c.ServersPerEdge) != m {
-			return fmt.Errorf("cluster: %d server counts for %d edges", len(c.ServersPerEdge), m)
-		}
-		for j, k := range c.ServersPerEdge {
-			if k <= 0 {
-				return fmt.Errorf("cluster: edge %d has %d servers, want >= 1", j, k)
-			}
-		}
-	}
 	return nil
 }
 
@@ -227,14 +186,6 @@ func checkDelays(uplink, downlink [][]float64, n, m int) error {
 		return err
 	}
 	return check("downlink", downlink)
-}
-
-// servers returns edge j's server count.
-func (c Config) servers(j int) int {
-	if c.ServersPerEdge == nil {
-		return 1
-	}
-	return c.ServersPerEdge[j]
 }
 
 // Result aggregates a run's observable behaviour (post-warmup).
@@ -294,8 +245,8 @@ type Simulator struct {
 	// via ScheduleUplinkUpdate).
 	uplink   [][]float64
 	downlink [][]float64
-	// busyUntil[j][s] is server s of edge j's next free time.
-	busyUntil [][]float64
+	// busyUntil[j] is edge j's next free time under FIFO.
+	busyUntil []float64
 	inFlight  []int
 	ps        []*psServer
 
@@ -373,15 +324,12 @@ func New(cfg Config) (*Simulator, error) {
 		state:      make([]deviceState, len(cfg.Devices)),
 		failed:     make([]bool, len(cfg.ServiceRate)),
 		nextArrive: make([]*sim.Event, len(cfg.Devices)),
-		busyUntil:  make([][]float64, len(cfg.ServiceRate)),
+		busyUntil:  make([]float64, len(cfg.ServiceRate)),
 		inFlight:   make([]int, len(cfg.ServiceRate)),
 	}
 	s.met = newMetricsSet(cfg.Metrics, len(cfg.ServiceRate))
 	if cfg.Spans != nil {
 		s.spanSrc = xrand.NewSplit(cfg.Seed, "trace-sample")
-	}
-	for j := range s.busyUntil {
-		s.busyUntil[j] = make([]float64, cfg.servers(j))
 	}
 	copy(s.assignment, cfg.Assignment)
 	s.uplink = cfg.UplinkMs
@@ -399,11 +347,7 @@ func New(cfg Config) (*Simulator, error) {
 	if cfg.Discipline == DisciplinePS {
 		s.ps = make([]*psServer, len(cfg.ServiceRate))
 		for j := range s.ps {
-			// Multi-server PS pools into one station of aggregate rate.
-			s.ps[j] = &psServer{
-				rate: cfg.ServiceRate[j] * float64(cfg.servers(j)),
-				jobs: make(map[int64]*psJob),
-			}
+			s.ps[j] = &psServer{rate: cfg.ServiceRate[j], jobs: make(map[int64]*psJob)}
 		}
 	}
 	return s, nil
@@ -728,21 +672,12 @@ func (s *Simulator) serve(e *sim.Engine, r request) {
 		s.reschedulePS(e, j)
 		return
 	}
-	// FIFO with c parallel servers: the request takes the server that
-	// frees up first.
-	busy := s.busyUntil[j]
-	srv := 0
-	for k := 1; k < len(busy); k++ {
-		if busy[k] < busy[srv] {
-			srv = k
-		}
-	}
-	if busy[srv] > r.start {
-		r.start = busy[srv]
+	if s.busyUntil[j] > r.start {
+		r.start = s.busyUntil[j]
 	}
 	r.serviceMs = demandMs
 	r.finish = r.start + demandMs
-	busy[srv] = r.finish
+	s.busyUntil[j] = r.finish
 	e.Schedule(r.finish, func(*sim.Engine) { s.exit(r, true) })
 }
 
@@ -750,12 +685,11 @@ func (s *Simulator) serve(e *sim.Engine, r request) {
 // that books it: a drop when served is false (at r.edgeAt), otherwise the
 // completion of its service at r.finish, which first frees its place at
 // the edge and draws the downlink delay. Result counts requests sent after
-// warmup; the metrics handles, the SLO tracker and the Recorder see every
-// request; sampled requests emit their trace.
+// warmup; the metrics handles and the SLO tracker see every request;
+// sampled requests emit their trace, the one per-request record.
 func (s *Simulator) exit(r request, served bool) {
 	measured := r.sentAt >= s.cfg.WarmupMs
-	rec := RequestRecord{Device: r.dev, Edge: r.edge, SentAtMs: r.sentAt, DoneAtMs: r.edgeAt, Outcome: OutcomeDropped}
-	end := r.edgeAt
+	outcome, end := OutcomeDropped, r.edgeAt
 	if !served {
 		if measured {
 			s.result.Dropped++
@@ -769,11 +703,11 @@ func (s *Simulator) exit(r request, served bool) {
 		down := s.downlinkDelay(r.dev, j)
 		end = r.finish + down
 		latency := end - r.sentAt
-		rec.DoneAtMs, rec.LatencyMs, rec.Outcome = r.sentAt+latency, latency, OutcomeOK
+		outcome = OutcomeOK
 		if dl := s.cfg.Devices[r.dev].DeadlineMs; dl > 0 && latency > dl {
-			rec.Outcome = OutcomeMissed
+			outcome = OutcomeMissed
 		}
-		missed := rec.Outcome == OutcomeMissed
+		missed := outcome == OutcomeMissed
 		if measured {
 			s.result.Completed++
 			s.result.Latency.Add(latency)
@@ -782,15 +716,12 @@ func (s *Simulator) exit(r request, served bool) {
 			}
 		}
 		uplink, queue := r.edgeAt-r.sentAt, r.start-r.edgeAt
-		s.met.observeDone(rec.Outcome, latency, uplink, queue, r.serviceMs, down)
+		s.met.observeDone(outcome, latency, uplink, queue, r.serviceMs, down)
 		// SLO windows are keyed by service completion, not by the
 		// response's arrival at the device.
 		s.cfg.SLO.ObserveRequest(r.finish, uplink, queue, r.serviceMs, down, latency, missed)
 	}
-	s.emitTrace(r, end, rec.Outcome)
-	if s.cfg.Recorder != nil {
-		s.cfg.Recorder.Record(rec)
-	}
+	s.emitTrace(r, end, outcome)
 }
 
 // reschedulePS cancels and re-arms edge j's completion wake-up.
@@ -808,8 +739,8 @@ func (s *Simulator) reschedulePS(e *sim.Engine, j int) {
 }
 
 // completePS finishes every job whose remaining work has drained. Jobs
-// drain in admission (id) order, not map order, so record, metric and
-// span streams are deterministic even when several jobs tie.
+// drain in admission (id) order, not map order, so metric and span
+// streams are deterministic even when several jobs tie.
 func (s *Simulator) completePS(e *sim.Engine, j int) {
 	p := s.ps[j]
 	now := e.Now()

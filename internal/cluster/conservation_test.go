@@ -124,23 +124,19 @@ func newConservationCase(seed int64) conservationCase {
 // failure, migration-pause and churn schedules, with every request
 // traced. Once the queues drain, every request sent has exited exactly
 // once: the requests_sent counter equals the ok, missed and dropped
-// counters together, and the Recorder's record count. Every trace is
-// complete: a drop at the edge has only its uplink child, and a
-// completion's four children partition its root.
+// counters together. Spans account for every request that left its
+// device: their trace IDs run from 1 without a gap, the traced
+// completions equal the ok and missed counters, and the untraced requests
+// are exactly the drops at the device, the dropped counter less the
+// traced drops. Every trace is complete: a drop at the edge ends at its
+// uplink child, and a completion's four children partition its root.
 func TestConservationUnderSchedules(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		tc := newConservationCase(seed)
 		cfg := tc.cfg
 		reg := obs.NewRegistry()
 		col := newSpanCollector()
-		records, deviceDrops := 0, 0
 		cfg.Metrics, cfg.Spans = reg, col
-		cfg.Recorder = recorderFunc(func(r RequestRecord) {
-			records++
-			if r.Outcome == OutcomeDropped && r.DoneAtMs == r.SentAtMs {
-				deviceDrops++
-			}
-		})
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.desc, err)
@@ -153,16 +149,32 @@ func TestConservationUnderSchedules(t *testing.T) {
 		}
 
 		count := func(name string) int { return int(reg.Counter("cluster." + name).Value()) }
-		sent := count("requests_sent")
-		exited := count("requests_ok") + count("requests_missed") + count("requests_dropped")
-		if sent == 0 || sent != exited || sent != records {
-			t.Fatalf("%s: %d requests sent, %d exited by the counters, %d recorded", tc.desc, sent, exited, records)
+		sent, dropped := count("requests_sent"), count("requests_dropped")
+		completed := count("requests_ok") + count("requests_missed")
+		if sent == 0 || sent != completed+dropped {
+			t.Fatalf("%s: %d requests sent, %d exited by the counters", tc.desc, sent, completed+dropped)
 		}
-		if got, want := len(col.traces), records-deviceDrops; got != want {
-			t.Fatalf("%s: %d traces, want one per request that left its device (%d)", tc.desc, got, want)
-		}
+		tracedDone, tracedDrops := 0, 0
 		for _, tid := range col.order {
-			checkTracePartition(t, tc.desc, col.traces[tid])
+			// len(col.order) distinct IDs, each within 1..len(col.order).
+			if tid < 1 || int(tid) > len(col.order) {
+				t.Fatalf("%s: trace ID %d outside 1..%d: a traced request lost its trace",
+					tc.desc, tid, len(col.order))
+			}
+			spans := col.traces[tid]
+			checkTracePartition(t, tc.desc, spans)
+			if outcome, _ := spans[len(spans)-1].AttrStr("outcome"); outcome == string(OutcomeDropped) {
+				tracedDrops++
+			} else {
+				tracedDone++
+			}
+		}
+		if tracedDone != completed {
+			t.Fatalf("%s: %d traced completions, %d by the counters", tc.desc, tracedDone, completed)
+		}
+		if untraced := sent - len(col.order); untraced != dropped-tracedDrops {
+			t.Fatalf("%s: %d untraced requests, want the %d drops less the %d traced ones",
+				tc.desc, untraced, dropped, tracedDrops)
 		}
 	}
 }

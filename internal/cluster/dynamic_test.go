@@ -143,13 +143,9 @@ func TestChurnDuringMigrationPause(t *testing.T) {
 	// a swap at 1 s with a 2 s migration pause plus the given churn.
 	device0Sends := func(churn func(*Simulator) error) []float64 {
 		t.Helper()
-		var sends []float64
 		cfg := simpleConfig()
-		cfg.Recorder = recorderFunc(func(r RequestRecord) {
-			if r.Device == 0 && r.SentAtMs > 1_000 {
-				sends = append(sends, r.SentAtMs)
-			}
-		})
+		col := newSpanCollector()
+		cfg.Spans = col
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -162,6 +158,14 @@ func TestChurnDuringMigrationPause(t *testing.T) {
 		}
 		if _, err := s.Run(10_000); err != nil {
 			t.Fatal(err)
+		}
+		var sends []float64
+		for _, tid := range col.order {
+			spans := col.traces[tid]
+			root := spans[len(spans)-1]
+			if dev, _ := root.AttrNum("device"); root.Name == "request" && dev == 0 && root.StartMs > 1_000 {
+				sends = append(sends, root.StartMs)
+			}
 		}
 		return sends
 	}

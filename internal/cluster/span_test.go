@@ -111,7 +111,6 @@ func TestPhaseHistogramsSumToLatency(t *testing.T) {
 		"fifo":      func(*Config) {},
 		"ps":        func(c *Config) { c.Discipline = DisciplinePS },
 		"jitter":    func(c *Config) { c.JitterSigma = 0.4 },
-		"multisrv":  func(c *Config) { c.ServersPerEdge = []int{2, 2} },
 		"downlink+": func(c *Config) { c.DownlinkMs = [][]float64{{2, 20}, {20, 2}} },
 	} {
 		cfg := busyConfig()

@@ -27,9 +27,6 @@ var DefaultAlgorithms = []string{
 	"local-search", "tabu", "lns", "lagrangian", "qlearning",
 }
 
-// FastAlgorithms is a cheaper subset for wide sweeps.
-var FastAlgorithms = []string{"random", "greedy", "local-search", "qlearning"}
-
 // AlgoStat aggregates one algorithm's behaviour over replications of a
 // scenario.
 type AlgoStat struct {

@@ -70,9 +70,8 @@ func mixedBudgets(in *Instance) []float64 {
 }
 
 // storeGoldenInstances builds every instance whose store is pinned: a
-// topology-derived one, the cloud and deadline derivations of it and of
-// a synthetic instance, and the residuals Preprocess leaves on the
-// deadline-masked ones.
+// topology-derived one, and the cloud and deadline derivations of it and
+// of a synthetic instance.
 func storeGoldenInstances(t *testing.T) map[string]*Instance {
 	t.Helper()
 	out := map[string]*Instance{}
@@ -106,15 +105,7 @@ func storeGoldenInstances(t *testing.T) map[string]*Instance {
 		cloud, err := WithCloud(base, 150)
 		must(name+"-with-cloud", cloud, err)
 		dl, err := WithDeadlines(base, mixedBudgets(base))
-		dl = must(name+"-with-deadlines", dl, err)
-		red, err := Preprocess(dl)
-		if err != nil {
-			t.Fatalf("%s: preprocess: %v", name, err)
-		}
-		if red.NumFixed() == 0 || red.Residual == nil {
-			t.Fatalf("%s: preprocess fixed %d devices, residual %v; the pin needs both", name, red.NumFixed(), red.Residual != nil)
-		}
-		out[name+"-preprocess-residual"] = red.Residual
+		must(name+"-with-deadlines", dl, err)
 	}
 	return out
 }
@@ -122,14 +113,12 @@ func storeGoldenInstances(t *testing.T) map[string]*Instance {
 // goldenStoreHashes pins hashStore per instance, taken before the
 // instance kept its matrices in one row-major store.
 var goldenStoreHashes = map[string]string{
-	"from-topology-300x20":          "940d8fd8e0f5a66e",
-	"synthetic-40x6":                "38b71a094b32abe7",
-	"topology-with-cloud":           "47fc51126fc3dc31",
-	"topology-with-deadlines":       "72e036d93b697edb",
-	"topology-preprocess-residual":  "35e2ab67faa2d7a3",
-	"synthetic-with-cloud":          "9416f20503e4d921",
-	"synthetic-with-deadlines":      "0ac616f76116ecfc",
-	"synthetic-preprocess-residual": "ae54ee95ddb061d9",
+	"from-topology-300x20":     "940d8fd8e0f5a66e",
+	"synthetic-40x6":           "38b71a094b32abe7",
+	"topology-with-cloud":      "47fc51126fc3dc31",
+	"topology-with-deadlines":  "72e036d93b697edb",
+	"synthetic-with-cloud":     "9416f20503e4d921",
+	"synthetic-with-deadlines": "0ac616f76116ecfc",
 }
 
 // TestStoreGolden requires every builder to keep the bits it stores.

@@ -248,14 +248,6 @@ func (w *Writer) Close(snap obs.Snapshot, summary Summary) error {
 	return writeJSONFile(filepath.Join(w.dir, ManifestFile), w.man)
 }
 
-// Dir returns the archive directory ("" on a nil receiver).
-func (w *Writer) Dir() string {
-	if w == nil {
-		return ""
-	}
-	return w.dir
-}
-
 // writeJSONFile writes v as canonical indented JSON (sorted keys via
 // encoding/json's map ordering, two-space indent, trailing newline).
 func writeJSONFile(path string, v interface{}) error {

@@ -232,9 +232,6 @@ func TestCloseIdempotentAndNilSafe(t *testing.T) {
 	if err := w.Close(obs.Snapshot{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if w.Dir() != "" {
-		t.Fatal("nil writer has a dir")
-	}
 	dir := filepath.Join(t.TempDir(), "run")
 	writeSample(t, dir)
 }

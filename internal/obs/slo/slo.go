@@ -110,14 +110,9 @@ type Objective struct {
 	// windows that must comply, in (0, 1]. The error budget allows
 	// (1-Target) of windows to violate.
 	Target float64
-	// FireAfter is the number of consecutive violating windows before an
-	// alert fires; ResolveAfter the number of consecutive compliant
-	// windows before a firing alert resolves. Both default to 1.
-	FireAfter    int
-	ResolveAfter int
 }
 
-// validate checks one objective (after defaulting).
+// validate checks one objective.
 func (o Objective) validate() error {
 	switch o.Stat.Kind {
 	case "quantile":
@@ -144,9 +139,6 @@ func (o Objective) validate() error {
 	if !(o.Target > 0 && o.Target <= 1) {
 		return fmt.Errorf("slo: objective %s: compliance target %v outside (0,1]", o.Name, o.Target)
 	}
-	if o.FireAfter < 1 || o.ResolveAfter < 1 {
-		return fmt.Errorf("slo: objective %s: hysteresis counts must be >= 1", o.Name)
-	}
 	return nil
 }
 
@@ -172,13 +164,11 @@ type Config struct {
 	// burn, firing flags) for the telemetry server / tactop. Use a
 	// dedicated registry, merged at serve time like sysmon's.
 	Metrics *obs.Registry
-	// BurnLookback is the number of recent windows the burn rate is
-	// computed over (default 10).
-	BurnLookback int
 }
 
-// DefaultBurnLookback is the burn-rate lookback when Config leaves it 0.
-const DefaultBurnLookback = 10
+// burnLookback is the number of recent windows the burn rate is computed
+// over.
+const burnLookback = 10
 
 // windowHist is one series' histogram for the current window. Bounds are
 // shared across series and windows; counts are reset in place on
@@ -232,11 +222,9 @@ func (w *windowHist) snapshot(bounds []float64) obs.HistogramSnapshot {
 type objState struct {
 	windows    int // non-empty windows with signal for this objective
 	violations int
-	consecBad  int
-	consecGood int
 	firing     bool
 	alerts     int // fire transitions
-	recent     []bool
+	recent     [burnLookback]bool
 	recentN    int
 	recentIdx  int
 	recentBad  int
@@ -307,8 +295,7 @@ type trackerMetrics struct {
 	objWindows, objViolations []*obs.Gauge
 }
 
-// New validates cfg, defaults objective names and hysteresis, and builds
-// a tracker.
+// New validates cfg, defaults objective names, and builds a tracker.
 func New(cfg Config) (*Tracker, error) {
 	if !(cfg.WindowMs > 0) || math.IsInf(cfg.WindowMs, 0) {
 		return nil, fmt.Errorf("slo: window width %v must be > 0", cfg.WindowMs)
@@ -316,19 +303,10 @@ func New(cfg Config) (*Tracker, error) {
 	if len(cfg.Objectives) == 0 {
 		return nil, fmt.Errorf("slo: no objectives configured")
 	}
-	if cfg.BurnLookback <= 0 {
-		cfg.BurnLookback = DefaultBurnLookback
-	}
 	objs := make([]Objective, len(cfg.Objectives))
 	copy(objs, cfg.Objectives)
 	used := map[string]bool{}
 	for i := range objs {
-		if objs[i].FireAfter == 0 {
-			objs[i].FireAfter = 1
-		}
-		if objs[i].ResolveAfter == 0 {
-			objs[i].ResolveAfter = 1
-		}
 		if objs[i].Name == "" {
 			objs[i].Name = fmt.Sprintf("%s_%s", objs[i].Series, objs[i].Stat)
 		}
@@ -346,9 +324,6 @@ func New(cfg Config) (*Tracker, error) {
 		t.win[i].counts = make([]int64, len(t.bounds)+1)
 	}
 	t.objs = make([]objState, len(objs))
-	for i := range t.objs {
-		t.objs[i].recent = make([]bool, cfg.BurnLookback)
-	}
 	t.initMetrics()
 	return t, nil
 }
@@ -393,14 +368,6 @@ func (t *Tracker) WindowMs() float64 {
 		return 0
 	}
 	return t.cfg.WindowMs
-}
-
-// Objectives returns the normalized objectives (nil on a nil receiver).
-func (t *Tracker) Objectives() []Objective {
-	if t == nil {
-		return nil
-	}
-	return t.cfg.Objectives
 }
 
 // Observe records one end-to-end observation at sim time nowMs (used by
@@ -621,11 +588,6 @@ func (t *Tracker) evaluate(i int, snaps *[numSeries]obs.HistogramSnapshot, missR
 	st.lastObserved = observed
 	if violated {
 		st.violations++
-		st.consecBad++
-		st.consecGood = 0
-	} else {
-		st.consecGood++
-		st.consecBad = 0
 	}
 	// Burn-rate ring over the lookback.
 	if st.recentN == len(st.recent) {
@@ -666,13 +628,15 @@ func (t *Tracker) evaluate(i int, snaps *[numSeries]obs.HistogramSnapshot, missR
 	t.met.objWindows[i].Set(float64(st.windows))
 	t.met.objViolations[i].Set(float64(st.violations))
 
-	if !st.firing && st.consecBad >= o.FireAfter {
+	// An alert fires on the first violating window and resolves on the
+	// first compliant one.
+	if violated && !st.firing {
 		st.firing = true
 		st.alerts++
 		t.met.alertsTotal.Inc()
 		t.met.objFiring[i].Set(1)
 		t.emitAlert(o, st, t.cur, endMs, "firing", "")
-	} else if st.firing && st.consecGood >= o.ResolveAfter {
+	} else if !violated && st.firing {
 		st.firing = false
 		t.met.objFiring[i].Set(0)
 		t.emitAlert(o, st, t.cur, endMs, "resolved", "recovered")

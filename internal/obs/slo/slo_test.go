@@ -144,107 +144,116 @@ func TestWindowQuantilesVsBruteForce(t *testing.T) {
 	}
 }
 
+// TestBudgetBurnMath runs 14 windows, enough to wrap the 10-window burn
+// lookback, with windows 2 and 7 violating: the burn rate counts window 2
+// until the ring wraps past it at window 12.
 func TestBudgetBurnMath(t *testing.T) {
 	sink := &collect{}
 	tr := mustNew(t, Config{
 		WindowMs: 10,
 		Objectives: []Objective{{
 			Name: "lat", Series: SeriesE2E, Stat: StatQuantile(0.95),
-			Threshold: 50, Target: 0.90, FireAfter: 100, ResolveAfter: 1,
+			Threshold: 50, Target: 0.90,
 		}},
-		Sink:         sink,
-		BurnLookback: 4,
+		Sink: sink,
 	})
-	// 10 windows: windows 2 and 7 violate (latency 500 > 50), others
-	// comply (latency 1).
-	for w := 0; w < 10; w++ {
+	const windows = 14
+	for w := 0; w < windows; w++ {
 		v := 1.0
 		if w == 2 || w == 7 {
 			v = 500
 		}
 		tr.Observe(float64(w*10)+5, v, false)
 	}
-	tr.Finish(100)
+	tr.Finish(windows * 10)
 	res := tr.Results()
 	if len(res) != 1 {
 		t.Fatalf("want 1 result, got %d", len(res))
 	}
 	r := res[0]
-	if r.Windows != 10 || r.Violations != 2 {
-		t.Fatalf("windows/violations = %d/%d, want 10/2", r.Windows, r.Violations)
+	if r.Windows != windows || r.Violations != 2 {
+		t.Fatalf("windows/violations = %d/%d, want %d/2", r.Windows, r.Violations, windows)
 	}
-	if r.CompliancePct != 80 {
-		t.Fatalf("compliance = %v, want 80", r.CompliancePct)
+	if want := 100 * (1 - 2.0/windows); math.Abs(r.CompliancePct-want) > 1e-9 {
+		t.Fatalf("compliance = %v, want %v", r.CompliancePct, want)
 	}
-	// Budget: (1-0.90)*10 = 1 window allowed, 2 spent → remaining -1.
-	if math.Abs(r.BudgetTotal-1) > 1e-9 || math.Abs(r.BudgetRemaining-(-1)) > 1e-9 {
-		t.Fatalf("budget total/remaining = %v/%v, want 1/-1", r.BudgetTotal, r.BudgetRemaining)
+	// Budget: (1-0.90)*14 = 1.4 windows allowed, 2 spent → remaining -0.6.
+	if math.Abs(r.BudgetTotal-1.4) > 1e-9 || math.Abs(r.BudgetRemaining-(-0.6)) > 1e-9 {
+		t.Fatalf("budget total/remaining = %v/%v, want 1.4/-0.6", r.BudgetTotal, r.BudgetRemaining)
 	}
 	if r.Met {
-		t.Fatalf("objective reported met at 80%% compliance vs 90%% target")
+		t.Fatalf("objective reported met at %v%% compliance vs 90%% target", r.CompliancePct)
 	}
-	// Burn at the last window: lookback 4 covers windows 6..9, one bad
-	// (window 7) → rate 0.25 / allowed 0.10 = 2.5.
-	if math.Abs(r.BurnRate-2.5) > 1e-9 {
-		t.Fatalf("burn rate = %v, want 2.5", r.BurnRate)
+	// Burn at the last window: the lookback covers windows 4..13, one bad
+	// (window 7) → rate 0.1 / allowed 0.1 = 1.
+	if math.Abs(r.BurnRate-1) > 1e-9 {
+		t.Fatalf("burn rate = %v, want 1", r.BurnRate)
 	}
-	// Spot-check the per-window eval stream: window 2's eval must carry
-	// burn 1/3 / 0.1 (lookback holds 3 windows, one bad).
 	evals := sink.kind("slo-eval")
-	if len(evals) != 10 {
-		t.Fatalf("want 10 eval events, got %d", len(evals))
+	if len(evals) != windows {
+		t.Fatalf("want %d eval events, got %d", windows, len(evals))
 	}
-	burn2, _ := evals[2].Num("burn_rate")
-	if math.Abs(burn2-(1.0/3.0)/0.10) > 1e-9 {
-		t.Fatalf("window 2 burn = %v, want %v", burn2, (1.0/3.0)/0.10)
+	for _, c := range []struct {
+		window int
+		burn   float64
+	}{
+		{2, (1.0 / 3.0) / 0.10},   // the ring holds 3 windows, one bad
+		{9, (2.0 / 10.0) / 0.10},  // the ring is full: windows 0..9
+		{11, (2.0 / 10.0) / 0.10}, // windows 2..11, both bad ones still in
+		{12, (1.0 / 10.0) / 0.10}, // windows 3..12: window 2 has wrapped out
+	} {
+		if burn, _ := evals[c.window].Num("burn_rate"); math.Abs(burn-c.burn) > 1e-9 {
+			t.Errorf("window %d burn = %v, want %v", c.window, burn, c.burn)
+		}
 	}
 	if v, _ := evals[2].Bool("violated"); !v {
 		t.Fatalf("window 2 eval not marked violated")
 	}
-	if rem, _ := evals[9].Num("budget_remaining"); math.Abs(rem-(-1)) > 1e-9 {
-		t.Fatalf("final eval budget_remaining = %v, want -1", rem)
+	if rem, _ := evals[windows-1].Num("budget_remaining"); math.Abs(rem-(-0.6)) > 1e-9 {
+		t.Fatalf("final eval budget_remaining = %v, want -0.6", rem)
 	}
 }
 
+// TestAlertHysteresis: an alert fires on the first violating window and
+// resolves on the first compliant one.
 func TestAlertHysteresis(t *testing.T) {
 	sink := &collect{}
 	tr := mustNew(t, Config{
 		WindowMs: 10,
 		Objectives: []Objective{{
 			Name: "lat", Series: SeriesE2E, Stat: StatMean,
-			Threshold: 50, Target: 0.5, FireAfter: 2, ResolveAfter: 3,
+			Threshold: 50, Target: 0.5,
 		}},
 		Sink: sink,
 	})
-	// Pattern: bad, good, bad, bad(fire), bad, good, good, bad(reset
-	// resolve count), good, good, good(resolve).
-	vals := []float64{500, 1, 500, 500, 500, 1, 1, 500, 1, 1, 1}
+	// Pattern: good, bad (fire), bad, good (resolve), good, bad (fire),
+	// good (resolve).
+	vals := []float64{1, 500, 500, 1, 1, 500, 1}
 	for w, v := range vals {
 		tr.Observe(float64(w*10)+5, v, false)
 	}
 	tr.Finish(float64(len(vals) * 10))
+	want := []struct {
+		state  string
+		window int64
+	}{{"firing", 1}, {"resolved", 3}, {"firing", 5}, {"resolved", 6}}
 	alerts := sink.kind("slo-alert")
-	if len(alerts) != 2 {
-		t.Fatalf("want exactly 2 alert transitions (fire, resolve), got %d: %v", len(alerts), alerts)
+	if len(alerts) != len(want) {
+		t.Fatalf("want %d alert transitions, got %d: %v", len(want), len(alerts), alerts)
 	}
-	if s, _ := alerts[0].Str("state"); s != "firing" {
-		t.Fatalf("first transition state = %q, want firing", s)
-	}
-	if w, _ := alerts[0].Int("window"); w != 3 {
-		t.Fatalf("fired at window %d, want 3 (second consecutive violation)", w)
-	}
-	if s, _ := alerts[1].Str("state"); s != "resolved" {
-		t.Fatalf("second transition state = %q, want resolved", s)
-	}
-	if w, _ := alerts[1].Int("window"); w != 10 {
-		t.Fatalf("resolved at window %d, want 10 (third consecutive good)", w)
-	}
-	if reason, _ := alerts[1].Str("reason"); reason != "recovered" {
-		t.Fatalf("resolve reason = %q, want recovered", reason)
+	for k, w := range want {
+		state, _ := alerts[k].Str("state")
+		window, _ := alerts[k].Int("window")
+		if state != w.state || window != w.window {
+			t.Errorf("transition %d = %s at window %d, want %s at window %d", k, state, window, w.state, w.window)
+		}
+		if reason, _ := alerts[k].Str("reason"); w.state == "resolved" && reason != "recovered" {
+			t.Errorf("transition %d resolve reason = %q, want recovered", k, reason)
+		}
 	}
 	res := tr.Results()[0]
-	if res.Alerts != 1 || res.Firing {
-		t.Fatalf("alerts/firing = %d/%v, want 1/false", res.Alerts, res.Firing)
+	if res.Alerts != 2 || res.Firing {
+		t.Fatalf("alerts/firing = %d/%v, want 2/false", res.Alerts, res.Firing)
 	}
 }
 
@@ -402,7 +411,6 @@ func TestNilTrackerSafeAndZeroAlloc(t *testing.T) {
 		tr.Finish(10)
 		_ = tr.Results()
 		_ = tr.WindowMs()
-		_ = tr.Objectives()
 	})
 	if allocs != 0 {
 		t.Fatalf("nil tracker allocated %v per run, want 0", allocs)
@@ -493,8 +501,8 @@ func TestNameDerivationAndDedup(t *testing.T) {
 		},
 	})
 	got := []string{}
-	for _, o := range tr.Objectives() {
-		got = append(got, o.Name)
+	for _, r := range tr.Results() {
+		got = append(got, r.Name)
 	}
 	want := []string{"e2e_p95", "e2e_p95_2", "uplink_mean"}
 	for i := range want {

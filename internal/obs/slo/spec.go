@@ -42,7 +42,7 @@ func ParseObjectives(spec string) ([]Objective, error) {
 }
 
 func parseObjective(part string) (Objective, error) {
-	o := Objective{Series: SeriesE2E, Target: 0.99, FireAfter: 1, ResolveAfter: 1}
+	o := Objective{Series: SeriesE2E, Target: 0.99}
 	lhs, rest, ok := strings.Cut(part, "<=")
 	if !ok {
 		return o, fmt.Errorf("slo: objective %q: want [series.]stat<=threshold[@target]", part)

@@ -25,9 +25,6 @@ func TestParseObjectives(t *testing.T) {
 			abs(got.Target-w.Target) > 1e-12 {
 			t.Errorf("objective %d = %+v, want %+v", i, got, w)
 		}
-		if got.FireAfter != 1 || got.ResolveAfter != 1 {
-			t.Errorf("objective %d hysteresis = %d/%d, want 1/1", i, got.FireAfter, got.ResolveAfter)
-		}
 	}
 }
 
@@ -98,4 +95,48 @@ func TestSpecRoundTrip(t *testing.T) {
 		back[0].Threshold != objs[0].Threshold || abs(back[0].Target-objs[0].Target) > 1e-12 {
 		t.Fatalf("round trip %q → %+v, want %+v", objs[0].Spec(), back[0], objs[0])
 	}
+}
+
+// FuzzParseObjectives: any -slo spec either fails to parse, or yields
+// objectives that New accepts and that each re-parse from their Spec()
+// to the same objective, bit for bit.
+func FuzzParseObjectives(f *testing.F) {
+	for _, spec := range []string{
+		"p95<=20@99",
+		"p95<=20@99, uplink.p99<=5, miss<=0.01@95, service.mean<=2.5",
+		"queue.p95<=7.5@99.5",
+		"p99.9<=100",
+		"downlink.p1e-3<=1e+06@0.07",
+		"p99.99999999999999<=-0@100",
+		"p95<=20@99,p95<=20@99",
+		"",
+		" , ",
+		"p95",
+		"p95<=x",
+		"p95<=1@0",
+		"p100<=1",
+		"uplink.miss<=0.1",
+		"mean<=NaN",
+		"edge.p95<=1",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		objs, err := ParseObjectives(spec)
+		if err != nil {
+			return
+		}
+		for _, o := range objs {
+			back, err := ParseObjectives(o.Spec())
+			if err != nil {
+				t.Fatalf("spec %q: re-parsing %q: %v", spec, o.Spec(), err)
+			}
+			if len(back) != 1 || back[0] != o {
+				t.Fatalf("spec %q: %q re-parses to %+v, want [%+v]", spec, o.Spec(), back, o)
+			}
+		}
+		if _, err := New(Config{WindowMs: 1, Objectives: objs}); err != nil {
+			t.Fatalf("spec %q: New rejects its objectives: %v", spec, err)
+		}
+	})
 }

@@ -1,7 +1,6 @@
 // Package stats provides the small statistical toolkit used by the
 // simulator and the experiment harness: streaming moments (Welford),
-// quantiles over collected samples, fixed-width histograms and normal-theory
-// confidence intervals.
+// quantiles over collected samples and normal-theory confidence intervals.
 package stats
 
 import (
@@ -16,22 +15,10 @@ type Welford struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds x into the accumulator.
 func (w *Welford) Add(x float64) {
-	if w.n == 0 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
 	w.n++
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
@@ -43,12 +30,6 @@ func (w *Welford) N() int { return w.n }
 
 // Mean returns the sample mean, or 0 if no samples were added.
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Min returns the smallest sample, or 0 if no samples were added.
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest sample, or 0 if no samples were added.
-func (w *Welford) Max() float64 { return w.max }
 
 // Variance returns the unbiased sample variance (n-1 denominator), or 0 for
 // fewer than two samples.
@@ -73,29 +54,6 @@ func (w *Welford) StdErr() float64 {
 // CI95 returns the half-width of a normal-theory 95% confidence interval for
 // the mean.
 func (w *Welford) CI95() float64 { return 1.96 * w.StdErr() }
-
-// Merge folds another accumulator into this one using Chan et al.'s
-// parallel-variance formula.
-func (w *Welford) Merge(o *Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	mean := w.mean + delta*float64(o.n)/float64(n)
-	m2 := w.m2 + o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-	w.n, w.mean, w.m2 = n, mean, m2
-}
 
 // Sample collects raw observations for exact quantile queries. The zero
 // value is ready to use.
@@ -164,54 +122,4 @@ func (s *Sample) Values() []float64 {
 	out := make([]float64, len(s.xs))
 	copy(out, s.xs)
 	return out
-}
-
-// Histogram counts observations into fixed-width bins over [lo, hi).
-// Observations outside the range are clamped into the first or last bin so
-// no data is silently dropped.
-type Histogram struct {
-	lo, hi float64
-	bins   []int
-	n      int
-}
-
-// NewHistogram returns a histogram with the given bounds and bin count. It
-// panics if hi <= lo or bins <= 0.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if hi <= lo {
-		panic("stats: NewHistogram with hi <= lo")
-	}
-	if bins <= 0 {
-		panic("stats: NewHistogram with bins <= 0")
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]int, bins)}
-}
-
-// Add records an observation.
-func (h *Histogram) Add(x float64) {
-	idx := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.bins)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.bins) {
-		idx = len(h.bins) - 1
-	}
-	h.bins[idx]++
-	h.n++
-}
-
-// N returns the total number of observations.
-func (h *Histogram) N() int { return h.n }
-
-// Bins returns a copy of the per-bin counts.
-func (h *Histogram) Bins() []int {
-	out := make([]int, len(h.bins))
-	copy(out, h.bins)
-	return out
-}
-
-// BinBounds returns the [lo, hi) bounds of bin i.
-func (h *Histogram) BinBounds(i int) (lo, hi float64) {
-	width := (h.hi - h.lo) / float64(len(h.bins))
-	return h.lo + float64(i)*width, h.lo + float64(i+1)*width
 }

@@ -26,8 +26,8 @@ func TestClone(t *testing.T) {
 	if g.NumNodes() == c.NumNodes() {
 		t.Fatal("clone shares node storage")
 	}
-	if _, ok := g.NodeByName("extra"); ok {
-		t.Fatal("clone shares name index")
+	if _, err := g.AddNode(KindRouter, "extra", 0, 0); err != nil {
+		t.Fatalf("clone shares name index: %v", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package topology
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"taccc/internal/xrand"
 )
@@ -619,9 +618,4 @@ func Generate(family Family, cfg Config, place Placement) (*Graph, error) {
 	default:
 		return nil, fmt.Errorf("topology: unknown family %q", family)
 	}
-}
-
-// sortIDs sorts node IDs ascending; used by tests and deterministic output.
-func sortIDs(ids []NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

@@ -293,14 +293,6 @@ func TestHierarchicalQuick(t *testing.T) {
 	}
 }
 
-func TestSortIDs(t *testing.T) {
-	ids := []NodeID{5, 1, 3}
-	sortIDs(ids)
-	if ids[0] != 1 || ids[1] != 3 || ids[2] != 5 {
-		t.Fatalf("sortIDs = %v", ids)
-	}
-}
-
 // TestNonFiniteGeometryIsAnError: a NaN or infinite deployment area, or a
 // device coordinate, is an error returned before the graph is touched —
 // not a panic on the first NaN link latency, and not a device silently

@@ -177,15 +177,6 @@ func (g *Graph) Node(id NodeID) Node {
 	return g.nodes[id]
 }
 
-// NodeByName looks a node up by name.
-func (g *Graph) NodeByName(name string) (Node, bool) {
-	id, ok := g.byName[name]
-	if !ok {
-		return Node{}, false
-	}
-	return g.nodes[id], true
-}
-
 // Nodes returns a copy of all nodes in ID order.
 func (g *Graph) Nodes() []Node {
 	out := make([]Node, len(g.nodes))

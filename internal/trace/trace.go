@@ -1,128 +1,33 @@
-// Package trace persists and analyzes per-request traces from the cluster
-// simulator: a CSV writer that plugs into cluster.Config.Recorder, a
-// reader, an aggregate summary, and a windowed time series for
-// latency-over-time plots. Traces make simulation runs inspectable and
-// diffable offline — the record/replay counterpart to the live Result.
+// Package trace analyzes the cluster simulator's per-request records: it
+// rebuilds them from the request spans of an event stream (a run
+// archive's events.jsonl), then summarizes them and buckets them into a
+// latency-over-time series. Spans are the simulator's one per-request
+// record; this package is their offline reader.
 package trace
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
 
 	"taccc/internal/cluster"
 	"taccc/internal/obs"
 	"taccc/internal/stats"
 )
 
-// header is the CSV column layout.
-var header = []string{"device", "edge", "sent_ms", "done_ms", "latency_ms", "outcome"}
-
-// Writer streams records as CSV rows. Create with NewWriter and Flush (or
-// Close the underlying file) when done.
-type Writer struct {
-	w   *csv.Writer
-	err error
-	n   int
-}
-
-// NewWriter emits the header immediately.
-func NewWriter(w io.Writer) (*Writer, error) {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(header); err != nil {
-		return nil, fmt.Errorf("trace: writing header: %w", err)
-	}
-	return &Writer{w: cw}, nil
-}
-
-// Record implements cluster.Recorder. The first write error is latched and
-// reported by Flush.
-func (t *Writer) Record(r cluster.RequestRecord) {
-	if t.err != nil {
-		return
-	}
-	t.err = t.w.Write([]string{
-		strconv.Itoa(r.Device),
-		strconv.Itoa(r.Edge),
-		strconv.FormatFloat(r.SentAtMs, 'f', 3, 64),
-		strconv.FormatFloat(r.DoneAtMs, 'f', 3, 64),
-		strconv.FormatFloat(r.LatencyMs, 'f', 3, 64),
-		string(r.Outcome),
-	})
-	if t.err == nil {
-		t.n++
-	}
-}
-
-// N returns the number of records written.
-func (t *Writer) N() int { return t.n }
-
-// Flush drains buffers and returns the first error encountered.
-func (t *Writer) Flush() error {
-	t.w.Flush()
-	if t.err != nil {
-		return fmt.Errorf("trace: %w", t.err)
-	}
-	if err := t.w.Error(); err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	return nil
-}
-
-// Read parses a trace written by Writer.
-func Read(r io.Reader) ([]cluster.RequestRecord, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("trace: empty input")
-	}
-	if len(rows[0]) != len(header) || rows[0][0] != header[0] {
-		return nil, fmt.Errorf("trace: unrecognized header %v", rows[0])
-	}
-	out := make([]cluster.RequestRecord, 0, len(rows)-1)
-	for lineNo, row := range rows[1:] {
-		rec, err := parseRow(row)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", lineNo+2, err)
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-func parseRow(row []string) (cluster.RequestRecord, error) {
-	var rec cluster.RequestRecord
-	if len(row) != len(header) {
-		return rec, fmt.Errorf("want %d fields, got %d", len(header), len(row))
-	}
-	var err error
-	if rec.Device, err = strconv.Atoi(row[0]); err != nil {
-		return rec, fmt.Errorf("device: %w", err)
-	}
-	if rec.Edge, err = strconv.Atoi(row[1]); err != nil {
-		return rec, fmt.Errorf("edge: %w", err)
-	}
-	if rec.SentAtMs, err = strconv.ParseFloat(row[2], 64); err != nil {
-		return rec, fmt.Errorf("sent_ms: %w", err)
-	}
-	if rec.DoneAtMs, err = strconv.ParseFloat(row[3], 64); err != nil {
-		return rec, fmt.Errorf("done_ms: %w", err)
-	}
-	if rec.LatencyMs, err = strconv.ParseFloat(row[4], 64); err != nil {
-		return rec, fmt.Errorf("latency_ms: %w", err)
-	}
-	switch o := cluster.Outcome(row[5]); o {
-	case cluster.OutcomeOK, cluster.OutcomeMissed, cluster.OutcomeDropped:
-		rec.Outcome = o
-	default:
-		return rec, fmt.Errorf("unknown outcome %q", row[5])
-	}
-	return rec, nil
+// RequestRecord is one traced request's lifecycle, rebuilt from its root
+// "request" span.
+type RequestRecord struct {
+	// Device and Edge identify the request's endpoints.
+	Device int
+	Edge   int
+	// SentAtMs and DoneAtMs bound the lifecycle (DoneAtMs is the drop
+	// time for dropped requests).
+	SentAtMs float64
+	DoneAtMs float64
+	// LatencyMs is end-to-end latency (0 for drops).
+	LatencyMs float64
+	// Outcome classifies the ending.
+	Outcome cluster.Outcome
 }
 
 // Summary aggregates a trace.
@@ -137,7 +42,7 @@ type Summary struct {
 }
 
 // Summarize computes aggregate statistics over records.
-func Summarize(records []cluster.RequestRecord) *Summary {
+func Summarize(records []RequestRecord) *Summary {
 	s := &Summary{PerEdge: make(map[int]int)}
 	for _, r := range records {
 		switch r.Outcome {
@@ -181,7 +86,7 @@ type WindowPoint struct {
 // windowMs, producing the "latency over time" view of a run. Records are
 // bucketed by DoneAtMs; buckets are returned in time order, empty buckets
 // omitted.
-func TimeSeries(records []cluster.RequestRecord, windowMs float64) ([]WindowPoint, error) {
+func TimeSeries(records []RequestRecord, windowMs float64) ([]WindowPoint, error) {
 	if windowMs <= 0 {
 		return nil, fmt.Errorf("trace: window must be positive, got %v", windowMs)
 	}
@@ -228,15 +133,14 @@ func TimeSeries(records []cluster.RequestRecord, windowMs float64) ([]WindowPoin
 }
 
 // FromSpanEvents reconstructs per-request records from a structured
-// event stream: every root "request" span — as the simulator emits with
-// cluster.Config.Spans, and as run archives persist in events.jsonl —
-// becomes one record. This is what lets tactrace analyze a run archive
-// directly instead of requiring a separate -trace CSV. Span events of
-// other kinds and request phase children (uplink/queue/service/downlink)
-// are ignored; a request span with a malformed payload is an error, not
-// a silent skip.
-func FromSpanEvents(events []obs.Event) ([]cluster.RequestRecord, error) {
-	var out []cluster.RequestRecord
+// event stream: every root "request" span, as the simulator emits with
+// cluster.Config.Spans and run archives persist in events.jsonl, becomes
+// one record. Requests dropped at the device are never traced, so they
+// have no record. Span events of other kinds and request phase children
+// (uplink/queue/service/downlink) are ignored; a request span with a
+// malformed payload is an error, not a silent skip.
+func FromSpanEvents(events []obs.Event) ([]RequestRecord, error) {
+	var out []RequestRecord
 	for _, sp := range obs.SpansFromEvents(events) {
 		if sp.Name != "request" || sp.Parent != 0 {
 			continue
@@ -247,7 +151,7 @@ func FromSpanEvents(events []obs.Event) ([]cluster.RequestRecord, error) {
 		if !okD || !okE || !okO {
 			return nil, fmt.Errorf("trace: request span in trace %d missing device/edge/outcome attrs", sp.Trace)
 		}
-		rec := cluster.RequestRecord{
+		rec := RequestRecord{
 			Device:   int(dev),
 			Edge:     int(edge),
 			SentAtMs: sp.StartMs,
@@ -258,8 +162,7 @@ func FromSpanEvents(events []obs.Event) ([]cluster.RequestRecord, error) {
 			rec.Outcome = o
 			rec.LatencyMs = sp.EndMs - sp.StartMs
 		case cluster.OutcomeDropped:
-			// Drops record their drop time but no latency, matching the
-			// CSV writer's convention.
+			// Drops record their drop time but no latency.
 			rec.Outcome = o
 		default:
 			return nil, fmt.Errorf("trace: request span in trace %d has unknown outcome %q", sp.Trace, outcome)

@@ -1,33 +1,26 @@
 package trace
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"taccc/internal/cluster"
+	"taccc/internal/obs"
 )
 
-// TestHeaderOnlyTrace covers a run that produced no requests: the file
-// holds just the CSV header and every analysis degrades gracefully.
-func TestHeaderOnlyTrace(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
+// TestEmptyTrace covers a stream that carries no request spans, only a
+// phase child and another event kind: it yields no records, and every
+// analysis degrades gracefully.
+func TestEmptyTrace(t *testing.T) {
+	var events []obs.Event
+	sink := obs.SinkFunc(func(e obs.Event) { events = append(events, e) })
+	obs.EmitSpan(sink, obs.Span{Trace: 1, ID: 2, Parent: 1, Name: "uplink", StartMs: 1, EndMs: 2})
+	obs.Emit(sink, "iter", map[string]interface{}{"iter": 0})
+	records, err := FromSpanEvents(events)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.N() != 0 {
-		t.Fatalf("N() = %d for an empty trace", w.N())
-	}
-	records, err := Read(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatalf("header-only trace should read cleanly: %v", err)
+		t.Fatalf("a stream without request spans should read cleanly: %v", err)
 	}
 	if len(records) != 0 {
-		t.Fatalf("%d records from a header-only trace", len(records))
+		t.Fatalf("%d records from a stream without request spans", len(records))
 	}
 	s := Summarize(records)
 	if s.Completed != 0 || s.Missed != 0 || s.Dropped != 0 || s.Latency.N() != 0 {
@@ -46,11 +39,11 @@ func TestHeaderOnlyTrace(t *testing.T) {
 }
 
 func TestSingleRecordWindow(t *testing.T) {
-	rec := cluster.RequestRecord{
+	rec := RequestRecord{
 		Device: 3, Edge: 1, SentAtMs: 1200, DoneAtMs: 1212,
 		LatencyMs: 12, Outcome: cluster.OutcomeOK,
 	}
-	ts, err := TimeSeries([]cluster.RequestRecord{rec}, 1000)
+	ts, err := TimeSeries([]RequestRecord{rec}, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +66,7 @@ func TestSingleRecordWindow(t *testing.T) {
 // TestWindowWiderThanSpan puts every record into one bucket when the
 // window dwarfs the trace's time span.
 func TestWindowWiderThanSpan(t *testing.T) {
-	records := []cluster.RequestRecord{
+	records := []RequestRecord{
 		{Device: 0, Edge: 0, SentAtMs: 10, DoneAtMs: 20, LatencyMs: 10, Outcome: cluster.OutcomeOK},
 		{Device: 1, Edge: 0, SentAtMs: 500, DoneAtMs: 530, LatencyMs: 30, Outcome: cluster.OutcomeMissed},
 		{Device: 2, Edge: 1, SentAtMs: 900, DoneAtMs: 900, LatencyMs: 0, Outcome: cluster.OutcomeDropped},

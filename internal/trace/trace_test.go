@@ -1,17 +1,16 @@
 package trace
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"taccc/internal/cluster"
+	"taccc/internal/obs"
 	"taccc/internal/workload"
 )
 
-func sampleRecords() []cluster.RequestRecord {
-	return []cluster.RequestRecord{
+func sampleRecords() []RequestRecord {
+	return []RequestRecord{
 		{Device: 0, Edge: 1, SentAtMs: 10, DoneAtMs: 25, LatencyMs: 15, Outcome: cluster.OutcomeOK},
 		{Device: 1, Edge: 0, SentAtMs: 12, DoneAtMs: 300, LatencyMs: 288, Outcome: cluster.OutcomeMissed},
 		{Device: 2, Edge: 1, SentAtMs: 14, DoneAtMs: 14, Outcome: cluster.OutcomeDropped},
@@ -19,48 +18,27 @@ func sampleRecords() []cluster.RequestRecord {
 	}
 }
 
-func TestWriterReaderRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
+// TestFromSpanEventsErrors: a request span whose payload lacks the
+// device, edge or outcome attribute, or carries an unknown outcome, is an
+// error, not a silent skip.
+func TestFromSpanEventsErrors(t *testing.T) {
+	request := func(attrs map[string]interface{}) []obs.Event {
+		var events []obs.Event
+		obs.EmitSpan(obs.SinkFunc(func(e obs.Event) { events = append(events, e) }),
+			obs.Span{Trace: 1, ID: 1, Name: "request", StartMs: 1, EndMs: 3, Attrs: attrs})
+		return events
 	}
-	recs := sampleRecords()
-	for _, r := range recs {
-		w.Record(r)
+	recs, err := FromSpanEvents(request(map[string]interface{}{"device": 1, "edge": 0, "outcome": "ok"}))
+	if err != nil || len(recs) != 1 || recs[0].LatencyMs != 2 {
+		t.Fatalf("well-formed request span: %+v, %v", recs, err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.N() != len(recs) {
-		t.Fatalf("N = %d, want %d", w.N(), len(recs))
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("read %d records, want %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if got[i].Device != recs[i].Device || got[i].Edge != recs[i].Edge ||
-			got[i].Outcome != recs[i].Outcome ||
-			math.Abs(got[i].LatencyMs-recs[i].LatencyMs) > 1e-3 {
-			t.Fatalf("record %d mismatch: %+v vs %+v", i, got[i], recs[i])
-		}
-	}
-}
-
-func TestReadErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":       "",
-		"bad header":  "a,b,c\n",
-		"bad device":  "device,edge,sent_ms,done_ms,latency_ms,outcome\nx,0,1,2,3,ok\n",
-		"bad outcome": "device,edge,sent_ms,done_ms,latency_ms,outcome\n1,0,1,2,3,wat\n",
-		"short row":   "device,edge,sent_ms,done_ms,latency_ms,outcome\n1,0,1\n",
-	}
-	for name, in := range cases {
-		if _, err := Read(strings.NewReader(in)); err == nil {
+	for name, attrs := range map[string]map[string]interface{}{
+		"no device":   {"edge": 0, "outcome": "ok"},
+		"no edge":     {"device": 1, "outcome": "ok"},
+		"no outcome":  {"device": 1, "edge": 0},
+		"bad outcome": {"device": 1, "edge": 0, "outcome": "wat"},
+	} {
+		if _, err := FromSpanEvents(request(attrs)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -109,14 +87,11 @@ func TestTimeSeries(t *testing.T) {
 	}
 }
 
-// TestEndToEndWithSimulator runs a real simulation with a trace recorder
-// and checks the trace agrees with the simulator's own Result.
+// TestEndToEndWithSimulator runs a real simulation with every request
+// traced and checks the records rebuilt from its spans agree with the
+// simulator's own Result.
 func TestEndToEndWithSimulator(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var events []obs.Event
 	cfg := cluster.Config{
 		UplinkMs: [][]float64{{5, 50}, {50, 5}},
 		Devices: []workload.Device{
@@ -125,7 +100,7 @@ func TestEndToEndWithSimulator(t *testing.T) {
 		},
 		ServiceRate: []float64{1000, 1000},
 		Assignment:  []int{0, 1},
-		Recorder:    w,
+		Spans:       obs.SinkFunc(func(e obs.Event) { events = append(events, e) }),
 		Seed:        3,
 	}
 	s, err := cluster.New(cfg)
@@ -136,16 +111,13 @@ func TestEndToEndWithSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := Read(&buf)
+	recs, err := FromSpanEvents(events)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := Summarize(recs)
-	// No warmup configured, so the trace's completed count must equal
-	// the result's.
+	// No warmup configured and no drops at the device, so the trace's
+	// counts must equal the result's.
 	if sum.Completed != res.Completed {
 		t.Fatalf("trace completed %d, result %d", sum.Completed, res.Completed)
 	}

@@ -88,12 +88,6 @@ func (s *Source) Exponential(rate float64) float64 {
 	return s.rng.ExpFloat64() / rate
 }
 
-// Pareto returns a Pareto-distributed float64 with scale xm and shape alpha.
-func (s *Source) Pareto(xm, alpha float64) float64 {
-	u := 1 - s.rng.Float64() // in (0,1]
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // LogNormal returns a log-normally distributed float64 where the underlying
 // normal has mean mu and standard deviation sigma.
 func (s *Source) LogNormal(mu, sigma float64) float64 {
@@ -143,30 +137,4 @@ func (s *Source) Choice(weights []float64) int {
 		}
 	}
 	return len(weights) - 1 // floating-point slack
-}
-
-// Poisson returns a Poisson-distributed integer with the given mean using
-// Knuth's method for small means and a normal approximation for large ones.
-func (s *Source) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 500 {
-		// Normal approximation with continuity correction.
-		v := s.Normal(mean, math.Sqrt(mean))
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= s.rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
 }

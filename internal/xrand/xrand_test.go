@@ -101,39 +101,6 @@ func TestExponentialPanics(t *testing.T) {
 	New(1).Exponential(0)
 }
 
-func TestPoissonMean(t *testing.T) {
-	s := New(3)
-	for _, mean := range []float64{0.5, 4, 30, 800} {
-		sum := 0.0
-		const n = 50000
-		for i := 0; i < n; i++ {
-			sum += float64(s.Poisson(mean))
-		}
-		got := sum / n
-		if math.Abs(got-mean) > 0.05*mean+0.05 {
-			t.Errorf("Poisson(%v) sample mean = %v", mean, got)
-		}
-	}
-}
-
-func TestPoissonNonPositive(t *testing.T) {
-	if got := New(1).Poisson(0); got != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", got)
-	}
-	if got := New(1).Poisson(-3); got != 0 {
-		t.Fatalf("Poisson(-3) = %d, want 0", got)
-	}
-}
-
-func TestParetoLowerBound(t *testing.T) {
-	s := New(11)
-	for i := 0; i < 10000; i++ {
-		if v := s.Pareto(2, 1.5); v < 2 {
-			t.Fatalf("Pareto(2, 1.5) below scale: %v", v)
-		}
-	}
-}
-
 func TestChoiceDistribution(t *testing.T) {
 	s := New(5)
 	weights := []float64{1, 0, 3}

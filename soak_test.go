@@ -6,13 +6,15 @@ import (
 	"testing"
 
 	taccc "taccc"
+	"taccc/internal/obs"
 )
 
 // TestSoakDynamicPipeline drives the whole stack through one long dynamic
 // run — solve, simulate with drift, mid-run reconfiguration with migration
-// pauses, an edge failure and recovery, churn, PS discipline and a trace
-// recorder — and asserts global consistency invariants between the
-// simulator's result and the trace.
+// pauses, an edge failure and recovery, churn, PS discipline and every
+// request traced into a JSONL stream — and asserts global consistency
+// invariants between the simulator's result and the request records
+// decoded back from that stream.
 func TestSoakDynamicPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
@@ -31,10 +33,7 @@ func TestSoakDynamicPipeline(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	w, err := taccc.NewTraceWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sink := taccc.NewJSONLSink(&buf)
 	sim, err := taccc.NewSimulator(taccc.SimConfig{
 		UplinkMs:    built.Delay.DelayMs,
 		Devices:     built.Devices,
@@ -44,7 +43,7 @@ func TestSoakDynamicPipeline(t *testing.T) {
 		Discipline:  taccc.DisciplinePS,
 		JitterSigma: 0.3,
 		MaxQueue:    2_000,
-		Recorder:    w,
+		Spans:       sink,
 		Seed:        11,
 	})
 	if err != nil {
@@ -87,7 +86,7 @@ func TestSoakDynamicPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -104,7 +103,11 @@ func TestSoakDynamicPipeline(t *testing.T) {
 		}
 	}
 	// Trace agrees with result on the measured window.
-	recs, err := taccc.ReadTrace(&buf)
+	events, err := obs.ReadEventStream(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := taccc.TraceFromSpanEvents(events)
 	if err != nil {
 		t.Fatal(err)
 	}

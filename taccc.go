@@ -90,14 +90,6 @@ func LowerBound(in *Instance) float64 { return gap.LowerBound(in) }
 // library computes), or -Inf when the LP could not be solved.
 func LPBound(in *Instance) float64 { return gap.LPBound(in) }
 
-// Reduction is the outcome of Preprocess: forced placements plus a smaller
-// residual instance.
-type Reduction = gap.Reduction
-
-// Preprocess fixes forced device placements and shrinks the instance; see
-// Reduction.Expand to lift residual solutions back.
-func Preprocess(in *Instance) (*Reduction, error) { return gap.Preprocess(in) }
-
 // Topology substrate (internal/topology).
 type (
 	// Graph is the network topology.
@@ -358,12 +350,6 @@ func CloudOffload(in *Instance, a *Assignment) (count int, fraction float64, err
 	return gap.CloudOffload(in, a)
 }
 
-// NewReplayArrivals wraps a recorded inter-arrival gap sequence (ms) as an
-// arrival process for the simulator, cycling when exhausted.
-func NewReplayArrivals(gapsMs []float64) (*workload.Replay, error) {
-	return workload.NewReplay(gapsMs)
-}
-
 // Cluster simulation (internal/cluster).
 type (
 	// SimConfig configures an edge-cluster simulation run.
@@ -389,14 +375,11 @@ func NewSimulator(cfg SimConfig) (*Simulator, error) { return cluster.New(cfg) }
 
 // Request tracing (internal/cluster + internal/trace).
 type (
-	// RequestRecord is one request's lifecycle.
-	RequestRecord = cluster.RequestRecord
+	// RequestRecord is one traced request's lifecycle, rebuilt from its
+	// request span.
+	RequestRecord = trace.RequestRecord
 	// Outcome classifies how a request ended (ok / missed / dropped).
 	Outcome = cluster.Outcome
-	// Recorder consumes records during simulation; set SimConfig.Recorder.
-	Recorder = cluster.Recorder
-	// TraceWriter streams records as CSV.
-	TraceWriter = trace.Writer
 	// TraceSummary aggregates a trace.
 	TraceSummary = trace.Summary
 	// TraceWindow is one bucket of a latency time series.
@@ -410,15 +393,9 @@ const (
 	OutcomeDropped = cluster.OutcomeDropped
 )
 
-// NewTraceWriter starts a CSV trace on w (header written immediately).
-func NewTraceWriter(w io.Writer) (*TraceWriter, error) { return trace.NewWriter(w) }
-
-// ReadTrace parses a CSV trace written by TraceWriter.
-func ReadTrace(r io.Reader) ([]RequestRecord, error) { return trace.Read(r) }
-
 // TraceFromSpanEvents reconstructs per-request records from a structured
-// event stream's root "request" spans — the event-plane counterpart of
-// ReadTrace, letting run archives serve as trace sources directly.
+// event stream's root "request" spans, such as a run archive's
+// events.jsonl.
 func TraceFromSpanEvents(events []ObsEvent) ([]RequestRecord, error) {
 	return trace.FromSpanEvents(events)
 }
