@@ -86,7 +86,12 @@ func BenchmarkDelayMatrix(b *testing.B) {
 }
 
 func benchAssigner(b *testing.B, name string, n, m int) {
-	built := buildBench(b, n, m)
+	benchSolve(b, name, buildBench(b, n, m))
+}
+
+// benchSolve times one fresh solve of built's instance by the named
+// algorithm per iteration, seeded with the iteration number.
+func benchSolve(b *testing.B, name string, built *taccc.BuiltScenario) {
 	reg := taccc.NewAlgorithmRegistry()
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -108,6 +113,19 @@ func BenchmarkAssignLocalSearch100(b *testing.B) { benchAssigner(b, "local-searc
 func BenchmarkAssignLagrangian100(b *testing.B)  { benchAssigner(b, "lagrangian", 100, 10) }
 func BenchmarkAssignQLearning100(b *testing.B)   { benchAssigner(b, "qlearning", 100, 10) }
 func BenchmarkAssignQLearning400(b *testing.B)   { benchAssigner(b, "qlearning", 400, 40) }
+
+// rlSolveScenario is the shape of perfbench's rl-solve workload: the
+// paper's Q-learning on 2000 devices and 50 edge servers at ρ=0.85, where
+// the Q table grows to about 750k rows.
+var rlSolveScenario = taccc.Scenario{NumIoT: 2000, NumEdge: 50, Rho: 0.85, Seed: 1}
+
+func BenchmarkAssignQLearning2000(b *testing.B) {
+	built, err := rlSolveScenario.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSolve(b, "qlearning", built)
+}
 
 func BenchmarkBranchAndBound12(b *testing.B) {
 	in, err := taccc.SyntheticInstance(taccc.SyntheticCorrelated, 12, 3, 0.8, 3)

@@ -3,7 +3,6 @@ package assign
 import (
 	"errors"
 	"math"
-	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -349,11 +348,10 @@ func TestRLParamsDefaults(t *testing.T) {
 	}
 }
 
-// stateKeyFromLoads computes the state key from scratch, requantizing
-// every edge's load; the MDP's incrementally kept key must equal it.
-func stateKeyFromLoads(m *mdp) string {
-	buf := strconv.AppendInt(nil, int64(m.step), 10)
-	buf = append(buf, '|')
+// levelsFromLoads requantizes every edge's load from scratch; the MDP's
+// incrementally kept level bytes must equal it.
+func levelsFromLoads(m *mdp) string {
+	buf := make([]byte, 0, len(m.loads))
 	for j, load := range m.loads {
 		level := m.levels - 1
 		if m.in.Capacity[j] > 0 {
@@ -368,13 +366,16 @@ func stateKeyFromLoads(m *mdp) string {
 	return string(buf)
 }
 
+// TestMDPStateKey checks the state the Q table is keyed by, (step, level
+// bytes): a fresh episode is step 0 with every edge at the lowest level,
+// and after every take and reset the level bytes equal the levels
+// requantized from loads.
 func TestMDPStateKey(t *testing.T) {
 	in := mustSynthetic(t, gap.SyntheticUniform, 4, 3, 0.5, 1)
 	env := newMDP(in, 4, true)
 	env.reset()
-	k1 := string(env.stateKey())
-	if k1 != "0|aaa" {
-		t.Fatalf("initial state key = %q, want 0|aaa", k1)
+	if env.step != 0 || string(env.level) != "aaa" {
+		t.Fatalf("initial state (%d, %q), want (0, \"aaa\")", env.step, env.level)
 	}
 	var buf []int
 	buf = env.feasibleActions(buf)
@@ -382,15 +383,14 @@ func TestMDPStateKey(t *testing.T) {
 		t.Fatal("no feasible actions in fresh MDP")
 	}
 	env.take(buf[0])
-	k2 := string(env.stateKey())
-	if k2 == k1 {
-		t.Fatal("state key did not change after take")
+	if env.step != 1 {
+		t.Fatalf("step %d after one take, want 1", env.step)
 	}
 
 	// Random episodes, one of whose edges has zero capacity and whose
 	// placements ignore capacity so that levels saturate: after every
-	// reset and every take the incrementally kept key must equal the
-	// key requantized from loads.
+	// reset and every take the incrementally kept levels must equal the
+	// levels requantized from loads.
 	base := mustSynthetic(t, gap.SyntheticUniform, 40, 5, 0.9, 3)
 	capacity := append([]float64(nil), base.Capacity...)
 	capacity[2] = 0
@@ -405,8 +405,8 @@ func TestMDPStateKey(t *testing.T) {
 		for ep := 0; ep < 5; ep++ {
 			env.reset()
 			for {
-				if got, want := string(env.stateKey()), stateKeyFromLoads(env); got != want {
-					t.Fatalf("levels %d episode %d step %d: key %q, from loads %q", levels, ep, env.step, got, want)
+				if got, want := string(env.level), levelsFromLoads(env); got != want {
+					t.Fatalf("levels %d episode %d step %d: level bytes %q, from loads %q", levels, ep, env.step, got, want)
 				}
 				if env.done() {
 					break

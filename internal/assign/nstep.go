@@ -36,38 +36,38 @@ func (nq *NStepQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	env, p := t.env, t.p
 	var actBuf []int
 
-	// Per-step trajectory storage, reused across episodes.
+	// Per-step trajectory storage, reused across episodes. A step's
+	// feasible set is feasible[lo:hi]: the sets of an episode share one
+	// flat buffer.
 	type step struct {
-		row      []float64
-		action   int
-		reward   float64
-		feasible []int
+		row    []float64
+		action int
+		reward float64
+		lo, hi int
 	}
 	traj := make([]step, 0, in.N())
+	var feasible []int
 
 	return t.train(func() (float64, bool) {
 		traj = traj[:0]
+		feasible = feasible[:0]
 		cost := 0.0
 		feasibleRun := true
 		for !env.done() {
-			key := env.stateKey()
 			actBuf = env.feasibleActions(actBuf)
 			if len(actBuf) == 0 {
 				feasibleRun = false
 				break
 			}
-			row := t.q.row(key, env.rowInit[env.step])
+			row := env.row(t.q)
 			a := t.pick(row, actBuf)
 			i := env.device()
 			r := env.take(a)
 			cost -= r
 			t.of[i] = a
-			traj = append(traj, step{
-				row:      row,
-				action:   a,
-				reward:   r,
-				feasible: append([]int(nil), actBuf...),
-			})
+			lo := len(feasible)
+			feasible = append(feasible, actBuf...)
+			traj = append(traj, step{row: row, action: a, reward: r, lo: lo, hi: len(feasible)})
 		}
 		// Terminal value: 0 for a completed episode, a large penalty
 		// for a dead end (the trajectory is punished through its tail).
@@ -92,7 +92,8 @@ func (nq *NStepQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 				// Bootstrap from the state entered at step `end`,
 				// which is the state acted on at index `end` of
 				// the trajectory.
-				_, nv := bestQ(traj[end].row, traj[end].feasible)
+				next := traj[end]
+				_, nv := bestQ(next.row, feasible[next.lo:next.hi])
 				g += discount * nv
 			} else {
 				g += discount * terminal

@@ -3,7 +3,6 @@ package assign
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"taccc/internal/gap"
 	"taccc/internal/obs"
@@ -80,11 +79,9 @@ type mdp struct {
 	residual []float64
 	loads    []float64
 	// level[j] is edge j's quantized-load byte, kept current by take and
-	// reset so that stateKey copies bytes instead of requantizing.
+	// reset; with step it is the state the Q table is keyed by.
 	level []byte
-	// key is the buffer stateKey writes into.
-	key  []byte
-	step int
+	step  int
 	// rowInit[t] is the Q-row initialization for any state at step t.
 	rowInit [][]float64
 }
@@ -98,7 +95,6 @@ func newMDP(in *gap.Instance, levels int, costSeed bool) *mdp {
 		residual: make([]float64, in.M()),
 		loads:    make([]float64, in.M()),
 		level:    make([]byte, in.M()),
-		key:      make([]byte, 0, 8+in.M()),
 	}
 	// Cost-seeded Q initialization: a fresh row for step t starts at
 	// -cost(device(t), j), so the untrained greedy policy already acts
@@ -151,27 +147,27 @@ func (m *mdp) levelOf(j int) byte {
 	return byte('a' + level)
 }
 
-// stateKey encodes (step, quantized utilization vector) as "<step>|" plus
-// one level byte per edge. The bytes live in a buffer the next call
-// overwrites; qtable.row copies them only when it creates a row.
-func (m *mdp) stateKey() []byte {
-	m.key = strconv.AppendInt(m.key[:0], int64(m.step), 10)
-	m.key = append(m.key, '|')
-	m.key = append(m.key, m.level...)
-	return m.key
-}
-
 // feasibleActions lists edges with remaining capacity for the current
-// device. The returned slice is reused across calls.
+// device, the edges fits accepts, reading the device's cost and weight
+// rows once. The returned slice is reused across calls.
 func (m *mdp) feasibleActions(buf []int) []int {
 	buf = buf[:0]
 	i := m.device()
-	for j := 0; j < m.in.M(); j++ {
-		if fits(m.in, m.residual, i, j) {
+	cost := m.in.CostRow(i)
+	weight := m.in.WeightRow(i)[:len(cost)]
+	residual := m.residual[:len(cost)]
+	for j, c := range cost {
+		if weight[j] <= residual[j]+1e-12 && !math.IsInf(c, 1) {
 			buf = append(buf, j)
 		}
 	}
 	return buf
+}
+
+// row returns the current state's row of q, creating it from the step's
+// initialization vector.
+func (m *mdp) row(q *qtable) []float64 {
+	return q.row(m.step, m.level, m.rowInit[m.step])
 }
 
 // take places the current device on edge j, returning the reward.
@@ -183,22 +179,6 @@ func (m *mdp) take(j int) float64 {
 	m.level[j] = m.levelOf(j)
 	m.step++
 	return -m.in.CostAt(i, j)
-}
-
-// qtable is a lazily grown state-action value table; fresh rows copy the
-// step's initialization vector.
-type qtable map[string][]float64
-
-// row returns the row stored under key, creating it from init if absent.
-// The lookup converts key without copying it, so only a new row allocates.
-func (q qtable) row(key []byte, init []float64) []float64 {
-	if r, ok := q[string(key)]; ok {
-		return r
-	}
-	r := make([]float64, len(init))
-	copy(r, init)
-	q[string(key)] = r
-	return r
 }
 
 // bestFeasible returns the feasible action with maximal Q and its value.
@@ -261,7 +241,7 @@ func (q *QLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 		if len(actBuf) == 0 {
 			return cost, false
 		}
-		row := t.q.row(env.stateKey(), env.rowInit[env.step])
+		row := env.row(t.q)
 		for {
 			a := t.pick(row, actBuf)
 			i := env.device()
@@ -282,7 +262,7 @@ func (q *QLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			}
 			// The next state's row and feasible set are the ones the
 			// following step acts on.
-			nextRow := t.q.row(env.stateKey(), env.rowInit[env.step])
+			nextRow := env.row(t.q)
 			_, nv := bestQ(nextRow, nextBuf)
 			target := r + p.Gamma*nv
 			row[a] += p.Alpha * (target - row[a])
@@ -338,7 +318,7 @@ func (s *SARSA) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	return t.train(func() (float64, bool) {
 		cost := 0.0
 		actBuf = env.feasibleActions(actBuf)
-		row := t.q.row(env.stateKey(), env.rowInit[env.step])
+		row := env.row(t.q)
 		a := t.pick(row, actBuf)
 		for {
 			i := env.device()
@@ -356,7 +336,7 @@ func (s *SARSA) Assign(in *gap.Instance) (*gap.Assignment, error) {
 				prevRow[prevA] += p.Alpha * (r - deadEndPenalty(in) - prevRow[prevA])
 				return cost, false
 			}
-			row = t.q.row(env.stateKey(), env.rowInit[env.step])
+			row = env.row(t.q)
 			a = t.pick(row, actBuf)
 			target := r + p.Gamma*row[a]
 			prevRow[prevA] += p.Alpha * (target - prevRow[prevA])

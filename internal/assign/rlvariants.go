@@ -26,7 +26,7 @@ func (dq *DoubleQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	t := newTrainer("double-qlearning", in, dq.Params, xrand.NewSplit(dq.seed, "double-q"))
 	t.prime()
 	env, p := t.env, t.p
-	tableA, tableB := t.q, make(qtable, p.Episodes)
+	tableA, tableB := t.q, newQTable(in.M())
 	var actBuf, nextBuf []int
 	sumRow := make([]float64, in.M())
 	return t.train(func() (float64, bool) {
@@ -35,9 +35,8 @@ func (dq *DoubleQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 		if len(actBuf) == 0 {
 			return cost, false
 		}
-		key := env.stateKey()
-		rowA := tableA.row(key, env.rowInit[env.step])
-		rowB := tableB.row(key, env.rowInit[env.step])
+		rowA := env.row(tableA)
+		rowB := env.row(tableB)
 		for {
 			// Behaviour policy acts on the sum of the two tables.
 			for j := range sumRow {
@@ -65,9 +64,8 @@ func (dq *DoubleQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 				upd[a] += p.Alpha * (r - deadEndPenalty(in) - upd[a])
 				return cost, false
 			}
-			nk := env.stateKey()
-			nA := tableA.row(nk, env.rowInit[env.step])
-			nB := tableB.row(nk, env.rowInit[env.step])
+			nA := env.row(tableA)
+			nB := env.row(tableB)
 			nUpd, nEval := nA, nB
 			if !updateA {
 				nUpd, nEval = nB, nA
@@ -107,7 +105,7 @@ func (es *ExpectedSARSA) Assign(in *gap.Instance) (*gap.Assignment, error) {
 		if len(actBuf) == 0 {
 			return cost, false
 		}
-		row := t.q.row(env.stateKey(), env.rowInit[env.step])
+		row := env.row(t.q)
 		for {
 			a := t.pick(row, actBuf)
 			i := env.device()
@@ -124,7 +122,7 @@ func (es *ExpectedSARSA) Assign(in *gap.Instance) (*gap.Assignment, error) {
 				row[a] += p.Alpha * (r - deadEndPenalty(in) - row[a])
 				return cost, false
 			}
-			nextRow := t.q.row(env.stateKey(), env.rowInit[env.step])
+			nextRow := env.row(t.q)
 			target := r + p.Gamma*expectedValue(nextRow, nextBuf, t.eps)
 			row[a] += p.Alpha * (target - row[a])
 			row, actBuf, nextBuf = nextRow, nextBuf, actBuf

@@ -19,7 +19,7 @@ type trainer struct {
 	in   *gap.Instance
 	p    RLParams
 	env  *mdp
-	q    qtable
+	q    *qtable
 	src  *xrand.Source
 	// eps is the current exploration rate; train decays it after every
 	// episode.
@@ -74,7 +74,7 @@ func (t *trainer) keep(cost float64, of []int) {
 // the standard warm start that makes episodic search an anytime improver,
 // whose episodes only improve on it.
 func (t *trainer) prime() {
-	t.q = make(qtable, t.p.Episodes)
+	t.q = newQTable(t.in.M())
 	if c, ok := t.rollout(); ok {
 		t.keep(c, t.of)
 	}
@@ -101,7 +101,7 @@ func (t *trainer) rollout() (float64, bool) {
 		if len(t.act) == 0 {
 			return 0, false
 		}
-		row := t.q.row(env.stateKey(), env.rowInit[env.step])
+		row := env.row(t.q)
 		a, _ := bestQ(row, t.act)
 		i := env.device()
 		cost -= env.take(a)
