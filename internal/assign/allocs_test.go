@@ -192,6 +192,26 @@ func TestQLearningSmallSolveBytes(t *testing.T) {
 	}
 }
 
+// TestQLearningTableBytes pins the implicit Q rows on an instance whose
+// states rarely repeat: a 400×40 solve creates rows that almost all keep
+// their step's init vector but one action, so a table that stored m
+// values per row would allocate about 60 MB here.
+func TestQLearningTableBytes(t *testing.T) {
+	in, err := gap.Synthetic(gap.SyntheticUniform, 400, 40, 0.85, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 20 << 20
+	got := bytesPerRun(t, 1, func() {
+		if _, err := NewQLearning(1).Assign(in); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > bound {
+		t.Fatalf("a 400×40 Q-learning solve allocates %d B, want at most %d", got, bound)
+	}
+}
+
 // BenchmarkTabuTracingOff is the CI-visible form of the zero-overhead
 // claim: run with -benchmem and compare against BenchmarkTabuPlain —
 // allocs/op must match.

@@ -33,14 +33,15 @@ func (nq *NStepQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	}
 	t := newTrainer("nstep-qlearning", in, nq.Params, xrand.NewSplit(nq.seed, "nstep-q"))
 	t.prime()
-	env, p := t.env, t.p
+	env, p, qt := t.env, t.p, t.q
 	var actBuf []int
+	vals := make([]float64, in.M())
 
 	// Per-step trajectory storage, reused across episodes. A step's
 	// feasible set is feasible[lo:hi]: the sets of an episode share one
 	// flat buffer.
 	type step struct {
-		row    []float64
+		h      qrow
 		action int
 		reward float64
 		lo, hi int
@@ -59,15 +60,15 @@ func (nq *NStepQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 				feasibleRun = false
 				break
 			}
-			row := env.row(t.q)
-			a := t.pick(row, actBuf)
+			h := env.row(qt)
+			a := t.pick(qt.values(h, vals), actBuf)
 			i := env.device()
 			r := env.take(a)
 			cost -= r
 			t.of[i] = a
 			lo := len(feasible)
 			feasible = append(feasible, actBuf...)
-			traj = append(traj, step{row: row, action: a, reward: r, lo: lo, hi: len(feasible)})
+			traj = append(traj, step{h: h, action: a, reward: r, lo: lo, hi: len(feasible)})
 		}
 		// Terminal value: 0 for a completed episode, a large penalty
 		// for a dead end (the trajectory is punished through its tail).
@@ -93,12 +94,14 @@ func (nq *NStepQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 				// which is the state acted on at index `end` of
 				// the trajectory.
 				next := traj[end]
-				_, nv := bestQ(next.row, feasible[next.lo:next.hi])
+				_, nv := bestQ(qt.values(next.h, vals), feasible[next.lo:next.hi])
 				g += discount * nv
 			} else {
 				g += discount * terminal
 			}
-			traj[s].row[traj[s].action] += p.Alpha * (g - traj[s].row[traj[s].action])
+			h, a := traj[s].h, traj[s].action
+			old := qt.get(h, a)
+			qt.set(h, a, old+p.Alpha*(g-old))
 		}
 		return cost, feasibleRun
 	}, true)

@@ -82,7 +82,8 @@ type mdp struct {
 	// reset; with step it is the state the Q table is keyed by.
 	level []byte
 	step  int
-	// rowInit[t] is the Q-row initialization for any state at step t.
+	// rowInit[t] is the Q-row initialization for any state at step t;
+	// the Q tables read it by reference.
 	rowInit [][]float64
 }
 
@@ -164,11 +165,8 @@ func (m *mdp) feasibleActions(buf []int) []int {
 	return buf
 }
 
-// row returns the current state's row of q, creating it from the step's
-// initialization vector.
-func (m *mdp) row(q *qtable) []float64 {
-	return q.row(m.step, m.level, m.rowInit[m.step])
-}
+// row returns the handle of the current state's row of q.
+func (m *mdp) row(q *qtable) qrow { return q.row(m.step, m.level) }
 
 // take places the current device on edge j, returning the reward.
 func (m *mdp) take(j int) float64 {
@@ -233,15 +231,17 @@ func (q *QLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	t := newTrainer("qlearning", in, q.Params, xrand.NewSplit(q.seed, "qlearning"))
 	t.progress = q.progress
 	t.prime()
-	env, p := t.env, t.p
+	env, p, qt := t.env, t.p, t.q
 	var actBuf, nextBuf []int
+	vals, nextVals := make([]float64, in.M()), make([]float64, in.M())
 	got, err := t.train(func() (float64, bool) {
 		cost := 0.0
 		actBuf = env.feasibleActions(actBuf)
 		if len(actBuf) == 0 {
 			return cost, false
 		}
-		row := env.row(t.q)
+		h := env.row(qt)
+		row := qt.values(h, vals)
 		for {
 			a := t.pick(row, actBuf)
 			i := env.device()
@@ -250,23 +250,26 @@ func (q *QLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			t.of[i] = a
 
 			if env.done() {
-				row[a] += p.Alpha * (r - row[a])
+				qt.set(h, a, row[a]+p.Alpha*(r-row[a]))
 				return cost, true
 			}
 			nextBuf = env.feasibleActions(nextBuf)
 			if len(nextBuf) == 0 {
 				// Next state is a dead end: large penalty as the
 				// terminal value.
-				row[a] += p.Alpha * (r - deadEndPenalty(in) - row[a])
+				qt.set(h, a, row[a]+p.Alpha*(r-deadEndPenalty(in)-row[a]))
 				return cost, false
 			}
 			// The next state's row and feasible set are the ones the
-			// following step acts on.
-			nextRow := env.row(t.q)
+			// following step acts on. Its values go to the buffer that
+			// row does not alias.
+			nh := env.row(qt)
+			nextRow := qt.values(nh, nextVals)
 			_, nv := bestQ(nextRow, nextBuf)
 			target := r + p.Gamma*nv
-			row[a] += p.Alpha * (target - row[a])
-			row, actBuf, nextBuf = nextRow, nextBuf, actBuf
+			qt.set(h, a, row[a]+p.Alpha*(target-row[a]))
+			h, row, actBuf, nextBuf = nh, nextRow, nextBuf, actBuf
+			vals, nextVals = nextVals, vals
 		}
 	}, true)
 	q.lastTrace = t.curve
@@ -314,32 +317,37 @@ func (s *SARSA) Assign(in *gap.Instance) (*gap.Assignment, error) {
 		return nil, fmt.Errorf("assign/sarsa: no feasible first action: %w", gap.ErrInfeasible)
 	}
 	t.prime()
+	qt := t.q
 	var actBuf []int
+	vals, nextVals := make([]float64, in.M()), make([]float64, in.M())
 	return t.train(func() (float64, bool) {
 		cost := 0.0
 		actBuf = env.feasibleActions(actBuf)
-		row := env.row(t.q)
+		h := env.row(qt)
+		row := qt.values(h, vals)
 		a := t.pick(row, actBuf)
 		for {
 			i := env.device()
 			r := env.take(a)
 			cost -= r
 			t.of[i] = a
-			prevRow, prevA := row, a
+			prevH, prevRow, prevA := h, row, a
 
 			if env.done() {
-				prevRow[prevA] += p.Alpha * (r - prevRow[prevA])
+				qt.set(prevH, prevA, prevRow[prevA]+p.Alpha*(r-prevRow[prevA]))
 				return cost, true
 			}
 			actBuf = env.feasibleActions(actBuf)
 			if len(actBuf) == 0 {
-				prevRow[prevA] += p.Alpha * (r - deadEndPenalty(in) - prevRow[prevA])
+				qt.set(prevH, prevA, prevRow[prevA]+p.Alpha*(r-deadEndPenalty(in)-prevRow[prevA]))
 				return cost, false
 			}
-			row = env.row(t.q)
+			h = env.row(qt)
+			row = qt.values(h, nextVals)
 			a = t.pick(row, actBuf)
 			target := r + p.Gamma*row[a]
-			prevRow[prevA] += p.Alpha * (target - prevRow[prevA])
+			qt.set(prevH, prevA, prevRow[prevA]+p.Alpha*(target-prevRow[prevA]))
+			vals, nextVals = nextVals, vals
 		}
 	}, true)
 }

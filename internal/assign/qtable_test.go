@@ -8,18 +8,17 @@ import (
 	"taccc/internal/xrand"
 )
 
-// refTable is the Q table the RL assigners used before qtable: a map from
-// the text key "<step>|<level bytes>" to a row copied from init.
+// refTable is a reference Q table with dense rows: a map from the text
+// key "<step>|<level bytes>" to a row copied from init on first lookup.
 type refTable map[string][]float64
 
-func (r refTable) row(step int, level []byte, init []float64) ([]float64, bool) {
-	key := strconv.Itoa(step) + "|" + string(level)
+func (r refTable) row(key string, init []float64) []float64 {
 	if row, ok := r[key]; ok {
-		return row, false
+		return row
 	}
 	row := append([]float64(nil), init...)
 	r[key] = row
-	return row, true
+	return row
 }
 
 // sameBits reports whether a and b hold the same float bits.
@@ -36,24 +35,25 @@ func sameBits(a, b []float64) bool {
 }
 
 // FuzzQTable runs a decoded program of lookups, writes and bursts of new
-// states against qtable and the map it replaced, and requires the same
-// rows from both. An operation byte selects:
+// states against qtable and a map of dense rows, and requires the same
+// values from both. An operation byte selects:
 //
 //   - a lookup of (step 0-3, m level bytes over a three-letter alphabet),
 //     so the same level bytes recur at different steps;
-//   - the same lookup followed by a write of one value, made through the
-//     first row ever returned for that state, which may predate any number
-//     of index and chunk growths;
+//   - the same lookup followed by a set of one action's value;
+//   - a set through the handle of the last set, which may predate any
+//     number of index and chunk growths; with a random action it repeats
+//     the last action or spills the row;
 //   - a burst of up to 510 new states at steps past the program's;
 //     bursts add up to at most 4,600 rows, which drives the table through
 //     every doubling chunk size and into its first fixed-size chunk
 //     (TestQTableLarge fills many more).
 //
-// Every lookup must return the reference row's values, and for a known
-// state the same storage as before. Each new row copies its step's init
-// vector, which then changes, so a row that aliased init would drift. At
-// the end every row first returned for a state must still equal the
-// reference, so no write reached another row.
+// Every lookup of a known state must return its first handle, and every
+// read, through values and through get, the reference row's values. At
+// the end every handle taken is read again, and every step's init vector
+// must be unchanged: the table reads init in place, so a write through a
+// shared slice would show there.
 func FuzzQTable(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		src := xrand.New(seed)
@@ -63,57 +63,80 @@ func FuzzQTable(f *testing.F) {
 		}
 		f.Add(uint8(seed*3), prog)
 	}
-	// With m = 3: a state at step 0 is created in the first chunk and
-	// written; nine bursts take the table past 4,096 rows; the same
-	// level bytes at step 1 are written; then the step-0 state is read
-	// back, and must be the first storage with the first write.
-	prog := []byte{0, 'a', 'b', 'c', 4, 'a', 'b', 'c', 0, 5}
+	// With m = 3: a state at step 0 is created in the first chunk, set
+	// twice at action 0 and then at action 1, which spills it; nine
+	// bursts take the table past 4,096 rows; the same level bytes at step
+	// 1 are set at action 1, and through that handle at action 2, which
+	// spills a row after the growth; then the step-0 state is set at
+	// action 2 through the first chunk's spill and read back.
+	prog := []byte{0, 'a', 'b', 'c', 4, 'a', 'b', 'c', 0, 5, 4, 'a', 'b', 'c', 0, 6, 4, 'a', 'b', 'c', 1, 7}
 	for i := 0; i < 9; i++ {
 		prog = append(prog, 7, 255)
 	}
-	f.Add(uint8(2), append(prog, 12, 'a', 'b', 'c', 1, 9, 0, 'a', 'b', 'c'))
+	prog = append(prog, 12, 'a', 'b', 'c', 1, 9, 6, 2, 10)
+	f.Add(uint8(2), append(prog, 4, 'a', 'b', 'c', 2, 11, 0, 'a', 'b', 'c'))
 	f.Fuzz(func(t *testing.T, mRaw uint8, prog []byte) {
 		m := 1 + int(mRaw%12)
-		q := newQTable(m)
+		// inits[s] is step s's init vector, a slice of flat, and orig
+		// a copy of flat.
+		inits := make([][]float64, 4604)
+		flat := make([]float64, len(inits)*m)
+		for s := range inits {
+			inits[s] = flat[s*m : (s+1)*m : (s+1)*m]
+			for j := range inits[s] {
+				inits[s][j] = float64(100*s + j)
+			}
+			if s%3 == 1 {
+				inits[s][s%m] = math.Inf(-1)
+			}
+		}
+		orig := append([]float64(nil), flat...)
+		q := newQTable(m, inits)
 		ref := refTable{}
-		// inits[s] is step s's init vector, first built by init; it
-		// changes after every insert at step s.
-		init := func(s int) []float64 {
-			v := make([]float64, m)
-			for j := range v {
-				v[j] = float64(100*s + j)
-			}
-			return v
+		handles := map[string]qrow{}
+		type taken struct {
+			key string
+			h   qrow
 		}
-		inits := map[int][]float64{}
-		held := map[string][]float64{}
-		level := make([]byte, m)
-		lookup := func(step int) []float64 {
-			if inits[step] == nil {
-				inits[step] = init(step)
+		var held []taken
+		buf := make([]float64, m)
+		check := func(key string, h qrow) {
+			want := ref[key]
+			if got := q.values(h, buf); !sameBits(got, want) {
+				t.Fatalf("state %q: values %v, reference %v", key, got, want)
 			}
-			got := q.row(step, level, inits[step])
-			want, created := ref.row(step, level, inits[step])
-			if !sameBits(got, want) {
-				t.Fatalf("state (%d, %q): row %v, reference %v", step, level, got, want)
-			}
-			key := strconv.Itoa(step) + "|" + string(level)
-			if created {
-				held[key] = got
-				for j := range inits[step] {
-					inits[step][j] += 0.5
+			for a := range want {
+				if got := q.get(h, a); math.Float64bits(got) != math.Float64bits(want[a]) {
+					t.Fatalf("state %q: get(%d) = %v, reference %v", key, a, got, want[a])
 				}
-			} else if &got[0] != &held[key][0] {
-				t.Fatalf("state (%d, %q): a lookup returned new storage", step, level)
 			}
-			return held[key]
 		}
+		level := make([]byte, m)
+		lookup := func(step int) (string, qrow) {
+			key := strconv.Itoa(step) + "|" + string(level)
+			h := q.row(step, level)
+			if first, ok := handles[key]; !ok {
+				handles[key] = h
+			} else if h != first {
+				t.Fatalf("state %q: handle %d, first lookup returned %d", key, h, first)
+			}
+			ref.row(key, inits[step])
+			held = append(held, taken{key, h})
+			check(key, h)
+			return key, h
+		}
+		set := func(key string, h qrow, a int, v float64) {
+			q.set(h, a, v)
+			ref[key][a] = v
+			check(key, h)
+		}
+		var last taken
 		next := 4
 		for k := 0; k < len(prog); {
 			op := prog[k]
 			k++
 			switch kind := op % 8; {
-			case kind < 7:
+			case kind < 6:
 				if k+m > len(prog) {
 					k = len(prog)
 					break
@@ -122,20 +145,24 @@ func FuzzQTable(f *testing.F) {
 					level[j] = 'a' + prog[k+j]%3
 				}
 				k += m
-				step := int(op>>3) % 4
-				row := lookup(step)
+				key, h := lookup(int(op>>3) % 4)
 				if kind >= 4 && k+2 <= len(prog) {
-					a, v := int(prog[k])%m, float64(int8(prog[k+1]))/4
+					last = taken{key, h}
+					set(key, h, int(prog[k])%m, float64(int8(prog[k+1]))/4)
 					k += 2
-					row[a] = v
-					want, _ := ref.row(step, level, nil)
-					want[a] = v
 				}
+			case kind == 6:
+				if last.key == "" || k+2 > len(prog) {
+					k = len(prog)
+					break
+				}
+				set(last.key, last.h, int(prog[k])%m, float64(int8(prog[k+1]))/4)
+				k += 2
 			default:
 				if k >= len(prog) {
 					break
 				}
-				burst := min(2*int(prog[k]), 4604-next)
+				burst := min(2*int(prog[k]), len(inits)-next)
 				k++
 				for j := range level {
 					level[j] = 'a'
@@ -146,9 +173,12 @@ func FuzzQTable(f *testing.F) {
 				}
 			}
 		}
-		for key, row := range held {
-			if !sameBits(row, ref[key]) {
-				t.Fatalf("state %q: row %v, reference %v after the program", key, row, ref[key])
+		for _, th := range held {
+			check(th.key, th.h)
+		}
+		for s := range inits {
+			if want := orig[s*m : (s+1)*m]; !sameBits(inits[s], want) {
+				t.Fatalf("step %d's init vector changed to %v from %v", s, inits[s], want)
 			}
 		}
 		if q.rows != len(ref) {
@@ -159,41 +189,56 @@ func FuzzQTable(f *testing.F) {
 
 // TestQTableLarge fills a table past 2^18 rows, well beyond the index's
 // and the chunks' first sizes, with states that share level bytes across
-// steps, marks each row with its insertion order and then looks every
-// state up again: each must come back as the same storage with its mark.
+// steps. It marks each row's action 1 with its insertion order and every
+// other row's action 2 too, which spills half the rows, past 2^17 spill
+// ids. Then it looks every state up again: each must come back as the
+// same handle with its marks over its step's init vector.
 func TestQTableLarge(t *testing.T) {
 	const states = 1<<18 + 1000
-	q := newQTable(3)
-	init := []float64{-1, -2, -3}
+	init := make([][]float64, 1000)
+	for s := range init {
+		init[s] = []float64{-1, -2, float64(-s)}
+	}
+	q := newQTable(3, init)
 	state := func(i int) (int, []byte) {
 		v := i / 1000
 		return i % 1000, []byte{byte(v), byte(v >> 8), byte(v >> 16)}
 	}
-	rows := make([][]float64, states)
-	for i := range rows {
+	handles := make([]qrow, states)
+	buf := make([]float64, 3)
+	for i := range handles {
 		step, level := state(i)
-		rows[i] = q.row(step, level, init)
-		if !sameBits(rows[i], init) {
-			t.Fatalf("new row %d is %v, want a copy of init %v", i, rows[i], init)
+		handles[i] = q.row(step, level)
+		if got := q.values(handles[i], buf); !sameBits(got, init[step]) {
+			t.Fatalf("new row %d is %v, want init %v", i, got, init[step])
 		}
-		rows[i][1] = float64(i)
-	}
-	for i := range rows {
-		step, level := state(i)
-		got := q.row(step, level, init)
-		if &got[0] != &rows[i][0] || got[1] != float64(i) || got[0] != -1 || got[2] != -3 {
-			t.Fatalf("state %d: row %v, want the first lookup's storage marked %d", i, got, i)
+		q.set(handles[i], 1, float64(i))
+		if i%2 == 0 {
+			q.set(handles[i], 2, float64(-i))
 		}
 	}
-	if q.rows != states {
-		t.Fatalf("table holds %d rows, want %d", q.rows, states)
+	for i, h := range handles {
+		step, level := state(i)
+		want := []float64{-1, float64(i), float64(-step)}
+		if i%2 == 0 {
+			want[2] = float64(-i)
+		}
+		if got := q.row(step, level); got != h {
+			t.Fatalf("state %d: handle %d, want the first lookup's %d", i, got, h)
+		}
+		if got := q.values(h, buf); !sameBits(got, want) {
+			t.Fatalf("state %d: row %v, want %v", i, got, want)
+		}
+	}
+	if q.rows != states || q.nspill != (states+1)/2 {
+		t.Fatalf("table holds %d rows and %d spilled, want %d and %d", q.rows, q.nspill, states, (states+1)/2)
 	}
 }
 
 // TestQTableFingerprintCollisions looks up pairs of states whose 32-bit
 // fingerprints collide, so only the full key comparison tells them apart:
 // the same level bytes at two steps, and two level vectors at one step.
-// Each state must keep its own row.
+// Each state must keep its own handle and value.
 func TestQTableFingerprintCollisions(t *testing.T) {
 	collide := func(state func(i int) (int, []byte)) [2]int {
 		seen := map[uint32]int{}
@@ -222,17 +267,21 @@ func TestQTableFingerprintCollisions(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pair := collide(tc.state)
 			_, level := tc.state(0)
-			q := newQTable(len(level))
-			init := make([]float64, len(level))
-			var rows [2][]float64
+			m := len(level)
+			init := make([][]float64, max(pair[0], pair[1])+1)
+			for s := range init {
+				init[s] = make([]float64, m)
+			}
+			q := newQTable(m, init)
+			var handles [2]qrow
 			for k, i := range pair {
 				step, level := tc.state(i)
-				rows[k] = q.row(step, level, init)
-				rows[k][0] = float64(k + 1)
+				handles[k] = q.row(step, level)
+				q.set(handles[k], 0, float64(k+1))
 			}
 			for k, i := range pair {
 				step, level := tc.state(i)
-				if got := q.row(step, level, init); &got[0] != &rows[k][0] || got[0] != float64(k+1) {
+				if got := q.row(step, level); got != handles[k] || q.get(got, 0) != float64(k+1) {
 					t.Fatalf("state %d (step %d, %q) shares a row with its colliding twin", i, step, level)
 				}
 			}

@@ -26,17 +26,20 @@ func (dq *DoubleQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	t := newTrainer("double-qlearning", in, dq.Params, xrand.NewSplit(dq.seed, "double-q"))
 	t.prime()
 	env, p := t.env, t.p
-	tableA, tableB := t.q, newQTable(in.M())
+	m := in.M()
+	tableA, tableB := t.q, newQTable(m, env.rowInit)
 	var actBuf, nextBuf []int
-	sumRow := make([]float64, in.M())
+	valsA, valsB := make([]float64, m), make([]float64, m)
+	nextValsA, nextValsB := make([]float64, m), make([]float64, m)
+	sumRow := make([]float64, m)
 	return t.train(func() (float64, bool) {
 		cost := 0.0
 		actBuf = env.feasibleActions(actBuf)
 		if len(actBuf) == 0 {
 			return cost, false
 		}
-		rowA := env.row(tableA)
-		rowB := env.row(tableB)
+		hA, hB := env.row(tableA), env.row(tableB)
+		rowA, rowB := tableA.values(hA, valsA), tableB.values(hB, valsB)
 		for {
 			// Behaviour policy acts on the sum of the two tables.
 			for j := range sumRow {
@@ -51,29 +54,31 @@ func (dq *DoubleQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			// Flip a coin: update one table using the other as
 			// the evaluator of its own argmax.
 			updateA := t.src.Bernoulli(0.5)
-			upd := rowA
+			updT, updH, upd := tableA, hA, rowA
 			if !updateA {
-				upd = rowB
+				updT, updH, upd = tableB, hB, rowB
 			}
 			if env.done() {
-				upd[a] += p.Alpha * (r - upd[a])
+				updT.set(updH, a, upd[a]+p.Alpha*(r-upd[a]))
 				return cost, true
 			}
 			nextBuf = env.feasibleActions(nextBuf)
 			if len(nextBuf) == 0 {
-				upd[a] += p.Alpha * (r - deadEndPenalty(in) - upd[a])
+				updT.set(updH, a, upd[a]+p.Alpha*(r-deadEndPenalty(in)-upd[a]))
 				return cost, false
 			}
-			nA := env.row(tableA)
-			nB := env.row(tableB)
+			nhA, nhB := env.row(tableA), env.row(tableB)
+			nA, nB := tableA.values(nhA, nextValsA), tableB.values(nhB, nextValsB)
 			nUpd, nEval := nA, nB
 			if !updateA {
 				nUpd, nEval = nB, nA
 			}
 			am, _ := bestQ(nUpd, nextBuf)
 			target := r + p.Gamma*nEval[am]
-			upd[a] += p.Alpha * (target - upd[a])
-			rowA, rowB, actBuf, nextBuf = nA, nB, nextBuf, actBuf
+			updT.set(updH, a, upd[a]+p.Alpha*(target-upd[a]))
+			hA, hB, rowA, rowB, actBuf, nextBuf = nhA, nhB, nA, nB, nextBuf, actBuf
+			valsA, nextValsA = nextValsA, valsA
+			valsB, nextValsB = nextValsB, valsB
 		}
 	}, false)
 }
@@ -97,15 +102,17 @@ func (*ExpectedSARSA) Name() string { return "expected-sarsa" }
 func (es *ExpectedSARSA) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	t := newTrainer("expected-sarsa", in, es.Params, xrand.NewSplit(es.seed, "expected-sarsa"))
 	t.prime()
-	env, p := t.env, t.p
+	env, p, qt := t.env, t.p, t.q
 	var actBuf, nextBuf []int
+	vals, nextVals := make([]float64, in.M()), make([]float64, in.M())
 	return t.train(func() (float64, bool) {
 		cost := 0.0
 		actBuf = env.feasibleActions(actBuf)
 		if len(actBuf) == 0 {
 			return cost, false
 		}
-		row := env.row(t.q)
+		h := env.row(qt)
+		row := qt.values(h, vals)
 		for {
 			a := t.pick(row, actBuf)
 			i := env.device()
@@ -114,18 +121,20 @@ func (es *ExpectedSARSA) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			t.of[i] = a
 
 			if env.done() {
-				row[a] += p.Alpha * (r - row[a])
+				qt.set(h, a, row[a]+p.Alpha*(r-row[a]))
 				return cost, true
 			}
 			nextBuf = env.feasibleActions(nextBuf)
 			if len(nextBuf) == 0 {
-				row[a] += p.Alpha * (r - deadEndPenalty(in) - row[a])
+				qt.set(h, a, row[a]+p.Alpha*(r-deadEndPenalty(in)-row[a]))
 				return cost, false
 			}
-			nextRow := env.row(t.q)
+			nh := env.row(qt)
+			nextRow := qt.values(nh, nextVals)
 			target := r + p.Gamma*expectedValue(nextRow, nextBuf, t.eps)
-			row[a] += p.Alpha * (target - row[a])
-			row, actBuf, nextBuf = nextRow, nextBuf, actBuf
+			qt.set(h, a, row[a]+p.Alpha*(target-row[a]))
+			h, row, actBuf, nextBuf = nh, nextRow, nextBuf, actBuf
+			vals, nextVals = nextVals, vals
 		}
 	}, false)
 }

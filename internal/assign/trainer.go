@@ -26,9 +26,10 @@ type trainer struct {
 	eps float64
 	// of is the placement the current episode (or rollout) writes.
 	of []int
-	// act is rollout's feasible-action buffer and weights pick's softmax
-	// buffer, both reused across calls.
+	// act is rollout's feasible-action buffer, vals its Q-value buffer
+	// and weights pick's softmax buffer, all reused across calls.
 	act     []int
+	vals    []float64
 	weights []float64
 
 	bestOf   []int
@@ -53,6 +54,7 @@ func newTrainer(name string, in *gap.Instance, params RLParams, src *xrand.Sourc
 		src:      src,
 		eps:      p.Epsilon0,
 		of:       make([]int, in.N()),
+		vals:     make([]float64, in.M()),
 		bestOf:   make([]int, in.N()),
 		bestCost: math.Inf(1),
 		curve:    make([]float64, 0, p.Episodes),
@@ -74,7 +76,7 @@ func (t *trainer) keep(cost float64, of []int) {
 // the standard warm start that makes episodic search an anytime improver,
 // whose episodes only improve on it.
 func (t *trainer) prime() {
-	t.q = newQTable(t.in.M())
+	t.q = newQTable(t.in.M(), t.env.rowInit)
 	if c, ok := t.rollout(); ok {
 		t.keep(c, t.of)
 	}
@@ -90,8 +92,8 @@ func (t *trainer) prime() {
 
 // rollout performs one epsilon=0 episode against t.q, writing the
 // placement into t.of. It reports the episode cost and whether a complete
-// feasible placement was reached. Q rows touched are created (and
-// therefore initialized) but not updated.
+// feasible placement was reached. Q rows touched are created but not
+// set.
 func (t *trainer) rollout() (float64, bool) {
 	env := t.env
 	env.reset()
@@ -101,8 +103,7 @@ func (t *trainer) rollout() (float64, bool) {
 		if len(t.act) == 0 {
 			return 0, false
 		}
-		row := env.row(t.q)
-		a, _ := bestQ(row, t.act)
+		a, _ := bestQ(t.q.values(env.row(t.q), t.vals), t.act)
 		i := env.device()
 		cost -= env.take(a)
 		t.of[i] = a
