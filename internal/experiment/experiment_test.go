@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"taccc/internal/assign"
+	"taccc/internal/topology"
 )
 
 func quickOpts() Options { return Options{Quick: true, Reps: 2, Seed: 7} }
@@ -89,6 +90,54 @@ func TestScenarioBuildErrors(t *testing.T) {
 	}
 	if _, err := (Scenario{NumIoT: 5, NumEdge: 2, Family: "bogus"}).Build(); err == nil {
 		t.Error("bogus family accepted")
+	}
+}
+
+// TestBadLinkParamsAreErrors feeds each LinkParams field -1, NaN and
+// +Inf through every generator family's Scenario.Build, through
+// HierarchicalInfra and through AttachIoTAt. Each must return a topology
+// error naming the field, not panic on the first bad link, and
+// AttachIoTAt must fail before it adds a node.
+func TestBadLinkParamsAreErrors(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*topology.LinkParams, float64)
+	}{
+		{"WiredBaseMs", func(p *topology.LinkParams, v float64) { p.WiredBaseMs = v }},
+		{"WiredPerKmMs", func(p *topology.LinkParams, v float64) { p.WiredPerKmMs = v }},
+		{"WirelessBaseMs", func(p *topology.LinkParams, v float64) { p.WirelessBaseMs = v }},
+		{"WirelessJitterMs", func(p *topology.LinkParams, v float64) { p.WirelessJitterMs = v }},
+		{"WiredBandwidthMbps", func(p *topology.LinkParams, v float64) { p.WiredBandwidthMbps = v }},
+		{"WirelessBandwidthMbps", func(p *topology.LinkParams, v float64) { p.WirelessBandwidthMbps = v }},
+	}
+	infra, err := topology.HierarchicalInfra(topology.Config{NumEdge: 2, NumGateways: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fields {
+		for _, v := range []float64{-1, math.NaN(), math.Inf(1)} {
+			links := topology.DefaultLinkParams()
+			f.set(&links, v)
+			want := "topology: LinkParams." + f.name
+			check := func(call string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s with %s = %v: error %v, want one containing %q", call, f.name, v, err, want)
+				}
+			}
+			for _, fam := range topology.Families() {
+				_, err := Scenario{NumIoT: 12, NumEdge: 2, Family: fam, Links: links, Seed: 1}.Build()
+				check("Build("+string(fam)+")", err)
+			}
+			_, err := topology.HierarchicalInfra(topology.Config{NumEdge: 2, NumGateways: 4, Links: links, Seed: 1})
+			check("HierarchicalInfra", err)
+			g := infra.Clone()
+			nodes := g.NumNodes()
+			check("AttachIoTAt", topology.AttachIoTAt(g, []float64{10, 20}, []float64{10, 20}, links, 1))
+			if g.NumNodes() != nodes {
+				t.Errorf("AttachIoTAt with %s = %v added %d nodes before failing", f.name, v, g.NumNodes()-nodes)
+			}
+		}
 	}
 }
 

@@ -34,6 +34,9 @@ func HierarchicalInfra(cfg Config) (*Graph, error) {
 	if err := validArea(cfg.AreaMeters); err != nil {
 		return nil, err
 	}
+	if err := cfg.Links.validate(); err != nil {
+		return nil, err
+	}
 	if cfg.NumRouters <= 0 {
 		cfg.NumRouters = cfg.NumEdge
 	}
@@ -65,7 +68,8 @@ func HierarchicalInfra(cfg Config) (*Graph, error) {
 // AttachIoTAt adds one IoT node per coordinate pair, each wired to its
 // nearest gateway with a wireless link. Names are iot-0..iot-(k-1); the
 // graph must not already contain IoT nodes with those names. A NaN or
-// infinite coordinate is an error, reported before the graph is touched.
+// infinite coordinate, or a link parameter that is not finite and
+// non-negative, is an error, reported before the graph is touched.
 func AttachIoTAt(g *Graph, xs, ys []float64, links LinkParams, seed int64) error {
 	if len(xs) != len(ys) {
 		return fmt.Errorf("topology: AttachIoTAt got %d xs and %d ys", len(xs), len(ys))
@@ -81,6 +85,9 @@ func AttachIoTAt(g *Graph, xs, ys []float64, links LinkParams, seed int64) error
 	}
 	if (links == LinkParams{}) {
 		links = DefaultLinkParams()
+	}
+	if err := links.validate(); err != nil {
+		return err
 	}
 	near := newNearestGrid(g, gateways)
 	src := xrand.NewSplit(seed, "attach-iot")

@@ -38,6 +38,29 @@ func DefaultLinkParams() LinkParams {
 	}
 }
 
+// validate rejects link parameters that would give a link a negative,
+// NaN or infinite latency or bandwidth: every field must be finite and
+// non-negative. An infinite field would also turn a zero-length wired
+// link's delay into NaN (+Inf × 0).
+func (p LinkParams) validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"WiredBaseMs", p.WiredBaseMs},
+		{"WiredPerKmMs", p.WiredPerKmMs},
+		{"WirelessBaseMs", p.WirelessBaseMs},
+		{"WirelessJitterMs", p.WirelessJitterMs},
+		{"WiredBandwidthMbps", p.WiredBandwidthMbps},
+		{"WirelessBandwidthMbps", p.WirelessBandwidthMbps},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("topology: LinkParams.%s must be finite and >= 0, got %v", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 func (p LinkParams) wired(g *Graph, a, b NodeID) float64 {
 	return p.WiredBaseMs + p.WiredPerKmMs*g.Dist(a, b)/1000
 }
@@ -83,7 +106,10 @@ func (c Config) validate() error {
 	if c.NumGateways <= 0 {
 		return fmt.Errorf("topology: config needs NumGateways > 0, got %d", c.NumGateways)
 	}
-	return validArea(c.AreaMeters)
+	if err := validArea(c.AreaMeters); err != nil {
+		return err
+	}
+	return c.Links.validate()
 }
 
 // validArea rejects a deployment side that is not a positive finite
