@@ -62,7 +62,7 @@ func parseSample(line string) (Sample, error) {
 		return s, fmt.Errorf("empty metric name in %q", line)
 	}
 	if strings.HasPrefix(rest, "{") {
-		end := strings.Index(rest, "}")
+		end := labelSetEnd(rest)
 		if end < 0 {
 			return s, fmt.Errorf("unterminated label set in %q", line)
 		}
@@ -85,6 +85,24 @@ func parseSample(line string) (Sample, error) {
 	}
 	s.Value = v
 	return s, nil
+}
+
+// labelSetEnd returns the index of the '}' that closes the label set
+// rest opens, or -1. A '}' inside a quoted label value, which may hold
+// escaped quotes, does not close it.
+func labelSetEnd(rest string) int {
+	quoted := false
+	for i := 1; i < len(rest); i++ {
+		switch c := rest[i]; {
+		case quoted && c == '\\':
+			i++
+		case c == '"':
+			quoted = !quoted
+		case c == '}' && !quoted:
+			return i
+		}
+	}
+	return -1
 }
 
 func parseLabels(body string) (map[string]string, error) {
