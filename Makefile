@@ -24,13 +24,14 @@ race:
 # Benchmark the parallel kernels at workers=1 vs workers=GOMAXPROCS, the
 # cluster simulator with span tracing off/on, the Q-learning assigner
 # (the RL training loop every tabular variant shares), regret-greedy (the
-# RL warm start) up to 2000 devices, the wide 20000x200 scenario build and
-# its LowerBound, plus the pre-existing hot-path micro-benchmarks.
-# Override BENCHTIME (e.g. 1x in CI smoke).
+# RL warm start) up to 2000 devices, the wide 20000x200 scenario build,
+# and LowerBound at 200x20 and on the wide scenario, plus the
+# pre-existing hot-path micro-benchmarks. Override BENCHTIME (e.g. 1x in
+# CI smoke).
 BENCHTIME ?= 2x
 
 bench:
-	$(GO) test -bench 'Workers|ParallelPortfolio|ClusterSim|AssignQLearning|AssignRegret|Wide' -benchtime $(BENCHTIME) -run '^$$' .
+	$(GO) test -bench 'Workers|ParallelPortfolio|ClusterSim|AssignQLearning|AssignRegret|Wide|LowerBound' -benchtime $(BENCHTIME) -run '^$$' .
 
 vet:
 	$(GO) vet ./...

@@ -118,10 +118,12 @@ func TestTraceOutProducesValidChromeTrace(t *testing.T) {
 	}
 }
 
-// TestTraceCoversBoundHeavyGreedy pins the coverage of a run whose time
-// goes to the lower bound rather than the solver: greedy on 2000 devices
-// spends longer in LowerBound than in solve, so the trace only reaches
-// 95% of wall time if the bound has its own span.
+// TestTraceCoversBoundHeavyGreedy pins the trace of a greedy run on 2000
+// devices, where the solver is cheap and the time goes to the pipeline
+// layers and the lower bound. The pipeline fold must hold a lower-bound
+// phase, since a bound cheap enough would no longer pull coverage below
+// 95% without its own span, and the phases must cover at least 95% of
+// the wall time.
 func TestTraceCoversBoundHeavyGreedy(t *testing.T) {
 	arDir := filepath.Join(t.TempDir(), "run")
 	var out, errBuf bytes.Buffer
@@ -137,6 +139,13 @@ func TestTraceCoversBoundHeavyGreedy(t *testing.T) {
 	p := report.PipelineFromSpans(ar.Spans())
 	if p == nil {
 		t.Fatal("pipeline fold failed")
+	}
+	bound := false
+	for _, ph := range p.Phases {
+		bound = bound || ph.Name == "lower-bound"
+	}
+	if !bound {
+		t.Fatalf("pipeline has no lower-bound phase: %+v", p.Phases)
 	}
 	if p.CoveragePct < 95 {
 		t.Fatalf("trace covers %.1f%% of wall time, want >= 95%%", p.CoveragePct)

@@ -14,7 +14,9 @@ import (
 // sweeps: a comfortable uniform case, a correlated case, a larger tight
 // one and a tie-heavy one whose costs are rounded to whole milliseconds
 // (so regret ties and regret-greedy cache invalidations are common), each
-// at three seeds.
+// at three seeds. The fifth, rounded and wider than the Lagrangian
+// candidate table (m > 8), pins the lagrangian assigner where the table
+// prunes rows whose costs tie.
 var goldenShapes = []struct {
 	kind  gap.SyntheticKind
 	n, m  int
@@ -25,6 +27,7 @@ var goldenShapes = []struct {
 	{gap.SyntheticCorrelated, 25, 4, 0.85, false},
 	{gap.SyntheticUniform, 60, 8, 0.9, false},
 	{gap.SyntheticUniform, 120, 8, 0.98, true},
+	{gap.SyntheticUniform, 200, 24, 0.9, true},
 }
 
 // roundedCosts rebuilds in with every finite cost rounded to a whole
@@ -262,6 +265,11 @@ var goldenHashes = []struct {
 	{3, 3, "round-robin", "24d4332274136294"},
 	{3, 3, "random", "49f9bcb047b5d397"},
 	{3, 3, "portfolio", "98b97e6d35efc301"},
+	// Captured before the lagrangian assigner priced its rounds through
+	// gap.Candidates.
+	{4, 1, "lagrangian", "55eb8592640de7e3"},
+	{4, 2, "lagrangian", "6d4e3c0c2ce25c4c"},
+	{4, 3, "lagrangian", "cab21e6647c7fdf8"},
 }
 
 // hashOf folds a placement vector with FNV-64a, each entry as a

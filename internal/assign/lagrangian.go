@@ -41,6 +41,7 @@ func (lg *Lagrangian) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	repaired := make([]int, n)
 	demand := make([]float64, m)
 	rs := newRepairState(in)
+	cand := gap.NewCandidates(in, 1)
 
 	for it := 0; it < iters; it++ {
 		// Relaxed solution under current prices.
@@ -48,22 +49,12 @@ func (lg *Lagrangian) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			demand[j] = 0
 		}
 		for i := 0; i < n; i++ {
-			cRow, wRow := in.CostRow(i), in.WeightRow(i)
-			minV, minJ := math.Inf(1), -1
-			for j := 0; j < m; j++ {
-				if math.IsInf(cRow[j], 1) {
-					continue
-				}
-				v := cRow[j] + lambda[j]*wRow[j]
-				if v < minV {
-					minV, minJ = v, j
-				}
-			}
-			if minJ < 0 {
+			_, j, w := cand.Argmin(i, lambda)
+			if j < 0 {
 				return nil, fmt.Errorf("assign/lagrangian: device %d unreachable from every edge: %w", i, gap.ErrInfeasible)
 			}
-			of[i] = minJ
-			demand[minJ] += wRow[minJ]
+			of[i] = j
+			demand[j] += w
 		}
 		// Repair to feasibility and track the incumbent.
 		copy(repaired, of)

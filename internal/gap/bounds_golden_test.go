@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"taccc/internal/topology"
-	"taccc/internal/workload"
 )
 
 // goldenBoundInstances are the instances whose bounds are pinned: the
@@ -33,24 +32,7 @@ func goldenBoundInstances(t *testing.T) map[string]*Instance {
 		}
 		out[sh.name] = in
 	}
-	g, err := topology.Hierarchical(topology.Config{NumIoT: 300, NumEdge: 20, NumGateways: 40, NumRouters: 20, Seed: 4}, topology.PlaceUniform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dm := topology.NewDelayMatrix(g, topology.LatencyCost)
-	devs, err := workload.Generate(300, workload.DefaultProfile(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	caps, err := UniformCapacities(20, workload.TotalLoad(devs), 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := FromTopology(dm, devs, caps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["topology-300x20"] = in
+	out["topology-300x20"] = topologyInstance(t, topology.FamilyHierarchical, 300, 20, 0.9, 4)
 	return out
 }
 
