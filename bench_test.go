@@ -365,26 +365,6 @@ func BenchmarkDelayMatrixWorkers(b *testing.B) {
 	})
 }
 
-func BenchmarkParallelPortfolio(b *testing.B) {
-	built := buildBench(b, 100, 10)
-	for _, mk := range []struct {
-		name string
-		mk   func(seed int64) taccc.Assigner
-	}{
-		{"sequential", func(seed int64) taccc.Assigner { return taccc.NewPortfolio(seed) }},
-		{"parallel", func(seed int64) taccc.Assigner { return taccc.NewParallelPortfolio(seed) }},
-	} {
-		mk := mk
-		b.Run(mk.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := mk.mk(int64(i)).Assign(built.Instance); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkAssignScaling(b *testing.B) {
 	for _, n := range []int{50, 100, 200} {
 		n := n

@@ -44,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed     = fs.Int64("seed", 1, "algorithm seed")
 		out      = fs.String("o", "", "write the assignment JSON here")
 		list     = fs.Bool("list", false, "list available algorithms and exit")
-		workers  = fs.Int("workers", runtime.GOMAXPROCS(0), "parallelism for -algo all (1 = sequential); the portfolio algorithm always runs its members concurrently")
+		workers  = fs.Int("workers", runtime.GOMAXPROCS(0), "parallelism for -algo all (1 = sequential)")
 		progress = fs.Bool("progress", false, "print solver improvements to stderr as they happen")
 	)
 	version := cliutil.VersionFlag(fs)

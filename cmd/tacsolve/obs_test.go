@@ -123,7 +123,7 @@ func TestCompareAllWithEvents(t *testing.T) {
 			algos[algo] = true
 		}
 	}
-	for _, want := range []string{"qlearning", "tabu", "lns", "genetic"} {
+	for _, want := range []string{"qlearning", "tabu", "lns"} {
 		if !algos[want] {
 			t.Errorf("no events from %s in -algo all stream (saw %v)", want, algos)
 		}

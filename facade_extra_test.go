@@ -54,26 +54,12 @@ func TestPublicCongestionFlow(t *testing.T) {
 	for i, d := range built.Devices {
 		flows[i] = taccc.Flow{IoT: built.Delay.IoT[i], RateHz: d.RateHz, PayloadKB: d.PayloadKB}
 	}
-	res, err := taccc.EvaluateCongestion(built.Graph, built.Delay, flows, a.Of)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MeanDelayMs() <= 0 {
-		t.Fatal("non-positive mean effective delay")
-	}
 	multi, err := built.Graph.EvaluateCongestionMultipath(built.Delay, flows, a.Of, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if multi.MeanDelayMs() <= 0 {
 		t.Fatal("non-positive multipath delay")
-	}
-	cam, err := taccc.CongestionAwareDelayMatrix(built.Graph, built.Delay, flows, a.Of)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cam.NumIoT() != 20 {
-		t.Fatalf("congestion-aware matrix rows = %d", cam.NumIoT())
 	}
 }
 
@@ -93,27 +79,6 @@ func TestPublicKShortestPaths(t *testing.T) {
 	}
 	if math.Abs(paths[0].Cost-built.Delay.DelayMs[0][0]) > 1e-9 {
 		t.Fatalf("first path cost %v != delay matrix %v", paths[0].Cost, built.Delay.DelayMs[0][0])
-	}
-}
-
-func TestPublicPortfolio(t *testing.T) {
-	in, err := taccc.SyntheticInstance(taccc.SyntheticCorrelated, 12, 3, 0.9, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := taccc.NewPortfolio(8)
-	a, err := p.Assign(in)
-	if err != nil {
-		if errors.Is(err, taccc.ErrInfeasible) {
-			t.Skip("instance infeasible")
-		}
-		t.Fatal(err)
-	}
-	if !in.Feasible(a) {
-		t.Fatal("portfolio assignment infeasible")
-	}
-	if lpb := taccc.LPBound(in); in.TotalCost(a) < lpb-1e-6 {
-		t.Fatalf("cost %v below LP bound %v", in.TotalCost(a), lpb)
 	}
 }
 

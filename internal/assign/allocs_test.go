@@ -25,10 +25,10 @@ func allocsPerAssign(t *testing.T, mk func() Assigner, in *gap.Instance) float64
 
 // TestMetaheuristicAllocsDoNotScaleWithIters pins the steady-state
 // allocation-free contract of the Evaluator-based inner loops: quadrupling
-// the iteration budget of tabu, LNS and simulated annealing must not add
-// allocations — every per-iteration buffer (candidate lists, the destroy
-// permutation, the reinserter's pending set, undo state) is reused, so
-// the per-solve total is pure setup.
+// the iteration budget of tabu and LNS must not add allocations — every
+// per-iteration buffer (candidate lists, the destroy permutation, the
+// reinserter's pending set) is reused, so the per-solve total is pure
+// setup.
 func TestMetaheuristicAllocsDoNotScaleWithIters(t *testing.T) {
 	in, err := gap.Synthetic(gap.SyntheticUniform, 40, 5, 0.85, 7)
 	if err != nil {
@@ -47,11 +47,6 @@ func TestMetaheuristicAllocsDoNotScaleWithIters(t *testing.T) {
 			l := NewLNS(42)
 			l.Iters = it
 			return l
-		}},
-		{"sim-anneal", func(it int) Assigner {
-			sa := NewSimulatedAnnealing(42)
-			sa.Iters = it
-			return sa
 		}},
 	}
 	for _, tc := range cases {
@@ -83,7 +78,6 @@ func TestTracingOffAddsZeroAllocs(t *testing.T) {
 	}{
 		{"tabu", func() Assigner { ts := NewTabuSearch(42); ts.Iters = 300; return ts }},
 		{"lns", func() Assigner { l := NewLNS(42); l.Iters = 300; return l }},
-		{"sim-anneal", func() Assigner { sa := NewSimulatedAnnealing(42); sa.Iters = 300; return sa }},
 		{"local-search", func() Assigner { return NewLocalSearch(42) }},
 		{"minmax", func() Assigner { return NewMinMax(42) }},
 	}

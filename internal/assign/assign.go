@@ -4,8 +4,8 @@
 // the reinforcement-learning assigner (Q-learning over an episodic
 // placement MDP); the rest of the package provides the baselines the paper
 // compares against, from trivial (random, round-robin) through greedy and
-// metaheuristics (local search, simulated annealing, genetic) to a
-// Lagrangian-relaxation-guided heuristic.
+// metaheuristics (local search, tabu, LNS) to Lagrangian-relaxation- and
+// LP-guided heuristics.
 //
 // All algorithms implement Assigner and are registered in a name-indexed
 // registry so the experiment harness can sweep over them generically.
@@ -115,8 +115,6 @@ func NewRegistry() *Registry {
 	r.Register("local-search", func(seed int64) Assigner { return NewLocalSearch(seed) })
 	r.Register("tabu", func(seed int64) Assigner { return NewTabuSearch(seed) })
 	r.Register("lns", func(seed int64) Assigner { return NewLNS(seed) })
-	r.Register("sim-anneal", func(seed int64) Assigner { return NewSimulatedAnnealing(seed) })
-	r.Register("genetic", func(seed int64) Assigner { return NewGenetic(seed) })
 	r.Register("lagrangian", func(seed int64) Assigner { return NewLagrangian(seed) })
 	r.Register("lp-rounding", func(seed int64) Assigner { return NewLPRounding(seed) })
 	r.Register("bandit", func(seed int64) Assigner { return NewBandit(seed) })
@@ -125,7 +123,6 @@ func NewRegistry() *Registry {
 	r.Register("double-qlearning", func(seed int64) Assigner { return NewDoubleQLearning(seed) })
 	r.Register("nstep-qlearning", func(seed int64) Assigner { return NewNStepQLearning(seed) })
 	r.Register("qlearning", func(seed int64) Assigner { return NewQLearning(seed) })
-	r.Register("portfolio", func(seed int64) Assigner { return NewParallelPortfolio(seed) })
 	r.Register("minmax", func(seed int64) Assigner { return NewMinMax(seed) })
 	return r
 }

@@ -20,18 +20,24 @@ func mustSynthetic(t *testing.T, kind gap.SyntheticKind, n, m int, rho float64, 
 	return in
 }
 
-// infeasibleInstance has weights that exceed every capacity.
-func infeasibleInstance(t *testing.T) *gap.Instance {
+// mustInstance builds an instance from nested matrices or fails the test.
+func mustInstance(t *testing.T, cost, weight [][]float64, capacity []float64) *gap.Instance {
 	t.Helper()
-	in, err := gap.NewInstance(
-		[][]float64{{1, 2}, {3, 4}, {5, 6}},
-		[][]float64{{10, 10}, {10, 10}, {10, 10}},
-		[]float64{5, 5},
-	)
+	in, err := gap.NewInstance(cost, weight, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return in
+}
+
+// infeasibleInstance has weights that exceed every capacity.
+func infeasibleInstance(t *testing.T) *gap.Instance {
+	t.Helper()
+	return mustInstance(t,
+		[][]float64{{1, 2}, {3, 4}, {5, 6}},
+		[][]float64{{10, 10}, {10, 10}, {10, 10}},
+		[]float64{5, 5},
+	)
 }
 
 func TestRegistryListsAllAlgorithms(t *testing.T) {
@@ -39,9 +45,9 @@ func TestRegistryListsAllAlgorithms(t *testing.T) {
 	names := r.Names()
 	want := []string{
 		"random", "round-robin", "first-fit", "greedy", "regret-greedy",
-		"local-search", "tabu", "lns", "sim-anneal", "genetic",
-		"lagrangian", "lp-rounding", "bandit", "sarsa", "expected-sarsa",
-		"double-qlearning", "nstep-qlearning", "qlearning", "portfolio", "minmax",
+		"local-search", "tabu", "lns", "lagrangian", "lp-rounding",
+		"bandit", "sarsa", "expected-sarsa", "double-qlearning",
+		"nstep-qlearning", "qlearning", "minmax",
 	}
 	if len(names) != len(want) {
 		t.Fatalf("Names() = %v, want %v", names, want)
@@ -67,14 +73,24 @@ func TestRegistryRegisterReplaces(t *testing.T) {
 
 // TestAllAlgorithmsFeasibleAndValid is the central contract test: every
 // algorithm, on a spread of instances, returns a valid capacity-respecting
-// assignment whose name matches its registry key.
+// assignment whose name matches its registry key and whose cost is not
+// below gap.LowerBound. The spread ends with degenerate shapes: a single
+// edge packed exactly full, a single device, and a device with one
+// reachable edge.
 func TestAllAlgorithmsFeasibleAndValid(t *testing.T) {
 	r := NewRegistry()
+	inf := math.Inf(1)
 	instances := []*gap.Instance{
 		mustSynthetic(t, gap.SyntheticUniform, 20, 4, 0.5, 1),
 		mustSynthetic(t, gap.SyntheticUniform, 30, 5, 0.8, 2),
 		mustSynthetic(t, gap.SyntheticCorrelated, 25, 4, 0.7, 3),
 		mustSynthetic(t, gap.SyntheticCorrelated, 15, 3, 0.75, 4),
+		mustInstance(t, [][]float64{{1}, {2}, {3}}, [][]float64{{1}, {1}, {1}}, []float64{3}),
+		mustInstance(t, [][]float64{{4, 2, 3}}, [][]float64{{1, 1, 1}}, []float64{1, 1, 1}),
+		mustInstance(t,
+			[][]float64{{inf, 2, inf}, {1, 2, 3}, {2, 1, 3}},
+			[][]float64{{1, 1, 1}, {1, 1, 1}, {1, 1, 1}},
+			[]float64{2, 2, 2}),
 	}
 	for _, name := range r.Names() {
 		name := name
@@ -96,6 +112,9 @@ func TestAllAlgorithmsFeasibleAndValid(t *testing.T) {
 				}
 				if !in.Feasible(got) {
 					t.Fatalf("instance %d: infeasible result, violations %v", k, in.Violations(got))
+				}
+				if c, lb := in.TotalCost(got), gap.LowerBound(in); lb > c+1e-9*math.Max(1, c) {
+					t.Fatalf("instance %d: cost %v below lower bound %v", k, c, lb)
 				}
 			}
 		})
@@ -133,16 +152,28 @@ func TestAllAlgorithmsDeterministic(t *testing.T) {
 
 // TestAllAlgorithmsReportInfeasible: every algorithm signals ErrInfeasible
 // on an impossible instance rather than returning an overloaded result.
+// The impossible instances are: weights over every capacity, a stranded
+// device (no reachable edge), every capacity zero, and a single edge over
+// capacity.
 func TestAllAlgorithmsReportInfeasible(t *testing.T) {
 	r := NewRegistry()
-	in := infeasibleInstance(t)
+	inf := math.Inf(1)
+	ones := [][]float64{{1, 1}, {1, 1}, {1, 1}}
+	instances := []*gap.Instance{
+		infeasibleInstance(t),
+		mustInstance(t, [][]float64{{1, 2}, {inf, inf}, {3, 1}}, ones, []float64{5, 5}),
+		mustInstance(t, [][]float64{{1, 2}, {2, 1}, {3, 3}}, ones, []float64{0, 0}),
+		mustInstance(t, [][]float64{{1}, {2}, {3}}, [][]float64{{2}, {2}, {2}}, []float64{5}),
+	}
 	for _, name := range r.Names() {
-		a, err := r.New(name, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := a.Assign(in); !errors.Is(err, gap.ErrInfeasible) {
-			t.Errorf("%s: want ErrInfeasible, got %v", name, err)
+		for k, in := range instances {
+			a, err := r.New(name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.Assign(in); !errors.Is(err, gap.ErrInfeasible) {
+				t.Errorf("%s, instance %d: want ErrInfeasible, got %v", name, k, err)
+			}
 		}
 	}
 }
@@ -216,8 +247,6 @@ func TestLocalSearchNeverWorseThanGreedy(t *testing.T) {
 func TestMetaheuristicsBeatRandomOnAverage(t *testing.T) {
 	algos := map[string]Factory{
 		"local-search": func(s int64) Assigner { return NewLocalSearch(s) },
-		"sim-anneal":   func(s int64) Assigner { return NewSimulatedAnnealing(s) },
-		"genetic":      func(s int64) Assigner { return NewGenetic(s) },
 		"lagrangian":   func(s int64) Assigner { return NewLagrangian(s) },
 		"qlearning":    func(s int64) Assigner { return NewQLearning(s) },
 		"sarsa":        func(s int64) Assigner { return NewSARSA(s) },
@@ -345,6 +374,67 @@ func TestRLParamsDefaults(t *testing.T) {
 	p2 := RLParams{Episodes: 10, Alpha: 0.5, LoadLevels: 2}.withDefaults()
 	if p2.Episodes != 10 || p2.Alpha != 0.5 || p2.LoadLevels != 2 {
 		t.Fatalf("explicit values overridden: %+v", p2)
+	}
+}
+
+// rlParams returns the RLParams of a Q-table assigner.
+func rlParams(t *testing.T, a Assigner) *RLParams {
+	t.Helper()
+	switch a := a.(type) {
+	case *QLearning:
+		return &a.Params
+	case *SARSA:
+		return &a.Params
+	case *ExpectedSARSA:
+		return &a.Params
+	case *DoubleQLearning:
+		return &a.Params
+	case *NStepQLearning:
+		return &a.Params
+	}
+	t.Fatalf("%s has no RLParams", a.Name())
+	return nil
+}
+
+// TestQLearningAblationSwitches requires every Q-table assigner to honour
+// every RLParams ablation switch: each switch set alone changes the
+// assignment on a fixed instance, and every ablated run stays feasible.
+// NoCostSeeding and UniformExploration are compared with warm start off,
+// since a winning regret-greedy warm start would hide what training
+// learned.
+func TestQLearningAblationSwitches(t *testing.T) {
+	in := mustSynthetic(t, gap.SyntheticCorrelated, 20, 4, 0.85, 4)
+	reg := NewRegistry()
+	for _, name := range []string{"qlearning", "sarsa", "expected-sarsa", "double-qlearning", "nstep-qlearning"} {
+		solve := func(mut func(*RLParams)) string {
+			a, err := reg.New(name, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mut(rlParams(t, a))
+			got, err := a.Assign(in)
+			if err != nil {
+				t.Fatalf("%s: ablated variant failed: %v", name, err)
+			}
+			if !in.Feasible(got) {
+				t.Fatalf("%s: ablated variant produced infeasible result", name)
+			}
+			return hashOf(got.Of)
+		}
+		noWarm := func(p *RLParams) { p.NoWarmStart = true }
+		for _, c := range []struct {
+			name      string
+			base, mut func(*RLParams)
+		}{
+			{"NoWarmStart", func(*RLParams) {}, noWarm},
+			{"NoCostSeeding", noWarm, func(p *RLParams) { p.NoWarmStart = true; p.NoCostSeeding = true }},
+			{"UniformExploration", noWarm, func(p *RLParams) { p.NoWarmStart = true; p.UniformExploration = true }},
+		} {
+			if solve(c.base) == solve(c.mut) {
+				t.Errorf("%s ignores %s: same assignment with it on and off", name, c.name)
+			}
+		}
+		solve(func(p *RLParams) { p.NoCostSeeding = true; p.NoWarmStart = true; p.UniformExploration = true })
 	}
 }
 

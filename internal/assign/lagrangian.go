@@ -89,3 +89,73 @@ func (lg *Lagrangian) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	}
 	return finish(in, bestOf, "lagrangian")
 }
+
+// repairState holds the scratch buffers repair reuses across calls, so
+// the per-iteration Lagrangian repair step allocates nothing in steady
+// state.
+type repairState struct {
+	residual []float64
+	pending  []int
+}
+
+// newRepairState sizes the repair buffers for in.
+func newRepairState(in *gap.Instance) *repairState {
+	return &repairState{
+		residual: make([]float64, in.M()),
+		pending:  make([]int, 0, in.N()),
+	}
+}
+
+// repair restores feasibility in place: devices on overloaded or
+// unreachable edges are moved (lightest excess first) to the cheapest edge
+// with room. Reports whether a feasible repair was found.
+func (rs *repairState) repair(in *gap.Instance, of []int, src *xrand.Source) bool {
+	m := in.M()
+	residual := rs.residual
+	copy(residual, in.Capacity)
+	for i, j := range of {
+		if j < 0 || j >= m || math.IsInf(in.CostAt(i, j), 1) {
+			of[i] = -1
+			continue
+		}
+		residual[j] -= in.WeightAt(i, j)
+	}
+	// Evict from overloaded edges until all fit. Evict the device whose
+	// move is cheapest-looking (smallest weight) for gentler repair.
+	for j := 0; j < m; j++ {
+		for residual[j] < -1e-12 {
+			evict := -1
+			for i, cur := range of {
+				if cur != j {
+					continue
+				}
+				if evict < 0 || in.WeightAt(i, j) < in.WeightAt(evict, j) {
+					evict = i
+				}
+			}
+			if evict < 0 {
+				return false
+			}
+			residual[j] += in.WeightAt(evict, j)
+			of[evict] = -1
+		}
+	}
+	// Place evicted/unassigned devices greedily (random tie ordering).
+	pending := rs.pending[:0]
+	for i, cur := range of {
+		if cur < 0 {
+			pending = append(pending, i)
+		}
+	}
+	rs.pending = pending
+	src.Shuffle(len(pending), func(a, b int) { pending[a], pending[b] = pending[b], pending[a] })
+	for _, i := range pending {
+		j := cheapestFeasible(in, residual, i)
+		if j < 0 {
+			return false
+		}
+		of[i] = j
+		residual[j] -= in.WeightAt(i, j)
+	}
+	return true
+}

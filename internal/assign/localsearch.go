@@ -86,8 +86,7 @@ func improveOnce(ev *gap.Evaluator) bool {
 		}
 	}
 	// Swap moves. The candidate test is written against the instance rows
-	// directly — same predicates as Evaluator.DeltaSwap/SwapFits, kept
-	// inline because this O(n²) scan dominates the sweep.
+	// directly, kept inline because this O(n²) scan dominates the sweep.
 	for a := 0; a < n; a++ {
 		cRowA, wRowA := in.CostRow(a), in.WeightRow(a)
 		for b := a + 1; b < n; b++ {
@@ -118,8 +117,8 @@ func improveOnce(ev *gap.Evaluator) bool {
 }
 
 // startFeasible builds an initial feasible assignment: greedy first, then
-// regret-greedy, then randomized restarts — local search and annealing
-// both start from it.
+// regret-greedy, then randomized restarts — local search, tabu, LNS and
+// minmax start from it.
 func startFeasible(in *gap.Instance, seed int64) (*gap.Assignment, error) {
 	if a, err := NewGreedy().Assign(in); err == nil {
 		return a, nil
@@ -133,124 +132,4 @@ func startFeasible(in *gap.Instance, seed int64) (*gap.Assignment, error) {
 		}
 	}
 	return nil, gap.ErrInfeasible
-}
-
-// SimulatedAnnealing explores shift/swap moves with Metropolis acceptance
-// and geometric cooling, keeping the best feasible assignment seen.
-type SimulatedAnnealing struct {
-	seed int64
-	// Iters is the number of proposals; 0 means 20000.
-	Iters int
-	// T0 and Cooling set the initial temperature and geometric decay; 0
-	// means T0 = 10% of the start cost and Cooling = 0.9995.
-	T0      float64
-	Cooling float64
-	phases  *obs.Phase
-}
-
-// SetPhases implements PhasedSolver: subsequent Assign calls emit
-// "construction" and "improvement" spans under parent.
-func (sa *SimulatedAnnealing) SetPhases(parent *obs.Phase) { sa.phases = parent }
-
-// NewSimulatedAnnealing returns an annealing assigner with default
-// schedule.
-func NewSimulatedAnnealing(seed int64) *SimulatedAnnealing {
-	return &SimulatedAnnealing{seed: seed}
-}
-
-// Name implements Assigner.
-func (*SimulatedAnnealing) Name() string { return "sim-anneal" }
-
-// Assign implements Assigner.
-func (sa *SimulatedAnnealing) Assign(in *gap.Instance) (*gap.Assignment, error) {
-	consPh := sa.phases.Child("construction")
-	start, err := startFeasible(in, sa.seed)
-	consPh.End()
-	if err != nil {
-		return nil, fmt.Errorf("assign/sim-anneal: %w", err)
-	}
-	src := xrand.NewSplit(sa.seed, "sa")
-	ev := gap.NewEvaluator(in)
-	ev.Reset(start.Of)
-	cur := ev.Total()
-	bestOf := ev.Assignment(start.Of)
-	bestCost := cur
-
-	iters := sa.Iters
-	if iters <= 0 {
-		iters = 20000
-	}
-	temp := sa.T0
-	if temp <= 0 {
-		temp = cur * 0.1 / float64(in.N())
-		if temp <= 0 {
-			temp = 1
-		}
-	}
-	cooling := sa.Cooling
-	if cooling <= 0 || cooling >= 1 {
-		cooling = 0.9995
-	}
-
-	n, m := in.N(), in.M()
-	impPh := sa.phases.Child("improvement")
-	defer impPh.End()
-	impPh.SetAttr("iters", iters)
-	for it := 0; it < iters; it++ {
-		if src.Bernoulli(0.7) {
-			// Shift proposal.
-			i := src.Intn(n)
-			j := src.Intn(m)
-			cur = proposeShift(ev, i, j, cur, temp, src)
-		} else {
-			// Swap proposal.
-			a, b := src.Intn(n), src.Intn(n)
-			if a != b {
-				cur = proposeSwap(ev, a, b, cur, temp, src)
-			}
-		}
-		if cur < bestCost-1e-12 {
-			bestCost = cur
-			bestOf = ev.Assignment(bestOf)
-		}
-		temp *= cooling
-	}
-	return finish(in, bestOf, "sim-anneal")
-}
-
-func metropolisAccept(delta, temp float64, src *xrand.Source) bool {
-	if delta <= 0 {
-		return true
-	}
-	if temp <= 0 {
-		return false
-	}
-	return src.Bernoulli(math.Exp(-delta / temp))
-}
-
-func proposeShift(ev *gap.Evaluator, i, j int, cur, temp float64, src *xrand.Source) float64 {
-	if j == ev.Of(i) || !ev.Fits(i, j) {
-		return cur
-	}
-	delta := ev.DeltaMove(i, j)
-	if !metropolisAccept(delta, temp, src) {
-		return cur
-	}
-	ev.Move(i, j)
-	return cur + delta
-}
-
-func proposeSwap(ev *gap.Evaluator, a, b int, cur, temp float64, src *xrand.Source) float64 {
-	if ev.Of(a) == ev.Of(b) {
-		return cur
-	}
-	if !ev.SwapFits(a, b) {
-		return cur
-	}
-	delta := ev.DeltaSwap(a, b)
-	if !metropolisAccept(delta, temp, src) {
-		return cur
-	}
-	ev.Swap(a, b)
-	return cur + delta
 }

@@ -25,7 +25,6 @@ func TestWithPhasesResultsBitIdentical(t *testing.T) {
 		"tabu":         func() Assigner { return NewTabuSearch(42) },
 		"lns":          func() Assigner { return NewLNS(42) },
 		"local-search": func() Assigner { return NewLocalSearch(42) },
-		"sim-anneal":   func() Assigner { return NewSimulatedAnnealing(42) },
 		"minmax":       func() Assigner { return NewMinMax(42) },
 	}
 	for name, mk := range mks {
@@ -68,7 +67,6 @@ func TestSolverPhaseNames(t *testing.T) {
 		{func() Assigner { return NewTabuSearch(42) }, []string{"construction", "improvement"}},
 		{func() Assigner { return NewLNS(42) }, []string{"construction", "improvement", "repair"}},
 		{func() Assigner { return NewLocalSearch(42) }, []string{"construction", "improvement"}},
-		{func() Assigner { return NewSimulatedAnnealing(42) }, []string{"construction", "improvement"}},
 		{func() Assigner { return NewMinMax(42) }, []string{"construction", "polish"}},
 	}
 	for _, tc := range cases {

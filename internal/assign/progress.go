@@ -3,8 +3,8 @@ package assign
 import "taccc/internal/obs"
 
 // ProgressReporter is implemented by iterative assigners that can stream
-// per-iteration convergence events (Q-learning episodes, tabu/LNS moves,
-// genetic generations, portfolio arms) into an obs.ProgressSink.
+// per-iteration convergence events (Q-learning episodes, tabu/LNS moves)
+// into an obs.ProgressSink.
 //
 // The sink is strictly observational: attaching one never touches the
 // algorithm's random streams or decisions, so results are bit-identical

@@ -28,7 +28,7 @@ func progressInstance(t *testing.T) *gap.Instance {
 func TestWithProgressAttachesToIterativeAssigners(t *testing.T) {
 	sink := obs.ProgressFunc(func(obs.IterEvent) {})
 	for _, a := range []Assigner{
-		NewQLearning(1), NewTabuSearch(1), NewLNS(1), NewGenetic(1), NewParallelPortfolio(1),
+		NewQLearning(1), NewTabuSearch(1), NewLNS(1),
 	} {
 		if !WithProgress(a, sink) {
 			t.Errorf("%s should report progress", a.Name())
@@ -49,7 +49,6 @@ func TestProgressStreamsAreConvergenceCurves(t *testing.T) {
 		{"qlearning", func() Assigner { return NewQLearning(3) }, 400},
 		{"tabu", func() Assigner { return NewTabuSearch(3) }, 0}, // move count varies (early stop)
 		{"lns", func() Assigner { return NewLNS(3) }, 60},
-		{"genetic", func() Assigner { return NewGenetic(3) }, 150},
 	}
 	for _, tc := range cases {
 		events, sink := collectIters()
@@ -82,36 +81,6 @@ func TestProgressStreamsAreConvergenceCurves(t *testing.T) {
 	}
 }
 
-func TestPortfolioEmitsOneEventPerArm(t *testing.T) {
-	in := progressInstance(t)
-	for _, parallel := range []bool{false, true} {
-		p := NewPortfolio(5)
-		p.Parallel = parallel
-		events, sink := collectIters()
-		p.SetProgress(sink)
-		got, err := p.Assign(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(*events) != 4 {
-			t.Fatalf("parallel=%v: %d arm events, want 4", parallel, len(*events))
-		}
-		wantArms := []string{"regret-greedy", "local-search", "lagrangian", "qlearning"}
-		bestArm := math.Inf(1)
-		for k, ev := range *events {
-			if ev.Algo != wantArms[k] || ev.Iter != k {
-				t.Fatalf("parallel=%v: arm %d = %+v, want algo %s", parallel, k, ev, wantArms[k])
-			}
-			if ev.Feasible && ev.BestCost < bestArm {
-				bestArm = ev.BestCost
-			}
-		}
-		if c := in.TotalCost(got); math.Abs(c-bestArm) > 1e-9 {
-			t.Fatalf("parallel=%v: winner cost %v, best arm event %v", parallel, c, bestArm)
-		}
-	}
-}
-
 // TestProgressDoesNotPerturbResults is the instrumentation contract: a
 // solver with a sink attached returns exactly what it returns without one.
 func TestProgressDoesNotPerturbResults(t *testing.T) {
@@ -120,8 +89,6 @@ func TestProgressDoesNotPerturbResults(t *testing.T) {
 		"qlearning": func() Assigner { return NewQLearning(11) },
 		"tabu":      func() Assigner { return NewTabuSearch(11) },
 		"lns":       func() Assigner { return NewLNS(11) },
-		"genetic":   func() Assigner { return NewGenetic(11) },
-		"portfolio": func() Assigner { return NewParallelPortfolio(11) },
 	}
 	for name, mk := range makers {
 		plain := mk()

@@ -80,16 +80,11 @@ type cell struct {
 	err       error
 }
 
-// CompareAlgorithms runs each named algorithm on reps independently seeded
-// replications of the scenario and aggregates, using every core. Scenario
-// seeds are derived from sc.Seed, so the same call is fully reproducible at
-// any parallelism. Use CompareAlgorithmsWorkers to bound the worker count.
-func CompareAlgorithms(sc Scenario, algos []string, reps int) ([]AlgoStat, error) {
-	return CompareAlgorithmsWorkers(sc, algos, reps, 0)
-}
-
-// CompareAlgorithmsWorkers is CompareAlgorithms with an explicit worker
-// count (<= 0 means all cores, 1 restores fully sequential execution).
+// CompareAlgorithmsWorkers runs each named algorithm on reps independently
+// seeded replications of the scenario and aggregates, on up to workers
+// goroutines (<= 0 means all cores, 1 restores fully sequential
+// execution). Scenario seeds are derived from sc.Seed, so the same call is
+// fully reproducible at any parallelism.
 //
 // Each (algorithm, replication) cell is an independent unit of work: its
 // assigner is constructed from xrand.SplitSeed(sc.Seed, "<algo>-<rep>")

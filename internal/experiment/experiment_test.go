@@ -161,7 +161,7 @@ func TestScenarioPayloadAwareCostsHigher(t *testing.T) {
 
 func TestCompareAlgorithms(t *testing.T) {
 	sc := Scenario{NumIoT: 20, NumEdge: 4, Seed: 11}
-	res, err := CompareAlgorithms(sc, []string{"random", "greedy", "qlearning"}, 2)
+	res, err := CompareAlgorithmsWorkers(sc, []string{"random", "greedy", "qlearning"}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,10 +189,10 @@ func TestCompareAlgorithms(t *testing.T) {
 
 func TestCompareAlgorithmsErrors(t *testing.T) {
 	sc := Scenario{NumIoT: 5, NumEdge: 2, Seed: 1}
-	if _, err := CompareAlgorithms(sc, []string{"greedy"}, 0); err == nil {
+	if _, err := CompareAlgorithmsWorkers(sc, []string{"greedy"}, 0, 0); err == nil {
 		t.Error("reps=0 accepted")
 	}
-	if _, err := CompareAlgorithms(sc, []string{"bogus"}, 1); err == nil {
+	if _, err := CompareAlgorithmsWorkers(sc, []string{"bogus"}, 1, 0); err == nil {
 		t.Error("bogus algorithm accepted")
 	}
 }

@@ -43,12 +43,12 @@ func TestCompareAlgorithmsWorkersDeterministic(t *testing.T) {
 		}
 	}
 	// The all-cores default must agree too.
-	got, err := CompareAlgorithms(sc, algos, 3)
+	got, err := CompareAlgorithmsWorkers(sc, algos, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(stripRuntimes(got), stripRuntimes(want)) {
-		t.Fatal("default CompareAlgorithms diverged from sequential")
+		t.Fatal("all-cores CompareAlgorithmsWorkers diverged from sequential")
 	}
 }
 

@@ -1,19 +1,11 @@
 package gap
 
-import "math"
-
-// capEps absorbs floating-point accumulation error in capacity checks; it
-// is the same epsilon the heuristics in internal/assign have always used,
-// so Evaluator-based feasibility tests reproduce their decisions exactly.
-const capEps = 1e-12
-
 // Evaluator maintains the running objective and per-edge feasibility
 // slack of one assignment over one instance, and prices single-device
 // moves and pairwise swaps in O(1) instead of the O(n) full re-cost of
 // Instance.TotalCost. It is the one delta-cost implementation in the
 // repository: the metaheuristics in internal/assign drive their inner
-// loops through it, and Diff's per-device deltas agree with it by
-// construction (both read the instance's one cost store).
+// loops through it.
 //
 // Contract:
 //
@@ -134,19 +126,11 @@ func (e *Evaluator) Feasible() bool {
 	return true
 }
 
-// moveDelta is the one delta-cost expression in the package: the total
-// cost change of moving device i from edge `from` to edge `to`. Both the
-// Evaluator and Diff price moves through it, so migration plans and
-// solver move evaluations can never disagree.
-func moveDelta(in *Instance, i, from, to int) float64 {
-	row := in.CostRow(i)
-	return row[to] - row[from]
-}
-
 // DeltaMove prices moving device i to edge `to` in O(1): the change in
 // total cost, negative = improvement. The device must be placed.
 func (e *Evaluator) DeltaMove(i, to int) float64 {
-	return moveDelta(e.in, i, e.of[i], to)
+	row := e.in.CostRow(i)
+	return row[to] - row[e.of[i]]
 }
 
 // DeltaSwap prices exchanging devices a's and b's edges in O(1), with the
@@ -156,27 +140,6 @@ func (e *Evaluator) DeltaSwap(a, b int) float64 {
 	ja, jb := e.of[a], e.of[b]
 	rowA, rowB := e.in.CostRow(a), e.in.CostRow(b)
 	return rowA[jb] + rowB[ja] - rowA[ja] - rowB[jb]
-}
-
-// Fits reports whether device i can be placed on (or moved to) edge j
-// within j's residual capacity: the Evaluator form of the heuristics'
-// fits() check, bit-identical decisions included.
-func (e *Evaluator) Fits(i, j int) bool {
-	return e.in.WeightRow(i)[j] <= e.residual[j]+capEps && !math.IsInf(e.in.CostRow(i)[j], 1)
-}
-
-// SwapFits reports whether exchanging devices a's and b's edges respects
-// both capacities, replicating the exact release-then-check arithmetic of
-// the classic swap move.
-func (e *Evaluator) SwapFits(a, b int) bool {
-	ja, jb := e.of[a], e.of[b]
-	wA, wB := e.in.WeightRow(a), e.in.WeightRow(b)
-	if math.IsInf(e.in.CostRow(a)[jb], 1) || math.IsInf(e.in.CostRow(b)[ja], 1) {
-		return false
-	}
-	resA := e.residual[ja] + wA[ja]
-	resB := e.residual[jb] + wB[jb]
-	return wB[ja] <= resA+capEps && wA[jb] <= resB+capEps
 }
 
 // Move applies the shift of device i to edge `to`, updating residuals and

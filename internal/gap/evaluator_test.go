@@ -96,45 +96,6 @@ func TestEvaluatorDeltaSwapMatchesFullRecost(t *testing.T) {
 	}
 }
 
-// TestEvaluatorDiffParity pins the one-delta-implementation contract: the
-// per-device deltas Diff prices for a migration plan are exactly the
-// DeltaMove values an Evaluator loaded with the old placement reports.
-func TestEvaluatorDiffParity(t *testing.T) {
-	for _, in := range evalFixtures(t) {
-		oldOf := cheapestOf(in)
-		newOf := append([]int(nil), oldOf...)
-		// Perturb every third device to its most expensive finite edge.
-		for i := 0; i < in.N(); i += 3 {
-			worst, worstC := newOf[i], math.Inf(-1)
-			for j := 0; j < in.M(); j++ {
-				if c := in.CostAt(i, j); !math.IsInf(c, 1) && c > worstC {
-					worst, worstC = j, c
-				}
-			}
-			newOf[i] = worst
-		}
-		a, err := NewAssignment(in, oldOf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := NewAssignment(in, newOf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		moves, err := Diff(in, a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev := NewEvaluator(in)
-		ev.Reset(oldOf)
-		for _, mv := range moves {
-			if got := ev.DeltaMove(mv.Device, mv.To); math.Abs(got-mv.DeltaCostMs) > 1e-12 {
-				t.Fatalf("device %d: Diff delta %v, Evaluator delta %v", mv.Device, mv.DeltaCostMs, got)
-			}
-		}
-	}
-}
-
 // checkEvaluatorState compares every piece of Evaluator state against a
 // from-scratch recomputation over the placement it reports.
 func checkEvaluatorState(t *testing.T, in *Instance, ev *Evaluator) {

@@ -36,8 +36,8 @@ type Instance struct {
 // NewInstance validates the given matrices and copies them into the
 // instance's store; the caller keeps ownership of its slices. Dimensions
 // must agree, weights must be positive and finite, capacities
-// non-negative, and costs non-negative (+Inf allowed to mark unreachable
-// pairs).
+// non-negative and finite, and costs non-negative (+Inf allowed to mark
+// unreachable pairs).
 func NewInstance(costMs, weight [][]float64, capacity []float64) (*Instance, error) {
 	n, m := len(costMs), len(capacity)
 	if err := checkDims(n, m); err != nil {
@@ -81,7 +81,7 @@ func newInstance(n int, cost, weight, capacity []float64) (*Instance, error) {
 		}
 	}
 	for j, c := range capacity {
-		if math.IsNaN(c) || c < 0 {
+		if math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
 			return nil, fmt.Errorf("gap: invalid capacity %v at edge %d", c, j)
 		}
 	}

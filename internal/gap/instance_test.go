@@ -49,6 +49,7 @@ func TestNewInstanceValidation(t *testing.T) {
 		{"zero weight", [][]float64{{1}}, [][]float64{{0}}, []float64{1}, "gap: invalid weight 0 at (0,0)"},
 		{"inf weight", [][]float64{{1}}, [][]float64{{math.Inf(1)}}, []float64{1}, "gap: invalid weight +Inf at (0,0)"},
 		{"negative capacity", [][]float64{{1}}, [][]float64{{1}}, []float64{-1}, "gap: invalid capacity -1 at edge 0"},
+		{"inf capacity", [][]float64{{1, 1}}, [][]float64{{1, 1}}, []float64{1, math.Inf(1)}, "gap: invalid capacity +Inf at edge 1"},
 	}
 	for _, tc := range cases {
 		err := ok(tc.c, tc.w, tc.cap)

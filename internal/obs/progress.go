@@ -7,16 +7,14 @@ import (
 	"sync"
 )
 
-// IterEvent is one iteration of an iterative solver: Q-learning episodes,
-// tabu/LNS/genetic iterations, portfolio arms. BestCost is the incumbent
-// (best feasible) total cost after the iteration; Feasible reports whether
-// an incumbent exists at all (BestCost is +Inf until one does).
+// IterEvent is one iteration of an iterative solver: Q-learning episodes
+// or tabu/LNS iterations. BestCost is the incumbent (best feasible) total
+// cost after the iteration; Feasible reports whether an incumbent exists
+// at all (BestCost is +Inf until one does).
 type IterEvent struct {
-	// Algo names the emitting algorithm ("qlearning", "tabu", ...; a
-	// portfolio reports each member arm under the member's name).
+	// Algo names the emitting algorithm ("qlearning", "tabu", ...).
 	Algo string
-	// Iter is the zero-based iteration index (episode, move, generation
-	// or arm index).
+	// Iter is the zero-based iteration index (episode or move).
 	Iter int
 	// BestCost is the incumbent total cost in ms (+Inf when none).
 	BestCost float64

@@ -42,13 +42,13 @@ type Controller struct {
 }
 
 // NewController creates a controller over m edges with the given
-// capacities.
+// capacities, each non-negative and finite.
 func NewController(capacity []float64) (*Controller, error) {
 	if len(capacity) == 0 {
 		return nil, errors.New("online: no edges")
 	}
 	for j, c := range capacity {
-		if c < 0 || math.IsNaN(c) {
+		if c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
 			return nil, fmt.Errorf("online: invalid capacity %v at edge %d", c, j)
 		}
 	}

@@ -29,6 +29,9 @@ func TestNewControllerValidation(t *testing.T) {
 	if _, err := NewController([]float64{math.NaN()}); err == nil {
 		t.Error("NaN capacity accepted")
 	}
+	if _, err := NewController([]float64{1, math.Inf(1)}); err == nil {
+		t.Error("+Inf capacity accepted")
+	}
 }
 
 func TestJoinPlacesCheapest(t *testing.T) {

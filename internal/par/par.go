@@ -2,10 +2,10 @@
 // parallel-for over an index space, built for deterministic fan-out.
 //
 // Every concurrent hot path in this codebase (experiment replication cells,
-// Dijkstra sources in the topology kernels, portfolio members) follows the
-// same discipline: the work is split into independent index-addressed cells,
-// each worker writes only to the cell it owns (a pre-sized slice element),
-// and all aggregation happens sequentially after the pool drains. Under that
+// Dijkstra sources in the topology kernels) follows the same discipline:
+// the work is split into independent index-addressed cells, each worker
+// writes only to the cell it owns (a pre-sized slice element), and all
+// aggregation happens sequentially after the pool drains. Under that
 // discipline parallelism changes wall-clock time only, never output, so a
 // run at workers=N is bit-identical to workers=1.
 package par

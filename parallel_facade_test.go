@@ -11,27 +11,6 @@ import (
 	taccc "taccc"
 )
 
-func TestParallelPortfolioPublicAPI(t *testing.T) {
-	built, err := taccc.Scenario{NumIoT: 30, NumEdge: 4, Seed: 6}.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := taccc.NewParallelPortfolio(6).Assign(built.Instance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := taccc.NewPortfolio(6).Assign(built.Instance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := built.Instance.TotalCost(par), built.Instance.TotalCost(seq); got != want {
-		t.Fatalf("parallel portfolio cost %v != sequential %v", got, want)
-	}
-	if !built.Instance.Feasible(par) {
-		t.Fatal("parallel portfolio returned infeasible assignment")
-	}
-}
-
 func TestCompareAlgorithmsWorkersFacadeDeterminism(t *testing.T) {
 	sc := taccc.Scenario{NumIoT: 20, NumEdge: 4, Seed: 13}
 	algos := []string{"greedy", "local-search", "qlearning"}

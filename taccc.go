@@ -2,14 +2,12 @@ package taccc
 
 import (
 	"io"
-	"net/http"
 
 	"taccc/internal/assign"
 	"taccc/internal/cluster"
 	"taccc/internal/experiment"
 	"taccc/internal/gap"
 	"taccc/internal/obs"
-	"taccc/internal/obs/httpserv"
 	"taccc/internal/obs/slo"
 	"taccc/internal/online"
 	"taccc/internal/topology"
@@ -56,21 +54,8 @@ func NewInstance(costMs, weight [][]float64, capacity []float64) (*Instance, err
 	return gap.NewInstance(costMs, weight, capacity)
 }
 
-// NewAssignment validates a device-to-edge mapping against an instance.
-func NewAssignment(in *Instance, of []int) (*Assignment, error) {
-	return gap.NewAssignment(in, of)
-}
-
 // ReadInstance parses an instance JSON written by Instance.WriteJSON.
 func ReadInstance(r io.Reader) (*Instance, error) { return gap.ReadJSON(r) }
-
-// ReadAssignment parses and validates an assignment JSON against in.
-func ReadAssignment(r io.Reader, in *Instance) (*Assignment, error) {
-	return gap.ReadAssignmentJSON(r, in)
-}
-
-// ReadTopology parses a topology JSON written by Graph.WriteJSON.
-func ReadTopology(r io.Reader) (*Graph, error) { return topology.ReadJSON(r) }
 
 // SyntheticInstance generates a random benchmark instance.
 func SyntheticInstance(kind SyntheticKind, n, m int, rho float64, seed int64) (*Instance, error) {
@@ -85,10 +70,6 @@ func BranchAndBound(in *Instance, opts BnBOptions) (*BnBResult, error) {
 // LowerBound returns the best available lower bound on the optimal total
 // delay (max of capacity-relaxed and Lagrangian bounds).
 func LowerBound(in *Instance) float64 { return gap.LowerBound(in) }
-
-// LPBound returns the LP-relaxation lower bound (the tightest bound this
-// library computes), or -Inf when the LP could not be solved.
-func LPBound(in *Instance) float64 { return gap.LPBound(in) }
 
 // Topology substrate (internal/topology).
 type (
@@ -144,9 +125,6 @@ const (
 	FamilyRing         = topology.FamilyRing
 )
 
-// NewGraph returns an empty topology graph.
-func NewGraph() *Graph { return topology.NewGraph() }
-
 // TopologyMetrics summarizes a graph's shape (see tacgen -format stats).
 type TopologyMetrics = topology.Metrics
 
@@ -163,10 +141,8 @@ func GenerateTopology(family Family, cfg TopologyConfig, place Placement) (*Grap
 	return topology.Generate(family, cfg, place)
 }
 
-// Families lists every topology family.
-func Families() []Family { return topology.Families() }
-
-// Link-level congestion (internal/topology).
+// Link-level congestion (internal/topology; see
+// Graph.EvaluateCongestionMultipath).
 type (
 	// Flow is one device's steady-state traffic demand.
 	Flow = topology.Flow
@@ -175,19 +151,6 @@ type (
 	// CongestionResult holds effective delays and link utilizations.
 	CongestionResult = topology.CongestionResult
 )
-
-// EvaluateCongestion routes flows along shortest paths and computes
-// effective delays with per-link queueing inflation.
-func EvaluateCongestion(g *Graph, dm *DelayMatrix, flows []Flow, assignment []int) (*CongestionResult, error) {
-	return topology.EvaluateCongestion(g, dm, flows, assignment)
-}
-
-// CongestionAwareDelayMatrix inflates a delay matrix with the link
-// utilizations the given assignment induces; iterate with re-assignment
-// for congestion-aware configurations.
-func CongestionAwareDelayMatrix(g *Graph, dm *DelayMatrix, flows []Flow, assignment []int) (*DelayMatrix, error) {
-	return topology.CongestionAwareDelayMatrix(g, dm, flows, assignment)
-}
 
 // NewDelayMatrix derives IoT-to-edge delays from a topology under a cost
 // model, fanning Dijkstra sources out across all cores. The result is
@@ -289,31 +252,6 @@ func NewQLearning(seed int64) *QLearningAssigner { return assign.NewQLearning(se
 // NewGreedy returns the min-delay greedy baseline.
 func NewGreedy() Assigner { return assign.NewGreedy() }
 
-// NewLocalSearch returns the shift/swap hill-climbing baseline.
-func NewLocalSearch(seed int64) Assigner { return assign.NewLocalSearch(seed) }
-
-// NewLagrangian returns the Lagrangian-relaxation-guided baseline.
-func NewLagrangian(seed int64) Assigner { return assign.NewLagrangian(seed) }
-
-// NewPortfolio runs several assigners sequentially and keeps the best
-// feasible result; with no members it uses the default strong set.
-func NewPortfolio(seed int64, members ...Assigner) Assigner {
-	return assign.NewPortfolio(seed, members...)
-}
-
-// NewParallelPortfolio is NewPortfolio with members solving concurrently:
-// same result (best cost, ties broken by member order), wall-clock time of
-// the slowest member instead of the sum. This is also the configuration the
-// algorithm registry serves under the name "portfolio".
-func NewParallelPortfolio(seed int64, members ...Assigner) Assigner {
-	return assign.NewParallelPortfolio(seed, members...)
-}
-
-// NewMinMax returns the min-max-fairness assigner: it minimizes the
-// worst-served device's delay via bisection, then polishes total delay
-// under that cap.
-func NewMinMax(seed int64) Assigner { return assign.NewMinMax(seed) }
-
 // WithDeadlines masks every cell whose delay exceeds the device's budget,
 // so any assigner produces deadline-respecting configurations.
 func WithDeadlines(in *Instance, budgetMs []float64) (*Instance, error) {
@@ -324,30 +262,6 @@ func WithDeadlines(in *Instance, budgetMs []float64) (*Instance, error) {
 // budget.
 func DeadlineViolations(in *Instance, a *Assignment, budgetMs []float64) (int, error) {
 	return gap.DeadlineViolations(in, a, budgetMs)
-}
-
-// Move describes one device's placement change between two assignments.
-type Move = gap.Move
-
-// DiffAssignments lists placement changes from old to new with per-device
-// delay deltas (migration planning).
-func DiffAssignments(in *Instance, old, new *Assignment) ([]Move, error) {
-	return gap.Diff(in, old, new)
-}
-
-// MigrationGain sums a diff's delay improvement (positive = new is better).
-func MigrationGain(moves []Move) float64 { return gap.MigrationGain(moves) }
-
-// WithCloud appends a cloud tier column (unbounded capacity, fixed WAN
-// delay) so overflow devices offload instead of making the instance
-// infeasible.
-func WithCloud(in *Instance, cloudDelayMs float64) (*Instance, error) {
-	return gap.WithCloud(in, cloudDelayMs)
-}
-
-// CloudOffload counts devices a WithCloud assignment sent to the cloud.
-func CloudOffload(in *Instance, a *Assignment) (count int, fraction float64, err error) {
-	return gap.CloudOffload(in, a)
 }
 
 // Cluster simulation (internal/cluster).
@@ -469,16 +383,10 @@ func RunExperiments(specs []ExperimentSpec, opts ExperimentOptions) []Experiment
 	return experiment.RunAll(specs, opts)
 }
 
-// CompareAlgorithms runs the named algorithms over replications of a
-// scenario and aggregates delay, runtime and feasibility, using every core.
-// Results are bit-identical to a sequential run; see
-// CompareAlgorithmsWorkers to bound (or disable) the parallelism.
-func CompareAlgorithms(sc Scenario, algos []string, reps int) ([]AlgoStat, error) {
-	return experiment.CompareAlgorithms(sc, algos, reps)
-}
-
-// CompareAlgorithmsWorkers is CompareAlgorithms with an explicit worker
-// count (<= 0 means all cores, 1 restores sequential execution).
+// CompareAlgorithmsWorkers runs the named algorithms over replications of
+// a scenario and aggregates delay, runtime and feasibility on up to
+// workers goroutines (<= 0 means all cores, 1 is sequential). Results are
+// bit-identical at any worker count.
 func CompareAlgorithmsWorkers(sc Scenario, algos []string, reps, workers int) ([]AlgoStat, error) {
 	return experiment.CompareAlgorithmsWorkers(sc, algos, reps, workers)
 }
@@ -487,13 +395,6 @@ func CompareAlgorithmsWorkers(sc Scenario, algos []string, reps, workers int) ([
 // with queueing headroom (see internal/experiment.ServiceRates).
 func ServiceRates(capacity []float64, headroom float64) []float64 {
 	return experiment.ServiceRates(capacity, headroom)
-}
-
-// DefaultAlgorithms is the standard comparison set, weakest baseline first.
-func DefaultAlgorithms() []string {
-	out := make([]string, len(experiment.DefaultAlgorithms))
-	copy(out, experiment.DefaultAlgorithms)
-	return out
 }
 
 // Bench suite (internal/experiment): the fixed performance-tracking
@@ -513,12 +414,6 @@ type (
 // Version are left for the caller to stamp.
 func RunBenchSuite(opts ExperimentOptions) (*BenchResults, error) {
 	return experiment.RunBench(opts)
-}
-
-// ReadBenchResults parses a BENCH_results.json / BENCH_baseline.json
-// file, rejecting truncated or foreign files descriptively.
-func ReadBenchResults(r io.Reader) (*BenchResults, error) {
-	return experiment.ReadBenchResults(r)
 }
 
 // Observability (internal/obs). Every hook is optional and nil-safe:
@@ -581,13 +476,9 @@ func MetricsProgress(r *MetricsRegistry) ProgressSink { return obs.MetricsProgre
 // MultiProgress fans iteration events out to several sinks.
 func MultiProgress(sinks ...ProgressSink) ProgressSink { return obs.MultiProgress(sinks...) }
 
-// NewProgressWriter prints a human-readable line to w each time a solver
-// improves its incumbent.
-func NewProgressWriter(w io.Writer) ProgressSink { return obs.ProgressWriter(w) }
-
 // WithProgress attaches a progress sink to an assigner if it supports
-// iteration reporting (q-learning episodes, tabu/LNS/genetic iterations,
-// portfolio arms); reports whether it does. Attaching a sink never
+// iteration reporting (Q-learning episodes, tabu/LNS iterations); reports
+// whether it does. Attaching a sink never
 // changes an assigner's result.
 func WithProgress(a Assigner, sink ProgressSink) bool { return assign.WithProgress(a, sink) }
 
@@ -604,18 +495,6 @@ func WallClock() Clock { return obs.WallClock() }
 // NewTracer builds a pipeline tracer emitting finished phase spans into
 // sink; a nil sink returns a nil (inert) tracer.
 func NewTracer(sink ObsSink, clock Clock) *Tracer { return obs.NewTracer(sink, clock) }
-
-// WriteChromeTrace exports spans as Chrome trace-event JSON, loadable in
-// Perfetto or chrome://tracing.
-func WriteChromeTrace(w io.Writer, spans []Span) error { return obs.WriteChromeTrace(w, spans) }
-
-// DefaultLatencyBucketsMs returns the standard latency histogram bucket
-// bounds (0.5 ms .. 10 s).
-func DefaultLatencyBucketsMs() []float64 { return obs.DefaultLatencyBucketsMs() }
-
-// EmitSpan sends a span into a sink (nil-safe); the cluster simulator
-// emits spans automatically when SimConfig.Spans is set.
-func EmitSpan(s ObsSink, sp Span) { obs.EmitSpan(s, sp) }
 
 // Streaming SLO plane (internal/obs/slo): rolling-window latency
 // quantiles, error budgets, and alert events driven purely by sim time.
@@ -652,20 +531,6 @@ func NewSLOTracker(cfg SLOConfig) (*SLOTracker, error) { return slo.New(cfg) }
 // flag syntax).
 func ParseSLOObjectives(spec string) ([]SLOObjective, error) { return slo.ParseObjectives(spec) }
 
-// TelemetryHandler serves a metrics registry over HTTP: /metrics
-// (Prometheus text exposition), /healthz, /snapshot (JSON) and
-// /debug/pprof. The tacsim/tacsolve/tacbench -listen flag mounts this
-// handler; embedders can mount it on their own server.
-func TelemetryHandler(reg *MetricsRegistry) http.Handler { return httpserv.Handler(reg) }
-
-// CompareAlgorithmsObserved is CompareAlgorithmsWorkers with a progress
-// sink receiving one "cell" event per (algorithm, replication) solve and
-// one "algo-done" aggregate per algorithm. Results are bit-identical
-// with or without a sink.
-func CompareAlgorithmsObserved(sc Scenario, algos []string, reps, workers int, progress ObsSink) ([]AlgoStat, error) {
-	return experiment.CompareAlgorithmsObserved(sc, algos, reps, workers, progress)
-}
-
 // WorkloadProfiles returns the named device-profile presets (default,
 // smartcity, factory, wearables), each seeded with seed.
 func WorkloadProfiles(seed int64) map[string]Profile { return workload.Profiles(seed) }
@@ -674,6 +539,3 @@ func WorkloadProfiles(seed int64) map[string]Profile { return workload.Profiles(
 func WriteDevicesJSON(w io.Writer, devices []Device) error {
 	return workload.WriteDevicesJSON(w, devices)
 }
-
-// ReadDevicesJSON parses a device population written by WriteDevicesJSON.
-func ReadDevicesJSON(r io.Reader) ([]Device, error) { return workload.ReadDevicesJSON(r) }

@@ -119,7 +119,11 @@ func TestPublicTopologyFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := taccc.NewLocalSearch(1).Assign(in); err != nil {
+	ls, err := taccc.NewAlgorithmRegistry().New("local-search", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ls.Assign(in); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -140,15 +144,12 @@ func TestPublicExperiments(t *testing.T) {
 	if len(tables) == 0 || len(tables[0].Rows) == 0 {
 		t.Fatal("experiment produced no data")
 	}
-	stats, err := taccc.CompareAlgorithms(taccc.Scenario{NumIoT: 15, NumEdge: 3, Seed: 1},
-		[]string{"greedy", "qlearning"}, 2)
+	stats, err := taccc.CompareAlgorithmsWorkers(taccc.Scenario{NumIoT: 15, NumEdge: 3, Seed: 1},
+		[]string{"greedy", "qlearning"}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(stats) != 2 {
 		t.Fatalf("got %d stats", len(stats))
-	}
-	if len(taccc.DefaultAlgorithms()) == 0 {
-		t.Fatal("no default algorithms")
 	}
 }
