@@ -107,9 +107,10 @@ baseline:
 	$(GO) run ./cmd/tacbench -json BENCH_baseline.json -quick -reps $(BENCH_REPS)
 
 # Trace smoke: a real tacsolve run exports a Chrome trace and archives
-# trace.jsonl, tactrace -chrome strict-validates the export, and
-# tacreport renders the phase-attribution table from the archive. The
-# end-to-end counterpart of the in-process pipeline-tracing tests.
+# trace.jsonl, tactrace -chrome strict-validates the export (and must
+# reject a copy with bytes appended), and tacreport renders the
+# phase-attribution table from the archive. The end-to-end counterpart
+# of the in-process pipeline-tracing tests.
 TRACE_DIR ?= /tmp/taccc-trace-smoke
 
 trace-smoke:
@@ -117,6 +118,11 @@ trace-smoke:
 	$(GO) run ./cmd/tacsolve -iot 80 -edge 8 -rho 0.8 -algo tabu -seed 7 \
 	  -workers 4 -trace-out $(TRACE_DIR)/trace.json -archive $(TRACE_DIR)/run
 	$(GO) run ./cmd/tactrace -chrome $(TRACE_DIR)/trace.json
+	cp $(TRACE_DIR)/trace.json $(TRACE_DIR)/trailing.json
+	echo garbage >> $(TRACE_DIR)/trailing.json
+	if $(GO) run ./cmd/tactrace -chrome $(TRACE_DIR)/trailing.json; then \
+	  echo "trace smoke: tactrace -chrome accepted trailing data"; exit 1; \
+	fi
 	$(GO) run ./cmd/tacreport $(TRACE_DIR)/run -o $(TRACE_DIR)/report.md
 	grep -q '^## Pipeline phases' $(TRACE_DIR)/report.md
 	grep -q 'critical path:' $(TRACE_DIR)/report.md

@@ -176,6 +176,18 @@ func TestChromeValidation(t *testing.T) {
 	if code := run([]string{"-chrome", bad}, &out, &errBuf); code != 1 {
 		t.Errorf("-chrome on malformed export: exit %d, want 1", code)
 	}
+	// A real export with bytes appended is no longer one JSON document.
+	export, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailing := filepath.Join(dir, "trailing.json")
+	if err := os.WriteFile(trailing, append(export, "garbage"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := run([]string{"-chrome", trailing}, &out, &errBuf); code != 1 {
+		t.Errorf("-chrome on an export with trailing data: exit %d, want 1", code)
+	}
 	if code := run([]string{"-chrome", filepath.Join(dir, "missing.json")}, &out, &errBuf); code != 1 {
 		t.Errorf("-chrome on missing file: exit %d, want 1", code)
 	}

@@ -187,8 +187,8 @@ func TestPublicOnlinePolicies(t *testing.T) {
 	}
 	policies := []taccc.OnlinePolicy{
 		taccc.PolicyJoinOnly{},
-		taccc.PolicyThreshold{GainMs: 0.5},
-		taccc.PolicyRebalance{Every: 1, BudgetFrac: 1, Seed: 2},
+		taccc.PolicyThreshold{},
+		taccc.PolicyRebalance{Seed: 2},
 	}
 	for _, p := range policies {
 		if p.Name() == "" {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"taccc/internal/gap"
+	"taccc/internal/obs"
 	"taccc/internal/xrand"
 )
 
@@ -24,11 +25,11 @@ func allocsPerAssign(t *testing.T, mk func() Assigner, in *gap.Instance) float64
 }
 
 // TestMetaheuristicAllocsDoNotScaleWithIters pins the steady-state
-// allocation-free contract of the Evaluator-based inner loops: quadrupling
-// the iteration budget of tabu and LNS must not add allocations — every
+// allocation-free contract of the Evaluator-based inner loops: a default
+// tabu or LNS solve must allocate fewer times than it iterates — every
 // per-iteration buffer (candidate lists, the destroy permutation, the
 // reinserter's pending set) is reused, so the per-solve total is pure
-// setup.
+// setup and one allocation per iteration would already break the bound.
 func TestMetaheuristicAllocsDoNotScaleWithIters(t *testing.T) {
 	in, err := gap.Synthetic(gap.SyntheticUniform, 40, 5, 0.85, 7)
 	if err != nil {
@@ -36,27 +37,22 @@ func TestMetaheuristicAllocsDoNotScaleWithIters(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		mk   func(iters int) Assigner
+		mk   func() Assigner
 	}{
-		{"tabu", func(it int) Assigner {
-			ts := NewTabuSearch(42)
-			ts.Iters = it
-			return ts
-		}},
-		{"lns", func(it int) Assigner {
-			l := NewLNS(42)
-			l.Iters = it
-			return l
-		}},
+		{"tabu", func() Assigner { return NewTabuSearch(42) }},
+		{"lns", func() Assigner { return NewLNS(42) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			small := allocsPerAssign(t, func() Assigner { return tc.mk(150) }, in)
-			big := allocsPerAssign(t, func() Assigner { return tc.mk(600) }, in)
-			// Identical would be ideal; a slack of 2 absorbs incidental
-			// runtime allocation without letting per-iteration garbage hide.
-			if big > small+2 {
-				t.Fatalf("allocs grew with iterations: %0.f at 150 iters, %.0f at 600", small, big)
+			allocs := allocsPerAssign(t, tc.mk, in)
+			iters := 0
+			a := tc.mk()
+			a.(ProgressReporter).SetProgress(obs.ProgressFunc(func(obs.IterEvent) { iters++ }))
+			if _, err := a.Assign(in); err != nil {
+				t.Fatal(err)
+			}
+			if allocs >= float64(iters) {
+				t.Fatalf("a default solve allocates %.0f times over %d iterations", allocs, iters)
 			}
 		})
 	}
@@ -76,8 +72,8 @@ func TestTracingOffAddsZeroAllocs(t *testing.T) {
 		name string
 		mk   func() Assigner
 	}{
-		{"tabu", func() Assigner { ts := NewTabuSearch(42); ts.Iters = 300; return ts }},
-		{"lns", func() Assigner { l := NewLNS(42); l.Iters = 300; return l }},
+		{"tabu", func() Assigner { return NewTabuSearch(42) }},
+		{"lns", func() Assigner { return NewLNS(42) }},
 		{"local-search", func() Assigner { return NewLocalSearch(42) }},
 		{"minmax", func() Assigner { return NewMinMax(42) }},
 	}
@@ -89,9 +85,8 @@ func TestTracingOffAddsZeroAllocs(t *testing.T) {
 				WithPhases(a, nil)
 				return a
 			}, in)
-			// Identical would be ideal; the same ±2 slack as the
-			// iteration-scaling pin absorbs AllocsPerRun's runtime jitter
-			// (GC, map growth) on these ~10k-alloc solves.
+			// Identical would be ideal; a slack of 2 absorbs
+			// AllocsPerRun's runtime jitter (GC, map growth).
 			if detached > plain+2 {
 				t.Fatalf("tracing-off solve allocates %.0f, plain solve %.0f — nil phases must be free", detached, plain)
 			}
@@ -217,7 +212,6 @@ func BenchmarkTabuTracingOff(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ts := NewTabuSearch(42)
-		ts.Iters = 300
 		WithPhases(ts, nil)
 		if _, err := ts.Assign(in); err != nil {
 			b.Fatal(err)
@@ -234,7 +228,6 @@ func BenchmarkTabuPlain(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ts := NewTabuSearch(42)
-		ts.Iters = 300
 		if _, err := ts.Assign(in); err != nil {
 			b.Fatal(err)
 		}

@@ -366,13 +366,11 @@ func TestQLearningHandlesTightCapacity(t *testing.T) {
 
 func TestRLParamsDefaults(t *testing.T) {
 	p := RLParams{}.withDefaults()
-	if p.Episodes != 400 || p.Alpha != 0.3 || p.Gamma != 1.0 ||
-		p.Epsilon0 != 0.4 || p.EpsilonMin != 0.02 || p.EpsilonDecay != 0.99 ||
-		p.LoadLevels != 4 {
+	if p.Episodes != 400 || p.LoadLevels != 4 {
 		t.Fatalf("unexpected defaults: %+v", p)
 	}
-	p2 := RLParams{Episodes: 10, Alpha: 0.5, LoadLevels: 2}.withDefaults()
-	if p2.Episodes != 10 || p2.Alpha != 0.5 || p2.LoadLevels != 2 {
+	p2 := RLParams{Episodes: 10, LoadLevels: 2}.withDefaults()
+	if p2.Episodes != 10 || p2.LoadLevels != 2 {
 		t.Fatalf("explicit values overridden: %+v", p2)
 	}
 }

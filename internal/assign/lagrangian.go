@@ -13,10 +13,11 @@ import (
 // the relaxed argmin assignment is repaired to feasibility and the best
 // feasible result is kept. A strong classical baseline for GAP.
 type Lagrangian struct {
-	// Iters is the number of subgradient rounds (default 120).
-	Iters int
-	seed  int64
+	seed int64
 }
+
+// lagrangianIters is the number of subgradient rounds.
+const lagrangianIters = 120
 
 // NewLagrangian returns a Lagrangian-heuristic assigner.
 func NewLagrangian(seed int64) *Lagrangian { return &Lagrangian{seed: seed} }
@@ -26,10 +27,6 @@ func (*Lagrangian) Name() string { return "lagrangian" }
 
 // Assign implements Assigner.
 func (lg *Lagrangian) Assign(in *gap.Instance) (*gap.Assignment, error) {
-	iters := lg.Iters
-	if iters <= 0 {
-		iters = 120
-	}
 	src := xrand.NewSplit(lg.seed, "lagrangian")
 	n, m := in.N(), in.M()
 	lambda := make([]float64, m)
@@ -43,7 +40,7 @@ func (lg *Lagrangian) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	rs := newRepairState(in)
 	cand := gap.NewCandidates(in, 1)
 
-	for it := 0; it < iters; it++ {
+	for it := 0; it < lagrangianIters; it++ {
 		// Relaxed solution under current prices.
 		for j := range demand {
 			demand[j] = 0
@@ -85,7 +82,7 @@ func (lg *Lagrangian) Assign(in *gap.Instance) (*gap.Assignment, error) {
 		}
 	}
 	if !found {
-		return nil, fmt.Errorf("assign/lagrangian: repair never reached feasibility in %d iterations: %w", iters, gap.ErrInfeasible)
+		return nil, fmt.Errorf("assign/lagrangian: repair never reached feasibility in %d iterations: %w", lagrangianIters, gap.ErrInfeasible)
 	}
 	return finish(in, bestOf, "lagrangian")
 }

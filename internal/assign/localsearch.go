@@ -11,15 +11,16 @@ import (
 
 // LocalSearch hill-climbs from a constructive start with shift moves
 // (reassign one device) and swap moves (exchange two devices' edges),
-// accepting only strict improvements, until a local optimum or the move
-// budget is reached. Moves are priced and applied through one
+// accepting only strict improvements, until a local optimum or
+// localSearchRounds full sweeps. Moves are priced and applied through one
 // gap.Evaluator, so each candidate costs O(1) and sweeps allocate nothing.
 type LocalSearch struct {
-	seed int64
-	// MaxRounds caps full improvement sweeps; 0 means 100.
-	MaxRounds int
-	phases    *obs.Phase
+	seed   int64
+	phases *obs.Phase
 }
+
+// localSearchRounds caps the full improvement sweeps of one solve.
+const localSearchRounds = 100
 
 // SetPhases implements PhasedSolver: subsequent Assign calls emit
 // "construction" and "improvement" spans under parent.
@@ -42,13 +43,9 @@ func (ls *LocalSearch) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	}
 	ev := gap.NewEvaluator(in)
 	ev.Reset(start.Of)
-	maxRounds := ls.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 100
-	}
 	impPh := ls.phases.Child("improvement")
 	defer impPh.End()
-	for round := 0; round < maxRounds; round++ {
+	for round := 0; round < localSearchRounds; round++ {
 		if !improveOnce(ev) {
 			break
 		}

@@ -155,27 +155,3 @@ func TestExpectedValue(t *testing.T) {
 		t.Fatalf("expectedValue masked = %v, want -2", got)
 	}
 }
-
-func TestTabuTenureConfigurable(t *testing.T) {
-	in := mustSynthetic(t, gap.SyntheticUniform, 15, 3, 0.8, 2)
-	ts := NewTabuSearch(2)
-	ts.Iters = 50
-	ts.Tenure = 5
-	if _, err := ts.Assign(in); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLNSDestroyFracBounds(t *testing.T) {
-	in := mustSynthetic(t, gap.SyntheticUniform, 15, 3, 0.8, 2)
-	l := NewLNS(2)
-	l.DestroyFrac = 2.0 // out of range: falls back to default
-	l.Iters = 10
-	got, err := l.Assign(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !in.Feasible(got) {
-		t.Fatal("infeasible result")
-	}
-}

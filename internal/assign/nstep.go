@@ -5,19 +5,20 @@ import (
 	"taccc/internal/xrand"
 )
 
-// NStepQLearning propagates reward information n steps back per update
-// (episodic n-step Q-learning with per-episode batch updates): the TD
-// target for step t is the discounted sum of the next n rewards plus a
-// bootstrap from the best feasible action n steps ahead. Longer horizons
-// move credit for capacity dead-ends toward the early placements that
-// caused them. N = 1 recovers one-step targets.
+// NStepQLearning propagates reward information nStep steps back per
+// update (episodic n-step Q-learning with per-episode batch updates): the
+// TD target for step t is the sum of the next nStep rewards plus a
+// bootstrap from the best feasible action nStep steps ahead. The longer
+// horizon moves credit for capacity dead-ends toward the early placements
+// that caused them.
 type NStepQLearning struct {
 	// Params tunes learning; zero fields take defaults.
 	Params RLParams
-	// N is the backup horizon (default 3).
-	N    int
-	seed int64
+	seed   int64
 }
+
+// nStep is the n-step backup horizon.
+const nStep = 3
 
 // NewNStepQLearning returns an n-step Q-learning assigner.
 func NewNStepQLearning(seed int64) *NStepQLearning { return &NStepQLearning{seed: seed} }
@@ -27,13 +28,9 @@ func (*NStepQLearning) Name() string { return "nstep-qlearning" }
 
 // Assign implements Assigner.
 func (nq *NStepQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
-	nStep := nq.N
-	if nStep <= 0 {
-		nStep = 3
-	}
 	t := newTrainer("nstep-qlearning", in, nq.Params, xrand.NewSplit(nq.seed, "nstep-q"))
 	t.prime()
-	env, p, qt := t.env, t.p, t.q
+	env, qt := t.env, t.q
 	var actBuf []int
 	vals := make([]float64, in.M())
 
@@ -80,14 +77,12 @@ func (nq *NStepQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 		T := len(traj)
 		for s := 0; s < T; s++ {
 			g := 0.0
-			discount := 1.0
 			end := s + nStep
 			if end > T {
 				end = T
 			}
 			for k := s; k < end; k++ {
-				g += discount * traj[k].reward
-				discount *= p.Gamma
+				g += traj[k].reward
 			}
 			if end < T {
 				// Bootstrap from the state entered at step `end`,
@@ -95,13 +90,13 @@ func (nq *NStepQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 				// the trajectory.
 				next := traj[end]
 				_, nv := bestQ(qt.values(next.h, vals), feasible[next.lo:next.hi])
-				g += discount * nv
+				g += nv
 			} else {
-				g += discount * terminal
+				g += terminal
 			}
 			h, a := traj[s].h, traj[s].action
 			old := qt.get(h, a)
-			qt.set(h, a, old+p.Alpha*(g-old))
+			qt.set(h, a, old+alpha*(g-old))
 		}
 		return cost, feasibleRun
 	}, true)

@@ -10,21 +10,12 @@ import (
 )
 
 // RLParams are the shared hyper-parameters of the tabular RL assigners.
-// Zero fields take the documented defaults.
+// Zero fields take the documented defaults. The learning schedule is
+// fixed (the constants below), and targets are undiscounted: the
+// placement MDP is a finite horizon with additive delay.
 type RLParams struct {
 	// Episodes is the number of training episodes (default 400).
 	Episodes int
-	// Alpha is the learning rate (default 0.3).
-	Alpha float64
-	// Gamma is the discount factor; the placement MDP is a finite
-	// horizon with additive delay, so the default is 1.0.
-	Gamma float64
-	// Epsilon0, EpsilonMin and EpsilonDecay shape the exploration
-	// schedule: eps(k) = max(EpsilonMin, Epsilon0 * EpsilonDecay^k)
-	// (defaults 0.4, 0.02, 0.99).
-	Epsilon0     float64
-	EpsilonMin   float64
-	EpsilonDecay float64
 	// LoadLevels quantizes each edge's utilization into this many levels
 	// when forming the state signature (default 4). Level count trades
 	// table size against state resolution; the F8 ablation sweeps it.
@@ -44,24 +35,19 @@ type RLParams struct {
 	UniformExploration bool
 }
 
+// The fixed learning schedule of every RL assigner: learning rate alpha,
+// and exploration rate eps(k) = max(epsilonMin, epsilon0 * epsilonDecay^k)
+// after k episodes.
+const (
+	alpha        = 0.3
+	epsilon0     = 0.4
+	epsilonMin   = 0.02
+	epsilonDecay = 0.99
+)
+
 func (p RLParams) withDefaults() RLParams {
 	if p.Episodes <= 0 {
 		p.Episodes = 400
-	}
-	if p.Alpha <= 0 {
-		p.Alpha = 0.3
-	}
-	if p.Gamma <= 0 {
-		p.Gamma = 1.0
-	}
-	if p.Epsilon0 <= 0 {
-		p.Epsilon0 = 0.4
-	}
-	if p.EpsilonMin <= 0 {
-		p.EpsilonMin = 0.02
-	}
-	if p.EpsilonDecay <= 0 || p.EpsilonDecay >= 1 {
-		p.EpsilonDecay = 0.99
 	}
 	if p.LoadLevels <= 0 {
 		p.LoadLevels = 4
@@ -231,7 +217,7 @@ func (q *QLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	t := newTrainer("qlearning", in, q.Params, xrand.NewSplit(q.seed, "qlearning"))
 	t.progress = q.progress
 	t.prime()
-	env, p, qt := t.env, t.p, t.q
+	env, qt := t.env, t.q
 	var actBuf, nextBuf []int
 	vals, nextVals := make([]float64, in.M()), make([]float64, in.M())
 	got, err := t.train(func() (float64, bool) {
@@ -250,14 +236,14 @@ func (q *QLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			t.of[i] = a
 
 			if env.done() {
-				qt.set(h, a, row[a]+p.Alpha*(r-row[a]))
+				qt.set(h, a, row[a]+alpha*(r-row[a]))
 				return cost, true
 			}
 			nextBuf = env.feasibleActions(nextBuf)
 			if len(nextBuf) == 0 {
 				// Next state is a dead end: large penalty as the
 				// terminal value.
-				qt.set(h, a, row[a]+p.Alpha*(r-deadEndPenalty(in)-row[a]))
+				qt.set(h, a, row[a]+alpha*(r-deadEndPenalty(in)-row[a]))
 				return cost, false
 			}
 			// The next state's row and feasible set are the ones the
@@ -266,8 +252,7 @@ func (q *QLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			nh := env.row(qt)
 			nextRow := qt.values(nh, nextVals)
 			_, nv := bestQ(nextRow, nextBuf)
-			target := r + p.Gamma*nv
-			qt.set(h, a, row[a]+p.Alpha*(target-row[a]))
+			qt.set(h, a, row[a]+alpha*(r+nv-row[a]))
 			h, row, actBuf, nextBuf = nh, nextRow, nextBuf, actBuf
 			vals, nextVals = nextVals, vals
 		}
@@ -309,7 +294,7 @@ func (*SARSA) Name() string { return "sarsa" }
 // Assign implements Assigner.
 func (s *SARSA) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	t := newTrainer("sarsa", in, s.Params, xrand.NewSplit(s.seed, "sarsa"))
-	env, p := t.env, t.p
+	env := t.env
 	// The body picks its first action before entering the update loop,
 	// so an instance whose first device fits nowhere is rejected here.
 	env.reset()
@@ -334,19 +319,18 @@ func (s *SARSA) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			prevH, prevRow, prevA := h, row, a
 
 			if env.done() {
-				qt.set(prevH, prevA, prevRow[prevA]+p.Alpha*(r-prevRow[prevA]))
+				qt.set(prevH, prevA, prevRow[prevA]+alpha*(r-prevRow[prevA]))
 				return cost, true
 			}
 			actBuf = env.feasibleActions(actBuf)
 			if len(actBuf) == 0 {
-				qt.set(prevH, prevA, prevRow[prevA]+p.Alpha*(r-deadEndPenalty(in)-prevRow[prevA]))
+				qt.set(prevH, prevA, prevRow[prevA]+alpha*(r-deadEndPenalty(in)-prevRow[prevA]))
 				return cost, false
 			}
 			h = env.row(qt)
 			row = qt.values(h, nextVals)
 			a = t.pick(row, actBuf)
-			target := r + p.Gamma*row[a]
-			qt.set(prevH, prevA, prevRow[prevA]+p.Alpha*(target-prevRow[prevA]))
+			qt.set(prevH, prevA, prevRow[prevA]+alpha*(r+row[a]-prevRow[prevA]))
 			vals, nextVals = nextVals, vals
 		}
 	}, true)

@@ -25,7 +25,7 @@ func (*DoubleQLearning) Name() string { return "double-qlearning" }
 func (dq *DoubleQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	t := newTrainer("double-qlearning", in, dq.Params, xrand.NewSplit(dq.seed, "double-q"))
 	t.prime()
-	env, p := t.env, t.p
+	env := t.env
 	m := in.M()
 	tableA, tableB := t.q, newQTable(m, env.rowInit)
 	var actBuf, nextBuf []int
@@ -59,12 +59,12 @@ func (dq *DoubleQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 				updT, updH, upd = tableB, hB, rowB
 			}
 			if env.done() {
-				updT.set(updH, a, upd[a]+p.Alpha*(r-upd[a]))
+				updT.set(updH, a, upd[a]+alpha*(r-upd[a]))
 				return cost, true
 			}
 			nextBuf = env.feasibleActions(nextBuf)
 			if len(nextBuf) == 0 {
-				updT.set(updH, a, upd[a]+p.Alpha*(r-deadEndPenalty(in)-upd[a]))
+				updT.set(updH, a, upd[a]+alpha*(r-deadEndPenalty(in)-upd[a]))
 				return cost, false
 			}
 			nhA, nhB := env.row(tableA), env.row(tableB)
@@ -74,8 +74,7 @@ func (dq *DoubleQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 				nUpd, nEval = nB, nA
 			}
 			am, _ := bestQ(nUpd, nextBuf)
-			target := r + p.Gamma*nEval[am]
-			updT.set(updH, a, upd[a]+p.Alpha*(target-upd[a]))
+			updT.set(updH, a, upd[a]+alpha*(r+nEval[am]-upd[a]))
 			hA, hB, rowA, rowB, actBuf, nextBuf = nhA, nhB, nA, nB, nextBuf, actBuf
 			valsA, nextValsA = nextValsA, valsA
 			valsB, nextValsB = nextValsB, valsB
@@ -102,7 +101,7 @@ func (*ExpectedSARSA) Name() string { return "expected-sarsa" }
 func (es *ExpectedSARSA) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	t := newTrainer("expected-sarsa", in, es.Params, xrand.NewSplit(es.seed, "expected-sarsa"))
 	t.prime()
-	env, p, qt := t.env, t.p, t.q
+	env, qt := t.env, t.q
 	var actBuf, nextBuf []int
 	vals, nextVals := make([]float64, in.M()), make([]float64, in.M())
 	return t.train(func() (float64, bool) {
@@ -121,18 +120,18 @@ func (es *ExpectedSARSA) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			t.of[i] = a
 
 			if env.done() {
-				qt.set(h, a, row[a]+p.Alpha*(r-row[a]))
+				qt.set(h, a, row[a]+alpha*(r-row[a]))
 				return cost, true
 			}
 			nextBuf = env.feasibleActions(nextBuf)
 			if len(nextBuf) == 0 {
-				qt.set(h, a, row[a]+p.Alpha*(r-deadEndPenalty(in)-row[a]))
+				qt.set(h, a, row[a]+alpha*(r-deadEndPenalty(in)-row[a]))
 				return cost, false
 			}
 			nh := env.row(qt)
 			nextRow := qt.values(nh, nextVals)
-			target := r + p.Gamma*expectedValue(nextRow, nextBuf, t.eps)
-			qt.set(h, a, row[a]+p.Alpha*(target-row[a]))
+			target := r + expectedValue(nextRow, nextBuf, t.eps)
+			qt.set(h, a, row[a]+alpha*(target-row[a]))
 			h, row, actBuf, nextBuf = nh, nextRow, nextBuf, actBuf
 			vals, nextVals = nextVals, vals
 		}

@@ -24,12 +24,10 @@ import (
 // moves. The selected move is identical to the full scan's — including
 // tie-breaking — so results are bit-identical to the classic
 // implementation; only the work per iteration shrinks.
+//
+// A solve makes up to tabuIters moves, and a reversed move stays
+// forbidden for n/4+3 iterations on an instance of n devices.
 type TabuSearch struct {
-	// Iters is the number of moves (default 2000).
-	Iters int
-	// Tenure is how many iterations a reversed move stays forbidden
-	// (default n/4+3, set when 0).
-	Tenure   int
 	seed     int64
 	progress obs.ProgressSink
 	phases   *obs.Phase
@@ -42,6 +40,9 @@ func (ts *TabuSearch) SetProgress(sink obs.ProgressSink) { ts.progress = sink }
 // SetPhases implements PhasedSolver: subsequent Assign calls emit
 // "construction" and "improvement" spans under parent.
 func (ts *TabuSearch) SetPhases(parent *obs.Phase) { ts.phases = parent }
+
+// tabuIters is the move budget of one tabu solve.
+const tabuIters = 2000
 
 // NewTabuSearch returns a tabu-search assigner.
 func NewTabuSearch(seed int64) *TabuSearch { return &TabuSearch{seed: seed} }
@@ -87,14 +88,7 @@ func (ts *TabuSearch) Assign(in *gap.Instance) (*gap.Assignment, error) {
 		return nil, fmt.Errorf("assign/tabu: %w", err)
 	}
 	n, m := in.N(), in.M()
-	iters := ts.Iters
-	if iters <= 0 {
-		iters = 2000
-	}
-	tenure := ts.Tenure
-	if tenure <= 0 {
-		tenure = n/4 + 3
-	}
+	tenure := n/4 + 3
 
 	ev := gap.NewEvaluator(in)
 	ev.Reset(start.Of)
@@ -110,8 +104,8 @@ func (ts *TabuSearch) Assign(in *gap.Instance) (*gap.Assignment, error) {
 
 	impPh := ts.phases.Child("improvement")
 	defer impPh.End()
-	impPh.SetAttr("iters", iters)
-	for it := 0; it < iters; it++ {
+	impPh.SetAttr("iters", tabuIters)
+	for it := 0; it < tabuIters; it++ {
 		// Best admissible shift move across the whole neighborhood.
 		bi, bj := -1, -1
 		bestDelta := math.Inf(1)
@@ -161,17 +155,16 @@ func (ts *TabuSearch) Assign(in *gap.Instance) (*gap.Assignment, error) {
 // LNS is a large-neighborhood search: repeatedly destroy a random fraction
 // of the assignment (remove those devices) and repair it with regret-based
 // reinsertion, accepting improvements. Destroy-and-repair escapes local
-// structure that single-device moves cannot.
+// structure that single-device moves cannot. A solve runs lnsIters
+// rounds, each removing n/4+1 of the n devices.
 type LNS struct {
-	// Iters is the number of destroy/repair rounds (default 60).
-	Iters int
-	// DestroyFrac is the fraction of devices removed each round
-	// (default 0.25).
-	DestroyFrac float64
-	seed        int64
-	progress    obs.ProgressSink
-	phases      *obs.Phase
+	seed     int64
+	progress obs.ProgressSink
+	phases   *obs.Phase
 }
+
+// lnsIters is the number of destroy/repair rounds of one LNS solve.
+const lnsIters = 60
 
 // SetProgress implements ProgressReporter: sink receives one event per
 // destroy/repair round of subsequent Assign calls.
@@ -198,15 +191,7 @@ func (l *LNS) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	}
 	src := xrand.NewSplit(l.seed, "lns")
 	n := in.N()
-	iters := l.Iters
-	if iters <= 0 {
-		iters = 60
-	}
-	frac := l.DestroyFrac
-	if frac <= 0 || frac >= 1 {
-		frac = 0.25
-	}
-	k := int(float64(n)*frac) + 1
+	k := n/4 + 1
 
 	bestOf := make([]int, n)
 	copy(bestOf, start.Of)
@@ -219,8 +204,8 @@ func (l *LNS) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	perm := make([]int, n)
 	impPh := l.phases.Child("improvement")
 	defer impPh.End()
-	impPh.SetAttr("iters", iters)
-	for it := 0; it < iters; it++ {
+	impPh.SetAttr("iters", lnsIters)
+	for it := 0; it < lnsIters; it++ {
 		ev.Reset(bestOf)
 		// Destroy: remove k random devices.
 		src.PermInto(perm)

@@ -52,7 +52,7 @@ func newTrainer(name string, in *gap.Instance, params RLParams, src *xrand.Sourc
 		p:        p,
 		env:      newMDP(in, p.LoadLevels, !p.NoCostSeeding),
 		src:      src,
-		eps:      p.Epsilon0,
+		eps:      epsilon0,
 		of:       make([]int, in.N()),
 		vals:     make([]float64, in.M()),
 		bestOf:   make([]int, in.N()),
@@ -164,9 +164,9 @@ func (t *trainer) train(episode func() (cost float64, feasible bool), final bool
 		}
 		t.curve = append(t.curve, t.bestCost)
 		obs.EmitIter(t.progress, t.name, ep, t.bestCost, t.found)
-		t.eps *= t.p.EpsilonDecay
-		if t.eps < t.p.EpsilonMin {
-			t.eps = t.p.EpsilonMin
+		t.eps *= epsilonDecay
+		if t.eps < epsilonMin {
+			t.eps = epsilonMin
 		}
 	}
 	if final {

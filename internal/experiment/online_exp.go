@@ -45,8 +45,8 @@ func T4(o Options) ([]*Table, error) {
 	mkPolicies := func(seed int64) []online.Policy {
 		return []online.Policy{
 			online.JoinOnly{},
-			online.Threshold{GainMs: 0.5},
-			online.Rebalance{Every: 2, BudgetFrac: 0.2, Seed: xrand.SplitSeed(seed, "rebalance")},
+			online.Threshold{},
+			online.Rebalance{Seed: xrand.SplitSeed(seed, "rebalance")},
 		}
 	}
 	policies := []string{"join-only", "threshold", "rebalance"}

@@ -11,20 +11,19 @@ import (
 )
 
 // Scenario describes one evaluated deployment: a topology family and size,
-// a workload population and a capacity tightness. Building a scenario
-// yields the GAP instance every algorithm solves plus the artifacts needed
-// for end-to-end simulation.
+// a workload population drawn from workload.DefaultProfile and a capacity
+// tightness. Building a scenario yields the GAP instance every algorithm
+// solves plus the artifacts needed for end-to-end simulation.
 type Scenario struct {
 	// Family and Place select the topology generator; zero values mean
 	// hierarchical with uniform placement.
 	Family topology.Family
 	Place  topology.Placement
-	// NumIoT and NumEdge size the deployment; NumGateways defaults to
-	// 2×NumEdge, NumRouters to NumEdge.
+	// NumIoT and NumEdge size the deployment, with one core router per
+	// edge; NumGateways defaults to 2×NumEdge.
 	NumIoT      int
 	NumEdge     int
 	NumGateways int
-	NumRouters  int
 	// Rho is the capacity tightness in (0, 1]; default 0.7.
 	Rho float64
 	// PayloadKB, when > 0, makes delays payload-aware (transmission time
@@ -33,9 +32,6 @@ type Scenario struct {
 	// Links overrides generated link latencies/bandwidths; the zero
 	// value uses topology.DefaultLinkParams.
 	Links topology.LinkParams
-	// Workload selects a named profile preset ("default", "smartcity",
-	// "factory", "wearables"); empty means "default".
-	Workload string
 	// CapacitySkew in [0, 1) makes edge capacities heterogeneous:
 	// alternate edges get per*(1+skew) and per*(1-skew) capacity while
 	// the total stays fixed. 0 means uniform.
@@ -63,9 +59,6 @@ func (s Scenario) withDefaults() Scenario {
 	}
 	if s.NumGateways == 0 {
 		s.NumGateways = 2 * s.NumEdge
-	}
-	if s.NumRouters == 0 {
-		s.NumRouters = s.NumEdge
 	}
 	if s.Rho == 0 {
 		s.Rho = 0.7
@@ -133,7 +126,7 @@ func (s Scenario) Build() (*Built, error) {
 		NumIoT:      s.NumIoT,
 		NumEdge:     s.NumEdge,
 		NumGateways: s.NumGateways,
-		NumRouters:  s.NumRouters,
+		NumRouters:  s.NumEdge,
 		Links:       s.Links,
 		Seed:        xrand.SplitSeed(s.Seed, "topology"),
 	}
@@ -153,17 +146,8 @@ func (s Scenario) Build() (*Built, error) {
 	dmPh.SetAttr("iot", dm.NumIoT())
 	dmPh.SetAttr("edge", dm.NumEdge())
 	dmPh.End()
-	profileName := s.Workload
-	if profileName == "" {
-		profileName = "default"
-	}
 	wlPh := s.Trace.Child("workload")
-	profile, ok := workload.Profiles(xrand.SplitSeed(s.Seed, "workload"))[profileName]
-	if !ok {
-		wlPh.End()
-		return nil, fmt.Errorf("experiment: unknown workload profile %q", profileName)
-	}
-	devices, err := workload.Generate(s.NumIoT, profile)
+	devices, err := workload.Generate(s.NumIoT, workload.DefaultProfile(xrand.SplitSeed(s.Seed, "workload")))
 	wlPh.End()
 	if err != nil {
 		return nil, fmt.Errorf("experiment: generating workload: %w", err)

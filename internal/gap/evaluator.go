@@ -83,9 +83,6 @@ func (e *Evaluator) RecomputeTotal() float64 {
 	return e.total
 }
 
-// Of returns device i's current edge (-1 when unplaced).
-func (e *Evaluator) Of(i int) int { return e.of[i] }
-
 // Placement returns the live assignment slice for read-only use in solver
 // hot loops; see Residuals for the ownership rules.
 func (e *Evaluator) Placement() []int { return e.of }
@@ -101,30 +98,11 @@ func (e *Evaluator) Assignment(dst []int) []int {
 	return dst
 }
 
-// Residual returns edge j's remaining capacity (negative = overloaded).
-func (e *Evaluator) Residual(j int) float64 { return e.residual[j] }
-
 // Residuals returns the live residual-capacity slice for read-only use in
 // solver hot loops (no per-edge method-call overhead). The Evaluator keeps
 // ownership: callers must not write to it, and the values change under
 // every applied operation.
 func (e *Evaluator) Residuals() []float64 { return e.residual }
-
-// Load returns edge j's consumed capacity.
-func (e *Evaluator) Load(j int) float64 { return e.in.Capacity[j] - e.residual[j] }
-
-// Feasible reports whether no edge is overloaded, with the same relative
-// epsilon Instance.Violations applies.
-func (e *Evaluator) Feasible() bool {
-	const eps = 1e-9
-	for j, r := range e.residual {
-		load := e.in.Capacity[j] - r
-		if load > e.in.Capacity[j]*(1+eps)+eps {
-			return false
-		}
-	}
-	return true
-}
 
 // DeltaMove prices moving device i to edge `to` in O(1): the change in
 // total cost, negative = improvement. The device must be placed.

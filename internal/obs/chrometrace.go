@@ -152,14 +152,18 @@ func WriteChromeTrace(w io.Writer, spans []Span, counters ...CounterSample) erro
 
 // ReadChromeTrace is the strict decoder for files written by
 // WriteChromeTrace (the CI trace-smoke gate validates exports through
-// it). Unknown JSON members, unsupported phase types and malformed
-// events are all errors, with the offending event index in the message.
+// it). Unknown JSON members, unsupported phase types, malformed events
+// and anything but whitespace after the JSON object are all errors, with
+// the offending event index in the message.
 func ReadChromeTrace(r io.Reader) (ChromeTrace, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var tr ChromeTrace
 	if err := dec.Decode(&tr); err != nil {
 		return ChromeTrace{}, fmt.Errorf("chrome trace: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return ChromeTrace{}, fmt.Errorf("chrome trace: trailing data after the JSON object")
 	}
 	if len(tr.TraceEvents) == 0 {
 		return ChromeTrace{}, fmt.Errorf("chrome trace: empty traceEvents array")

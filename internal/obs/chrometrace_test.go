@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -80,28 +81,35 @@ func TestChromeTraceDeterministicBytes(t *testing.T) {
 	}
 }
 
+// minimalChromeTrace is the smallest trace ReadChromeTrace accepts.
+const minimalChromeTrace = `{"traceEvents":[{"name":"x","ph":"X","ts":0,"dur":1,"pid":1,"tid":1}]}`
+
+// malformedChromeTraces are inputs the strict decoder must reject, by
+// the defect each carries.
+var malformedChromeTraces = map[string]string{
+	"empty events":      `{"traceEvents":[]}`,
+	"unknown field":     `{"traceEvents":[{"name":"x","ph":"X","ts":0,"dur":1,"pid":1,"tid":1,"bogus":1}]}`,
+	"unknown top field": `{"traceEvents":[{"name":"x","ph":"X","ts":0,"dur":1,"pid":1,"tid":1}],"extra":true}`,
+	"bad phase":         `{"traceEvents":[{"name":"x","ph":"B","ts":0,"pid":1,"tid":1}]}`,
+	"missing dur":       `{"traceEvents":[{"name":"x","ph":"X","ts":0,"pid":1,"tid":1}]}`,
+	"negative dur":      `{"traceEvents":[{"name":"x","ph":"X","ts":0,"dur":-1,"pid":1,"tid":1}]}`,
+	"zero pid":          `{"traceEvents":[{"name":"x","ph":"X","ts":0,"dur":1,"pid":0,"tid":1}]}`,
+	"empty name":        `{"traceEvents":[{"name":"","ph":"X","ts":0,"dur":1,"pid":1,"tid":1}]}`,
+	"bad metadata":      `{"traceEvents":[{"name":"weird_meta","ph":"M","ts":0,"pid":1,"tid":1,"args":{"name":"x"}}]}`,
+	"meta missing name": `{"traceEvents":[{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":1,"args":{}}]}`,
+	"not json":          `nope`,
+	"trailing garbage":  minimalChromeTrace + "\ngarbage",
+	"two traces":        minimalChromeTrace + "\n" + minimalChromeTrace,
+}
+
 func TestReadChromeTraceRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"empty events":      `{"traceEvents":[]}`,
-		"unknown field":     `{"traceEvents":[{"name":"x","ph":"X","ts":0,"dur":1,"pid":1,"tid":1,"bogus":1}]}`,
-		"unknown top field": `{"traceEvents":[{"name":"x","ph":"X","ts":0,"dur":1,"pid":1,"tid":1}],"extra":true}`,
-		"bad phase":         `{"traceEvents":[{"name":"x","ph":"B","ts":0,"pid":1,"tid":1}]}`,
-		"missing dur":       `{"traceEvents":[{"name":"x","ph":"X","ts":0,"pid":1,"tid":1}]}`,
-		"negative dur":      `{"traceEvents":[{"name":"x","ph":"X","ts":0,"dur":-1,"pid":1,"tid":1}]}`,
-		"zero pid":          `{"traceEvents":[{"name":"x","ph":"X","ts":0,"dur":1,"pid":0,"tid":1}]}`,
-		"empty name":        `{"traceEvents":[{"name":"","ph":"X","ts":0,"dur":1,"pid":1,"tid":1}]}`,
-		"bad metadata":      `{"traceEvents":[{"name":"weird_meta","ph":"M","ts":0,"pid":1,"tid":1,"args":{"name":"x"}}]}`,
-		"meta missing name": `{"traceEvents":[{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":1,"args":{}}]}`,
-		"not json":          `nope`,
-	}
-	for label, in := range cases {
+	for label, in := range malformedChromeTraces {
 		if _, err := ReadChromeTrace(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: strict decoder accepted malformed input", label)
 		}
 	}
-	ok := `{"traceEvents":[{"name":"x","ph":"X","ts":0,"dur":1,"pid":1,"tid":1}]}`
-	if _, err := ReadChromeTrace(strings.NewReader(ok)); err != nil {
-		t.Fatalf("minimal valid trace rejected: %v", err)
+	if _, err := ReadChromeTrace(strings.NewReader(minimalChromeTrace + " \n\t")); err != nil {
+		t.Fatalf("minimal valid trace with trailing whitespace rejected: %v", err)
 	}
 }
 
@@ -180,4 +188,46 @@ func TestReadChromeTraceRejectsMalformedCounters(t *testing.T) {
 	if _, err := ReadChromeTrace(strings.NewReader(ok)); err != nil {
 		t.Fatalf("minimal valid counter rejected: %v", err)
 	}
+}
+
+// FuzzReadChromeTrace feeds the strict decoder arbitrary bytes. It must
+// never panic, and any trace it accepts must read back from its own
+// json.Marshal encoding, encoding to the same bytes again. The seeds are
+// a real export with counter tracks, the minimal trace and every
+// malformed case above, trailing data included.
+func FuzzReadChromeTrace(f *testing.F) {
+	counters := []CounterSample{
+		{Name: "go.heap bytes", TsMs: 2, Values: map[string]float64{"inuse": 1 << 20, "alloc": 900 << 10}},
+		{Name: "go.goroutines", TsMs: 3, Values: map[string]float64{"count": 5}},
+	}
+	var export bytes.Buffer
+	if err := WriteChromeTrace(&export, pipelineSpans(), counters...); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(export.Bytes())
+	f.Add([]byte(minimalChromeTrace))
+	for _, in := range malformedChromeTraces {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadChromeTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		first, err := json.Marshal(tr)
+		if err != nil {
+			t.Fatalf("accepted trace does not marshal: %v", err)
+		}
+		back, err := ReadChromeTrace(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("accepted trace does not read back: %v\n%s", err, first)
+		}
+		second, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("trace changed on read-back:\n%s\n%s", first, second)
+		}
+	})
 }

@@ -27,39 +27,28 @@ func (JoinOnly) Name() string { return "join-only" }
 func (JoinOnly) Tick(int, *Controller) error { return nil }
 
 // Threshold migrates every device whose best edge beats its current one by
-// more than GainMs, every epoch. Cheap, reactive, migration-heavy.
-type Threshold struct {
-	// GainMs is the minimum improvement that justifies a migration
-	// (0 uses 0.5 ms).
-	GainMs float64
-}
+// more than thresholdGainMs, every epoch. Cheap, reactive,
+// migration-heavy.
+type Threshold struct{}
+
+// thresholdGainMs is the minimum improvement that justifies a Threshold
+// migration.
+const thresholdGainMs = 0.5
 
 // Name implements Policy.
-func (t Threshold) Name() string { return "threshold" }
+func (Threshold) Name() string { return "threshold" }
 
 // Tick implements Policy.
-func (t Threshold) Tick(_ int, c *Controller) error {
-	gain := t.GainMs
-	if gain <= 0 {
-		gain = 0.5
-	}
-	_, err := c.SweepMigrate(gain)
+func (Threshold) Tick(_ int, c *Controller) error {
+	_, err := c.SweepMigrate(thresholdGainMs)
 	return err
 }
 
-// Rebalance re-solves the configuration with a batch assigner every Every
-// epochs under a migration budget — the planned, bounded-churn policy.
+// Rebalance re-solves the configuration with 150-episode Q-learning at
+// every odd epoch, migrating at most a fifth of the attached devices —
+// the planned, bounded-churn policy.
 type Rebalance struct {
-	// Every triggers a rebalance when epoch % Every == Every-1
-	// (default 2).
-	Every int
-	// BudgetFrac caps migrations at this fraction of attached devices
-	// (default 0.2).
-	BudgetFrac float64
-	// NewAssigner builds the solver for an epoch; nil uses Q-learning
-	// seeded by (Seed, epoch).
-	NewAssigner func(epoch int) assign.Assigner
-	// Seed seeds the default assigner.
+	// Seed, plus the epoch, seeds each epoch's Q-learning solve.
 	Seed int64
 }
 
@@ -68,27 +57,13 @@ func (r Rebalance) Name() string { return "rebalance" }
 
 // Tick implements Policy.
 func (r Rebalance) Tick(epoch int, c *Controller) error {
-	every := r.Every
-	if every <= 0 {
-		every = 2
-	}
-	if epoch%every != every-1 || c.NumDevices() == 0 {
+	if epoch%2 != 1 || c.NumDevices() == 0 {
 		return nil
 	}
-	frac := r.BudgetFrac
-	if frac <= 0 {
-		frac = 0.2
-	}
-	budget := int(float64(c.NumDevices()) * frac)
-	var a assign.Assigner
-	if r.NewAssigner != nil {
-		a = r.NewAssigner(epoch)
-	} else {
-		q := assign.NewQLearning(r.Seed + int64(epoch))
-		q.Params.Episodes = 150
-		a = q
-	}
-	if _, err := c.Rebalance(a, budget); err != nil {
+	budget := int(float64(c.NumDevices()) * 0.2)
+	q := assign.NewQLearning(r.Seed + int64(epoch))
+	q.Params.Episodes = 150
+	if _, err := c.Rebalance(q, budget); err != nil {
 		// A transiently unsolvable snapshot skips this round; any
 		// other error propagates.
 		return fmt.Errorf("online: rebalance tick (epoch %d): %w", epoch, err)
