@@ -266,6 +266,67 @@ func BenchmarkClusterSimSLO(b *testing.B) {
 	}
 }
 
+// simObservedScenario is the shape of perfbench's sim-observed workload:
+// 300 devices on 20 edge servers at ρ=0.8, with tacsim's payload-aware
+// 4 KB uplinks.
+var simObservedScenario = taccc.Scenario{NumIoT: 300, NumEdge: 20, Rho: 0.8, PayloadKB: 4, Seed: 1}
+
+// BenchmarkClusterSimObserved runs sim-observed's simulation of tabu's
+// placement: 300 s after a 5 s warmup, with the metrics registry, the SLO
+// tracker and 10% span sampling on, each plane writing to io.Discard. The
+// scenario, the solve and the downlink matrix are built once, untimed.
+func BenchmarkClusterSimObserved(b *testing.B) {
+	built, err := simObservedScenario.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	tabu, err := taccc.NewAlgorithmRegistry().New("tabu", simObservedScenario.Seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := tabu.Assign(built.Instance)
+	if err != nil {
+		b.Fatal(err)
+	}
+	down := taccc.NewDelayMatrix(built.Graph, taccc.LatencyCost)
+	objectives, err := taccc.ParseSLOObjectives("p95<=20@99,miss<=0.01")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr, err := taccc.NewSLOTracker(taccc.SLOConfig{
+			WindowMs:   1000,
+			Objectives: objectives,
+			Sink:       taccc.NewJSONLSink(io.Discard),
+			Metrics:    taccc.NewMetricsRegistry(),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sim, err := taccc.NewSimulator(taccc.SimConfig{
+			UplinkMs:        built.Delay.DelayMs,
+			DownlinkMs:      down.DelayMs,
+			Devices:         built.Devices,
+			ServiceRate:     taccc.ServiceRates(built.Capacity, 0.7),
+			Assignment:      a.Of,
+			WarmupMs:        5000,
+			Metrics:         taccc.NewMetricsRegistry(),
+			Spans:           taccc.NewJSONLSink(io.Discard),
+			SLO:             tr,
+			TraceSampleRate: 0.1,
+			Seed:            simObservedScenario.Seed,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sim.Run(300_000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkScenarioBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := (taccc.Scenario{NumIoT: 100, NumEdge: 10, Seed: int64(i)}).Build(); err != nil {

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"taccc/internal/obs"
 	"taccc/internal/obs/slo"
@@ -231,16 +230,24 @@ func (r *Result) MissRate() float64 {
 // reconfigurations/failures/churn, then call Run once.
 type Simulator struct {
 	cfg     Config
-	engine  sim.Engine
+	engine  sim.Engine[event]
 	src     *xrand.Source
 	arrival []workload.Arrivals
 
 	assignment []int
 	state      []deviceState
 	failed     []bool
-	// nextArrive[i] is device i's pending arrival event; stopping the
-	// stream cancels it so a restart can never duplicate the stream.
-	nextArrive []*sim.Event
+	// arriveGen[i] is device i's arrival generation. Stopping the stream
+	// bumps it, so the pending arrival, stamped with the old value, is
+	// skipped and a restart can never duplicate the stream.
+	arriveGen []uint64
+	// reqs is a slab of requests between arrival and the end of FIFO
+	// service (or PS admission); free lists its vacant slots.
+	reqs []request
+	free []int32
+	// control holds the rare scheduled closures: failures, recoveries,
+	// reconfigurations, uplink updates, churn and migration-pause ends.
+	control []func()
 	// uplink/downlink are the live delay matrices (swappable at runtime
 	// via ScheduleUplinkUpdate).
 	uplink   [][]float64
@@ -323,7 +330,7 @@ func New(cfg Config) (*Simulator, error) {
 		assignment: make([]int, len(cfg.Assignment)),
 		state:      make([]deviceState, len(cfg.Devices)),
 		failed:     make([]bool, len(cfg.ServiceRate)),
-		nextArrive: make([]*sim.Event, len(cfg.Devices)),
+		arriveGen:  make([]uint64, len(cfg.Devices)),
 		busyUntil:  make([]float64, len(cfg.ServiceRate)),
 		inFlight:   make([]int, len(cfg.ServiceRate)),
 	}
@@ -347,7 +354,7 @@ func New(cfg Config) (*Simulator, error) {
 	if cfg.Discipline == DisciplinePS {
 		s.ps = make([]*psServer, len(cfg.ServiceRate))
 		for j := range s.ps {
-			s.ps[j] = &psServer{rate: cfg.ServiceRate[j], jobs: make(map[int64]*psJob)}
+			s.ps[j] = &psServer{rate: cfg.ServiceRate[j]}
 		}
 	}
 	return s, nil
@@ -376,44 +383,41 @@ type psJob struct {
 // psServer shares its rate equally among active jobs. Remaining work is
 // advanced lazily at every arrival/completion event.
 type psServer struct {
-	rate   float64
-	jobs   map[int64]*psJob
-	nextID int64
-	lastT  float64
-	wake   *sim.Event
+	rate  float64
+	jobs  []psJob // in admission order
+	lastT float64
+	// wakeGen is the generation of the pending completion wake-up; a
+	// reschedule bumps it, so the wake-up armed before is skipped.
+	wakeGen uint64
 }
 
 // advance applies elapsed virtual time to all jobs.
 func (p *psServer) advance(now float64) {
 	if k := len(p.jobs); k > 0 && now > p.lastT {
 		done := p.rate * (now - p.lastT) / 1000 / float64(k)
-		for _, j := range p.jobs {
-			j.remaining -= done
+		for i := range p.jobs {
+			p.jobs[i].remaining -= done
 		}
 	}
 	p.lastT = now
 }
 
-// nextCompletion returns the id and absolute time of the earliest finishing
-// job, or (-1, 0) when idle.
-func (p *psServer) nextCompletion(now float64) (int64, float64) {
-	bestID := int64(-1)
+// nextCompletion returns the absolute time at which the earliest
+// finishing job completes, and false when idle.
+func (p *psServer) nextCompletion(now float64) (float64, bool) {
 	best := math.Inf(1)
-	for id, j := range p.jobs {
-		// Tie-break on id so map iteration order cannot leak into the
-		// schedule.
-		if j.remaining < best || (j.remaining == best && id < bestID) {
-			best = j.remaining
-			bestID = id
+	for i := range p.jobs {
+		if r := p.jobs[i].remaining; r < best {
+			best = r
 		}
 	}
-	if bestID < 0 {
-		return -1, 0
+	if math.IsInf(best, 1) {
+		return 0, false
 	}
 	if best < 0 {
 		best = 0
 	}
-	return bestID, now + best*float64(len(p.jobs))*1000/p.rate
+	return now + best*float64(len(p.jobs))*1000/p.rate, true
 }
 
 // Span IDs within a trace are fixed — the root request span is 1 and each
@@ -505,7 +509,7 @@ func (s *Simulator) ScheduleUplinkUpdate(tMs float64, uplink, downlink [][]float
 	if err := checkDelays(uplink, downlink, len(s.cfg.Devices), len(s.cfg.ServiceRate)); err != nil {
 		return err
 	}
-	s.engine.Schedule(tMs, func(*sim.Engine) {
+	s.at(tMs, func() {
 		s.uplink = uplink
 		s.downlink = downlink
 	})
@@ -531,14 +535,13 @@ func (s *Simulator) ScheduleReconfigureWithPause(tMs float64, assignment []int, 
 	}
 	of := make([]int, len(assignment))
 	copy(of, assignment)
-	s.engine.Schedule(tMs, func(e *sim.Engine) {
+	s.at(tMs, func() {
 		for i := range of {
 			if s.assignment[i] == of[i] || !s.state[i].sending() {
 				continue
 			}
-			i := i
-			s.setDevice(e, i, s.state[i].present, true)
-			e.After(pauseMs, func(e *sim.Engine) { s.setDevice(e, i, s.state[i].present, false) })
+			s.setDevice(i, s.state[i].present, true)
+			s.at(s.engine.Now()+pauseMs, func() { s.setDevice(i, s.state[i].present, false) })
 		}
 		copy(s.assignment, of)
 	})
@@ -559,7 +562,7 @@ func (s *Simulator) ScheduleReconfigure(tMs float64, assignment []int) error {
 	}
 	of := make([]int, len(assignment))
 	copy(of, assignment)
-	s.engine.Schedule(tMs, func(*sim.Engine) { copy(s.assignment, of) })
+	s.at(tMs, func() { copy(s.assignment, of) })
 	return nil
 }
 
@@ -570,7 +573,7 @@ func (s *Simulator) ScheduleEdgeFailure(tMs float64, j int) error {
 	if j < 0 || j >= len(s.cfg.ServiceRate) {
 		return fmt.Errorf("cluster: failure on invalid edge %d", j)
 	}
-	s.engine.Schedule(tMs, func(*sim.Engine) { s.failed[j] = true })
+	s.at(tMs, func() { s.failed[j] = true })
 	return nil
 }
 
@@ -579,7 +582,7 @@ func (s *Simulator) ScheduleEdgeRecovery(tMs float64, j int) error {
 	if j < 0 || j >= len(s.cfg.ServiceRate) {
 		return fmt.Errorf("cluster: recovery on invalid edge %d", j)
 	}
-	s.engine.Schedule(tMs, func(*sim.Engine) { s.failed[j] = false })
+	s.at(tMs, func() { s.failed[j] = false })
 	return nil
 }
 
@@ -591,14 +594,72 @@ func (s *Simulator) ScheduleDeviceChurn(tMs float64, i int, join bool) error {
 	if i < 0 || i >= len(s.cfg.Devices) {
 		return fmt.Errorf("cluster: churn on invalid device %d", i)
 	}
-	s.engine.Schedule(tMs, func(e *sim.Engine) { s.setDevice(e, i, join, s.state[i].migrating) })
+	s.at(tMs, func() { s.setDevice(i, join, s.state[i].migrating) })
 	return nil
 }
 
-// scheduleNextArrival arms device i's next arrival and tracks the event so
-// deactivation can cancel it (preventing duplicated streams on resume).
-func (s *Simulator) scheduleNextArrival(e *sim.Engine, i int) {
-	s.nextArrive[i] = e.After(s.arrival[i].NextGapMs(), func(e *sim.Engine) { s.arrive(e, i) })
+// eventKind says what a queued simulator event does.
+type eventKind uint8
+
+const (
+	evArrive  eventKind = iota // device idx sends, unless gen is stale
+	evServe                    // request slot idx reaches its edge
+	evFinish                   // request slot idx ends FIFO service
+	evPSWake                   // edge idx's PS jobs may drain, unless gen is stale
+	evControl                  // control[idx] runs
+)
+
+// event is the payload of one queued simulator event.
+type event struct {
+	gen  uint64 // generation stamp of an arrival or PS wake-up
+	idx  int32  // device, request slot, edge or control index, by kind
+	kind eventKind
+}
+
+// handle dispatches one popped event.
+func (s *Simulator) handle(ev event) {
+	switch ev.kind {
+	case evArrive:
+		s.arrive(int(ev.idx), ev.gen)
+	case evServe:
+		s.serve(ev.idx)
+	case evFinish:
+		s.exit(s.release(ev.idx), true)
+	case evPSWake:
+		s.completePS(int(ev.idx), ev.gen)
+	case evControl:
+		s.control[ev.idx]()
+	}
+}
+
+// at schedules control closure fn at virtual time tMs.
+func (s *Simulator) at(tMs float64, fn func()) {
+	s.engine.Schedule(tMs, event{kind: evControl, idx: int32(len(s.control))})
+	s.control = append(s.control, fn)
+}
+
+// hold stores r in a vacant slab slot and returns the slot.
+func (s *Simulator) hold(r request) int32 {
+	if n := len(s.free); n > 0 {
+		slot := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.reqs[slot] = r
+		return slot
+	}
+	s.reqs = append(s.reqs, r)
+	return int32(len(s.reqs) - 1)
+}
+
+// release frees slot and returns the request it held.
+func (s *Simulator) release(slot int32) request {
+	s.free = append(s.free, slot)
+	return s.reqs[slot]
+}
+
+// scheduleNextArrival arms device i's next arrival, stamped with its
+// current arrival generation.
+func (s *Simulator) scheduleNextArrival(i int) {
+	s.engine.After(s.arrival[i].NextGapMs(), event{kind: evArrive, idx: int32(i), gen: s.arriveGen[i]})
 }
 
 // deviceState is a device's churn and migration state. A device sends
@@ -609,46 +670,48 @@ type deviceState struct{ present, migrating bool }
 func (d deviceState) sending() bool { return d.present && !d.migrating }
 
 // setDevice sets device i's presence and migration state, starting its
-// arrival stream when it begins sending and cancelling the pending
-// arrival when it stops.
-func (s *Simulator) setDevice(e *sim.Engine, i int, present, migrating bool) {
+// arrival stream when it begins sending and making the pending arrival
+// stale when it stops.
+func (s *Simulator) setDevice(i int, present, migrating bool) {
 	was := s.state[i].sending()
 	s.state[i] = deviceState{present: present, migrating: migrating}
 	switch now := s.state[i].sending(); {
 	case now && !was:
-		s.scheduleNextArrival(e, i)
+		s.scheduleNextArrival(i)
 	case was && !now:
-		e.Cancel(s.nextArrive[i])
-		s.nextArrive[i] = nil
+		s.arriveGen[i]++
 	}
 }
 
 // arrive handles one request arrival from device i and schedules the next.
-func (s *Simulator) arrive(e *sim.Engine, i int) {
-	s.nextArrive[i] = nil
-	if !s.state[i].sending() {
-		return // stopped after this event was armed: stream stops
+// An arrival stamped with an older generation was armed before the device
+// stopped sending, and is skipped.
+func (s *Simulator) arrive(i int, gen uint64) {
+	if gen != s.arriveGen[i] {
+		return
 	}
-	now := e.Now()
+	now := s.engine.Now()
 	j := s.assignment[i]
 	s.met.sent.Add(1)
 	if up := s.uplink[i][j]; !s.failed[j] && !math.IsInf(up, 1) {
 		r := request{dev: i, edge: j, sentAt: now, edgeAt: now + s.jitter(up), trace: s.sampleTrace()}
-		e.Schedule(r.edgeAt, func(e *sim.Engine) { s.serve(e, r) })
+		s.engine.Schedule(r.edgeAt, event{kind: evServe, idx: s.hold(r)})
 	} else {
 		// Dropped at the device (failed or unreachable edge): never
 		// uplinked, so never traced.
 		s.exit(request{dev: i, edge: j, sentAt: now, edgeAt: now}, false)
 	}
-	s.scheduleNextArrival(e, i)
+	s.scheduleNextArrival(i)
 }
 
-// serve admits request r at its edge under the configured discipline, or
-// drops it there when the edge has failed or its queue is full.
-func (s *Simulator) serve(e *sim.Engine, r request) {
+// serve admits the request in slot at its edge under the configured
+// discipline, or drops it there when the edge has failed or its queue is
+// full.
+func (s *Simulator) serve(slot int32) {
+	r := s.reqs[slot]
 	j := r.edge
 	if s.failed[j] || (s.cfg.MaxQueue > 0 && s.inFlight[j] >= s.cfg.MaxQueue) {
-		s.exit(r, false)
+		s.exit(s.release(slot), false)
 		return
 	}
 	// Admission books the request's service demand at one server's rate
@@ -665,11 +728,11 @@ func (s *Simulator) serve(e *sim.Engine, r request) {
 	}
 	r.start = r.edgeAt
 	if s.cfg.Discipline == DisciplinePS {
+		s.release(slot)
 		p := s.ps[j]
 		p.advance(r.edgeAt)
-		p.jobs[p.nextID] = &psJob{request: r, remaining: s.cfg.Devices[r.dev].ComputeUnits}
-		p.nextID++
-		s.reschedulePS(e, j)
+		p.jobs = append(p.jobs, psJob{request: r, remaining: s.cfg.Devices[r.dev].ComputeUnits})
+		s.reschedulePS(j)
 		return
 	}
 	if s.busyUntil[j] > r.start {
@@ -678,7 +741,8 @@ func (s *Simulator) serve(e *sim.Engine, r request) {
 	r.serviceMs = demandMs
 	r.finish = r.start + demandMs
 	s.busyUntil[j] = r.finish
-	e.Schedule(r.finish, func(*sim.Engine) { s.exit(r, true) })
+	s.reqs[slot] = r
+	s.engine.Schedule(r.finish, event{kind: evFinish, idx: slot})
 }
 
 // exit is the one place a request leaves the simulator, and the only code
@@ -724,45 +788,42 @@ func (s *Simulator) exit(r request, served bool) {
 	s.emitTrace(r, end, outcome)
 }
 
-// reschedulePS cancels and re-arms edge j's completion wake-up.
-func (s *Simulator) reschedulePS(e *sim.Engine, j int) {
+// reschedulePS makes edge j's pending completion wake-up stale and arms a
+// new one for its earliest finishing job.
+func (s *Simulator) reschedulePS(j int) {
 	p := s.ps[j]
-	if p.wake != nil {
-		e.Cancel(p.wake)
-		p.wake = nil
+	p.wakeGen++
+	if at, ok := p.nextCompletion(s.engine.Now()); ok {
+		s.engine.Schedule(at, event{kind: evPSWake, idx: int32(j), gen: p.wakeGen})
 	}
-	id, at := p.nextCompletion(e.Now())
-	if id < 0 {
-		return
-	}
-	p.wake = e.Schedule(at, func(e *sim.Engine) { s.completePS(e, j) })
 }
 
-// completePS finishes every job whose remaining work has drained. Jobs
-// drain in admission (id) order, not map order, so metric and span
-// streams are deterministic even when several jobs tie.
-func (s *Simulator) completePS(e *sim.Engine, j int) {
+// completePS finishes every job at edge j whose remaining work has
+// drained, unless the wake-up's generation gen is stale. Jobs drain in
+// admission order, so metric and span streams are deterministic even when
+// several jobs tie.
+func (s *Simulator) completePS(j int, gen uint64) {
 	p := s.ps[j]
-	now := e.Now()
-	p.wake = nil
+	if gen != p.wakeGen {
+		return
+	}
+	now := s.engine.Now()
 	p.advance(now)
 	const drained = 1e-9
-	var done []int64
-	for id, job := range p.jobs {
+	kept := p.jobs[:0]
+	for _, job := range p.jobs {
 		if job.remaining <= drained {
-			done = append(done, id)
+			// Under PS a job is in service from arrival, so its
+			// queue-wait phase is empty and service absorbs the sharing
+			// slowdown.
+			job.finish, job.serviceMs = now, now-job.start
+			s.exit(job.request, true)
+			continue
 		}
+		kept = append(kept, job)
 	}
-	sort.Slice(done, func(a, b int) bool { return done[a] < done[b] })
-	for _, id := range done {
-		job := p.jobs[id]
-		delete(p.jobs, id)
-		// Under PS a job is in service from arrival, so its queue-wait
-		// phase is empty and service absorbs the sharing slowdown.
-		job.finish, job.serviceMs = now, now-job.start
-		s.exit(job.request, true)
-	}
-	s.reschedulePS(e, j)
+	p.jobs = kept
+	s.reschedulePS(j)
 }
 
 // Run executes the simulation for durationMs of virtual time and returns
@@ -776,9 +837,9 @@ func (s *Simulator) Run(durationMs float64) (*Result, error) {
 	}
 	s.ran = true
 	for i := range s.cfg.Devices {
-		s.scheduleNextArrival(&s.engine, i)
+		s.scheduleNextArrival(i)
 	}
-	s.engine.Run(durationMs)
+	s.engine.Run(durationMs, s.handle)
 	s.cfg.SLO.Finish(durationMs)
 	s.result.DurationMs = durationMs - s.cfg.WarmupMs
 	return &s.result, nil

@@ -100,6 +100,9 @@ var malformedChromeTraces = map[string]string{
 	"not json":          `nope`,
 	"trailing garbage":  minimalChromeTrace + "\ngarbage",
 	"two traces":        minimalChromeTrace + "\n" + minimalChromeTrace,
+	"mis-cased top":     `{"TRACEEVENTS":[{"name":"x","ph":"X","ts":0,"dur":1,"pid":1,"tid":1}]}`,
+	"mis-cased member":  `{"traceEvents":[{"NAME":"x","Ph":"X","ts":0,"DUR":1,"pid":1,"tid":1}]}`,
+	"mis-cased unit":    `{"traceEvents":[{"name":"x","ph":"X","ts":0,"dur":1,"pid":1,"tid":1}],"DisplayTimeUnit":"ms"}`,
 }
 
 func TestReadChromeTraceRejectsMalformed(t *testing.T) {

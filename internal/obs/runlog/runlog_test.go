@@ -13,7 +13,7 @@ import (
 
 // writeSample produces a representative archive: iter events, a span
 // event, counters, gauges, a histogram and a summary.
-func writeSample(t *testing.T, dir string) {
+func writeSample(t testing.TB, dir string) {
 	t.Helper()
 	w, err := Create(dir, Manifest{
 		Tool: "tactest", Version: "v1.2.3", Seed: 42,

@@ -7,14 +7,16 @@ import (
 	"testing/quick"
 )
 
+// runAll runs e to exhaustion, handing each payload to handle.
+func runAll[P any](e *Engine[P], handle func(P)) { e.Run(math.Inf(1), handle) }
+
 func TestEventsRunInTimeOrder(t *testing.T) {
-	var e Engine
+	var e Engine[float64]
 	var order []float64
 	for _, tm := range []float64{5, 1, 3, 2, 4} {
-		tm := tm
-		e.Schedule(tm, func(*Engine) { order = append(order, tm) })
+		e.Schedule(tm, tm)
 	}
-	e.RunAll()
+	runAll(&e, func(tm float64) { order = append(order, tm) })
 	if !sort.Float64sAreSorted(order) {
 		t.Fatalf("events ran out of order: %v", order)
 	}
@@ -24,13 +26,12 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 }
 
 func TestEqualTimesRunInScheduleOrder(t *testing.T) {
-	var e Engine
+	var e Engine[int]
 	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(1, func(*Engine) { order = append(order, i) })
+		e.Schedule(1, i)
 	}
-	e.RunAll()
+	runAll(&e, func(i int) { order = append(order, i) })
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("equal-time events out of schedule order: %v", order)
@@ -39,142 +40,91 @@ func TestEqualTimesRunInScheduleOrder(t *testing.T) {
 }
 
 func TestClockAdvances(t *testing.T) {
-	var e Engine
-	e.Schedule(10, func(en *Engine) {
-		if en.Now() != 10 {
-			t.Errorf("Now() inside event = %v, want 10", en.Now())
-		}
-		en.After(5, func(en *Engine) {
-			if en.Now() != 15 {
-				t.Errorf("chained Now() = %v, want 15", en.Now())
+	var e Engine[int]
+	ran := 0
+	runHandler := func(step int) {
+		ran++
+		switch step {
+		case 0:
+			if e.Now() != 10 {
+				t.Errorf("Now() inside event = %v, want 10", e.Now())
 			}
-		})
-	})
-	e.RunAll()
+			e.After(5, 1)
+		case 1:
+			if e.Now() != 15 {
+				t.Errorf("chained Now() = %v, want 15", e.Now())
+			}
+		}
+	}
+	e.Schedule(10, 0)
+	runAll(&e, runHandler)
 	if e.Now() != 15 {
 		t.Fatalf("final Now() = %v, want 15", e.Now())
 	}
-	if e.Processed() != 2 {
-		t.Fatalf("Processed = %d, want 2", e.Processed())
+	if ran != 2 {
+		t.Fatalf("handled %d events, want 2", ran)
 	}
 }
 
 func TestSchedulePastPanics(t *testing.T) {
-	var e Engine
-	e.Schedule(10, func(*Engine) {})
-	e.RunAll()
+	var e Engine[int]
+	e.Schedule(10, 0)
+	runAll(&e, func(int) {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.Schedule(5, func(*Engine) {})
+	e.Schedule(5, 0)
 }
 
 func TestAfterNegativePanics(t *testing.T) {
-	var e Engine
+	var e Engine[int]
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative After did not panic")
 		}
 	}()
-	e.After(-1, func(*Engine) {})
-}
-
-func TestCancel(t *testing.T) {
-	var e Engine
-	ran := false
-	ev := e.Schedule(1, func(*Engine) { ran = true })
-	e.Cancel(ev)
-	e.RunAll()
-	if ran {
-		t.Fatal("cancelled event ran")
-	}
-	e.Cancel(ev) // double-cancel is a no-op
-	e.Cancel(nil)
-}
-
-func TestCancelFromEarlierEvent(t *testing.T) {
-	var e Engine
-	ran := false
-	later := e.Schedule(10, func(*Engine) { ran = true })
-	e.Schedule(5, func(en *Engine) { en.Cancel(later) })
-	e.RunAll()
-	if ran {
-		t.Fatal("event cancelled mid-run still ran")
-	}
+	e.After(-1, 0)
 }
 
 func TestRunHorizon(t *testing.T) {
-	var e Engine
+	var e Engine[float64]
 	var ran []float64
+	handle := func(tm float64) { ran = append(ran, tm) }
 	for _, tm := range []float64{1, 2, 3, 10, 20} {
-		tm := tm
-		e.Schedule(tm, func(*Engine) { ran = append(ran, tm) })
+		e.Schedule(tm, tm)
 	}
-	n := e.Run(10)
-	if n != 3 {
-		t.Fatalf("Run(10) executed %d events, want 3 (exclusive horizon)", n)
+	e.Run(10, handle)
+	if len(ran) != 3 {
+		t.Fatalf("Run(10) handled %d events, want 3 (exclusive horizon)", len(ran))
 	}
 	if e.Now() != 10 {
 		t.Fatalf("clock after horizon = %v, want 10", e.Now())
 	}
-	// Remaining events still runnable.
-	e.RunAll()
+	// Remaining events still runnable; a drained queue leaves the clock
+	// at the last event handled, not at the horizon.
+	e.Run(100, handle)
 	if len(ran) != 5 {
 		t.Fatalf("total ran %d, want 5", len(ran))
 	}
-}
-
-func TestStop(t *testing.T) {
-	var e Engine
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(float64(i), func(en *Engine) {
-			count++
-			if count == 3 {
-				en.Stop()
-			}
-		})
-	}
-	e.RunAll()
-	if count != 3 {
-		t.Fatalf("Stop did not halt the run: executed %d", count)
-	}
-	// A subsequent run resumes.
-	e.RunAll()
-	if count != 10 {
-		t.Fatalf("resume executed %d total, want 10", count)
-	}
-}
-
-func TestPending(t *testing.T) {
-	var e Engine
-	a := e.Schedule(1, func(*Engine) {})
-	e.Schedule(2, func(*Engine) {})
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
-	}
-	e.Cancel(a)
-	if e.Pending() != 1 {
-		t.Fatalf("Pending after cancel = %d, want 1", e.Pending())
+	if e.Now() != 20 {
+		t.Fatalf("clock after draining = %v, want 20", e.Now())
 	}
 }
 
 func TestEventCascade(t *testing.T) {
 	// A self-perpetuating process: each event schedules the next until a
 	// horizon; verifies heap behavior under interleaved push/pop.
-	var e Engine
+	var e Engine[int]
 	ticks := 0
-	var tick func(*Engine)
-	tick = func(en *Engine) {
+	e.After(0, 0)
+	runAll(&e, func(int) {
 		ticks++
 		if ticks < 1000 {
-			en.After(1, tick)
+			e.After(1, ticks)
 		}
-	}
-	e.After(0, tick)
-	e.RunAll()
+	})
 	if ticks != 1000 {
 		t.Fatalf("ticks = %d, want 1000", ticks)
 	}
@@ -187,15 +137,15 @@ func TestEventCascade(t *testing.T) {
 // order and the final clock equals the max time.
 func TestOrderingQuick(t *testing.T) {
 	f := func(raw []uint16) bool {
-		var e Engine
+		var e Engine[float64]
 		var times []float64
 		var ran []float64
 		for _, r := range raw {
 			tm := float64(r)
 			times = append(times, tm)
-			e.Schedule(tm, func(*Engine) { ran = append(ran, tm) })
+			e.Schedule(tm, tm)
 		}
-		e.RunAll()
+		runAll(&e, func(tm float64) { ran = append(ran, tm) })
 		if len(ran) != len(times) {
 			return false
 		}
@@ -216,11 +166,11 @@ func TestOrderingQuick(t *testing.T) {
 }
 
 func TestScheduleNaNPanics(t *testing.T) {
-	var e Engine
+	var e Engine[int]
 	defer func() {
 		if recover() == nil {
 			t.Fatal("NaN schedule did not panic")
 		}
 	}()
-	e.Schedule(math.NaN(), func(*Engine) {})
+	e.Schedule(math.NaN(), 0)
 }
