@@ -25,7 +25,8 @@ race:
 # cluster simulator with span tracing off/on, the Q-learning assigner
 # (the RL training loop every tabular variant shares), regret-greedy (the
 # RL warm start) up to 2000 devices, the wide 20000x200 scenario build,
-# and LowerBound at 200x20 and on the wide scenario, plus the
+# greedy and lagrangian scaling at 200 edges (BenchmarkWideScaling), and
+# LowerBound at 200x20 and on the wide scenario, plus the
 # pre-existing hot-path micro-benchmarks. Override BENCHTIME (e.g. 1x in
 # CI smoke).
 BENCHTIME ?= 2x

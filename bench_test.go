@@ -369,6 +369,25 @@ func BenchmarkLowerBoundWide(b *testing.B) {
 	}
 }
 
+// BenchmarkWideScaling is the solver scale curve at wide-greedy's shape,
+// 200 edge servers at ρ=0.7: greedy at 10,000 and 100,000 devices and
+// lagrangian at 10,000, one fresh solve per iteration. Each scenario is
+// built outside the timer.
+func BenchmarkWideScaling(b *testing.B) {
+	for _, c := range []struct {
+		algo string
+		n    int
+	}{{"greedy", 10_000}, {"greedy", 100_000}, {"lagrangian", 10_000}} {
+		b.Run(fmt.Sprintf("%s-n%d", c.algo, c.n), func(b *testing.B) {
+			built, err := taccc.Scenario{NumIoT: c.n, NumEdge: 200, Rho: 0.7, Seed: 1}.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSolve(b, c.algo, built)
+		})
+	}
+}
+
 // --- Parallel execution layer: workers=1 vs workers=GOMAXPROCS ---
 //
 // Compare sub-benchmarks to see the speedup, e.g.:

@@ -40,8 +40,8 @@ func byDecreasingLoad(in *gap.Instance) []int {
 	}
 	maxW := make([]float64, in.N())
 	for i := range maxW {
-		for _, w := range in.WeightRow(i) {
-			if w > maxW[i] {
+		for j := 0; j < in.M(); j++ {
+			if w := in.WeightAt(i, j); w > maxW[i] {
 				maxW[i] = w
 			}
 		}

@@ -14,7 +14,10 @@ func matrices(in *gap.Instance) (cost, weight [][]float64) {
 	cost, weight = make([][]float64, in.N()), make([][]float64, in.N())
 	for i := range cost {
 		cost[i] = append([]float64(nil), in.CostRow(i)...)
-		weight[i] = append([]float64(nil), in.WeightRow(i)...)
+		weight[i] = make([]float64, in.M())
+		for j := range weight[i] {
+			weight[i][j] = in.WeightAt(i, j)
+		}
 	}
 	return cost, weight
 }

@@ -67,13 +67,13 @@ func improveOnce(ev *gap.Evaluator) bool {
 	// Shift moves.
 	for i := 0; i < n; i++ {
 		cur := of[i]
-		cRow, wRow := in.CostRow(i), in.WeightRow(i)
+		cRow := in.CostRow(i)
 		curCost := cRow[cur]
 		for j := 0; j < m; j++ {
 			if j == cur || cRow[j] >= curCost {
 				continue
 			}
-			if wRow[j] > residual[j]+1e-12 {
+			if in.WeightAt(i, j) > residual[j]+1e-12 {
 				continue // does not fit
 			}
 			ev.Move(i, j)
@@ -82,10 +82,11 @@ func improveOnce(ev *gap.Evaluator) bool {
 			improved = true
 		}
 	}
-	// Swap moves. The candidate test is written against the instance rows
-	// directly, kept inline because this O(n²) scan dominates the sweep.
+	// Swap moves. The candidate test is written against the instance's
+	// cells directly, kept inline because this O(n²) scan dominates the
+	// sweep.
 	for a := 0; a < n; a++ {
-		cRowA, wRowA := in.CostRow(a), in.WeightRow(a)
+		cRowA := in.CostRow(a)
 		for b := a + 1; b < n; b++ {
 			ja, jb := of[a], of[b]
 			if ja == jb {
@@ -97,10 +98,9 @@ func improveOnce(ev *gap.Evaluator) bool {
 				continue
 			}
 			// Capacity check after removing both devices.
-			wRowB := in.WeightRow(b)
-			resA := residual[ja] + wRowA[ja]
-			resB := residual[jb] + wRowB[jb]
-			if wRowB[ja] > resA+1e-12 || wRowA[jb] > resB+1e-12 {
+			resA := residual[ja] + in.WeightAt(a, ja)
+			resB := residual[jb] + in.WeightAt(b, jb)
+			if in.WeightAt(b, ja) > resA+1e-12 || in.WeightAt(a, jb) > resB+1e-12 {
 				continue
 			}
 			if math.IsInf(cRowA[jb], 1) || math.IsInf(cRowB[ja], 1) {

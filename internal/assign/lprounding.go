@@ -91,8 +91,8 @@ func (lr *LPRounding) Assign(in *gap.Instance) (*gap.Assignment, error) {
 
 func maxWeight(in *gap.Instance, i int) float64 {
 	max := 0.0
-	for _, w := range in.WeightRow(i) {
-		if !math.IsInf(w, 0) && w > max {
+	for j := 0; j < in.M(); j++ {
+		if w := in.WeightAt(i, j); !math.IsInf(w, 0) && w > max {
 			max = w
 		}
 	}

@@ -135,16 +135,15 @@ func (m *mdp) levelOf(j int) byte {
 }
 
 // feasibleActions lists edges with remaining capacity for the current
-// device, the edges fits accepts, reading the device's cost and weight
-// rows once. The returned slice is reused across calls.
+// device, the edges fits accepts, reading the device's cost row once.
+// The returned slice is reused across calls.
 func (m *mdp) feasibleActions(buf []int) []int {
 	buf = buf[:0]
 	i := m.device()
 	cost := m.in.CostRow(i)
-	weight := m.in.WeightRow(i)[:len(cost)]
 	residual := m.residual[:len(cost)]
 	for j, c := range cost {
-		if weight[j] <= residual[j]+1e-12 && !math.IsInf(c, 1) {
+		if m.in.WeightAt(i, j) <= residual[j]+1e-12 && !math.IsInf(c, 1) {
 			buf = append(buf, j)
 		}
 	}

@@ -112,7 +112,7 @@ func (ts *TabuSearch) Assign(in *gap.Instance) (*gap.Assignment, error) {
 		cur := ev.Total()
 		for i := 0; i < n; i++ {
 			curJ := of[i]
-			cRow, wRow := in.CostRow(i), in.WeightRow(i)
+			cRow := in.CostRow(i)
 			curCost := cRow[curJ]
 			tabuRow := tabuUntil[i*m : (i+1)*m]
 			for _, j32 := range cands[candStart[i]:candStart[i+1]] {
@@ -126,7 +126,7 @@ func (ts *TabuSearch) Assign(in *gap.Instance) (*gap.Assignment, error) {
 					// this device can strictly beat the incumbent move.
 					break
 				}
-				if wRow[j] > residual[j]+1e-12 {
+				if in.WeightAt(i, j) > residual[j]+1e-12 {
 					continue // does not fit
 				}
 				if it < tabuRow[j] && cur+delta >= bestCost-1e-12 {
@@ -253,9 +253,9 @@ func (rs *reinserter) reinsert(ev *gap.Evaluator, removed []int) bool {
 		bestRegret := math.Inf(-1)
 		for at, i := range pending {
 			first, second, firstJ := math.Inf(1), math.Inf(1), -1
-			cRow, wRow := in.CostRow(i), in.WeightRow(i)
+			cRow := in.CostRow(i)
 			for j := 0; j < m; j++ {
-				if wRow[j] > residual[j]+1e-12 || math.IsInf(cRow[j], 1) {
+				if in.WeightAt(i, j) > residual[j]+1e-12 || math.IsInf(cRow[j], 1) {
 					continue // does not fit
 				}
 				c := cRow[j]

@@ -138,8 +138,8 @@ func (c Config) validate() error {
 			return fmt.Errorf("cluster: device %d assigned to invalid edge %d", i, j)
 		}
 	}
-	if c.WarmupMs < 0 {
-		return fmt.Errorf("cluster: negative warmup %v", c.WarmupMs)
+	if c.WarmupMs < 0 || math.IsNaN(c.WarmupMs) || math.IsInf(c.WarmupMs, 1) {
+		return fmt.Errorf("cluster: warmup %v must be finite and >= 0", c.WarmupMs)
 	}
 	if c.Discipline != DisciplineFIFO && c.Discipline != DisciplinePS {
 		return fmt.Errorf("cluster: unknown discipline %d", c.Discipline)
@@ -509,11 +509,10 @@ func (s *Simulator) ScheduleUplinkUpdate(tMs float64, uplink, downlink [][]float
 	if err := checkDelays(uplink, downlink, len(s.cfg.Devices), len(s.cfg.ServiceRate)); err != nil {
 		return err
 	}
-	s.at(tMs, func() {
+	return s.at(tMs, func() {
 		s.uplink = uplink
 		s.downlink = downlink
 	})
-	return nil
 }
 
 // ScheduleReconfigureWithPause swaps the assignment at tMs like
@@ -530,22 +529,23 @@ func (s *Simulator) ScheduleReconfigureWithPause(tMs float64, assignment []int, 
 			return fmt.Errorf("cluster: reconfigure device %d to invalid edge %d", i, j)
 		}
 	}
-	if pauseMs < 0 {
-		return fmt.Errorf("cluster: negative migration pause %v", pauseMs)
+	if pauseMs < 0 || math.IsNaN(pauseMs) || math.IsInf(pauseMs, 1) {
+		return fmt.Errorf("cluster: migration pause %v must be finite and >= 0", pauseMs)
 	}
 	of := make([]int, len(assignment))
 	copy(of, assignment)
-	s.at(tMs, func() {
+	return s.at(tMs, func() {
 		for i := range of {
 			if s.assignment[i] == of[i] || !s.state[i].sending() {
 				continue
 			}
 			s.setDevice(i, s.state[i].present, true)
-			s.at(s.engine.Now()+pauseMs, func() { s.setDevice(i, s.state[i].present, false) })
+			// A finite, non-negative pause from now is never before
+			// the clock, so this at cannot fail.
+			_ = s.at(s.engine.Now()+pauseMs, func() { s.setDevice(i, s.state[i].present, false) })
 		}
 		copy(s.assignment, of)
 	})
-	return nil
 }
 
 // ScheduleReconfigure swaps the live assignment at virtual time tMs.
@@ -562,8 +562,7 @@ func (s *Simulator) ScheduleReconfigure(tMs float64, assignment []int) error {
 	}
 	of := make([]int, len(assignment))
 	copy(of, assignment)
-	s.at(tMs, func() { copy(s.assignment, of) })
-	return nil
+	return s.at(tMs, func() { copy(s.assignment, of) })
 }
 
 // ScheduleEdgeFailure marks edge j failed at tMs: all requests targeting
@@ -573,8 +572,7 @@ func (s *Simulator) ScheduleEdgeFailure(tMs float64, j int) error {
 	if j < 0 || j >= len(s.cfg.ServiceRate) {
 		return fmt.Errorf("cluster: failure on invalid edge %d", j)
 	}
-	s.at(tMs, func() { s.failed[j] = true })
-	return nil
+	return s.at(tMs, func() { s.failed[j] = true })
 }
 
 // ScheduleEdgeRecovery clears a failure at tMs. Must be called before Run.
@@ -582,8 +580,7 @@ func (s *Simulator) ScheduleEdgeRecovery(tMs float64, j int) error {
 	if j < 0 || j >= len(s.cfg.ServiceRate) {
 		return fmt.Errorf("cluster: recovery on invalid edge %d", j)
 	}
-	s.at(tMs, func() { s.failed[j] = false })
-	return nil
+	return s.at(tMs, func() { s.failed[j] = false })
 }
 
 // ScheduleDeviceChurn sets device i's presence at tMs (join = true
@@ -594,8 +591,7 @@ func (s *Simulator) ScheduleDeviceChurn(tMs float64, i int, join bool) error {
 	if i < 0 || i >= len(s.cfg.Devices) {
 		return fmt.Errorf("cluster: churn on invalid device %d", i)
 	}
-	s.at(tMs, func() { s.setDevice(i, join, s.state[i].migrating) })
-	return nil
+	return s.at(tMs, func() { s.setDevice(i, join, s.state[i].migrating) })
 }
 
 // eventKind says what a queued simulator event does.
@@ -632,10 +628,16 @@ func (s *Simulator) handle(ev event) {
 	}
 }
 
-// at schedules control closure fn at virtual time tMs.
-func (s *Simulator) at(tMs float64, fn func()) {
+// at schedules control closure fn at virtual time tMs. A NaN time, or
+// one before the clock (any negative time), is an error, not the
+// engine's panic.
+func (s *Simulator) at(tMs float64, fn func()) error {
+	if now := s.engine.Now(); math.IsNaN(tMs) || tMs < now {
+		return fmt.Errorf("cluster: schedule time %v ms is NaN or before the clock at %v ms", tMs, now)
+	}
 	s.engine.Schedule(tMs, event{kind: evControl, idx: int32(len(s.control))})
 	s.control = append(s.control, fn)
+	return nil
 }
 
 // hold stores r in a vacant slab slot and returns the slot.
@@ -832,8 +834,8 @@ func (s *Simulator) Run(durationMs float64) (*Result, error) {
 	if s.ran {
 		return nil, errors.New("cluster: Run called twice")
 	}
-	if durationMs <= s.cfg.WarmupMs {
-		return nil, fmt.Errorf("cluster: duration %v must exceed warmup %v", durationMs, s.cfg.WarmupMs)
+	if math.IsNaN(durationMs) || math.IsInf(durationMs, 1) || durationMs <= s.cfg.WarmupMs {
+		return nil, fmt.Errorf("cluster: duration %v must be finite and exceed warmup %v", durationMs, s.cfg.WarmupMs)
 	}
 	s.ran = true
 	for i := range s.cfg.Devices {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"testing"
+	"time"
 
 	"taccc/internal/workload"
 )
@@ -40,6 +41,8 @@ func TestValidation(t *testing.T) {
 		{"assignment len", func(c *Config) { c.Assignment = []int{0} }},
 		{"assignment range", func(c *Config) { c.Assignment = []int{0, 7} }},
 		{"negative warmup", func(c *Config) { c.WarmupMs = -1 }},
+		{"NaN warmup", func(c *Config) { c.WarmupMs = math.NaN() }},
+		{"+Inf warmup", func(c *Config) { c.WarmupMs = math.Inf(1) }},
 		{"NaN uplink", func(c *Config) { c.UplinkMs[0][1] = math.NaN() }},
 		{"negative uplink", func(c *Config) { c.UplinkMs[1][0] = -5 }},
 		{"NaN downlink", func(c *Config) { c.DownlinkMs = [][]float64{{1, 1}, {math.NaN(), 1}} }},
@@ -107,6 +110,72 @@ func TestRunRejectsShortDuration(t *testing.T) {
 	}
 	if _, err := s.Run(400); err == nil {
 		t.Fatal("duration <= warmup accepted")
+	}
+}
+
+// TestRunRejectsNonFiniteDuration requires Run to refuse a NaN or +Inf
+// horizon, which the event loop would never reach. Each Run gets a
+// deadline, so a loop that re-arms arrivals forever fails the test
+// instead of hanging it.
+func TestRunRejectsNonFiniteDuration(t *testing.T) {
+	for _, d := range []float64{math.NaN(), math.Inf(1)} {
+		s, err := New(simpleConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := s.Run(d)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("Run(%v) accepted", d)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Run(%v) did not return within 10 s", d)
+		}
+	}
+}
+
+// TestScheduleRejectsBadTimes requires every Schedule* method to return
+// an error, not panic, for a NaN or negative time, or for one before the
+// clock, which a finished Run has moved to its horizon.
+func TestScheduleRejectsBadTimes(t *testing.T) {
+	up := [][]float64{{5, 50}, {50, 5}}
+	for _, tc := range []struct {
+		name     string
+		schedule func(s *Simulator, tMs float64) error
+	}{
+		{"uplink update", func(s *Simulator, tMs float64) error { return s.ScheduleUplinkUpdate(tMs, up, nil) }},
+		{"reconfigure", func(s *Simulator, tMs float64) error { return s.ScheduleReconfigure(tMs, []int{1, 0}) }},
+		{"reconfigure with pause", func(s *Simulator, tMs float64) error {
+			return s.ScheduleReconfigureWithPause(tMs, []int{1, 0}, 10)
+		}},
+		{"edge failure", func(s *Simulator, tMs float64) error { return s.ScheduleEdgeFailure(tMs, 0) }},
+		{"edge recovery", func(s *Simulator, tMs float64) error { return s.ScheduleEdgeRecovery(tMs, 0) }},
+		{"device churn", func(s *Simulator, tMs float64) error { return s.ScheduleDeviceChurn(tMs, 0, false) }},
+	} {
+		for _, tMs := range []float64{math.NaN(), -1} {
+			s, err := New(simpleConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.schedule(s, tMs); err == nil {
+				t.Errorf("%s at %v accepted", tc.name, tMs)
+			}
+		}
+		s, err := New(simpleConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(1000); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.schedule(s, 500); err == nil {
+			t.Errorf("%s at 500 ms after a 1000 ms run accepted", tc.name)
+		}
 	}
 }
 

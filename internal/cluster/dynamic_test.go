@@ -128,8 +128,10 @@ func TestReconfigureWithPauseValidation(t *testing.T) {
 	if err := s.ScheduleReconfigureWithPause(1, []int{0, 9}, 10); err == nil {
 		t.Error("bad edge accepted")
 	}
-	if err := s.ScheduleReconfigureWithPause(1, []int{0, 1}, -1); err == nil {
-		t.Error("negative pause accepted")
+	for _, pause := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if err := s.ScheduleReconfigureWithPause(1, []int{0, 1}, pause); err == nil {
+			t.Errorf("pause %v accepted", pause)
+		}
 	}
 }
 

@@ -57,7 +57,10 @@ func F16(o Options) ([]*Table, error) {
 				}
 				cost, weight := make([][]float64, in.N()), make([][]float64, in.N())
 				for i := range cost {
-					cost[i], weight[i] = in.CostRow(i), in.WeightRow(i)
+					cost[i], weight[i] = in.CostRow(i), make([]float64, in.M())
+					for j := range weight[i] {
+						weight[i][j] = in.WeightAt(i, j)
+					}
 				}
 				rebuilt, err := gap.NewInstance(cost, weight, scaled)
 				if err != nil {

@@ -81,6 +81,23 @@ func TestScenarioBuild(t *testing.T) {
 	}
 }
 
+// TestScenarioBuildSharesDelayStore requires a built scenario to hold one
+// delay matrix: each row of Built.Delay is the instance's cost row for
+// that device, the same memory, for latency and payload-aware costs.
+func TestScenarioBuildSharesDelayStore(t *testing.T) {
+	for _, payload := range []float64{0, 64} {
+		b, err := Scenario{NumIoT: 30, NumEdge: 4, PayloadKB: payload, Seed: 3}.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, row := range b.Delay.DelayMs {
+			if &row[0] != &b.Instance.CostRow(i)[0] {
+				t.Fatalf("payload %v: delay row %d and cost row %d are separate copies", payload, i, i)
+			}
+		}
+	}
+}
+
 func TestScenarioBuildErrors(t *testing.T) {
 	if _, err := (Scenario{NumIoT: 0, NumEdge: 4}).Build(); err == nil {
 		t.Error("NumIoT 0 accepted")

@@ -60,11 +60,10 @@ func NewCandidates(in *Instance, workers int) *Candidates {
 			}
 			top[p].c, top[p].j = c, j
 		}
-		w := in.WeightRow(i)
 		for s := 0; s < k; s++ {
 			t.edge[i*k+s] = int32(top[s].j)
 			t.cost[i*k+s] = top[s].c
-			t.weight[i*k+s] = w[top[s].j]
+			t.weight[i*k+s] = in.WeightAt(i, top[s].j)
 		}
 		t.fence[i] = math.Inf(1)
 		if size > k {
@@ -104,10 +103,10 @@ func (t *Candidates) Argmin(i int, lambda []float64) (price float64, edge int, w
 		return price, edge, weight
 	}
 	price, edge, weight = math.Inf(1), -1, 0
-	w := t.in.WeightRow(i)
 	for j, c := range t.in.CostRow(i) {
-		if v := c + lambda[j]*w[j]; v < price {
-			price, edge, weight = v, j, w[j]
+		w := t.in.WeightAt(i, j)
+		if v := c + lambda[j]*w; v < price {
+			price, edge, weight = v, j, w
 		}
 	}
 	return price, edge, weight

@@ -104,7 +104,7 @@ func withInfCells(t *testing.T, in *Instance, cells [][2]int) *Instance {
 	cost := make([][]float64, in.N())
 	weight := make([][]float64, in.N())
 	for i := range cost {
-		cost[i], weight[i] = append([]float64(nil), in.CostRow(i)...), in.WeightRow(i)
+		cost[i], weight[i] = append([]float64(nil), in.CostRow(i)...), weightRow(in, i)
 	}
 	for _, c := range cells {
 		cost[c[0]][c[1]] = math.Inf(1)

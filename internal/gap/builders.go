@@ -10,7 +10,14 @@ import (
 
 // FromTopology binds a topology-derived delay matrix and a device
 // population into a GAP instance. Device i's weight on every edge is its
-// steady-state load (rate × compute); capacities are supplied per edge.
+// steady-state load (rate × compute), stored once per device;
+// capacities are supplied per edge and copied.
+//
+// The instance adopts the matrix's row-major store (dm.Store) instead of
+// copying it: after the call, dm.DelayMs's rows are the instance's cost
+// rows, under CostRow's contract that nobody writes to them. Only a
+// hand-built matrix, whose rows are not views of such a store, is
+// copied.
 func FromTopology(dm *topology.DelayMatrix, devices []workload.Device, capacity []float64) (*Instance, error) {
 	if dm.NumIoT() != len(devices) {
 		return nil, fmt.Errorf("gap: delay matrix has %d IoT rows, got %d devices", dm.NumIoT(), len(devices))
@@ -19,19 +26,20 @@ func FromTopology(dm *topology.DelayMatrix, devices []workload.Device, capacity 
 		return nil, fmt.Errorf("gap: delay matrix has %d edge cols, got %d capacities", dm.NumEdge(), len(capacity))
 	}
 	n, m := dm.NumIoT(), dm.NumEdge()
-	cost := make([]float64, n*m)
-	weight := make([]float64, n*m)
-	for i := 0; i < n; i++ {
-		copy(cost[i*m:(i+1)*m], dm.DelayMs[i])
-		load := devices[i].Load()
-		row := weight[i*m : (i+1)*m]
-		for j := range row {
-			row[j] = load
+	cost := dm.Store()
+	if cost == nil {
+		cost = make([]float64, n*m)
+		for i := 0; i < n; i++ {
+			copy(cost[i*m:(i+1)*m], dm.DelayMs[i])
 		}
+	}
+	load := make([]float64, n)
+	for i := range load {
+		load[i] = devices[i].Load()
 	}
 	capCopy := make([]float64, m)
 	copy(capCopy, capacity)
-	return newInstance(n, cost, weight, capCopy)
+	return newInstance(n, cost, load, capCopy)
 }
 
 // UniformCapacities returns m equal capacities sized so that the cluster's

@@ -24,12 +24,13 @@ func WithCloud(in *Instance, cloudDelayMs float64) (*Instance, error) {
 		copy(costRow, in.CostRow(i))
 		costRow[m] = cloudDelayMs
 		weightRow := weight[i*(m+1) : (i+1)*(m+1)]
-		copy(weightRow, in.WeightRow(i))
 		// The cloud charges the device's cheapest edge-side weight (a
 		// neutral choice; cloud capacity is sized to absorb everything
 		// anyway).
 		minW := math.Inf(1)
-		for _, w := range in.WeightRow(i) {
+		for j := 0; j < m; j++ {
+			w := in.WeightAt(i, j)
+			weightRow[j] = w
 			if w < minW {
 				minW = w
 			}

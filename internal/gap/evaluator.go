@@ -65,9 +65,8 @@ func (e *Evaluator) Reset(of []int) {
 		if j < 0 {
 			continue
 		}
-		wRow := e.in.WeightRow(i)
-		e.residual[j] -= wRow[j]
-		total += e.in.CostRow(i)[j]
+		e.residual[j] -= e.in.WeightAt(i, j)
+		total += e.in.CostAt(i, j)
 	}
 	e.total = total
 }
@@ -125,10 +124,9 @@ func (e *Evaluator) DeltaSwap(a, b int) float64 {
 // move used. Returns the cost delta.
 func (e *Evaluator) Move(i, to int) float64 {
 	from := e.of[i]
-	wRow := e.in.WeightRow(i)
 	delta := e.DeltaMove(i, to)
-	e.residual[from] += wRow[from]
-	e.residual[to] -= wRow[to]
+	e.residual[from] += e.in.WeightAt(i, from)
+	e.residual[to] -= e.in.WeightAt(i, to)
 	e.of[i] = to
 	e.total += delta
 	return delta
@@ -139,12 +137,11 @@ func (e *Evaluator) Move(i, to int) float64 {
 // sequence. Returns the cost delta.
 func (e *Evaluator) Swap(a, b int) float64 {
 	ja, jb := e.of[a], e.of[b]
-	wA, wB := e.in.WeightRow(a), e.in.WeightRow(b)
 	delta := e.DeltaSwap(a, b)
-	resA := e.residual[ja] + wA[ja]
-	resB := e.residual[jb] + wB[jb]
-	e.residual[ja] = resA - wB[ja]
-	e.residual[jb] = resB - wA[jb]
+	resA := e.residual[ja] + e.in.WeightAt(a, ja)
+	resB := e.residual[jb] + e.in.WeightAt(b, jb)
+	e.residual[ja] = resA - e.in.WeightAt(b, ja)
+	e.residual[jb] = resB - e.in.WeightAt(a, jb)
 	e.of[a], e.of[b] = jb, ja
 	e.total += delta
 	return delta
@@ -153,14 +150,14 @@ func (e *Evaluator) Swap(a, b int) float64 {
 // Unassign removes placed device i, releasing its capacity and cost.
 func (e *Evaluator) Unassign(i int) {
 	j := e.of[i]
-	e.residual[j] += e.in.WeightRow(i)[j]
-	e.total -= e.in.CostRow(i)[j]
+	e.residual[j] += e.in.WeightAt(i, j)
+	e.total -= e.in.CostAt(i, j)
 	e.of[i] = -1
 }
 
 // Place assigns unplaced device i to edge j.
 func (e *Evaluator) Place(i, j int) {
-	e.residual[j] -= e.in.WeightRow(i)[j]
-	e.total += e.in.CostRow(i)[j]
+	e.residual[j] -= e.in.WeightAt(i, j)
+	e.total += e.in.CostAt(i, j)
 	e.of[i] = j
 }

@@ -30,9 +30,9 @@ func BruteForce(in *Instance) (*Assignment, error) {
 			copy(bestOf, of)
 			return
 		}
-		cRow, wRow := in.CostRow(i), in.WeightRow(i)
+		cRow := in.CostRow(i)
 		for j := 0; j < m; j++ {
-			w := wRow[j]
+			w := in.WeightAt(i, j)
 			if w > residual[j]+1e-12 || math.IsInf(cRow[j], 1) {
 				continue
 			}
@@ -141,9 +141,8 @@ func BranchAndBound(in *Instance, opts BnBOptions) (*BnBResult, error) {
 		for p := pos; p < n; p++ {
 			i := order[p]
 			min := math.Inf(1)
-			wRow := in.WeightRow(i)
 			for j, c := range in.CostRow(i) {
-				if wRow[j] <= residual[j]+1e-12 && c < min {
+				if in.WeightAt(i, j) <= residual[j]+1e-12 && c < min {
 					min = c
 				}
 			}
@@ -174,13 +173,13 @@ func BranchAndBound(in *Instance, opts BnBOptions) (*BnBResult, error) {
 			return
 		}
 		i := order[pos]
-		cRow, wRow := in.CostRow(i), in.WeightRow(i)
+		cRow := in.CostRow(i)
 		for _, j := range edgeOrder[i] {
 			c := cRow[j]
 			if math.IsInf(c, 1) {
 				break // remaining edges in this order are worse
 			}
-			w := wRow[j]
+			w := in.WeightAt(i, j)
 			if w > residual[j]+1e-12 {
 				continue
 			}

@@ -24,13 +24,17 @@ type Instance struct {
 	// Capacity[j] is edge j's capacity.
 	Capacity []float64
 
-	// n is the device count. cost and weight hold the n×M() delay (ms,
-	// +Inf for unreachable pairs) and capacity-consumption matrices
-	// row-major, entry (i,j) at index i*M()+j. They are the instance's
-	// only copy of either matrix and are read through CostRow, WeightRow,
-	// CostAt and WeightAt.
-	n            int
-	cost, weight []float64
+	// n is the device count. cost holds the n×M() delay matrix (ms, +Inf
+	// for unreachable pairs) row-major, entry (i,j) at index i*M()+j,
+	// read through CostRow and CostAt. weight holds the capacity each
+	// device consumes, read through WeightAt as weight[i*wRow+j*wCol], in
+	// one of two layouts: dense, n×M() row-major with (wRow, wCol) =
+	// (M(), 1), or row-constant, one weight per device that holds on
+	// every edge, with (wRow, wCol) = (1, 0).
+	n          int
+	cost       []float64
+	weight     []float64
+	wRow, wCol int
 }
 
 // NewInstance validates the given matrices and copies them into the
@@ -64,20 +68,32 @@ func NewInstance(costMs, weight [][]float64, capacity []float64) (*Instance, err
 	return newInstance(n, cost, w, capacity)
 }
 
-// newInstance validates a row-major store of n devices over len(capacity)
-// edges, with NewInstance's checks and error text, and adopts the slices
-// without copying them.
+// newInstance validates a row-major cost store of n devices over
+// len(capacity) edges and a weight store that is either dense (n×m) or
+// row-constant (n long), with NewInstance's checks and error text, and
+// adopts the slices without copying them.
 func newInstance(n int, cost, weight, capacity []float64) (*Instance, error) {
 	m := len(capacity)
 	if err := checkDims(n, m); err != nil {
 		return nil, err
 	}
-	for k, c := range cost {
-		if math.IsNaN(c) || c < 0 {
-			return nil, fmt.Errorf("gap: invalid cost %v at (%d,%d)", c, k/m, k%m)
-		}
-		if w := weight[k]; math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 {
-			return nil, fmt.Errorf("gap: invalid weight %v at (%d,%d)", w, k/m, k%m)
+	in := &Instance{Capacity: capacity, n: n, cost: cost, weight: weight, wRow: m, wCol: 1}
+	if len(weight) != n*m {
+		in.wRow, in.wCol = 1, 0
+	}
+	for i := 0; i < n; i++ {
+		for j, c := range in.CostRow(i) {
+			if math.IsNaN(c) || c < 0 {
+				return nil, fmt.Errorf("gap: invalid cost %v at (%d,%d)", c, i, j)
+			}
+			// A row-constant weight is checked once, where the
+			// dense store's first cell of the row would be.
+			if j > 0 && in.wCol == 0 {
+				continue
+			}
+			if w := in.WeightAt(i, j); math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 {
+				return nil, fmt.Errorf("gap: invalid weight %v at (%d,%d)", w, i, j)
+			}
 		}
 	}
 	for j, c := range capacity {
@@ -85,7 +101,7 @@ func newInstance(n int, cost, weight, capacity []float64) (*Instance, error) {
 			return nil, fmt.Errorf("gap: invalid capacity %v at edge %d", c, j)
 		}
 	}
-	return &Instance{Capacity: capacity, n: n, cost: cost, weight: weight}, nil
+	return in, nil
 }
 
 // checkDims rejects an instance without devices or without edges.
@@ -106,17 +122,13 @@ func (in *Instance) CostRow(i int) []float64 {
 	return in.cost[i*m : (i+1)*m : (i+1)*m]
 }
 
-// WeightRow returns device i's weight row; see CostRow.
-func (in *Instance) WeightRow(i int) []float64 {
-	m := len(in.Capacity)
-	return in.weight[i*m : (i+1)*m : (i+1)*m]
-}
-
 // CostAt returns the delay of serving device i from edge j.
 func (in *Instance) CostAt(i, j int) float64 { return in.cost[i*len(in.Capacity)+j] }
 
-// WeightAt returns the capacity device i consumes on edge j.
-func (in *Instance) WeightAt(i, j int) float64 { return in.weight[i*len(in.Capacity)+j] }
+// WeightAt returns the capacity device i consumes on edge j. It is the
+// one weight accessor: a single strided read that serves the dense and
+// the row-constant layout alike.
+func (in *Instance) WeightAt(i, j int) float64 { return in.weight[i*in.wRow+j*in.wCol] }
 
 // N returns the number of devices.
 func (in *Instance) N() int { return in.n }
@@ -262,27 +274,4 @@ func (in *Instance) Imbalance(a *Assignment) float64 {
 		return 0
 	}
 	return max / (sum / float64(len(util)))
-}
-
-// Tightness returns the ratio of total minimum weight to total capacity —
-// a rough difficulty indicator: near 0 is easy, near 1 nearly packed.
-func (in *Instance) Tightness() float64 {
-	totalW := 0.0
-	for i := 0; i < in.N(); i++ {
-		minW := math.Inf(1)
-		for _, w := range in.WeightRow(i) {
-			if w < minW {
-				minW = w
-			}
-		}
-		totalW += minW
-	}
-	totalC := 0.0
-	for _, c := range in.Capacity {
-		totalC += c
-	}
-	if totalC == 0 {
-		return math.Inf(1)
-	}
-	return totalW / totalC
 }

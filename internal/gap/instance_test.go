@@ -4,11 +4,22 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"taccc/internal/topology"
 	"taccc/internal/workload"
 )
+
+// weightRow returns device i's weights on every edge, read through
+// WeightAt into a fresh slice.
+func weightRow(in *Instance, i int) []float64 {
+	row := make([]float64, in.M())
+	for j := range row {
+		row[j] = in.WeightAt(i, j)
+	}
+	return row
+}
 
 // tiny returns a 3-device, 2-edge instance where the per-device cheapest
 // edges would overload edge 0.
@@ -171,14 +182,6 @@ func TestImbalanceIdle(t *testing.T) {
 	}
 }
 
-func TestTightness(t *testing.T) {
-	in := tiny(t)
-	// min weight per device = 2 each, total 6; capacity total 8.
-	if got := in.Tightness(); math.Abs(got-0.75) > 1e-12 {
-		t.Fatalf("Tightness = %v, want 0.75", got)
-	}
-}
-
 func TestAssignmentClone(t *testing.T) {
 	a := &Assignment{Of: []int{1, 2, 3}}
 	b := a.Clone()
@@ -249,6 +252,91 @@ func TestFromTopologyDimensionErrors(t *testing.T) {
 	}
 }
 
+// TestFromTopologyAdoptsOnlyAStore requires FromTopology to adopt the
+// row-major store behind a delay matrix that NewDelayMatrix built, so
+// its rows and the instance's cost rows are the same memory, and to
+// copy a hand-built matrix, whose later writes must change nothing.
+// Every device's load is its weight on every edge.
+func TestFromTopologyAdoptsOnlyAStore(t *testing.T) {
+	g, err := topology.Hierarchical(topology.Config{NumIoT: 12, NumEdge: 3, NumGateways: 4, Seed: 5}, topology.PlaceUniform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	devs, err := workload.Generate(12, workload.DefaultProfile(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	caps := []float64{1e6, 1e6, 1e6}
+	dm := topology.NewDelayMatrix(g, topology.LatencyCost)
+	in, err := FromTopology(dm, devs, caps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range dm.DelayMs {
+		if &row[0] != &in.CostRow(i)[0] {
+			t.Errorf("row %d was copied, not adopted", i)
+		}
+		for j := range row {
+			if got, want := in.WeightAt(i, j), devs[i].Load(); got != want {
+				t.Errorf("WeightAt(%d, %d) = %v, want the load %v", i, j, got, want)
+			}
+		}
+	}
+
+	idle := append([]workload.Device(nil), devs...)
+	idle[3].RateHz = 0
+	if _, err := FromTopology(dm, idle, caps); err == nil || err.Error() != "gap: invalid weight 0 at (3,0)" {
+		t.Errorf("a device with no load: error %v, want gap: invalid weight 0 at (3,0)", err)
+	}
+
+	hand := &topology.DelayMatrix{IoT: dm.IoT, Edge: dm.Edge, DelayMs: make([][]float64, len(dm.DelayMs))}
+	for i, row := range dm.DelayMs {
+		hand.DelayMs[i] = append([]float64(nil), row...)
+	}
+	copied, err := FromTopology(hand, devs, caps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := fmt.Sprint(copied.CostRow(0), copied.CostRow(11))
+	hand.DelayMs[0][0], hand.DelayMs[11][2] = 1e9, 1e9
+	if after := fmt.Sprint(copied.CostRow(0), copied.CostRow(11)); after != before {
+		t.Fatalf("writes to a hand-built matrix changed the instance:\nbefore %s\nafter  %s", before, after)
+	}
+}
+
+// TestFromTopologyBytes requires FromTopology to allocate O(n+m) bytes
+// over a delay matrix that owns a store: the loads and the capacities,
+// not an n×m cost or weight array.
+func TestFromTopologyBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are perturbed by race-detector shadow allocations")
+	}
+	const n, m = 1000, 40
+	g, err := topology.Hierarchical(topology.Config{NumIoT: n, NumEdge: m, NumGateways: 2 * m, Seed: 5}, topology.PlaceUniform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm := topology.NewDelayMatrix(g, topology.LatencyCost)
+	devs, err := workload.Generate(n, workload.DefaultProfile(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	caps := make([]float64, m)
+	for j := range caps {
+		caps[j] = float64(n)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := FromTopology(dm, devs, caps); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got, limit := res.AllocedBytesPerOp(), int64(16*(n+m)); got > limit {
+		t.Errorf("FromTopology allocates %d B at %dx%d, want at most %d (an n×m store is %d B)", got, n, m, limit, 8*n*m)
+	}
+}
+
 // TestNewInstanceCopiesMatrices requires an instance to keep its own
 // copy of the matrices it was built from: writes to the caller's slices
 // after NewInstance must change none of its answers.
@@ -266,7 +354,7 @@ func TestNewInstanceCopiesMatrices(t *testing.T) {
 			t.Fatal(err)
 		}
 		return fmt.Sprint(in.TotalCost(a), in.MaxCost(a), in.Loads(a), in.Feasible(a),
-			in.CostRow(0), in.CostRow(1), in.WeightRow(0), in.WeightRow(1), buf.String())
+			in.CostRow(0), in.CostRow(1), weightRow(in, 0), weightRow(in, 1), buf.String())
 	}
 	before := snapshot()
 	cost[0][0] = 100
@@ -341,10 +429,17 @@ func TestSyntheticValid(t *testing.T) {
 		if in.N() != 30 || in.M() != 5 {
 			t.Fatalf("dims %dx%d", in.N(), in.M())
 		}
-		// Capacity is sized from average weights, so min-weight
-		// tightness must come out strictly below rho but positive.
-		tight := in.Tightness()
-		if tight <= 0 || tight >= 0.8 {
+		// Capacity is sized from average weights, so the ratio of the
+		// devices' summed minimum weights to the total capacity must
+		// come out strictly below rho but positive.
+		minW, totalC := 0.0, 0.0
+		for i := 0; i < in.N(); i++ {
+			minW += slices.Min(weightRow(in, i))
+		}
+		for _, c := range in.Capacity {
+			totalC += c
+		}
+		if tight := minW / totalC; tight <= 0 || tight >= 0.8 {
 			t.Fatalf("tightness = %v, want in (0, 0.8)", tight)
 		}
 	}

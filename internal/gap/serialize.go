@@ -13,12 +13,19 @@ type instanceJSON struct {
 	Capacity []float64   `json:"capacity"`
 }
 
-// WriteJSON serializes the instance. The nested matrices are views of
-// the store's rows, so nothing is copied.
+// WriteJSON serializes the instance. The cost rows are views of the
+// store; the weight rows, one value per cell whatever the store's
+// layout, share one buffer filled through WeightAt.
 func (in *Instance) WriteJSON(w io.Writer) error {
-	ij := instanceJSON{CostMs: make([][]float64, in.N()), Weight: make([][]float64, in.N()), Capacity: in.Capacity}
+	n, m := in.N(), in.M()
+	ij := instanceJSON{CostMs: make([][]float64, n), Weight: make([][]float64, n), Capacity: in.Capacity}
+	weight := make([]float64, n*m)
 	for i := range ij.CostMs {
-		ij.CostMs[i], ij.Weight[i] = in.CostRow(i), in.WeightRow(i)
+		row := weight[i*m : (i+1)*m : (i+1)*m]
+		for j := range row {
+			row[j] = in.WeightAt(i, j)
+		}
+		ij.CostMs[i], ij.Weight[i] = in.CostRow(i), row
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -170,11 +170,7 @@ func CongestionAwareDelayMatrix(g *Graph, dm *DelayMatrix, flows []Flow, assignm
 	for _, ll := range cur.Links {
 		utils[normKey(ll.Link.A, ll.Link.B)] = ll.Utilization
 	}
-	out := &DelayMatrix{
-		IoT:     append([]NodeID(nil), dm.IoT...),
-		Edge:    append([]NodeID(nil), dm.Edge...),
-		DelayMs: make([][]float64, len(dm.IoT)),
-	}
+	out := newDelayMatrix(append([]NodeID(nil), dm.IoT...), append([]NodeID(nil), dm.Edge...))
 	// Shortest-path trees from every edge (latency cost, matching the
 	// routing EvaluateCongestion uses).
 	trees := make([]*ShortestPaths, len(dm.Edge))
@@ -184,9 +180,6 @@ func CongestionAwareDelayMatrix(g *Graph, dm *DelayMatrix, flows []Flow, assignm
 	iotRow := make(map[NodeID]int, len(dm.IoT))
 	for i, id := range dm.IoT {
 		iotRow[id] = i
-	}
-	for i := range out.DelayMs {
-		out.DelayMs[i] = make([]float64, len(dm.Edge))
 	}
 	for k, f := range flows {
 		i, ok := iotRow[f.IoT]

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -125,9 +124,9 @@ func (g *Graph) constrainedShortest(src, dst NodeID, cost LinkCost, bannedEdges 
 		prevN[i] = -1
 	}
 	dist[src] = 0
-	q := &pq{{node: src, dist: 0}}
-	for q.Len() > 0 {
-		item := heap.Pop(q).(pqItem)
+	q := pq{{node: src, dist: 0}}
+	for len(q) > 0 {
+		item := q.pop()
 		u := item.node
 		if done[u] {
 			continue
@@ -144,7 +143,7 @@ func (g *Graph) constrainedShortest(src, dst NodeID, cost LinkCost, bannedEdges 
 			if nd := item.dist + c; nd < dist[h.to] {
 				dist[h.to] = nd
 				prevN[h.to] = u
-				heap.Push(q, pqItem{node: h.to, dist: nd})
+				q.push(pqItem{node: h.to, dist: nd})
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -43,18 +42,45 @@ type pqItem struct {
 	dist float64
 }
 
+// pq is a binary min-heap of queue items by dist. push and pop sift
+// exactly as container/heap's Push and Pop do, so items of equal distance
+// leave in the same order and every shortest-path result keeps its bits,
+// without boxing each item in an interface.
 type pq []pqItem
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	*q = old[:n-1]
-	return item
+func (q *pq) push(it pqItem) {
+	h := append(*q, it)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	*q = h
+}
+
+func (q *pq) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
+			j = j2
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
 }
 
 // ShortestPaths holds single-source shortest-path results.
@@ -99,9 +125,9 @@ func (g *Graph) Dijkstra(src NodeID, cost LinkCost) *ShortestPaths {
 		prev[i] = -1
 	}
 	dist[src] = 0
-	q := &pq{{node: src, dist: 0}}
-	for q.Len() > 0 {
-		item := heap.Pop(q).(pqItem)
+	q := pq{{node: src, dist: 0}}
+	for len(q) > 0 {
+		item := q.pop()
 		u := item.node
 		if done[u] {
 			continue
@@ -115,7 +141,7 @@ func (g *Graph) Dijkstra(src NodeID, cost LinkCost) *ShortestPaths {
 			if nd := item.dist + c; nd < dist[h.to] {
 				dist[h.to] = nd
 				prev[h.to] = u
-				heap.Push(q, pqItem{node: h.to, dist: nd})
+				q.push(pqItem{node: h.to, dist: nd})
 			}
 		}
 	}
@@ -214,6 +240,39 @@ type DelayMatrix struct {
 	// DelayMs[i][j] is the delay from IoT[i] to Edge[j], Infinity if
 	// disconnected.
 	DelayMs [][]float64
+	// store is the row-major array whose rows DelayMs views when this
+	// package built the matrix, entry (i, j) at i*NumEdge()+j; nil for a
+	// hand-built matrix.
+	store []float64
+}
+
+// newDelayMatrix returns a matrix over the given rows and columns whose
+// DelayMs rows are zeroed views of one row-major store.
+func newDelayMatrix(iot, edge []NodeID) *DelayMatrix {
+	n, k := len(iot), len(edge)
+	dm := &DelayMatrix{IoT: iot, Edge: edge, DelayMs: make([][]float64, n), store: make([]float64, n*k)}
+	for i := range dm.DelayMs {
+		dm.DelayMs[i] = dm.store[i*k : (i+1)*k : (i+1)*k]
+	}
+	return dm
+}
+
+// Store returns the row-major array behind DelayMs, entry (i, j) at
+// i*NumEdge()+j, when every row is still the view this package's
+// constructor made of it; writes through either reach the other. It
+// returns nil for a hand-built matrix, for an empty one, and once a row
+// has been replaced or resliced.
+func (dm *DelayMatrix) Store() []float64 {
+	k := len(dm.Edge)
+	if len(dm.store) == 0 || len(dm.IoT) != len(dm.DelayMs) || len(dm.store) != len(dm.DelayMs)*k {
+		return nil
+	}
+	for i, row := range dm.DelayMs {
+		if len(row) != k || &row[0] != &dm.store[i*k] {
+			return nil
+		}
+	}
+	return dm.store
 }
 
 // NewDelayMatrix computes shortest-path delays from every IoT node to every
@@ -269,11 +328,9 @@ func NewDelayMatrixTraced(g *Graph, cost LinkCost, workers int, phase *obs.Phase
 			"busy_ms": sh.BusyMs,
 		})
 	}
-	m := make([][]float64, len(iot))
-	flat := make([]float64, len(iot)*k)
+	dm := newDelayMatrix(iot, edge)
 	for i, d := range iot {
-		row := flat[i*k : (i+1)*k : (i+1)*k]
-		m[i] = row
+		row := dm.DelayMs[i]
 		if v := c.index[d]; v >= 0 {
 			copy(row, coreDist[v*k:(v+1)*k])
 			continue
@@ -290,7 +347,7 @@ func NewDelayMatrixTraced(g *Graph, cost LinkCost, workers int, phase *obs.Phase
 		}
 		checkPendantCosts(cost, d, h, cf, base, row)
 	}
-	return &DelayMatrix{IoT: iot, Edge: edge, DelayMs: m}
+	return dm
 }
 
 // checkPendantCosts panics wherever a full Dijkstra would on pendant
@@ -366,9 +423,9 @@ func (c *coreGraph) dijkstra(src int) []float64 {
 	}
 	done := make([]bool, len(c.ids))
 	dist[src] = 0
-	q := &pq{{node: NodeID(src), dist: 0}}
-	for q.Len() > 0 {
-		item := heap.Pop(q).(pqItem)
+	q := pq{{node: NodeID(src), dist: 0}}
+	for len(q) > 0 {
+		item := q.pop()
 		u := int(item.node)
 		if done[u] {
 			continue
@@ -381,7 +438,7 @@ func (c *coreGraph) dijkstra(src int) []float64 {
 			}
 			if nd := item.dist + w; nd < dist[v] {
 				dist[v] = nd
-				heap.Push(q, pqItem{node: NodeID(v), dist: nd})
+				q.push(pqItem{node: NodeID(v), dist: nd})
 			}
 		}
 	}

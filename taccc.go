@@ -223,7 +223,9 @@ func GenerateDevices(n int, p Profile) ([]Device, error) { return workload.Gener
 func TotalLoad(devices []Device) float64 { return workload.TotalLoad(devices) }
 
 // InstanceFromTopology binds a delay matrix, device population and
-// capacities into a GAP instance.
+// capacities into a GAP instance. A matrix built by NewDelayMatrix is
+// not copied: its rows become the instance's read-only cost rows, so do
+// not write to them after the call.
 func InstanceFromTopology(dm *DelayMatrix, devices []Device, capacity []float64) (*Instance, error) {
 	return gap.FromTopology(dm, devices, capacity)
 }
