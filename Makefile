@@ -111,7 +111,9 @@ baseline:
 # trace.jsonl, tactrace -chrome strict-validates the export (and must
 # reject a copy with bytes appended), and tacreport renders the
 # phase-attribution table from the archive. The end-to-end counterpart
-# of the in-process pipeline-tracing tests.
+# of the in-process pipeline-tracing tests. tacsolve -instance must
+# solve an instance from tacgen and reject copies of it with bytes
+# appended or with a mis-cased member name.
 TRACE_DIR ?= /tmp/taccc-trace-smoke
 
 trace-smoke:
@@ -123,6 +125,17 @@ trace-smoke:
 	echo garbage >> $(TRACE_DIR)/trailing.json
 	if $(GO) run ./cmd/tactrace -chrome $(TRACE_DIR)/trailing.json; then \
 	  echo "trace smoke: tactrace -chrome accepted trailing data"; exit 1; \
+	fi
+	$(GO) run ./cmd/tacgen -kind instance -iot 40 -edge 4 -rho 0.8 -seed 7 -o $(TRACE_DIR)/inst.json
+	$(GO) run ./cmd/tacsolve -instance $(TRACE_DIR)/inst.json -algo greedy
+	cp $(TRACE_DIR)/inst.json $(TRACE_DIR)/inst-trailing.json
+	echo garbage >> $(TRACE_DIR)/inst-trailing.json
+	if $(GO) run ./cmd/tacsolve -instance $(TRACE_DIR)/inst-trailing.json -algo greedy; then \
+	  echo "trace smoke: tacsolve -instance accepted trailing data"; exit 1; \
+	fi
+	sed 's/"cost_ms"/"COST_MS"/' $(TRACE_DIR)/inst.json > $(TRACE_DIR)/inst-miscased.json
+	if $(GO) run ./cmd/tacsolve -instance $(TRACE_DIR)/inst-miscased.json -algo greedy; then \
+	  echo "trace smoke: tacsolve -instance accepted a mis-cased member"; exit 1; \
 	fi
 	$(GO) run ./cmd/tacreport $(TRACE_DIR)/run -o $(TRACE_DIR)/report.md
 	grep -q '^## Pipeline phases' $(TRACE_DIR)/report.md

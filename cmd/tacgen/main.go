@@ -52,6 +52,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cliutil.FprintVersion(stdout, "tacgen")
 		return 0
 	}
+	placement := taccc.PlaceUniform
+	switch *place {
+	case "uniform":
+	case "hotspot":
+		placement = taccc.PlaceHotspot
+	default:
+		fmt.Fprintf(stderr, "tacgen: unknown -place %q (want uniform or hotspot)\n", *place)
+		return 2
+	}
 	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -61,11 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer f.Close()
 		w = f
-	}
-
-	placement := taccc.PlaceUniform
-	if *place == "hotspot" {
-		placement = taccc.PlaceHotspot
 	}
 
 	switch *kind {

@@ -86,6 +86,22 @@ func TestBadArgs(t *testing.T) {
 	}
 }
 
+// TestUnknownPlacementIsUsageError requires exit 2 and a message naming
+// -place for an unknown placement, and no output file left behind.
+func TestUnknownPlacementIsUsageError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "topo.json")
+	var out, errBuf bytes.Buffer
+	if code := run([]string{"-place", "bogus", "-o", path}, &out, &errBuf); code != 2 {
+		t.Fatalf("-place bogus: exit %d, want 2 (stderr %q)", code, errBuf.String())
+	}
+	if !strings.Contains(errBuf.String(), "-place") {
+		t.Errorf("-place bogus: message %q does not name the flag", errBuf.String())
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("-place bogus left an output file (stat err %v)", err)
+	}
+}
+
 func TestHotspotPlacement(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	code := run([]string{"-kind", "topology", "-place", "hotspot", "-iot", "10", "-edge", "2"}, &out, &errBuf)

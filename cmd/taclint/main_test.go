@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sort"
@@ -110,22 +111,19 @@ func Stamp() int64 { return time.Now().UnixNano() }
 		t.Errorf("finding should carry its analyzer tag:\n%s", &stdout)
 	}
 
-	// The same tree in SARIF: still exit 1, and the output is a document
-	// the strict reader accepts, carrying the finding at a relative URI.
+	// The same tree in SARIF: still exit 1, and the document carries the
+	// finding at a relative URI.
 	stdout.Reset()
 	stderr.Reset()
 	if code := run([]string{"-C", dir, "-format", "sarif", "./..."}, &stdout, &stderr); code != 1 {
 		t.Fatalf("taclint -format sarif on seeded module = %d, want 1\nstderr:\n%s", code, &stderr)
 	}
-	findings, err := lint.ReadSARIF(bytes.NewReader(stdout.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadSARIF on taclint output: %v", err)
+	results := sarifResults(t, stdout.Bytes())
+	if len(results) != 1 || results[0].rule != "detrand" {
+		t.Fatalf("sarif results = %v, want one detrand finding", results)
 	}
-	if len(findings) != 1 || findings[0].Analyzer != "detrand" {
-		t.Fatalf("sarif findings = %v, want one detrand finding", findings)
-	}
-	if findings[0].Pos.Filename != "internal/assign/assign.go" {
-		t.Errorf("sarif uri = %q, want repo-relative internal/assign/assign.go", findings[0].Pos.Filename)
+	if results[0].uri != "internal/assign/assign.go" {
+		t.Errorf("sarif uri = %q, want repo-relative internal/assign/assign.go", results[0].uri)
 	}
 }
 
@@ -141,11 +139,42 @@ func TestRunSARIFCleanTree(t *testing.T) {
 	if code := run([]string{"-C", root, "-format", "sarif", "./internal/xrand"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("taclint -format sarif ./internal/xrand = %d, want 0\nstderr:\n%s", code, &stderr)
 	}
-	findings, err := lint.ReadSARIF(bytes.NewReader(stdout.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadSARIF on clean output: %v", err)
+	if results := sarifResults(t, stdout.Bytes()); len(results) != 0 {
+		t.Errorf("clean tree produced findings in SARIF: %v", results)
 	}
-	if len(findings) != 0 {
-		t.Errorf("clean tree produced findings in SARIF: %v", findings)
+}
+
+// sarifResult is one result of a SARIF document: its rule and file.
+type sarifResult struct{ rule, uri string }
+
+// sarifResults reads the results of taclint's one-run SARIF document.
+// The lint package's round-trip tests check the schema strictly; the CLI
+// tests compare only which rule fired in which file.
+func sarifResults(t *testing.T, doc []byte) []sarifResult {
+	t.Helper()
+	var log struct {
+		Runs []struct {
+			Results []struct {
+				RuleID    string `json:"ruleId"`
+				Locations []struct {
+					PhysicalLocation struct {
+						ArtifactLocation struct {
+							URI string `json:"uri"`
+						} `json:"artifactLocation"`
+					} `json:"physicalLocation"`
+				} `json:"locations"`
+			} `json:"results"`
+		} `json:"runs"`
 	}
+	if err := json.Unmarshal(doc, &log); err != nil || len(log.Runs) != 1 {
+		t.Fatalf("taclint SARIF output is not a one-run document (err %v):\n%s", err, doc)
+	}
+	results := []sarifResult{}
+	for _, r := range log.Runs[0].Results {
+		if len(r.Locations) == 0 {
+			t.Fatalf("SARIF result %q has no location", r.RuleID)
+		}
+		results = append(results, sarifResult{r.RuleID, r.Locations[0].PhysicalLocation.ArtifactLocation.URI})
+	}
+	return results
 }

@@ -36,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		edge        = fs.Int("edge", 10, "number of edge servers")
 		family      = fs.String("family", "hierarchical", "topology family")
 		algo        = fs.String("algo", "qlearning", "assignment algorithm")
-		rho         = fs.Float64("rho", 0.7, "capacity tightness in (0,1]")
+		rho         = fs.Float64("rho", 0.7, "capacity tightness in (0,1]; 0 means the default 0.7")
 		payload     = fs.Float64("payload", 4, "request payload KB (payload-aware delays)")
 		duration    = fs.Float64("duration", 60, "simulated seconds")
 		warmup      = fs.Float64("warmup", 5, "warmup seconds excluded from stats")
@@ -112,22 +112,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	down := taccc.NewDelayMatrixWorkers(built.Graph, taccc.LatencyCost, *workers)
 	downPh.End()
 	cfg := taccc.SimConfig{
-		UplinkMs:    built.Delay.DelayMs,
-		DownlinkMs:  down.DelayMs,
-		Devices:     built.Devices,
-		ServiceRate: taccc.ServiceRates(built.Capacity, 0.7),
-		Assignment:  got.Of,
-		WarmupMs:    *warmup * 1000,
-		Discipline:  disc,
-		MaxQueue:    *maxQueue,
-		Metrics:     session.Registry(),
-		SLO:         session.SLO(),
-		JitterSigma: *jitter,
-		Seed:        *seed,
+		UplinkMs:        built.Delay.DelayMs,
+		DownlinkMs:      down.DelayMs,
+		Devices:         built.Devices,
+		ServiceRate:     taccc.ServiceRates(built.Capacity, 0.7),
+		Assignment:      got.Of,
+		WarmupMs:        *warmup * 1000,
+		Discipline:      disc,
+		MaxQueue:        *maxQueue,
+		Metrics:         session.Registry(),
+		SLO:             session.SLO(),
+		JitterSigma:     *jitter,
+		Seed:            *seed,
+		TraceSampleRate: *traceSample,
 	}
 	if eventSink := session.Sink(); eventSink != nil {
 		cfg.Spans = eventSink
-		cfg.TraceSampleRate = *traceSample
 	}
 	sim, err := taccc.NewSimulator(cfg)
 	if err != nil {

@@ -59,6 +59,14 @@ func TestSimulateErrors(t *testing.T) {
 		{"-jitter", "1000", "-iot", "10", "-edge", "2", "-duration", "3", "-warmup", "1"},
 		{"-bogus-flag"},
 	}
+	// Without a span sink: a sample rate outside [0, 1] and a payload
+	// that is NaN or negative.
+	for _, bad := range [][]string{
+		{"-trace-sample", "2"}, {"-trace-sample", "NaN"}, {"-trace-sample", "-1"},
+		{"-payload", "NaN"}, {"-payload", "-5"},
+	} {
+		cases = append(cases, append([]string{"-iot", "10", "-edge", "2", "-duration", "3", "-warmup", "1"}, bad...))
+	}
 	for _, args := range cases {
 		var out, errBuf bytes.Buffer
 		if code := run(args, &out, &errBuf); code == 0 {

@@ -38,7 +38,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		instPath = fs.String("instance", "", "instance JSON file (or generate one with -iot/-edge)")
 		iot      = fs.Int("iot", 0, "scenario mode: number of IoT devices (generates the instance in-process; excludes -instance)")
 		edge     = fs.Int("edge", 0, "scenario mode: number of edge servers")
-		rho      = fs.Float64("rho", 0.7, "scenario mode: capacity tightness in (0, 1]")
+		rho      = fs.Float64("rho", 0.7, "scenario mode: capacity tightness in (0, 1]; 0 means the default 0.7")
 		family   = fs.String("family", "hierarchical", "scenario mode: topology family (hierarchical, geometric, waxman, barabasi-albert, grid, fattree, star, ring)")
 		algo     = fs.String("algo", "qlearning", "algorithm name, 'exact' for branch-and-bound, or 'all' to compare every algorithm")
 		seed     = fs.Int64("seed", 1, "algorithm seed")

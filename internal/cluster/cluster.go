@@ -3,9 +3,9 @@
 // (from the topology-derived delay matrix), FIFO queueing and service at
 // each edge server, and downlink delay back to the device. It reports
 // end-to-end latency distributions, deadline misses, per-edge utilization
-// and drops, and supports runtime reconfiguration, device churn and edge
-// failure injection — the substrate for the end-to-end and dynamic
-// experiments (T3, F7).
+// and drops, and supports runtime reconfiguration with migration pauses,
+// delay-matrix updates and edge failure injection — the substrate for
+// the end-to-end and dynamic experiments (T3, F7).
 package cluster
 
 import (
@@ -227,7 +227,7 @@ func (r *Result) MissRate() float64 {
 }
 
 // Simulator owns one simulation. Construct with New, optionally schedule
-// reconfigurations/failures/churn, then call Run once.
+// reconfigurations, delay updates and failures, then call Run once.
 type Simulator struct {
 	cfg     Config
 	engine  sim.Engine[event]
@@ -235,8 +235,10 @@ type Simulator struct {
 	arrival []workload.Arrivals
 
 	assignment []int
-	state      []deviceState
-	failed     []bool
+	// migrating[i] is true while device i pauses for a migration; it
+	// sends only while it is false.
+	migrating []bool
+	failed    []bool
 	// arriveGen[i] is device i's arrival generation. Stopping the stream
 	// bumps it, so the pending arrival, stamped with the old value, is
 	// skipped and a restart can never duplicate the stream.
@@ -246,7 +248,7 @@ type Simulator struct {
 	reqs []request
 	free []int32
 	// control holds the rare scheduled closures: failures, recoveries,
-	// reconfigurations, uplink updates, churn and migration-pause ends.
+	// reconfigurations, uplink updates and migration-pause ends.
 	control []func()
 	// uplink/downlink are the live delay matrices (swappable at runtime
 	// via ScheduleUplinkUpdate).
@@ -328,7 +330,7 @@ func New(cfg Config) (*Simulator, error) {
 		src:        src,
 		arrival:    make([]workload.Arrivals, len(cfg.Devices)),
 		assignment: make([]int, len(cfg.Assignment)),
-		state:      make([]deviceState, len(cfg.Devices)),
+		migrating:  make([]bool, len(cfg.Devices)),
 		failed:     make([]bool, len(cfg.ServiceRate)),
 		arriveGen:  make([]uint64, len(cfg.Devices)),
 		busyUntil:  make([]float64, len(cfg.ServiceRate)),
@@ -347,7 +349,6 @@ func New(cfg Config) (*Simulator, error) {
 			return nil, fmt.Errorf("cluster: device %d: %w", i, err)
 		}
 		s.arrival[i] = a
-		s.state[i].present = true
 	}
 	s.result.EdgeBusyMs = make([]float64, len(cfg.ServiceRate))
 	s.result.PeakQueue = make([]int, len(cfg.ServiceRate))
@@ -515,11 +516,12 @@ func (s *Simulator) ScheduleUplinkUpdate(tMs float64, uplink, downlink [][]float
 	})
 }
 
-// ScheduleReconfigureWithPause swaps the assignment at tMs like
-// ScheduleReconfigure, but sending devices whose placement changed pause
-// for pauseMs (their state is migrating): their arrival streams stop and
-// resume when the migration completes, unless the device churned out in
-// the meantime. Must be called before Run.
+// ScheduleReconfigureWithPause swaps the live assignment at virtual time
+// tMs. Requests already in flight complete under their old edge; new
+// arrivals use the new mapping. With a pause above 0, sending devices
+// whose placement changed pause for pauseMs (their state is migrating):
+// their arrival streams stop and resume when the migration completes. A
+// pause of 0 only swaps the assignment. Must be called before Run.
 func (s *Simulator) ScheduleReconfigureWithPause(tMs float64, assignment []int, pauseMs float64) error {
 	if len(assignment) != len(s.cfg.Devices) {
 		return fmt.Errorf("cluster: reconfigure assignment length %d, want %d", len(assignment), len(s.cfg.Devices))
@@ -536,33 +538,16 @@ func (s *Simulator) ScheduleReconfigureWithPause(tMs float64, assignment []int, 
 	copy(of, assignment)
 	return s.at(tMs, func() {
 		for i := range of {
-			if s.assignment[i] == of[i] || !s.state[i].sending() {
+			if pauseMs == 0 || s.assignment[i] == of[i] || s.migrating[i] {
 				continue
 			}
-			s.setDevice(i, s.state[i].present, true)
-			// A finite, non-negative pause from now is never before
-			// the clock, so this at cannot fail.
-			_ = s.at(s.engine.Now()+pauseMs, func() { s.setDevice(i, s.state[i].present, false) })
+			s.setMigrating(i, true)
+			// A finite, positive pause from now is never before the
+			// clock, so this at cannot fail.
+			_ = s.at(s.engine.Now()+pauseMs, func() { s.setMigrating(i, false) })
 		}
 		copy(s.assignment, of)
 	})
-}
-
-// ScheduleReconfigure swaps the live assignment at virtual time tMs.
-// Requests already in flight complete under their old edge; new arrivals
-// use the new mapping. Must be called before Run.
-func (s *Simulator) ScheduleReconfigure(tMs float64, assignment []int) error {
-	if len(assignment) != len(s.cfg.Devices) {
-		return fmt.Errorf("cluster: reconfigure assignment length %d, want %d", len(assignment), len(s.cfg.Devices))
-	}
-	for i, j := range assignment {
-		if j < 0 || j >= len(s.cfg.ServiceRate) {
-			return fmt.Errorf("cluster: reconfigure device %d to invalid edge %d", i, j)
-		}
-	}
-	of := make([]int, len(assignment))
-	copy(of, assignment)
-	return s.at(tMs, func() { copy(s.assignment, of) })
 }
 
 // ScheduleEdgeFailure marks edge j failed at tMs: all requests targeting
@@ -581,17 +566,6 @@ func (s *Simulator) ScheduleEdgeRecovery(tMs float64, j int) error {
 		return fmt.Errorf("cluster: recovery on invalid edge %d", j)
 	}
 	return s.at(tMs, func() { s.failed[j] = false })
-}
-
-// ScheduleDeviceChurn sets device i's presence at tMs (join = true
-// resumes arrivals, false silences the device). A device that joins
-// during its migration pause starts sending when the pause ends. Must be
-// called before Run.
-func (s *Simulator) ScheduleDeviceChurn(tMs float64, i int, join bool) error {
-	if i < 0 || i >= len(s.cfg.Devices) {
-		return fmt.Errorf("cluster: churn on invalid device %d", i)
-	}
-	return s.at(tMs, func() { s.setDevice(i, join, s.state[i].migrating) })
 }
 
 // eventKind says what a queued simulator event does.
@@ -664,24 +638,15 @@ func (s *Simulator) scheduleNextArrival(i int) {
 	s.engine.After(s.arrival[i].NextGapMs(), event{kind: evArrive, idx: int32(i), gen: s.arriveGen[i]})
 }
 
-// deviceState is a device's churn and migration state. A device sends
-// while it is present (churn) and not migrating (a reconfiguration
-// pause); the two change independently.
-type deviceState struct{ present, migrating bool }
-
-func (d deviceState) sending() bool { return d.present && !d.migrating }
-
-// setDevice sets device i's presence and migration state, starting its
-// arrival stream when it begins sending and making the pending arrival
-// stale when it stops.
-func (s *Simulator) setDevice(i int, present, migrating bool) {
-	was := s.state[i].sending()
-	s.state[i] = deviceState{present: present, migrating: migrating}
-	switch now := s.state[i].sending(); {
-	case now && !was:
-		s.scheduleNextArrival(i)
-	case was && !now:
+// setMigrating sets device i's migration state, making its pending
+// arrival stale when a migration starts and starting its arrival stream
+// again when the migration ends.
+func (s *Simulator) setMigrating(i int, migrating bool) {
+	s.migrating[i] = migrating
+	if migrating {
 		s.arriveGen[i]++
+	} else {
+		s.scheduleNextArrival(i)
 	}
 }
 

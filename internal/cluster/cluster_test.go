@@ -149,13 +149,12 @@ func TestScheduleRejectsBadTimes(t *testing.T) {
 		schedule func(s *Simulator, tMs float64) error
 	}{
 		{"uplink update", func(s *Simulator, tMs float64) error { return s.ScheduleUplinkUpdate(tMs, up, nil) }},
-		{"reconfigure", func(s *Simulator, tMs float64) error { return s.ScheduleReconfigure(tMs, []int{1, 0}) }},
+		{"reconfigure", func(s *Simulator, tMs float64) error { return s.ScheduleReconfigureWithPause(tMs, []int{1, 0}, 0) }},
 		{"reconfigure with pause", func(s *Simulator, tMs float64) error {
 			return s.ScheduleReconfigureWithPause(tMs, []int{1, 0}, 10)
 		}},
 		{"edge failure", func(s *Simulator, tMs float64) error { return s.ScheduleEdgeFailure(tMs, 0) }},
 		{"edge recovery", func(s *Simulator, tMs float64) error { return s.ScheduleEdgeRecovery(tMs, 0) }},
-		{"device churn", func(s *Simulator, tMs float64) error { return s.ScheduleDeviceChurn(tMs, 0, false) }},
 	} {
 		for _, tMs := range []float64{math.NaN(), -1} {
 			s, err := New(simpleConfig())
@@ -312,7 +311,7 @@ func TestReconfigureTakesEffect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ScheduleReconfigure(15_000, []int{0, 1}); err != nil {
+	if err := s.ScheduleReconfigureWithPause(15_000, []int{0, 1}, 0); err != nil {
 		t.Fatal(err)
 	}
 	res, err := s.Run(40_000)
@@ -329,10 +328,10 @@ func TestReconfigureValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ScheduleReconfigure(1, []int{0}); err == nil {
+	if err := s.ScheduleReconfigureWithPause(1, []int{0}, 0); err == nil {
 		t.Error("short assignment accepted")
 	}
-	if err := s.ScheduleReconfigure(1, []int{0, 9}); err == nil {
+	if err := s.ScheduleReconfigureWithPause(1, []int{0, 9}, 0); err == nil {
 		t.Error("out-of-range edge accepted")
 	}
 }
@@ -372,33 +371,6 @@ func TestFailureValidation(t *testing.T) {
 	}
 	if err := s.ScheduleEdgeRecovery(1, -1); err == nil {
 		t.Error("invalid edge recovery accepted")
-	}
-	if err := s.ScheduleDeviceChurn(1, 99, false); err == nil {
-		t.Error("invalid device churn accepted")
-	}
-}
-
-func TestDeviceChurnSilencesAndResumes(t *testing.T) {
-	cfg := simpleConfig()
-	cfg.Devices[1].RateHz = 0.001 // effectively silent; focus on device 0
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ScheduleDeviceChurn(5_000, 0, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ScheduleDeviceChurn(15_000, 0, true); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run(20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Active windows: 0-5 s and 15-20 s => ~100 requests at 10 Hz,
-	// versus ~200 without churn.
-	if res.Completed < 60 || res.Completed > 140 {
-		t.Fatalf("Completed = %d, want ~100 with 10 s silent window", res.Completed)
 	}
 }
 

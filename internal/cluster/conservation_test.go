@@ -11,9 +11,10 @@ import (
 )
 
 // conservationCase is one random small simulation with a schedule of
-// edge failures and recoveries, reconfigurations with a migration pause
-// and device churn. Every device churns out by lastChurnMs and the edges
-// have capacity to spare, so the queues drain well before horizonMs.
+// edge failures and recoveries and reconfigurations with a migration
+// pause. At stopMs every device migrates away for the rest of the run,
+// and the edges have capacity to spare, so the queues drain well before
+// horizonMs.
 type conservationCase struct {
 	cfg      Config
 	schedule func(*Simulator) error
@@ -22,13 +23,13 @@ type conservationCase struct {
 }
 
 const (
-	lastChurnMs = 8_000
-	horizonMs   = 20_000
+	stopMs    = 10_000
+	horizonMs = 20_000
 )
 
 func newConservationCase(seed int64) conservationCase {
 	src := xrand.New(seed)
-	n, m := src.UniformInt(2, 6), src.UniformInt(2, 4)
+	n, m := 2+src.Intn(5), 2+src.Intn(3)
 	cfg := Config{
 		UplinkMs:    make([][]float64, n),
 		Devices:     make([]workload.Device, n),
@@ -61,54 +62,49 @@ func newConservationCase(seed int64) conservationCase {
 		cfg.Discipline = DisciplinePS
 	}
 	if src.Bernoulli(0.5) {
-		cfg.MaxQueue = src.UniformInt(1, 4)
+		cfg.MaxQueue = 1 + src.Intn(4)
 	}
 	if src.Bernoulli(0.5) {
 		cfg.JitterSigma = 0.3
 	}
 
-	type churn struct {
-		at   float64
-		i    int
-		join bool
-	}
-	var churns []churn
-	for i := 0; i < n; i++ {
-		out := src.Uniform(2_000, lastChurnMs)
-		if src.Bernoulli(0.5) {
-			away := src.Uniform(500, out-500)
-			churns = append(churns, churn{away, i, false}, churn{src.Uniform(away, out), i, true})
-		}
-		churns = append(churns, churn{out, i, false})
-	}
 	type reconfig struct {
 		at, pause float64
 		of        []int
 	}
-	reconfigs := make([]reconfig, src.UniformInt(1, 2))
+	// Every pause ends by 9 s, before stopMs.
+	reconfigs := make([]reconfig, 1+src.Intn(2))
+	var last reconfig
 	for k := range reconfigs {
 		of := make([]int, n)
 		for i := range of {
 			of[i] = src.Intn(m)
 		}
 		reconfigs[k] = reconfig{src.Uniform(1_000, 6_000), src.Uniform(0, 3_000), of}
+		if reconfigs[k].at > last.at {
+			last = reconfigs[k]
+		}
+	}
+	// The stop moves every device off its last placement, so every
+	// device pauses until after horizonMs.
+	away := make([]int, n)
+	for i := range away {
+		away[i] = (last.of[i] + 1) % m
 	}
 	failEdge := src.Intn(m)
-	failAt := src.Uniform(500, lastChurnMs)
+	failAt := src.Uniform(500, 8_000)
 	recoverAt := failAt + src.Uniform(100, 3_000)
 
 	return conservationCase{
 		cfg: cfg,
 		schedule: func(s *Simulator) error {
-			for _, c := range churns {
-				if err := s.ScheduleDeviceChurn(c.at, c.i, c.join); err != nil {
-					return err
-				}
-			}
 			for _, r := range reconfigs {
 				if err := s.ScheduleReconfigureWithPause(r.at, r.of, r.pause); err != nil {
 					return err
 				}
+			}
+			if err := s.ScheduleReconfigureWithPause(stopMs, away, horizonMs); err != nil {
+				return err
 			}
 			if err := s.ScheduleEdgeFailure(failAt, failEdge); err != nil {
 				return err
@@ -121,7 +117,7 @@ func newConservationCase(seed int64) conservationCase {
 }
 
 // TestConservationUnderSchedules runs random small configurations under
-// failure, migration-pause and churn schedules, with every request
+// failure and migration-pause schedules, with every request
 // traced. Once the queues drain, every request sent has exited exactly
 // once: the requests_sent counter equals the ok, missed and dropped
 // counters together. Spans account for every request that left its

@@ -134,59 +134,3 @@ func TestReconfigureWithPauseValidation(t *testing.T) {
 		}
 	}
 }
-
-// TestChurnDuringMigrationPause keeps churn (presence) and a migration
-// pause as two states: a device sends only while it is present and not
-// migrating. A device that churns out during its pause stays out when
-// the pause ends, and one that churns back in during the pause waits for
-// the migration to finish.
-func TestChurnDuringMigrationPause(t *testing.T) {
-	// device0Sends returns the send times of device 0's requests after
-	// a swap at 1 s with a 2 s migration pause plus the given churn.
-	device0Sends := func(churn func(*Simulator) error) []float64 {
-		t.Helper()
-		cfg := simpleConfig()
-		col := newSpanCollector()
-		cfg.Spans = col
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.ScheduleReconfigureWithPause(1_000, []int{1, 0}, 2_000); err != nil {
-			t.Fatal(err)
-		}
-		if err := churn(s); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Run(10_000); err != nil {
-			t.Fatal(err)
-		}
-		var sends []float64
-		for _, tid := range col.order {
-			spans := col.traces[tid]
-			root := spans[len(spans)-1]
-			if dev, _ := root.AttrNum("device"); root.Name == "request" && dev == 0 && root.StartMs > 1_000 {
-				sends = append(sends, root.StartMs)
-			}
-		}
-		return sends
-	}
-
-	out := device0Sends(func(s *Simulator) error { return s.ScheduleDeviceChurn(1_500, 0, false) })
-	if len(out) != 0 {
-		t.Errorf("device 0 churned out during its pause but sent %d requests after it, first at %v ms", len(out), out[0])
-	}
-
-	back := device0Sends(func(s *Simulator) error {
-		if err := s.ScheduleDeviceChurn(1_500, 0, false); err != nil {
-			return err
-		}
-		return s.ScheduleDeviceChurn(2_000, 0, true)
-	})
-	if len(back) == 0 {
-		t.Fatal("device 0 rejoined during its pause but never sent again")
-	}
-	if back[0] < 3_000 {
-		t.Errorf("device 0 rejoined during its pause and sent at %v ms, before the migration ended at 3000 ms", back[0])
-	}
-}

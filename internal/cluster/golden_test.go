@@ -91,7 +91,7 @@ var goldenSims = []struct {
 		// Move device 4 to a reachable edge partway through.
 		of := append([]int(nil), s.cfg.Assignment...)
 		of[4] = (of[4] + 1) % len(s.cfg.ServiceRate)
-		return s.ScheduleReconfigure(800, of)
+		return s.ScheduleReconfigureWithPause(800, of, 0)
 	}},
 }
 

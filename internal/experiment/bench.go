@@ -11,6 +11,7 @@ import (
 
 	"taccc/internal/assign"
 	"taccc/internal/gap"
+	"taccc/internal/jsonx"
 	"taccc/internal/obs/sysmon"
 	"taccc/internal/stats"
 	"taccc/internal/xrand"
@@ -246,11 +247,12 @@ func (b *BenchResults) WriteJSON(w io.Writer) error {
 }
 
 // ReadBenchResults parses a BENCH_results.json / BENCH_baseline.json
-// file, validating just enough that a truncated or foreign file is
-// reported descriptively rather than diffed as an empty bench.
+// file strictly (see jsonx.Decode), validating just enough that a
+// truncated or foreign file is reported descriptively rather than diffed
+// as an empty bench.
 func ReadBenchResults(r io.Reader) (*BenchResults, error) {
 	var b BenchResults
-	if err := json.NewDecoder(r).Decode(&b); err != nil {
+	if err := jsonx.Decode(r, &b); err != nil {
 		return nil, fmt.Errorf("bench results: invalid or truncated JSON: %w", err)
 	}
 	if len(b.Scenarios) == 0 {

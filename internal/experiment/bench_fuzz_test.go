@@ -9,7 +9,9 @@ import (
 // FuzzReadBenchResults checks the reader tacreport applies to
 // BENCH_results.json files: an input is either rejected with an error or
 // re-encodes through WriteJSON and reads back to the same results, with
-// a second encoding byte-identical to the first. It must never panic.
+// a second encoding byte-identical to the first. It must never panic. An
+// accepted input must be rejected with a non-letter byte appended, or
+// with the case of its first member name's first letter swapped.
 func FuzzReadBenchResults(f *testing.F) {
 	valid := &BenchResults{
 		Tool: "tacbench", Version: "v0.0.0-test", Seed: 1, Quick: true, Reps: 2,
@@ -37,6 +39,20 @@ func FuzzReadBenchResults(f *testing.F) {
 		first, err := ReadBenchResults(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		for _, b := range []byte(`0,}]"{`) {
+			if _, err := ReadBenchResults(bytes.NewReader(append(bytes.Clone(data), b))); err == nil {
+				t.Fatalf("accepted with %q appended", b)
+			}
+		}
+		if i := bytes.IndexByte(data, '"'); i >= 0 && i+1 < len(data) {
+			if c := data[i+1] | 0x20; c >= 'a' && c <= 'z' {
+				swapped := bytes.Clone(data)
+				swapped[i+1] ^= 0x20
+				if _, err := ReadBenchResults(bytes.NewReader(swapped)); err == nil {
+					t.Fatalf("accepted with the first member name's case swapped:\n%s", swapped)
+				}
+			}
 		}
 		var once bytes.Buffer
 		if err := first.WriteJSON(&once); err != nil {

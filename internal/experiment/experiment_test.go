@@ -108,6 +108,12 @@ func TestScenarioBuildErrors(t *testing.T) {
 	if _, err := (Scenario{NumIoT: 5, NumEdge: 2, Family: "bogus"}).Build(); err == nil {
 		t.Error("bogus family accepted")
 	}
+	for _, kb := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5} {
+		_, err := Scenario{NumIoT: 5, NumEdge: 2, PayloadKB: kb, Seed: 1}.Build()
+		if err == nil || !strings.Contains(err.Error(), "payload") {
+			t.Errorf("payload %v KB: error %v, want one naming the payload", kb, err)
+		}
+	}
 }
 
 // TestBadLinkParamsAreErrors feeds each LinkParams field -1, NaN and

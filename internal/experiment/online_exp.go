@@ -12,10 +12,12 @@ import (
 	"taccc/internal/xrand"
 )
 
-// T4 evaluates online reconfiguration policies on a churn-and-mobility
-// trace: devices join and leave over time, every attached device moves
-// (random waypoint) so delays drift each epoch, and one edge server fails
-// midway. Policies trade delay against migration churn:
+// T4 evaluates online reconfiguration policies on a join-and-mobility
+// trace: each device asks to join once, at an epoch in the first half
+// of the run, and none leaves; every attached device moves (random
+// waypoint) so delays drift each epoch, and one edge server fails
+// midway, detaching the devices that cannot be re-placed. Policies trade
+// delay against migration churn:
 //
 //   - join-only: place on arrival, never migrate (beyond failure
 //     evacuation) — the "configure once" strawman.
@@ -89,8 +91,8 @@ func T4(o Options) ([]*Table, error) {
 			}
 			walkers[i] = w
 		}
-		// Deterministic churn script: device i joins at epoch i%J and
-		// leaves for one epoch every 6th epoch when (i+e)%11 == 0.
+		// Deterministic join script: device i joins at an epoch drawn
+		// uniformly from the first half of the run, and no device leaves.
 		churn := xrand.NewSplit(seed, "churn")
 		joinEpoch := make([]int, maxDevices)
 		for i := range joinEpoch {
@@ -138,7 +140,7 @@ func T4(o Options) ([]*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				// Churn: joins due this epoch, temporary leaves.
+				// Joins due this epoch.
 				for i := 0; i < maxDevices; i++ {
 					if e == joinEpoch[i] && !attached[i] {
 						if _, err := ctrl.Join(i, costs[i], devices[i].Load()); err != nil {

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 
 	"taccc/internal/gap"
 	"taccc/internal/obs"
@@ -27,7 +28,8 @@ type Scenario struct {
 	// Rho is the capacity tightness in (0, 1]; default 0.7.
 	Rho float64
 	// PayloadKB, when > 0, makes delays payload-aware (transmission time
-	// at link bandwidth added to propagation).
+	// at link bandwidth added to propagation); it must be finite and
+	// >= 0.
 	PayloadKB float64
 	// Links overrides generated link latencies/bandwidths; the zero
 	// value uses topology.DefaultLinkParams.
@@ -121,6 +123,9 @@ func (s Scenario) Build() (*Built, error) {
 	s = s.withDefaults()
 	if s.NumIoT <= 0 || s.NumEdge <= 0 {
 		return nil, fmt.Errorf("experiment: scenario needs NumIoT and NumEdge > 0, got %d, %d", s.NumIoT, s.NumEdge)
+	}
+	if p := s.PayloadKB; p < 0 || math.IsNaN(p) || math.IsInf(p, 1) {
+		return nil, fmt.Errorf("experiment: scenario payload %v KB must be finite and >= 0", p)
 	}
 	cfg := topology.Config{
 		NumIoT:      s.NumIoT,

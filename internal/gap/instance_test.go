@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"taccc/internal/jsonx"
 	"taccc/internal/topology"
 	"taccc/internal/workload"
 )
@@ -513,7 +514,11 @@ func TestAssignmentJSONRoundTrip(t *testing.T) {
 	if err := a.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	a2, err := ReadAssignmentJSON(&buf, in)
+	var aj assignmentJSON
+	if err := jsonx.Decode(&buf, &aj); err != nil {
+		t.Fatal(err)
+	}
+	a2, err := NewAssignment(in, aj.Of)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,9 +526,6 @@ func TestAssignmentJSONRoundTrip(t *testing.T) {
 		if a.Of[i] != a2.Of[i] {
 			t.Fatal("assignment round trip mismatch")
 		}
-	}
-	if _, err := ReadAssignmentJSON(bytes.NewReader([]byte(`{"of":[9,9,9]}`)), in); err == nil {
-		t.Error("invalid assignment accepted on read")
 	}
 	if _, err := ReadJSON(bytes.NewReader([]byte("{"))); err == nil {
 		t.Error("truncated instance JSON accepted")

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"taccc/internal/jsonx"
 )
 
 // instanceJSON is the wire format for Instance.
@@ -32,10 +34,11 @@ func (in *Instance) WriteJSON(w io.Writer) error {
 	return enc.Encode(ij)
 }
 
-// ReadJSON parses and validates an instance written by WriteJSON.
+// ReadJSON parses and validates an instance written by WriteJSON,
+// strictly: see jsonx.Decode.
 func ReadJSON(r io.Reader) (*Instance, error) {
 	var ij instanceJSON
-	if err := json.NewDecoder(r).Decode(&ij); err != nil {
+	if err := jsonx.Decode(r, &ij); err != nil {
 		return nil, fmt.Errorf("gap: decoding instance: %w", err)
 	}
 	return NewInstance(ij.CostMs, ij.Weight, ij.Capacity)
@@ -51,13 +54,4 @@ func (a *Assignment) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(assignmentJSON{Of: a.Of})
-}
-
-// ReadAssignmentJSON parses an assignment and validates it against in.
-func ReadAssignmentJSON(r io.Reader, in *Instance) (*Assignment, error) {
-	var aj assignmentJSON
-	if err := json.NewDecoder(r).Decode(&aj); err != nil {
-		return nil, fmt.Errorf("gap: decoding assignment: %w", err)
-	}
-	return NewAssignment(in, aj.Of)
 }

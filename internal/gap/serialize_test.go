@@ -7,8 +7,11 @@ import (
 
 // FuzzReadInstanceJSON feeds arbitrary bytes to ReadJSON. It must either
 // return an error or return an instance whose WriteJSON output reads back
-// and writes out again as the same bytes; it must never panic. The seeds
-// cover a valid instance and each way the wire format can be malformed.
+// and writes out again as the same bytes; it must never panic. An
+// accepted input must be rejected with a non-letter byte appended, or
+// with the case of its first member name's first letter swapped. The
+// seeds cover a valid instance and each way the wire format can be
+// malformed.
 func FuzzReadInstanceJSON(f *testing.F) {
 	valid, err := Synthetic(SyntheticCorrelated, 4, 3, 0.8, 5)
 	if err != nil {
@@ -45,6 +48,20 @@ func FuzzReadInstanceJSON(f *testing.F) {
 		in, err := ReadJSON(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		for _, b := range []byte(`0,}]"{`) {
+			if _, err := ReadJSON(bytes.NewReader(append(bytes.Clone(data), b))); err == nil {
+				t.Fatalf("accepted with %q appended", b)
+			}
+		}
+		if i := bytes.IndexByte(data, '"'); i >= 0 && i+1 < len(data) {
+			if c := data[i+1] | 0x20; c >= 'a' && c <= 'z' {
+				swapped := bytes.Clone(data)
+				swapped[i+1] ^= 0x20
+				if _, err := ReadJSON(bytes.NewReader(swapped)); err == nil {
+					t.Fatalf("accepted with the first member name's case swapped:\n%s", swapped)
+				}
+			}
 		}
 		var first, second bytes.Buffer
 		if err := in.WriteJSON(&first); err != nil {

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"path/filepath"
 	"sort"
@@ -13,9 +12,9 @@ import (
 // GitHub's upload-sarif action turns each result into a PR annotation at
 // the flagged line. The writer emits the minimal valid slice of SARIF
 // 2.1.0 — one run, one tool, rule metadata for every analyzer, one
-// physical location per result — and the reader is deliberately strict
-// (unknown fields, missing locations or undeclared rule ids are errors)
-// so the round-trip test pins the schema down instead of trusting it.
+// physical location per result. The round-trip test reads it back
+// strictly (unknown fields, missing locations or undeclared rule ids are
+// errors), so it pins the schema down instead of trusting it.
 
 // sarifVersion and sarifSchema identify the emitted document.
 const (
@@ -126,57 +125,4 @@ func WriteSARIF(w io.Writer, findings []Finding, dir string) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(&doc)
-}
-
-// ReadSARIF parses and validates a document written by WriteSARIF and
-// reconstructs its findings. It is strict on purpose: unknown fields,
-// a version other than 2.1.0, anything but exactly one run, a result
-// whose ruleId the driver did not declare, a result without a location,
-// or a region before line 1 are all errors.
-func ReadSARIF(r io.Reader) ([]Finding, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var doc sarifLog
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("sarif: %w", err)
-	}
-	if doc.Version != sarifVersion {
-		return nil, fmt.Errorf("sarif: version %q, want %q", doc.Version, sarifVersion)
-	}
-	if len(doc.Runs) != 1 {
-		return nil, fmt.Errorf("sarif: %d runs, want exactly 1", len(doc.Runs))
-	}
-	run := doc.Runs[0]
-	if run.Tool.Driver.Name == "" {
-		return nil, fmt.Errorf("sarif: missing tool.driver.name")
-	}
-	declared := make(map[string]bool, len(run.Tool.Driver.Rules))
-	for _, rule := range run.Tool.Driver.Rules {
-		if rule.ID == "" {
-			return nil, fmt.Errorf("sarif: rule with empty id")
-		}
-		declared[rule.ID] = true
-	}
-	findings := make([]Finding, 0, len(run.Results))
-	for i, res := range run.Results {
-		if !declared[res.RuleID] {
-			return nil, fmt.Errorf("sarif: result %d has undeclared ruleId %q", i, res.RuleID)
-		}
-		if len(res.Locations) == 0 {
-			return nil, fmt.Errorf("sarif: result %d has no location", i)
-		}
-		loc := res.Locations[0].PhysicalLocation
-		if loc.ArtifactLocation.URI == "" {
-			return nil, fmt.Errorf("sarif: result %d has no artifact uri", i)
-		}
-		if loc.Region.StartLine < 1 {
-			return nil, fmt.Errorf("sarif: result %d has startLine %d, want >= 1", i, loc.Region.StartLine)
-		}
-		f := Finding{Analyzer: res.RuleID, Message: res.Message.Text}
-		f.Pos.Filename = loc.ArtifactLocation.URI
-		f.Pos.Line = loc.Region.StartLine
-		f.Pos.Column = loc.Region.StartColumn
-		findings = append(findings, f)
-	}
-	return findings, nil
 }

@@ -167,7 +167,7 @@ func TestTransportationProblem(t *testing.T) {
 func TestRandomBoundedLPQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		src := xrand.New(seed)
-		n := src.UniformInt(2, 6)
+		n := 2 + src.Intn(5)
 		c := make([]float64, n)
 		u := make([]float64, n)
 		for i := range c {

@@ -1,13 +1,13 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"sort"
+
+	"taccc/internal/jsonx"
 )
 
 // Chrome trace-event export: renders pipeline spans in the JSON Object
@@ -152,53 +152,20 @@ func WriteChromeTrace(w io.Writer, spans []Span, counters ...CounterSample) erro
 	return enc.Encode(ChromeTraceFromSpans(spans, counters...))
 }
 
-// chromeTraceMembers and chromeEventMembers are the exact member names of
-// ChromeTrace and ChromeEvent.
-var (
-	chromeTraceMembers = []string{"traceEvents", "displayTimeUnit"}
-	chromeEventMembers = []string{"name", "ph", "ts", "dur", "pid", "tid", "args"}
-)
-
 // ReadChromeTrace is the strict decoder for files written by
 // WriteChromeTrace (the CI trace-smoke gate validates exports through
-// it). Unknown JSON members (a mis-cased name such as "NAME" included,
-// which encoding/json alone would accept), unsupported phase types,
-// malformed events and anything but whitespace after the JSON object are
-// all errors, with the offending event index in the message.
+// it). It reads through jsonx.Decode, so a member name that is not
+// exactly one of ChromeTrace's or ChromeEvent's (a mis-cased "NAME"
+// included), a member given twice and anything but whitespace after the
+// JSON object are errors; so are unsupported phase types and malformed
+// events, with the offending event index in the message.
 func ReadChromeTrace(r io.Reader) (ChromeTrace, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return ChromeTrace{}, fmt.Errorf("chrome trace: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var tr ChromeTrace
-	if err := dec.Decode(&tr); err != nil {
+	if err := jsonx.Decode(r, &tr); err != nil {
 		return ChromeTrace{}, fmt.Errorf("chrome trace: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return ChromeTrace{}, fmt.Errorf("chrome trace: trailing data after the JSON object")
 	}
 	if len(tr.TraceEvents) == 0 {
 		return ChromeTrace{}, fmt.Errorf("chrome trace: empty traceEvents array")
-	}
-	// encoding/json matched member names case-insensitively; re-read the
-	// object and its events as raw members to require exact names.
-	var top map[string]json.RawMessage
-	if err := json.Unmarshal(data, &top); err != nil {
-		return ChromeTrace{}, fmt.Errorf("chrome trace: %w", err)
-	}
-	if name, ok := inexactMember(top, chromeTraceMembers); !ok {
-		return ChromeTrace{}, fmt.Errorf("chrome trace: unknown member %q", name)
-	}
-	var events []map[string]json.RawMessage
-	if err := json.Unmarshal(top["traceEvents"], &events); err != nil {
-		return ChromeTrace{}, fmt.Errorf("chrome trace: %w", err)
-	}
-	for i, ev := range events {
-		if name, ok := inexactMember(ev, chromeEventMembers); !ok {
-			return ChromeTrace{}, fmt.Errorf("chrome trace: event %d: unknown member %q", i, name)
-		}
 	}
 	for i, ev := range tr.TraceEvents {
 		if ev.Name == "" {
@@ -248,16 +215,4 @@ func ReadChromeTrace(r io.Reader) (ChromeTrace, error) {
 		}
 	}
 	return tr, nil
-}
-
-// inexactMember returns the least member name of obj that is not exactly
-// one of names, and false; or true when every name is exact.
-func inexactMember(obj map[string]json.RawMessage, names []string) (string, bool) {
-	bad, found := "", false
-	for k := range obj {
-		if !slices.Contains(names, k) && (!found || k < bad) {
-			bad, found = k, true
-		}
-	}
-	return bad, !found
 }

@@ -195,9 +195,11 @@ func TestReadChromeTraceRejectsMalformedCounters(t *testing.T) {
 
 // FuzzReadChromeTrace feeds the strict decoder arbitrary bytes. It must
 // never panic, and any trace it accepts must read back from its own
-// json.Marshal encoding, encoding to the same bytes again. The seeds are
-// a real export with counter tracks, the minimal trace and every
-// malformed case above, trailing data included.
+// json.Marshal encoding, encoding to the same bytes again. An accepted
+// input must be rejected with a non-letter byte appended, or with the
+// case of its first member name's first letter swapped. The seeds are a
+// real export with counter tracks, the minimal trace and every malformed
+// case above, trailing data included.
 func FuzzReadChromeTrace(f *testing.F) {
 	counters := []CounterSample{
 		{Name: "go.heap bytes", TsMs: 2, Values: map[string]float64{"inuse": 1 << 20, "alloc": 900 << 10}},
@@ -216,6 +218,20 @@ func FuzzReadChromeTrace(f *testing.F) {
 		tr, err := ReadChromeTrace(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		for _, b := range []byte(`0,}]"{`) {
+			if _, err := ReadChromeTrace(bytes.NewReader(append(bytes.Clone(data), b))); err == nil {
+				t.Fatalf("accepted with %q appended", b)
+			}
+		}
+		if i := bytes.IndexByte(data, '"'); i >= 0 && i+1 < len(data) {
+			if c := data[i+1] | 0x20; c >= 'a' && c <= 'z' {
+				swapped := bytes.Clone(data)
+				swapped[i+1] ^= 0x20
+				if _, err := ReadChromeTrace(bytes.NewReader(swapped)); err == nil {
+					t.Fatalf("accepted with the first member name's case swapped:\n%s", swapped)
+				}
+			}
 		}
 		first, err := json.Marshal(tr)
 		if err != nil {

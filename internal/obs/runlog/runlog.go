@@ -29,6 +29,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"taccc/internal/jsonx"
 	"taccc/internal/obs"
 )
 
@@ -368,11 +369,12 @@ func Load(dir string) (*Archive, error) {
 }
 
 func loadJSONFile(dir, name string, v interface{}) error {
-	data, err := os.ReadFile(filepath.Join(dir, name))
+	f, err := os.Open(filepath.Join(dir, name))
 	if err != nil {
 		return fmt.Errorf("runlog: %s: %w", dir, err)
 	}
-	if err := json.Unmarshal(data, v); err != nil {
+	defer f.Close()
+	if err := jsonx.Decode(f, v); err != nil {
 		return fmt.Errorf("runlog: %s: %s: invalid or truncated JSON: %w", dir, name, err)
 	}
 	return nil

@@ -60,9 +60,6 @@ func NewController(capacity []float64) (*Controller, error) {
 	return c, nil
 }
 
-// NumEdges returns the number of edges.
-func (c *Controller) NumEdges() int { return len(c.capacity) }
-
 // NumDevices returns the number of attached devices.
 func (c *Controller) NumDevices() int { return len(c.devices) }
 

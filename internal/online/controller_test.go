@@ -305,7 +305,7 @@ func TestFailEdgeStrands(t *testing.T) {
 func TestControllerInvariantQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		src := xrand.New(seed)
-		m := src.UniformInt(2, 4)
+		m := 2 + src.Intn(3)
 		capacity := make([]float64, m)
 		for j := range capacity {
 			capacity[j] = src.Uniform(5, 15)

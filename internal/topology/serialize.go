@@ -28,23 +28,6 @@ type linkJSON struct {
 	Bandwidth float64 `json:"bandwidth_mbps"`
 }
 
-func kindFromString(s string) (NodeKind, error) {
-	switch s {
-	case "iot":
-		return KindIoT, nil
-	case "gateway":
-		return KindGateway, nil
-	case "router":
-		return KindRouter, nil
-	case "edge":
-		return KindEdge, nil
-	case "cloud":
-		return KindCloud, nil
-	default:
-		return 0, fmt.Errorf("topology: unknown node kind %q", s)
-	}
-}
-
 // WriteJSON serializes the graph. Node order and link order are stable so
 // output is byte-for-byte reproducible.
 func (g *Graph) WriteJSON(w io.Writer) error {
@@ -68,38 +51,6 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(gj)
-}
-
-// ReadJSON parses a graph previously written by WriteJSON.
-func ReadJSON(r io.Reader) (*Graph, error) {
-	var gj graphJSON
-	if err := json.NewDecoder(r).Decode(&gj); err != nil {
-		return nil, fmt.Errorf("topology: decoding graph: %w", err)
-	}
-	g := NewGraph()
-	for _, n := range gj.Nodes {
-		kind, err := kindFromString(n.Kind)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := g.AddNode(kind, n.Name, n.X, n.Y); err != nil {
-			return nil, err
-		}
-	}
-	for _, l := range gj.Links {
-		a, ok := g.byName[l.A]
-		if !ok {
-			return nil, fmt.Errorf("topology: link references unknown node %q", l.A)
-		}
-		b, ok := g.byName[l.B]
-		if !ok {
-			return nil, fmt.Errorf("topology: link references unknown node %q", l.B)
-		}
-		if err := g.AddLink(a, b, l.LatencyMs, l.Bandwidth); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
 }
 
 // WriteDOT emits a Graphviz representation for visual inspection. Nodes are

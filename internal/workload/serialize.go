@@ -2,7 +2,6 @@ package workload
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -11,22 +10,4 @@ func WriteDevicesJSON(w io.Writer, devices []Device) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(devices)
-}
-
-// ReadDevicesJSON parses a population written by WriteDevicesJSON and
-// validates the fields the simulator depends on.
-func ReadDevicesJSON(r io.Reader) ([]Device, error) {
-	var devices []Device
-	if err := json.NewDecoder(r).Decode(&devices); err != nil {
-		return nil, fmt.Errorf("workload: decoding devices: %w", err)
-	}
-	if len(devices) == 0 {
-		return nil, fmt.Errorf("workload: empty device population")
-	}
-	for i, d := range devices {
-		if d.RateHz <= 0 || d.ComputeUnits <= 0 || d.PayloadKB < 0 || d.DeadlineMs < 0 {
-			return nil, fmt.Errorf("workload: device %d has invalid fields: %+v", i, d)
-		}
-	}
-	return devices, nil
 }

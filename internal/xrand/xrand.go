@@ -65,14 +65,6 @@ func (s *Source) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.rng.Float64()
 }
 
-// UniformInt returns a uniform integer in [lo, hi]. It panics if hi < lo.
-func (s *Source) UniformInt(lo, hi int) int {
-	if hi < lo {
-		panic("xrand: UniformInt with hi < lo")
-	}
-	return lo + s.rng.Intn(hi-lo+1)
-}
-
 // Normal returns a normally distributed float64 with the given mean and
 // standard deviation.
 func (s *Source) Normal(mean, stddev float64) float64 {

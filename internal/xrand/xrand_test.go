@@ -52,32 +52,6 @@ func TestUniformRange(t *testing.T) {
 	}
 }
 
-func TestUniformIntRange(t *testing.T) {
-	s := New(1)
-	seen := map[int]bool{}
-	for i := 0; i < 10000; i++ {
-		v := s.UniformInt(2, 5)
-		if v < 2 || v > 5 {
-			t.Fatalf("UniformInt(2,5) out of range: %v", v)
-		}
-		seen[v] = true
-	}
-	for v := 2; v <= 5; v++ {
-		if !seen[v] {
-			t.Errorf("UniformInt never produced %d", v)
-		}
-	}
-}
-
-func TestUniformIntPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("UniformInt(5,2) did not panic")
-		}
-	}()
-	New(1).UniformInt(5, 2)
-}
-
 func TestExponentialMean(t *testing.T) {
 	s := New(7)
 	const rate = 2.0

@@ -11,8 +11,8 @@ import (
 
 // TestSoakDynamicPipeline drives the whole stack through one long dynamic
 // run — solve, simulate with drift, mid-run reconfiguration with migration
-// pauses, an edge failure and recovery, churn, PS discipline and every
-// request traced into a JSONL stream — and asserts global consistency
+// pauses, an edge failure and recovery, PS discipline and every request
+// traced into a JSONL stream — and asserts global consistency
 // invariants between the simulator's result and the request records
 // decoded back from that stream.
 func TestSoakDynamicPipeline(t *testing.T) {
@@ -72,13 +72,6 @@ func TestSoakDynamicPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := sim.ScheduleEdgeRecovery(45_000, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Churn: device 3 leaves for a minute.
-	if err := sim.ScheduleDeviceChurn(20_000, 3, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.ScheduleDeviceChurn(80_000, 3, true); err != nil {
 		t.Fatal(err)
 	}
 
