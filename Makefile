@@ -144,8 +144,9 @@ trace-smoke:
 
 # Sysmon smoke: the trace smoke with resource sampling on — the export
 # must still strict-validate (now with counter tracks), the archive must
-# carry resources.jsonl, and the report must grow the per-phase
-# resource-attribution table next to the wall-time one.
+# carry resources.jsonl but no live-only series in metrics.json, and the
+# report must grow the per-phase resource-attribution table next to the
+# wall-time one.
 SYSMON_DIR ?= /tmp/taccc-sysmon-smoke
 
 sysmon-smoke:
@@ -155,15 +156,19 @@ sysmon-smoke:
 	  -trace-out $(SYSMON_DIR)/trace.json -archive $(SYSMON_DIR)/run
 	$(GO) run ./cmd/tactrace -chrome $(SYSMON_DIR)/trace.json
 	test -s $(SYSMON_DIR)/run/resources.jsonl
+	if grep -Eq '"(go|proc|sysmon|slo)\.' $(SYSMON_DIR)/run/metrics.json; then \
+	  echo "sysmon smoke: live-only series in the archived metrics.json"; exit 1; \
+	fi
 	$(GO) run ./cmd/tacreport $(SYSMON_DIR)/run -o $(SYSMON_DIR)/report.md
 	grep -q '^## Pipeline phases' $(SYSMON_DIR)/report.md
 	grep -q '^## Resource attribution' $(SYSMON_DIR)/report.md
 	@echo "sysmon smoke passed; report in $(SYSMON_DIR)/report.md"
 
 # SLO smoke: an overloaded tacsim run with the streaming SLO plane on
-# must archive slo.jsonl with at least one fired alert, tacreport must
-# render the compliance section with the alert timeline, and tactrace
-# must rebuild the request records from the archive's request spans.
+# must archive slo.jsonl with at least one fired alert and keep the
+# live-only series out of metrics.json, tacreport must render the
+# compliance section with the alert timeline, and tactrace must rebuild
+# the request records from the archive's request spans.
 SLO_DIR ?= /tmp/taccc-slo-smoke
 
 slo-smoke:
@@ -174,6 +179,9 @@ slo-smoke:
 	test -s $(SLO_DIR)/run/slo.jsonl
 	grep -q '"kind":"slo-alert"' $(SLO_DIR)/run/slo.jsonl
 	grep -q '"state":"firing"' $(SLO_DIR)/run/slo.jsonl
+	if grep -Eq '"(go|proc|sysmon|slo)\.' $(SLO_DIR)/run/metrics.json; then \
+	  echo "slo smoke: live-only series in the archived metrics.json"; exit 1; \
+	fi
 	$(GO) run ./cmd/tacreport $(SLO_DIR)/run -o $(SLO_DIR)/report.md
 	grep -q '^## SLO compliance' $(SLO_DIR)/report.md
 	grep -q '^### Alert timeline' $(SLO_DIR)/report.md

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	taccc "taccc"
 	"taccc/internal/cliutil"
@@ -28,7 +30,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tacgen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		kind    = fs.String("kind", "topology", "what to generate: topology | instance | synthetic")
+		kind    = fs.String("kind", "topology", "what to generate: topology | instance | synthetic | devices")
 		family  = fs.String("family", "hierarchical", "topology family (hierarchical, geometric, waxman, barabasi-albert, grid, fattree, star, ring)")
 		format  = fs.String("format", "json", "topology output format: json | dot | stats")
 		place   = fs.String("place", "uniform", "IoT placement: uniform | hotspot")
@@ -52,14 +54,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cliutil.FprintVersion(stdout, "tacgen")
 		return 0
 	}
+	// Every enum flag is checked before -o is created, so a typo is a
+	// usage error that leaves no file behind.
+	for _, c := range []struct {
+		flag, value string
+		valid       []string
+	}{
+		{"kind", *kind, []string{"topology", "instance", "synthetic", "devices"}},
+		{"format", *format, []string{"json", "dot", "stats"}},
+		{"place", *place, []string{"uniform", "hotspot"}},
+		{"class", *class, []string{"uniform", "correlated"}},
+		{"profile", *profile, []string{"default", "smartcity", "factory", "wearables"}},
+	} {
+		if !slices.Contains(c.valid, c.value) {
+			fmt.Fprintf(stderr, "tacgen: unknown -%s %q (want %s)\n", c.flag, c.value, strings.Join(c.valid, " | "))
+			return 2
+		}
+	}
 	placement := taccc.PlaceUniform
-	switch *place {
-	case "uniform":
-	case "hotspot":
+	if *place == "hotspot" {
 		placement = taccc.PlaceHotspot
-	default:
-		fmt.Fprintf(stderr, "tacgen: unknown -place %q (want uniform or hotspot)\n", *place)
-		return 2
 	}
 	w := stdout
 	if *out != "" {
@@ -97,8 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(w, "diameter:          %d hops\n", m.DiameterHops)
 			fmt.Fprintf(w, "IoT->nearest edge: avg %.3f ms (max %.3f ms), avg %.1f hops\n",
 				m.AvgIoTMinDelayMs, m.MaxIoTMinDelayMs, m.AvgIoTEdgeHops)
-		default:
-			err = fmt.Errorf("unknown format %q", *format)
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "tacgen: %v\n", err)
@@ -122,9 +134,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		k := taccc.SyntheticUniform
 		if *class == "correlated" {
 			k = taccc.SyntheticCorrelated
-		} else if *class != "uniform" {
-			fmt.Fprintf(stderr, "tacgen: unknown class %q\n", *class)
-			return 1
 		}
 		in, err := taccc.SyntheticInstance(k, *n, *m, *rho, *seed)
 		if err != nil {
@@ -136,13 +145,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	case "devices":
-		profiles := taccc.WorkloadProfiles(*seed)
-		pr, ok := profiles[*profile]
-		if !ok {
-			fmt.Fprintf(stderr, "tacgen: unknown profile %q\n", *profile)
-			return 1
-		}
-		devices, err := taccc.GenerateDevices(*iot, pr)
+		devices, err := taccc.GenerateDevices(*iot, taccc.WorkloadProfiles(*seed)[*profile])
 		if err != nil {
 			fmt.Fprintf(stderr, "tacgen: %v\n", err)
 			return 1
@@ -151,9 +154,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "tacgen: %v\n", err)
 			return 1
 		}
-	default:
-		fmt.Fprintf(stderr, "tacgen: unknown kind %q\n", *kind)
-		return 2
 	}
 	return 0
 }

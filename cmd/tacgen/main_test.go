@@ -102,6 +102,29 @@ func TestUnknownPlacementIsUsageError(t *testing.T) {
 	}
 }
 
+// TestUnknownEnumIsUsageError: an unknown value of any enum flag exits
+// 2 with a message naming the flag, and leaves no output file behind.
+func TestUnknownEnumIsUsageError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-kind", "bogus"},
+		{"-format", "bogus"},
+		{"-kind", "synthetic", "-class", "bogus"},
+		{"-kind", "devices", "-profile", "bogus"},
+	} {
+		path := filepath.Join(t.TempDir(), "out.json")
+		var out, errBuf bytes.Buffer
+		if code := run(append(args, "-o", path), &out, &errBuf); code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr %q)", args, code, errBuf.String())
+		}
+		if flag := args[len(args)-2]; !strings.Contains(errBuf.String(), flag+" ") {
+			t.Errorf("%v: message %q does not name %s", args, errBuf.String(), flag)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%v left an output file (stat err %v)", args, err)
+		}
+	}
+}
+
 func TestHotspotPlacement(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	code := run([]string{"-kind", "topology", "-place", "hotspot", "-iot", "10", "-edge", "2"}, &out, &errBuf)

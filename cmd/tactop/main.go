@@ -1,7 +1,8 @@
 // Command tactop is a live text view over a running taccc telemetry
-// server (tacsim/tacsolve/tacbench with -listen): it polls /metrics,
-// reassembles the request counters and per-phase delay histograms, and
-// renders a top-style summary — request totals and miss rate, p50/p95/p99
+// server (tacsim/tacsolve/tacbench with -listen): it polls /snapshot,
+// the run's one metrics registry as JSON, reads the request counters and
+// per-phase delay histograms by their registry names, and renders a
+// top-style summary — request totals and miss rate, p50/p95/p99
 // per delay phase, one line per edge with its queue depth, (when the
 // producer runs with -slo) an SLO panel: the latest closed window's
 // per-series quantiles plus one line per objective with compliance,
@@ -26,10 +27,12 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"taccc/internal/cliutil"
-	"taccc/internal/obs/httpserv"
+	"taccc/internal/jsonx"
+	"taccc/internal/obs"
 )
 
 func main() {
@@ -52,47 +55,57 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cliutil.FprintVersion(stdout, "tactop")
 		return 0
 	}
-	url := "http://" + *addr + "/metrics"
+	url := "http://" + *addr + "/snapshot"
 	for i := 0; *n == 0 || i < *n; i++ {
 		if i > 0 {
 			time.Sleep(*interval)
 		}
-		samples, err := fetch(url)
+		snap, err := fetch(url)
 		if err != nil {
 			fmt.Fprintf(stderr, "tactop: %v\n", err)
 			return 1
 		}
-		render(stdout, *addr, samples)
+		render(stdout, *addr, snap)
 	}
 	return 0
 }
 
-func fetch(url string) ([]httpserv.Sample, error) {
+func fetch(url string) (obs.Snapshot, error) {
+	var snap obs.Snapshot
 	resp, err := http.Get(url)
 	if err != nil {
-		return nil, err
+		return snap, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
+		// The status is the error; the body, read as far as it goes,
+		// only names its cause.
+		body, _ := io.ReadAll(resp.Body)
+		return snap, fmt.Errorf("GET %s: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
 	}
-	return httpserv.ParseText(resp.Body)
+	if err := jsonx.Decode(resp.Body, &snap); err != nil {
+		return snap, fmt.Errorf("GET %s: %w", url, err)
+	}
+	return snap, nil
 }
 
-var edgeDepthRe = regexp.MustCompile(`^cluster_edge_(\d+)_queue_depth$`)
+var edgeDepthRe = regexp.MustCompile(`^cluster\.edge_(\d+)\.queue_depth$`)
 
-// render writes one refresh of the live view from a parsed scrape.
-func render(w io.Writer, addr string, samples []httpserv.Sample) {
-	scalar := make(map[string]float64)
-	for _, s := range samples {
-		if len(s.Labels) == 0 {
-			scalar[s.Name] = s.Value
-		}
+// render writes one refresh of the live view from a registry snapshot.
+func render(w io.Writer, addr string, snap obs.Snapshot) {
+	// Counters and gauges share one namespace in a registry, so the
+	// panels read both from one table.
+	scalar := make(map[string]float64, len(snap.Counters)+len(snap.Gauges))
+	for name, v := range snap.Counters {
+		scalar[name] = float64(v)
 	}
-	sent := scalar["cluster_requests_sent"]
-	ok := scalar["cluster_requests_ok"]
-	missed := scalar["cluster_requests_missed"]
-	dropped := scalar["cluster_requests_dropped"]
+	for name, v := range snap.Gauges {
+		scalar[name] = v
+	}
+	sent := scalar["cluster.requests_sent"]
+	ok := scalar["cluster.requests_ok"]
+	missed := scalar["cluster.requests_missed"]
+	dropped := scalar["cluster.requests_dropped"]
 	missPct := 0.0
 	if finished := ok + missed; finished > 0 {
 		missPct = 100 * missed / finished
@@ -102,15 +115,15 @@ func render(w io.Writer, addr string, samples []httpserv.Sample) {
 
 	fmt.Fprintf(w, "%-10s %10s %10s %10s %10s\n", "phase", "p50 ms", "p95 ms", "p99 ms", "mean ms")
 	phases := []struct{ label, metric string }{
-		{"uplink", "cluster_delay_uplink_ms"},
-		{"queue", "cluster_delay_queue_ms"},
-		{"service", "cluster_delay_service_ms"},
-		{"downlink", "cluster_delay_downlink_ms"},
-		{"e2e", "cluster_latency_ms"},
+		{"uplink", "cluster.delay.uplink_ms"},
+		{"queue", "cluster.delay.queue_ms"},
+		{"service", "cluster.delay.service_ms"},
+		{"downlink", "cluster.delay.downlink_ms"},
+		{"e2e", "cluster.latency_ms"},
 	}
 	for _, p := range phases {
-		h, found := httpserv.HistogramFrom(samples, p.metric)
-		if !found || h.Count == 0 {
+		h := snap.Histograms[p.metric]
+		if h.Count == 0 {
 			fmt.Fprintf(w, "%-10s %10s %10s %10s %10s\n", p.label, "-", "-", "-", "-")
 			continue
 		}
@@ -138,35 +151,35 @@ func render(w io.Writer, addr string, samples []httpserv.Sample) {
 	fmt.Fprintln(w)
 }
 
-var sloObjRe = regexp.MustCompile(`^slo_obj_(.+)_compliance_pct$`)
+var sloObjRe = regexp.MustCompile(`^slo\.obj\.(.+)\.compliance_pct$`)
 
 // sloSeries mirrors the tracker's emission order; the panel's rows.
 var sloSeries = []string{"e2e", "uplink", "queue", "service", "downlink"}
 
-// renderSLO writes the SLO panel when the scrape carries slo.* gauges
+// renderSLO writes the SLO panel when the snapshot carries slo.* gauges
 // (producer ran with -slo) and at least one window has closed: the
 // latest closed window's per-series quantiles, then one line per
 // objective with compliance, remaining error budget, burn rate and the
-// firing state. Objectives are discovered from the exposition itself
-// (slo_obj_<name>_compliance_pct), so the panel tracks whatever spec the
+// firing state. Objectives are discovered from the snapshot itself
+// (slo.obj.<name>.compliance_pct), so the panel tracks whatever spec the
 // producer was started with.
 func renderSLO(w io.Writer, scalar map[string]float64) {
-	if scalar["slo_windows_total"] <= 0 {
+	if scalar["slo.windows_total"] <= 0 {
 		return
 	}
 	fmt.Fprintf(w, "slo window %.0f (t=%.1fs, width %.1fs)  closed %.0f  alert transitions %.0f\n",
-		scalar["slo_window_index"], scalar["slo_window_start_ms"]/1000,
-		scalar["slo_window_ms"]/1000, scalar["slo_windows_total"], scalar["slo_alerts_total"])
+		scalar["slo.window.index"], scalar["slo.window.start_ms"]/1000,
+		scalar["slo.window_ms"]/1000, scalar["slo.windows_total"], scalar["slo.alerts_total"])
 	fmt.Fprintf(w, "%-10s %10s %10s %10s %10s %8s\n", "window", "p50 ms", "p95 ms", "p99 ms", "mean ms", "count")
 	for _, s := range sloSeries {
-		p := "slo_window_" + s + "_"
+		p := "slo.window." + s + "."
 		if scalar[p+"count"] <= 0 {
 			continue
 		}
 		fmt.Fprintf(w, "%-10s %10.2f %10.2f %10.2f %10.2f %8.0f\n", s,
 			scalar[p+"p50_ms"], scalar[p+"p95_ms"], scalar[p+"p99_ms"], scalar[p+"mean_ms"], scalar[p+"count"])
 	}
-	if mr, ok := scalar["slo_window_e2e_miss_rate"]; ok {
+	if mr, ok := scalar["slo.window.e2e.miss_rate"]; ok {
 		fmt.Fprintf(w, "window miss rate %.2f%%\n", 100*mr)
 	}
 	var names []string
@@ -177,7 +190,7 @@ func renderSLO(w io.Writer, scalar map[string]float64) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		p := "slo_obj_" + name + "_"
+		p := "slo.obj." + name + "."
 		flag := ""
 		if scalar[p+"firing"] > 0 {
 			flag = "  FIRING"
@@ -189,29 +202,29 @@ func renderSLO(w io.Writer, scalar map[string]float64) {
 	}
 }
 
-// renderResources writes the sysmon panel when the scrape carries
+// renderResources writes the sysmon panel when the snapshot carries
 // resource metrics (producer ran with -sysmon): heap and RSS levels,
 // goroutines, GC totals, allocation rate, and the age of the last
 // sample. A sample older than three sampling intervals (and at least a
 // second) is flagged STALE — the sampler goroutine has stopped ticking,
 // so the gauges are frozen, not calm.
 func renderResources(w io.Writer, scalar map[string]float64, nowUnixMs int64) {
-	if scalar["sysmon_samples_total"] <= 0 {
+	if scalar["sysmon.samples_total"] <= 0 {
 		return
 	}
 	fmt.Fprintf(w, "resources  heap %s/%s  rss %s  goroutines %.0f  gc %.0f (%.2f ms)  alloc %s/s",
-		mb(scalar["go_heap_alloc_bytes"]), mb(scalar["go_heap_inuse_bytes"]),
-		mb(scalar["proc_rss_bytes"]),
-		scalar["go_goroutines"],
-		scalar["go_gc_cycles_total"], scalar["go_gc_pause_ms_total"],
-		mb(scalar["go_alloc_bytes_per_s"]))
-	if last := scalar["sysmon_last_sample_unix_ms"]; last > 0 {
+		mb(scalar["go.heap_alloc_bytes"]), mb(scalar["go.heap_inuse_bytes"]),
+		mb(scalar["proc.rss_bytes"]),
+		scalar["go.goroutines"],
+		scalar["go.gc_cycles_total"], scalar["go.gc_pause_ms_total"],
+		mb(scalar["go.alloc_bytes_per_s"]))
+	if last := scalar["sysmon.last_sample_unix_ms"]; last > 0 {
 		ageMs := float64(nowUnixMs) - last
 		if ageMs < 0 {
 			ageMs = 0
 		}
 		fmt.Fprintf(w, "  sampled %.1fs ago", ageMs/1000)
-		if interval := scalar["sysmon_interval_ms"]; interval > 0 && ageMs > 3*interval && ageMs > 1000 {
+		if interval := scalar["sysmon.interval_ms"]; interval > 0 && ageMs > 3*interval && ageMs > 1000 {
 			fmt.Fprint(w, "  STALE (sampler wedged?)")
 		}
 	}

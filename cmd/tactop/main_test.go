@@ -89,16 +89,16 @@ func TestRunReportsUnreachableServer(t *testing.T) {
 
 func TestRenderResources(t *testing.T) {
 	base := map[string]float64{
-		"sysmon_samples_total":       10,
-		"sysmon_interval_ms":         250,
-		"sysmon_last_sample_unix_ms": 1_000_000,
-		"go_heap_alloc_bytes":        64 << 20,
-		"go_heap_inuse_bytes":        96 << 20,
-		"proc_rss_bytes":             128 << 20,
-		"go_goroutines":              9,
-		"go_gc_cycles_total":         4,
-		"go_gc_pause_ms_total":       1.25,
-		"go_alloc_bytes_per_s":       2 << 20,
+		"sysmon.samples_total":       10,
+		"sysmon.interval_ms":         250,
+		"sysmon.last_sample_unix_ms": 1_000_000,
+		"go.heap_alloc_bytes":        64 << 20,
+		"go.heap_inuse_bytes":        96 << 20,
+		"proc.rss_bytes":             128 << 20,
+		"go.goroutines":              9,
+		"go.gc_cycles_total":         4,
+		"go.gc_pause_ms_total":       1.25,
+		"go.alloc_bytes_per_s":       2 << 20,
 	}
 
 	// Fresh sample (100 ms old): full panel, no STALE flag.
@@ -126,16 +126,16 @@ func TestRenderResources(t *testing.T) {
 	for k, v := range base {
 		slow[k] = v
 	}
-	slow["sysmon_interval_ms"] = 10_000
+	slow["sysmon.interval_ms"] = 10_000
 	buf.Reset()
 	renderResources(&buf, slow, 1_000_000+5_000)
 	if strings.Contains(buf.String(), "STALE") {
 		t.Errorf("5s-old sample at 10s interval flagged STALE:\n%s", buf.String())
 	}
 
-	// No sysmon metrics in the scrape: the panel is absent entirely.
+	// No sysmon metrics in the snapshot: the panel is absent entirely.
 	buf.Reset()
-	renderResources(&buf, map[string]float64{"cluster_requests_sent": 10}, 1_000_000)
+	renderResources(&buf, map[string]float64{"cluster.requests_sent": 10}, 1_000_000)
 	if buf.Len() != 0 {
 		t.Errorf("panel rendered without sysmon metrics: %q", buf.String())
 	}
@@ -143,29 +143,29 @@ func TestRenderResources(t *testing.T) {
 
 func TestRenderSLO(t *testing.T) {
 	base := map[string]float64{
-		"slo_windows_total":                12,
-		"slo_alerts_total":                 1,
-		"slo_window_index":                 14,
-		"slo_window_start_ms":              14_000,
-		"slo_window_ms":                    1_000,
-		"slo_window_e2e_p50_ms":            10,
-		"slo_window_e2e_p95_ms":            50,
-		"slo_window_e2e_p99_ms":            100,
-		"slo_window_e2e_mean_ms":           18.5,
-		"slo_window_e2e_count":             240,
-		"slo_window_uplink_p50_ms":         2,
-		"slo_window_uplink_p95_ms":         5,
-		"slo_window_uplink_p99_ms":         5,
-		"slo_window_uplink_mean_ms":        2.2,
-		"slo_window_uplink_count":          240,
-		"slo_window_e2e_miss_rate":         0.0125,
-		"slo_obj_e2e_p95_compliance_pct":   91.67,
-		"slo_obj_e2e_p95_target_pct":       99,
-		"slo_obj_e2e_p95_violations":       1,
-		"slo_obj_e2e_p95_windows":          12,
-		"slo_obj_e2e_p95_budget_remaining": -0.88,
-		"slo_obj_e2e_p95_burn_rate":        1.67,
-		"slo_obj_e2e_p95_firing":           1,
+		"slo.windows_total":                12,
+		"slo.alerts_total":                 1,
+		"slo.window.index":                 14,
+		"slo.window.start_ms":              14_000,
+		"slo.window_ms":                    1_000,
+		"slo.window.e2e.p50_ms":            10,
+		"slo.window.e2e.p95_ms":            50,
+		"slo.window.e2e.p99_ms":            100,
+		"slo.window.e2e.mean_ms":           18.5,
+		"slo.window.e2e.count":             240,
+		"slo.window.uplink.p50_ms":         2,
+		"slo.window.uplink.p95_ms":         5,
+		"slo.window.uplink.p99_ms":         5,
+		"slo.window.uplink.mean_ms":        2.2,
+		"slo.window.uplink.count":          240,
+		"slo.window.e2e.miss_rate":         0.0125,
+		"slo.obj.e2e_p95.compliance_pct":   91.67,
+		"slo.obj.e2e_p95.target_pct":       99,
+		"slo.obj.e2e_p95.violations":       1,
+		"slo.obj.e2e_p95.windows":          12,
+		"slo.obj.e2e_p95.budget_remaining": -0.88,
+		"slo.obj.e2e_p95.burn_rate":        1.67,
+		"slo.obj.e2e_p95.firing":           1,
 	}
 	var buf bytes.Buffer
 	renderSLO(&buf, base)
@@ -196,16 +196,16 @@ func TestRenderSLO(t *testing.T) {
 	for k, v := range base {
 		calm[k] = v
 	}
-	calm["slo_obj_e2e_p95_firing"] = 0
+	calm["slo.obj.e2e_p95.firing"] = 0
 	buf.Reset()
 	renderSLO(&buf, calm)
 	if strings.Contains(buf.String(), "FIRING") {
 		t.Errorf("non-firing objective flagged FIRING:\n%s", buf.String())
 	}
 
-	// No SLO metrics in the scrape: the panel is absent entirely.
+	// No SLO metrics in the snapshot: the panel is absent entirely.
 	buf.Reset()
-	renderSLO(&buf, map[string]float64{"cluster_requests_sent": 10})
+	renderSLO(&buf, map[string]float64{"cluster.requests_sent": 10})
 	if buf.Len() != 0 {
 		t.Errorf("panel rendered without slo metrics: %q", buf.String())
 	}

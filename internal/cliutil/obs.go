@@ -1,10 +1,12 @@
 package cliutil
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"taccc/internal/obs"
@@ -51,8 +53,10 @@ var executionOnlyFlags = map[string]bool{
 // -slo-window), validates them before any side effect, starts the planes
 // in a fixed order and tears them down in the order the archive needs.
 //
-// Start order: archive, sysmon, SLO, trace, profiles, events, registry,
-// telemetry. The sampler precedes the tracer so every phase, the root
+// Start order: archive, registry, sysmon, SLO, trace, profiles, events,
+// telemetry. The run has one metrics registry, shared by the tool, the
+// sampler and the SLO tracker; it precedes both planes so their series
+// land in it. The sampler precedes the tracer so every phase, the root
 // included, carries resource attributes; the archive precedes both so
 // their streams land inside it.
 //
@@ -80,7 +84,6 @@ type Obs struct {
 	archive        *runlog.Writer
 	sampler        *sysmon.Sampler
 	counters       *sysmon.Collector
-	sysReg, sloReg *obs.Registry
 	tracker        *slo.Tracker
 	spans          *obs.SpanCollector
 	root           *obs.Phase
@@ -156,6 +159,9 @@ func (o *Obs) Start(seed int64, stdout, stderr io.Writer) error {
 		}
 		o.archive = w
 	}
+	if o.metricsOut != "" || o.listen != "" || o.archive != nil {
+		o.reg = obs.NewRegistry()
+	}
 	var res obs.ResourceSource
 	if o.sysmonOn {
 		var sinks []obs.Sink
@@ -170,8 +176,7 @@ func (o *Obs) Start(seed int64, stdout, stderr io.Writer) error {
 			o.counters = &sysmon.Collector{}
 			sinks = append(sinks, o.counters)
 		}
-		o.sysReg = obs.NewRegistry()
-		o.sampler = sysmon.New(sysmon.Options{Clock: obs.WallClock(), Registry: o.sysReg, Sink: obs.MultiSink(sinks...)})
+		o.sampler = sysmon.New(sysmon.Options{Clock: obs.WallClock(), Registry: o.reg, Sink: obs.MultiSink(sinks...)})
 		o.sampler.Start(o.sysmonInterval)
 		res = o.sampler
 	}
@@ -188,9 +193,8 @@ func (o *Obs) Start(seed int64, stdout, stderr io.Writer) error {
 			}
 			sink = js
 		}
-		o.sloReg = obs.NewRegistry()
 		o.tracker, err = slo.New(slo.Config{
-			WindowMs: o.sloWindowSec * 1000, Objectives: objectives, Sink: sink, Metrics: o.sloReg,
+			WindowMs: o.sloWindowSec * 1000, Objectives: objectives, Sink: sink, Metrics: o.reg,
 		})
 		if err != nil {
 			return err
@@ -226,14 +230,8 @@ func (o *Obs) Start(seed int64, stdout, stderr io.Writer) error {
 		sinks = append(sinks, o.archive.Sink())
 	}
 	o.sink = obs.MultiSink(sinks...)
-	if o.metricsOut != "" || o.listen != "" || o.archive != nil {
-		o.reg = obs.NewRegistry()
-	}
 	if o.listen != "" {
-		// The sysmon and SLO registries are merged in at serve time only,
-		// never into the archived snapshot, which must stay identical with
-		// those planes on or off.
-		srv, err := httpserv.Start(o.listen, o.reg, o.sysReg, o.sloReg)
+		srv, err := httpserv.Start(o.listen, o.reg)
 		if err != nil {
 			return err
 		}
@@ -277,10 +275,41 @@ func (o *Obs) Root() *obs.Phase { return o.root }
 // event stream (nil when both are off).
 func (o *Obs) Sink() obs.Sink { return o.sink }
 
-// Registry returns the run's semantic metrics registry — the one
-// archived as metrics.json and written by -metrics-out (nil unless
-// -metrics-out, -listen or -archive was given).
+// Registry returns the run's one metrics registry: the tool's series,
+// plus sysmon's and the SLO tracker's when those planes are on. -listen
+// serves all of it; metrics.json and -metrics-out hold its snapshot
+// without the series liveOnlyPrefixes names. It is nil unless
+// -metrics-out, -listen or -archive was given, since nothing else reads
+// it.
 func (o *Obs) Registry() *obs.Registry { return o.reg }
+
+// liveOnlyPrefixes name the series that describe how a run executed
+// rather than what it computed: sysmon's go.*, proc.* and sysmon.*
+// resource series and the SLO tracker's slo.* window gauges. They are
+// served live but left out of metrics.json and -metrics-out, which stay
+// byte-identical with those planes on or off and at any -workers.
+var liveOnlyPrefixes = []string{"go.", "proc.", "sysmon.", "slo."}
+
+// archivedSnapshot is the registry's snapshot minus its live-only
+// series: what metrics.json and -metrics-out hold.
+func (o *Obs) archivedSnapshot() obs.Snapshot {
+	snap := o.reg.Snapshot()
+	dropLiveOnly(snap.Counters)
+	dropLiveOnly(snap.Gauges)
+	dropLiveOnly(snap.Histograms)
+	return snap
+}
+
+func dropLiveOnly[V any](series map[string]V) {
+	for name := range series {
+		for _, p := range liveOnlyPrefixes {
+			if strings.HasPrefix(name, p) {
+				delete(series, name)
+				break
+			}
+		}
+	}
+}
 
 // SLO returns the SLO tracker (nil when -slo is off).
 func (o *Obs) SLO() *slo.Tracker { return o.tracker }
@@ -321,7 +350,7 @@ func (o *Obs) PrintSLO() {
 
 // Finish tears the output planes down in order and seals the archive
 // with the run's metrics snapshot and summary. The sampler keeps
-// refreshing its registry afterwards, for tacsim -linger. The first
+// refreshing its series afterwards, for tacsim -linger. The first
 // error is returned; the run must fail rather than ship a truncated
 // stream, trace or archive.
 func (o *Obs) Finish(summary runlog.Summary) error {
@@ -332,8 +361,9 @@ func (o *Obs) Finish(summary runlog.Summary) error {
 	if err := o.events.Close(); err != nil {
 		return fmt.Errorf("events: %w", err)
 	}
+	snap := o.archivedSnapshot()
 	if o.archive != nil {
-		if err := o.archive.Close(o.reg.Snapshot(), summary); err != nil {
+		if err := o.archive.Close(snap, summary); err != nil {
 			return err
 		}
 		fmt.Fprintf(o.stdout, "archive:    run archive -> %s\n", o.archiveDir)
@@ -345,7 +375,9 @@ func (o *Obs) Finish(summary runlog.Summary) error {
 	if err != nil {
 		return err
 	}
-	err = o.reg.WriteJSON(f)
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	err = enc.Encode(snap)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -140,7 +140,7 @@ func TestObsAllPlanesOff(t *testing.T) {
 	if o.Root() != nil || o.Sink() != nil || o.Registry() != nil || o.SLO() != nil || o.Progress(false) != nil {
 		t.Fatal("a plane is on with every flag unset")
 	}
-	if o.archive != nil || o.events != nil || o.sampler != nil || o.sysReg != nil || o.sloReg != nil || o.Serving() {
+	if o.archive != nil || o.events != nil || o.sampler != nil || o.Serving() {
 		t.Fatalf("off session holds live state: %+v", o)
 	}
 	o.PrintSLO()
@@ -208,8 +208,8 @@ func TestSysmonNilAndOffSafe(t *testing.T) {
 	dir := filepath.Join(tmp, "run")
 	tracePath := filepath.Join(tmp, "trace.json")
 	o, _ := startObs(t, false, "-trace-out", tracePath, "-archive", dir)
-	if o.sampler != nil || o.counters != nil || o.sysReg != nil {
-		t.Fatal("off sysmon produced a sampler, collector or registry")
+	if o.sampler != nil || o.counters != nil || len(o.Registry().Snapshot().Gauges) != 0 {
+		t.Fatal("off sysmon produced a sampler, collector or resource gauges")
 	}
 	if err := o.Finish(runlog.Summary{}); err != nil {
 		t.Fatal(err)
@@ -241,8 +241,8 @@ func TestSLONilAndOffSafe(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "run")
 	o, stdout := startObs(t, true, "-archive", dir, "-listen", "127.0.0.1:0")
 	tr := o.SLO()
-	if tr != nil || o.sloReg != nil {
-		t.Fatal("off SLO produced a tracker or registry")
+	if tr != nil {
+		t.Fatal("off SLO produced a tracker")
 	}
 	tr.Observe(100, 500, false)
 	tr.Finish(500)
@@ -261,6 +261,19 @@ func TestSLONilAndOffSafe(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, runlog.SLOFile)); !os.IsNotExist(err) {
 		t.Fatalf("off SLO left %s in the archive: %v", runlog.SLOFile, err)
+	}
+}
+
+// TestLivePlanesAloneBuildNoRegistry: -sysmon and -slo without
+// -listen, -archive or -metrics-out start their planes but build no
+// registry, since nothing would read one.
+func TestLivePlanesAloneBuildNoRegistry(t *testing.T) {
+	o, _ := startObs(t, true, "-sysmon", "-slo", "p95<=20")
+	if o.sampler == nil || o.SLO() == nil {
+		t.Fatal("-sysmon and -slo must start their planes")
+	}
+	if o.Registry() != nil {
+		t.Fatal("a registry was built that nothing reads")
 	}
 }
 
@@ -409,8 +422,8 @@ func TestSLOStartWithArchive(t *testing.T) {
 	if len(ar.SLO) == 0 {
 		t.Fatal("archive has no SLO events")
 	}
-	// SLO gauges live in their own registry: the archived snapshot must
-	// stay identical with the plane off.
+	// SLO gauges are live-only: the archived snapshot leaves them out, so
+	// it stays identical with the plane off.
 	for name := range ar.Metrics.Gauges {
 		if strings.HasPrefix(name, "slo.") {
 			t.Fatalf("slo gauge %s leaked into the archived metrics snapshot", name)

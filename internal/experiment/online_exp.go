@@ -82,6 +82,16 @@ func T4(o Options) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Deterministic join script: device i joins at an epoch drawn
+		// uniformly from the first half of the run, and no device leaves.
+		churn := xrand.NewSplit(seed, "churn")
+		joinEpoch := make([]int, maxDevices)
+		for i := range joinEpoch {
+			joinEpoch[i] = churn.Intn(epochs / 2)
+		}
+
+		// Every policy replays the same walkers, so each epoch's delay
+		// vectors come from one topology snapshot, built once here.
 		walkers := make([]*workload.RandomWaypoint, maxDevices)
 		for i := range walkers {
 			w, err := workload.NewRandomWaypoint(area, 1, 12, 4_000,
@@ -91,31 +101,21 @@ func T4(o Options) ([]*Table, error) {
 			}
 			walkers[i] = w
 		}
-		// Deterministic join script: device i joins at an epoch drawn
-		// uniformly from the first half of the run, and no device leaves.
-		churn := xrand.NewSplit(seed, "churn")
-		joinEpoch := make([]int, maxDevices)
-		for i := range joinEpoch {
-			joinEpoch[i] = churn.Intn(epochs / 2)
-		}
-
-		// costsAt computes the delay vector of device i this epoch from
-		// a per-epoch topology snapshot. Build the snapshot once per
-		// epoch for all devices.
-		buildCosts := func(epoch int) ([][]float64, error) {
-			xs := make([]float64, maxDevices)
-			ys := make([]float64, maxDevices)
+		epochCosts := make([][][]float64, epochs)
+		xs := make([]float64, maxDevices)
+		ys := make([]float64, maxDevices)
+		for e := range epochCosts {
 			for i, w := range walkers {
 				p := w.Pos()
 				xs[i], ys[i] = p.X, p.Y
+				w.Advance(60_000)
 			}
 			g := infra.Clone()
 			if err := topology.AttachIoTAt(g, xs, ys, topology.LinkParams{},
-				xrand.SplitSeed(seed, fmt.Sprintf("attach-%d", epoch))); err != nil {
+				xrand.SplitSeed(seed, fmt.Sprintf("attach-%d", e))); err != nil {
 				return nil, err
 			}
-			dm := topology.NewDelayMatrix(g, topology.LatencyCost)
-			return dm.DelayMs, nil
+			epochCosts[e] = topology.NewDelayMatrix(g, topology.LatencyCost).DelayMs
 		}
 
 		for pi, policy := range mkPolicies(seed) {
@@ -125,21 +125,7 @@ func T4(o Options) ([]*Table, error) {
 				return nil, err
 			}
 			attached := make(map[int]bool)
-			// Reset walkers per policy by re-deriving them so every
-			// policy sees the identical trace.
-			for i := range walkers {
-				w, err := workload.NewRandomWaypoint(area, 1, 12, 4_000,
-					xrand.New(xrand.SplitSeed(seed, fmt.Sprintf("walker-%d", i))))
-				if err != nil {
-					return nil, err
-				}
-				walkers[i] = w
-			}
-			for e := 0; e < epochs; e++ {
-				costs, err := buildCosts(e)
-				if err != nil {
-					return nil, err
-				}
+			for e, costs := range epochCosts {
 				// Joins due this epoch.
 				for i := 0; i < maxDevices; i++ {
 					if e == joinEpoch[i] && !attached[i] {
@@ -177,9 +163,6 @@ func T4(o Options) ([]*Table, error) {
 				}
 				if ctrl.NumDevices() > 0 {
 					res.delay.Add(ctrl.MeanDelay())
-				}
-				for _, w := range walkers {
-					w.Advance(60_000)
 				}
 			}
 			res.migrations += ctrl.Migrations()

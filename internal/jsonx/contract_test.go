@@ -30,8 +30,8 @@ type reader struct {
 // TestReadersKeepTheContract feeds every routed reader its writer's
 // output with one defect each: a mis-cased member, an unknown member, a
 // member given twice, trailing non-whitespace and two concatenated
-// values. Each must be rejected; the output with trailing whitespace
-// must be accepted.
+// values, and a document that is only null. Each must be rejected; the
+// output with trailing whitespace must be accepted.
 func TestReadersKeepTheContract(t *testing.T) {
 	for _, r := range routedReaders(t) {
 		if err := r.read(t, append(bytes.Clone(r.doc), " \n\t\r\n"...)); err != nil {
@@ -43,6 +43,7 @@ func TestReadersKeepTheContract(t *testing.T) {
 			"trailing non-whitespace": {string(r.doc) + "garbage", "after top-level value"},
 			"two concatenated values": {string(r.doc) + string(r.doc), "after top-level value"},
 			"member given twice":      {insertBefore(t, r, dupName, r.dup+", "), "duplicate member"},
+			"top-level null":          {"null\n", "top-level value is null"},
 		}
 		if r.member != "" {
 			quoted := `"` + r.member + `"`

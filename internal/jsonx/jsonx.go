@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -16,7 +17,9 @@ import (
 )
 
 // Decode reads exactly one JSON value from r into v, as json.Unmarshal
-// does, under three rules that encoding/json alone does not keep:
+// does, under four rules that encoding/json alone does not keep:
+//   - the value is not null (json.Unmarshal leaves v as it was, so a
+//     file written as null would read as an empty one);
 //   - every member of an object that fills a struct names one of the
 //     struct's json fields exactly (encoding/json matches names without
 //     regard to case and skips unknown ones);
@@ -42,6 +45,9 @@ func Decode(r io.Reader, v any) error {
 		return err
 	}
 	w := walker{data: data}
+	if w.next() == 'n' {
+		return errors.New("top-level value is null")
+	}
 	return w.value(reflect.TypeOf(v), "")
 }
 

@@ -1,14 +1,15 @@
 // Package httpserv is the live half of the telemetry plane: an HTTP
-// server exposing a metrics Registry as Prometheus text (/metrics), JSON
-// (/snapshot), a liveness probe (/healthz) and the standard pprof
-// endpoints (/debug/pprof). It has no dependencies beyond the standard
-// library, stays entirely read-only with respect to the registry, and is
-// safe to run alongside a simulation in flight — registry metrics are
-// lock-free or briefly locked, so scraping never perturbs results.
+// server exposing a run's one metrics Registry as Prometheus text
+// (/metrics) for outside scrapers, as JSON (/snapshot) for tactop, a
+// liveness probe (/healthz) and the standard pprof endpoints
+// (/debug/pprof). It has no dependencies beyond the standard library,
+// stays entirely read-only with respect to the registry, and is safe to
+// run alongside a simulation in flight — registry metrics are lock-free
+// or briefly locked, so scraping never perturbs results.
 package httpserv
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"net"
 	"net/http"
@@ -17,34 +18,30 @@ import (
 	"taccc/internal/obs"
 )
 
-// Handler returns the telemetry mux over one or more registries, merged
-// at serve time (later registries win on name collisions) — the tool's
-// semantic metrics and sysmon's go.*/proc.* resource metrics stay in
-// separate registries but share one exposition. Registries may be nil
-// (or absent entirely), in which case /metrics and /snapshot serve an
-// empty but well-formed exposition.
-func Handler(regs ...*obs.Registry) http.Handler {
-	snapshot := func() obs.Snapshot {
-		snaps := make([]obs.Snapshot, 0, len(regs))
-		for _, reg := range regs {
-			snaps = append(snaps, reg.Snapshot())
-		}
-		return obs.MergeSnapshots(snaps...)
-	}
+// Handler returns the telemetry mux over reg, which holds every series
+// the run has: the tool's own, and sysmon's and the SLO tracker's when
+// those planes are on. A nil registry serves an empty but well-formed
+// exposition. /snapshot answers 500 with the encoder's error when the
+// snapshot has no JSON form (a NaN or infinite value), rather than an
+// empty 200.
+func Handler(reg *obs.Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = WriteMetrics(w, snapshot())
+		_ = WriteMetrics(w, reg.Snapshot())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
+		var buf bytes.Buffer
+		if err := reg.WriteJSON(&buf); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(snapshot())
+		_, _ = w.Write(buf.Bytes())
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -64,12 +61,12 @@ type Server struct {
 // telemetry handler until Close. It returns once the listener is bound,
 // so Addr() is immediately valid — callers that bind port 0 can discover
 // the assigned port.
-func Start(addr string, regs ...*obs.Registry) (*Server, error) {
+func Start(addr string, reg *obs.Registry) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ln: ln, srv: &http.Server{Handler: Handler(regs...)}}
+	s := &Server{ln: ln, srv: &http.Server{Handler: Handler(reg)}}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }

@@ -1,15 +1,15 @@
 package httpserv
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	"taccc/internal/jsonx"
 	"taccc/internal/obs"
 )
 
@@ -40,75 +40,33 @@ func TestMetricName(t *testing.T) {
 	}
 }
 
-// TestWriteMetricsParses is the acceptance check that /metrics output is
-// valid exposition text: write a snapshot, parse it back with the strict
-// parser, and verify every family survives the round trip.
+// demoExposition is WriteMetrics' output for demoRegistry: counters,
+// then gauges, then histograms, each family sorted by name, with
+// cumulative buckets ending in +Inf == count.
+const demoExposition = `# TYPE cluster_requests_completed counter
+cluster_requests_completed 97
+# TYPE cluster_requests_sent counter
+cluster_requests_sent 100
+# TYPE cluster_edge_0_queue_depth gauge
+cluster_edge_0_queue_depth 3
+# TYPE cluster_latency_ms histogram
+cluster_latency_ms_bucket{le="1"} 1
+cluster_latency_ms_bucket{le="10"} 2
+cluster_latency_ms_bucket{le="100"} 3
+cluster_latency_ms_bucket{le="+Inf"} 4
+cluster_latency_ms_sum 555.5
+cluster_latency_ms_count 4
+`
+
+// TestWriteMetricsParses pins the /metrics exposition byte for byte, the
+// text outside scrapers parse.
 func TestWriteMetricsParses(t *testing.T) {
-	reg := demoRegistry()
 	var sb strings.Builder
-	if err := WriteMetrics(&sb, reg.Snapshot()); err != nil {
+	if err := WriteMetrics(&sb, demoRegistry().Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	text := sb.String()
-	samples, err := ParseText(strings.NewReader(text))
-	if err != nil {
-		t.Fatalf("exposition does not parse: %v\n%s", err, text)
-	}
-	byName := map[string]float64{}
-	for _, s := range samples {
-		if s.Labels == nil {
-			byName[s.Name] = s.Value
-		}
-	}
-	if byName["cluster_requests_sent"] != 100 || byName["cluster_requests_completed"] != 97 {
-		t.Fatalf("counters lost:\n%s", text)
-	}
-	if byName["cluster_edge_0_queue_depth"] != 3 {
-		t.Fatalf("gauge lost:\n%s", text)
-	}
-	if byName["cluster_latency_ms_sum"] != 555.5 || byName["cluster_latency_ms_count"] != 4 {
-		t.Fatalf("histogram sum/count lost:\n%s", text)
-	}
-
-	// Buckets must be cumulative and end at +Inf == count.
-	var inf float64 = -1
-	cums := map[float64]float64{}
-	for _, s := range samples {
-		if s.Name != "cluster_latency_ms_bucket" {
-			continue
-		}
-		le := s.Labels["le"]
-		if le == "+Inf" {
-			inf = s.Value
-			continue
-		}
-		var b float64
-		fmt.Sscanf(le, "%g", &b)
-		cums[b] = s.Value
-	}
-	if inf != 4 {
-		t.Fatalf("+Inf bucket = %v, want 4\n%s", inf, text)
-	}
-	if cums[1] != 1 || cums[10] != 2 || cums[100] != 3 {
-		t.Fatalf("cumulative buckets wrong: %v\n%s", cums, text)
-	}
-
-	// Reassembly recovers the original snapshot.
-	snap, ok := HistogramFrom(samples, "cluster_latency_ms")
-	if !ok {
-		t.Fatal("HistogramFrom failed")
-	}
-	orig := reg.Snapshot().Histograms["cluster.latency_ms"]
-	if snap.Count != orig.Count || snap.Sum != orig.Sum {
-		t.Fatalf("reassembled %+v vs original %+v", snap, orig)
-	}
-	for i, c := range orig.Counts {
-		if snap.Counts[i] != c {
-			t.Fatalf("bucket %d: reassembled %d, original %d", i, snap.Counts[i], c)
-		}
-	}
-	if q := snap.Quantile(0.5); q != orig.Quantile(0.5) {
-		t.Fatalf("p50 drifted through the round trip: %v vs %v", q, orig.Quantile(0.5))
+	if got := sb.String(); got != demoExposition {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, demoExposition)
 	}
 }
 
@@ -117,21 +75,8 @@ func TestWriteMetricsEmptyAndNil(t *testing.T) {
 	if err := WriteMetrics(&sb, (*obs.Registry)(nil).Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseText(strings.NewReader(sb.String())); err != nil {
-		t.Fatalf("empty exposition does not parse: %v", err)
-	}
-}
-
-func TestParseTextRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{
-		"no_value_here",
-		"metric{le=\"unterminated value\n",
-		"metric{le=unquoted} 1",
-		"metric not_a_number",
-	} {
-		if _, err := ParseText(strings.NewReader(bad)); err == nil {
-			t.Errorf("ParseText accepted %q", bad)
-		}
+	if sb.Len() != 0 {
+		t.Fatalf("empty registry exposes %q, want nothing", sb.String())
 	}
 }
 
@@ -160,8 +105,8 @@ func TestHandlerEndpoints(t *testing.T) {
 	if ct != "text/plain; version=0.0.4; charset=utf-8" {
 		t.Fatalf("/metrics Content-Type = %q", ct)
 	}
-	if _, err := ParseText(strings.NewReader(body)); err != nil {
-		t.Fatalf("/metrics does not parse: %v", err)
+	if body != demoExposition {
+		t.Fatalf("/metrics:\n%s\nwant:\n%s", body, demoExposition)
 	}
 
 	body, _ = get("/healthz")
@@ -174,11 +119,11 @@ func TestHandlerEndpoints(t *testing.T) {
 		t.Fatalf("/snapshot Content-Type = %q", ct)
 	}
 	var snap obs.Snapshot
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("/snapshot not JSON: %v", err)
+	if err := jsonx.Decode(strings.NewReader(body), &snap); err != nil {
+		t.Fatalf("/snapshot does not decode: %v", err)
 	}
-	if snap.Counters["cluster.requests.sent"] != 100 {
-		t.Fatalf("/snapshot lost counters: %+v", snap)
+	if !reflect.DeepEqual(snap, reg.Snapshot()) {
+		t.Fatalf("/snapshot = %+v, want %+v", snap, reg.Snapshot())
 	}
 
 	body, _ = get("/debug/pprof/cmdline")
@@ -187,50 +132,36 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 }
 
-// TestHandlerMergesRegistries: the semantic and sysmon registries are
-// kept separate (archives snapshot only the first) but serve as one
-// exposition — both name sets appear on /metrics and /snapshot.
-func TestHandlerMergesRegistries(t *testing.T) {
-	semantic := demoRegistry()
-	sys := obs.NewRegistry()
-	sys.Gauge("go.heap_alloc_bytes").Set(12345)
-	sys.Counter("sysmon.samples_total").Add(3)
-	srv := httptest.NewServer(Handler(semantic, sys))
+// TestHandlerNonFiniteValues: a registry holding an infinite gauge and
+// histogram sum still exposes them on /metrics, while /snapshot, which
+// has no JSON form for them, answers 500 and names the cause instead of
+// an empty 200.
+func TestHandlerNonFiniteValues(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Gauge("g").Set(math.Inf(1))
+	reg.Histogram("h", []float64{1}).Observe(math.Inf(1))
+	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	fams, err := ParseText(resp.Body)
-	if err != nil {
-		t.Fatalf("merged /metrics does not parse: %v", err)
-	}
-	names := map[string]bool{}
-	for _, f := range fams {
-		names[f.Name] = true
-	}
-	for _, want := range []string{"cluster_requests_sent", "go_heap_alloc_bytes", "sysmon_samples_total"} {
-		if !names[want] {
-			t.Errorf("merged exposition missing %s (have %v)", want, names)
+	for _, tc := range []struct {
+		path, want string
+		code       int
+	}{
+		{"/metrics", "g +Inf\n", http.StatusOK},
+		{"/metrics", "h_sum +Inf\n", http.StatusOK},
+		{"/snapshot", "json: unsupported value: +Inf", http.StatusInternalServerError},
+	} {
+		resp, err := http.Get(srv.URL + tc.path)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	resp, err = http.Get(srv.URL + "/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Counters["cluster.requests.sent"] != 100 || snap.Counters["sysmon.samples_total"] != 3 {
-		t.Fatalf("merged /snapshot lost a registry: %+v", snap.Counters)
-	}
-	if snap.Gauges["go.heap_alloc_bytes"] != 12345 {
-		t.Fatalf("merged /snapshot lost sysmon gauges: %+v", snap.Gauges)
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.code || !strings.Contains(string(body), tc.want) {
+			t.Errorf("GET %s: %s %q, want %d with %q", tc.path, resp.Status, body, tc.code, tc.want)
+		}
 	}
 }
 

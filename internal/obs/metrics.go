@@ -274,43 +274,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// MergeSnapshots overlays snapshots left to right into one: later
-// snapshots win on name collisions. The telemetry server uses it to
-// serve several registries — the tool's semantic metrics and sysmon's
-// go.*/proc.* resource metrics — as a single exposition, while the
-// registries themselves stay separate so resource noise never leaks
-// into the deterministic archive snapshot.
-func MergeSnapshots(snaps ...Snapshot) Snapshot {
-	var out Snapshot
-	for _, s := range snaps {
-		if len(s.Counters) > 0 {
-			if out.Counters == nil {
-				out.Counters = make(map[string]int64, len(s.Counters))
-			}
-			for k, v := range s.Counters {
-				out.Counters[k] = v
-			}
-		}
-		if len(s.Gauges) > 0 {
-			if out.Gauges == nil {
-				out.Gauges = make(map[string]float64, len(s.Gauges))
-			}
-			for k, v := range s.Gauges {
-				out.Gauges[k] = v
-			}
-		}
-		if len(s.Histograms) > 0 {
-			if out.Histograms == nil {
-				out.Histograms = make(map[string]HistogramSnapshot, len(s.Histograms))
-			}
-			for k, v := range s.Histograms {
-				out.Histograms[k] = v
-			}
-		}
-	}
-	return out
-}
-
 // WriteJSON writes an indented JSON snapshot of the registry to w.
 func (r *Registry) WriteJSON(w io.Writer) error { //lint:allow nilrecv nil-safe via Snapshot, which guards the receiver
 	enc := json.NewEncoder(w)

@@ -147,10 +147,11 @@ func (o Objective) Spec() string {
 	return fmt.Sprintf("%s.%s<=%g@%g", o.Series, o.Stat, o.Threshold, o.Target*100)
 }
 
-// Config configures a Tracker. Sink and Metrics are optional; both keep
-// the SLO stream out of the simulator's own registry and event stream so
-// archived events.jsonl/metrics.json stay byte-identical with the plane
-// on or off.
+// Config configures a Tracker. Sink and Metrics are optional. The SLO
+// stream goes to its own sink, never the simulator's event stream, and
+// its series all carry the slo. prefix, which archives leave out of
+// metrics.json, so archived events.jsonl/metrics.json stay
+// byte-identical with the plane on or off.
 type Config struct {
 	// WindowMs is the fixed window width in simulated milliseconds
 	// (required, > 0).
@@ -160,9 +161,9 @@ type Config struct {
 	// Sink receives the SLO event stream ("slo-window", "slo-eval",
 	// "slo-alert", "slo-objective" events); runs archive it as slo.jsonl.
 	Sink obs.Sink
-	// Metrics receives live gauges (current-window quantiles, budget,
-	// burn, firing flags) for the telemetry server / tactop. Use a
-	// dedicated registry, merged at serve time like sysmon's.
+	// Metrics receives live slo.* gauges (current-window quantiles,
+	// budget, burn, firing flags) for the telemetry server and tactop. A
+	// CLI passes its run's one registry.
 	Metrics *obs.Registry
 }
 

@@ -447,7 +447,7 @@ func TestRegistryGauges(t *testing.T) {
 	})
 	tr.Observe(5, 500, false)
 	tr.Observe(15, 1, false) // closes window 0 (violating)
-	snap := obs.MergeSnapshots(reg.Snapshot())
+	snap := reg.Snapshot()
 	if v, ok := snap.Gauges["slo.obj.lat.firing"]; !ok || v != 1 {
 		t.Fatalf("slo.obj.lat.firing = %v (ok=%v), want 1", v, ok)
 	}
@@ -461,7 +461,7 @@ func TestRegistryGauges(t *testing.T) {
 		t.Fatalf("slo.window_ms gauge = %v, want 10", v)
 	}
 	tr.Finish(20)
-	snap = obs.MergeSnapshots(reg.Snapshot())
+	snap = reg.Snapshot()
 	if v := snap.Gauges["slo.obj.lat.firing"]; v != 0 {
 		t.Fatalf("firing gauge = %v after Finish, want 0", v)
 	}

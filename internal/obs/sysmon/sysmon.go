@@ -218,11 +218,10 @@ type Options struct {
 	// in production so sample times align with pipeline spans; tests use
 	// an obs.ManualClock.
 	Clock obs.Clock
-	// Registry receives the go.*/proc.*/sysmon.* metrics. Keep this a
-	// *separate* registry from the tool's semantic metrics: archives
-	// snapshot only the semantic registry, which is what keeps
-	// metrics.json byte-identical with sysmon on or off. The telemetry
-	// server merges the two at serve time.
+	// Registry receives the go.*/proc.*/sysmon.* metrics. A CLI passes
+	// its run's one registry, which the telemetry server serves whole;
+	// archives leave these live-only prefixes out of metrics.json, which
+	// stays byte-identical with sysmon on or off.
 	Registry *obs.Registry
 	// Sink receives one "res" event per sample (resources.jsonl, the
 	// in-memory Collector). May be nil.

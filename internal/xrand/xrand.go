@@ -39,8 +39,11 @@ func SplitSeed(seed int64, label string) int64 {
 	return int64(h.Sum64())
 }
 
-// Split returns a new Source whose stream is determined by this source's
-// seed history and the given label. Splitting does not advance the parent.
+// Split returns a new Source seeded from the label and one Int63 drawn
+// from this source. Splitting therefore advances the parent: two
+// Split calls with the same label give different children, and adding
+// or removing a Split shifts every later draw from the parent. Use
+// NewSplit to derive a child from a seed without touching any stream.
 func (s *Source) Split(label string) *Source {
 	return New(SplitSeed(s.Int63(), label))
 }

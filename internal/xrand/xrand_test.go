@@ -28,6 +28,31 @@ func TestSplitSeedStable(t *testing.T) {
 	}
 }
 
+// TestSplitAdvancesParent pins what Split costs its parent: one Int63
+// draw each, so a repeated label gives a new child and every later draw
+// from the parent shifts.
+func TestSplitAdvancesParent(t *testing.T) {
+	parent, ref := New(9), New(9)
+	a, b := parent.Split("x"), parent.Split("x")
+	wantA, wantB := New(SplitSeed(ref.Int63(), "x")), New(SplitSeed(ref.Int63(), "x"))
+	same := true
+	for i := 0; i < 10; i++ {
+		va, vb := a.Int63(), b.Int63()
+		if va != wantA.Int63() || vb != wantB.Int63() {
+			t.Fatalf("draw %d: a child is not seeded from the label and the parent's next Int63", i)
+		}
+		same = same && va == vb
+	}
+	if same {
+		t.Fatal(`two Split("x") calls gave the same child`)
+	}
+	for i := 0; i < 10; i++ {
+		if parent.Int63() != ref.Int63() {
+			t.Fatalf("parent draw %d after two splits differs from the reference's", i)
+		}
+	}
+}
+
 func TestNewSplitIndependence(t *testing.T) {
 	a := NewSplit(1, "a")
 	b := NewSplit(1, "b")
