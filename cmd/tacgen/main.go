@@ -11,6 +11,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -20,6 +21,7 @@ import (
 
 	taccc "taccc"
 	"taccc/internal/cliutil"
+	"taccc/internal/topology"
 )
 
 func main() {
@@ -27,11 +29,15 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
+	var families []string
+	for _, f := range topology.Families() {
+		families = append(families, string(f))
+	}
 	fs := flag.NewFlagSet("tacgen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		kind    = fs.String("kind", "topology", "what to generate: topology | instance | synthetic | devices")
-		family  = fs.String("family", "hierarchical", "topology family (hierarchical, geometric, waxman, barabasi-albert, grid, fattree, star, ring)")
+		family  = fs.String("family", "hierarchical", "topology family ("+strings.Join(families, ", ")+")")
 		format  = fs.String("format", "json", "topology output format: json | dot | stats")
 		place   = fs.String("place", "uniform", "IoT placement: uniform | hotspot")
 		iot     = fs.Int("iot", 100, "number of IoT devices")
@@ -54,13 +60,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cliutil.FprintVersion(stdout, "tacgen")
 		return 0
 	}
-	// Every enum flag is checked before -o is created, so a typo is a
-	// usage error that leaves no file behind.
+	// Every enum flag is checked before anything is generated, so a typo
+	// is a usage error.
 	for _, c := range []struct {
 		flag, value string
 		valid       []string
 	}{
 		{"kind", *kind, []string{"topology", "instance", "synthetic", "devices"}},
+		{"family", *family, families},
 		{"format", *format, []string{"json", "dot", "stats"}},
 		{"place", *place, []string{"uniform", "hotspot"}},
 		{"class", *class, []string{"uniform", "correlated"}},
@@ -75,15 +82,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *place == "hotspot" {
 		placement = taccc.PlaceHotspot
 	}
+	// With -o, the output is generated into a buffer and written only
+	// once generation succeeds, so no error leaves a file behind.
+	var buf bytes.Buffer
 	w := stdout
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(stderr, "tacgen: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		w = f
+		w = &buf
 	}
 
 	switch *kind {
@@ -151,6 +155,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		if err := taccc.WriteDevicesJSON(w, devices); err != nil {
+			fmt.Fprintf(stderr, "tacgen: %v\n", err)
+			return 1
+		}
+	}
+	if *out != "" {
+		if err := os.WriteFile(*out, buf.Bytes(), 0o666); err != nil {
 			fmt.Fprintf(stderr, "tacgen: %v\n", err)
 			return 1
 		}

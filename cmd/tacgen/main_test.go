@@ -108,6 +108,8 @@ func TestUnknownEnumIsUsageError(t *testing.T) {
 	for _, args := range [][]string{
 		{"-kind", "bogus"},
 		{"-format", "bogus"},
+		{"-family", "bogus"},
+		{"-kind", "instance", "-family", "bogus"},
 		{"-kind", "synthetic", "-class", "bogus"},
 		{"-kind", "devices", "-profile", "bogus"},
 	} {
@@ -118,6 +120,26 @@ func TestUnknownEnumIsUsageError(t *testing.T) {
 		}
 		if flag := args[len(args)-2]; !strings.Contains(errBuf.String(), flag+" ") {
 			t.Errorf("%v: message %q does not name %s", args, errBuf.String(), flag)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%v left an output file (stat err %v)", args, err)
+		}
+	}
+}
+
+// TestGeneratorErrorLeavesNoFile: when generation itself fails, tacgen
+// exits 1 and -o is never created.
+func TestGeneratorErrorLeavesNoFile(t *testing.T) {
+	for _, args := range [][]string{
+		{"-kind", "topology", "-iot", "-1"},
+		{"-kind", "instance", "-rho", "5"},
+		{"-kind", "synthetic", "-n", "0"},
+		{"-kind", "devices", "-iot", "-3"},
+	} {
+		path := filepath.Join(t.TempDir(), "out.json")
+		var out, errBuf bytes.Buffer
+		if code := run(append(args, "-o", path), &out, &errBuf); code != 1 {
+			t.Errorf("%v: exit %d, want 1 (stderr %q)", args, code, errBuf.String())
 		}
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
 			t.Errorf("%v left an output file (stat err %v)", args, err)

@@ -96,8 +96,8 @@ func TestTracingOffAddsZeroAllocs(t *testing.T) {
 
 // TestRolloutAllocFree pins the allocation-free lookup: once the Q table
 // holds every state an exploitation rollout visits, a second rollout
-// allocates nothing — the table hashes and compares the MDP's level bytes
-// in place, and the feasible-action buffer is reused.
+// allocates nothing — the table hashes and compares the MDP's key words
+// in place, and the greedy action walks the MDP's candidate order.
 func TestRolloutAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are perturbed by race-detector shadow allocations")
@@ -118,7 +118,7 @@ func TestRolloutAllocFree(t *testing.T) {
 
 // TestRLStepsAllocFree pins the RL assigners' allocation-free steps: a
 // new state's row lands in a Q-table chunk allocated for thousands of
-// rows, and every per-step buffer (n-step's feasible sets included) is
+// rows, and every per-step buffer (n-step's trajectory included) is
 // reused, so quadrupling the episodes adds only the table's few new
 // chunks and index growths, far fewer than one allocation per added
 // episode (each of which takes 120 steps).
@@ -181,16 +181,17 @@ func TestQLearningSmallSolveBytes(t *testing.T) {
 	}
 }
 
-// TestQLearningTableBytes pins the implicit Q rows on an instance whose
-// states rarely repeat: a 400×40 solve creates rows that almost all keep
-// their step's init vector but one action, so a table that stored m
-// values per row would allocate about 60 MB here.
+// TestQLearningTableBytes pins the implicit Q rows and packed state keys
+// on an instance whose states rarely repeat: a 400×40 solve creates rows
+// that almost all keep their step's init vector but one action, so a
+// table that stored m values per row would allocate about 60 MB here,
+// and one that keyed rows by a byte per edge about 13.5 MB.
 func TestQLearningTableBytes(t *testing.T) {
 	in, err := gap.Synthetic(gap.SyntheticUniform, 400, 40, 0.85, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const bound = 20 << 20
+	const bound = 12 << 20
 	got := bytesPerRun(t, 1, func() {
 		if _, err := NewQLearning(1).Assign(in); err != nil {
 			t.Fatal(err)

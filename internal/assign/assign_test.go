@@ -3,6 +3,7 @@ package assign
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -436,34 +437,49 @@ func TestQLearningAblationSwitches(t *testing.T) {
 	}
 }
 
-// levelsFromLoads requantizes every edge's load from scratch; the MDP's
-// incrementally kept level bytes must equal it.
-func levelsFromLoads(m *mdp) string {
-	buf := make([]byte, 0, len(m.loads))
+// packLevels packs levels bit by bit, width bits each, level j at bits
+// j*width.. of a little-endian string of 64-bit words: the layout of the
+// MDP's state key, written out independently of it.
+func packLevels(levels []int, width int) []uint64 {
+	key := make([]uint64, (len(levels)*width+63)/64)
+	for j, level := range levels {
+		for b := 0; b < width; b++ {
+			if pos := j*width + b; level>>b&1 == 1 {
+				key[pos/64] |= 1 << (pos % 64)
+			}
+		}
+	}
+	return key
+}
+
+// keyFromLoads requantizes every edge's load from scratch and packs the
+// levels; the MDP's incrementally kept key must equal it.
+func keyFromLoads(m *mdp) []uint64 {
+	levels := make([]int, len(m.loads))
 	for j, load := range m.loads {
-		level := m.levels - 1
+		levels[j] = m.levels - 1
 		if m.in.Capacity[j] > 0 {
 			u := load / m.in.Capacity[j]
 			if u >= 1 {
 				u = 1 - 1e-9
 			}
-			level = int(u * float64(m.levels))
+			levels[j] = int(u * float64(m.levels))
 		}
-		buf = append(buf, byte('a'+level))
 	}
-	return string(buf)
+	return packLevels(levels, m.width)
 }
 
-// TestMDPStateKey checks the state the Q table is keyed by, (step, level
-// bytes): a fresh episode is step 0 with every edge at the lowest level,
-// and after every take and reset the level bytes equal the levels
-// requantized from loads.
+// TestMDPStateKey checks the state the Q table is keyed by, (step, key
+// words): a fresh episode is step 0 with every edge at the lowest level,
+// each level takes the fewest bits that hold LoadLevels values, and
+// after every take and reset the key equals the levels requantized from
+// loads and packed.
 func TestMDPStateKey(t *testing.T) {
 	in := mustSynthetic(t, gap.SyntheticUniform, 4, 3, 0.5, 1)
 	env := newMDP(in, 4, true)
 	env.reset()
-	if env.step != 0 || string(env.level) != "aaa" {
-		t.Fatalf("initial state (%d, %q), want (0, \"aaa\")", env.step, env.level)
+	if env.step != 0 || !slices.Equal(env.key, []uint64{0}) {
+		t.Fatalf("initial state (%d, %x), want (0, [0])", env.step, env.key)
 	}
 	var buf []int
 	buf = env.feasibleActions(buf)
@@ -477,29 +493,36 @@ func TestMDPStateKey(t *testing.T) {
 
 	// Random episodes, one of whose edges has zero capacity and whose
 	// placements ignore capacity so that levels saturate: after every
-	// reset and every take the incrementally kept levels must equal the
-	// levels requantized from loads.
-	base := mustSynthetic(t, gap.SyntheticUniform, 40, 5, 0.9, 3)
-	capacity := append([]float64(nil), base.Capacity...)
-	capacity[2] = 0
-	cost, weight := matrices(base)
-	zeroCap, err := gap.NewInstance(cost, weight, capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// reset and every take the incrementally kept key must equal the
+	// levels requantized from loads. The edge counts put a level field
+	// across a word boundary: 22 edges at 3 bits, and 33 and 65 at 2.
 	src := xrand.New(9)
-	for _, levels := range []int{1, 2, 4, 8} {
-		env := newMDP(zeroCap, levels, true)
-		for ep := 0; ep < 5; ep++ {
-			env.reset()
-			for {
-				if got, want := string(env.level), levelsFromLoads(env); got != want {
-					t.Fatalf("levels %d episode %d step %d: level bytes %q, from loads %q", levels, ep, env.step, got, want)
+	for _, edges := range []int{5, 22, 33, 65} {
+		base := mustSynthetic(t, gap.SyntheticUniform, 40, edges, 0.9, 3)
+		capacity := append([]float64(nil), base.Capacity...)
+		capacity[2] = 0
+		cost, weight := matrices(base)
+		zeroCap, err := gap.NewInstance(cost, weight, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lw := range [][2]int{{1, 0}, {2, 1}, {3, 2}, {4, 2}, {8, 3}} {
+			levels, width := lw[0], lw[1]
+			env := newMDP(zeroCap, levels, true)
+			if env.width != width || len(env.key) != (edges*width+63)/64 {
+				t.Fatalf("%d edges at %d levels: %d bits per edge in %d words, want %d bits", edges, levels, env.width, len(env.key), width)
+			}
+			for ep := 0; ep < 5; ep++ {
+				env.reset()
+				for {
+					if got, want := env.key, keyFromLoads(env); !slices.Equal(got, want) {
+						t.Fatalf("%d edges, levels %d, episode %d, step %d: key %x, from loads %x", edges, levels, ep, env.step, got, want)
+					}
+					if env.done() {
+						break
+					}
+					env.take(src.Intn(edges))
 				}
-				if env.done() {
-					break
-				}
-				env.take(src.Intn(zeroCap.M()))
 			}
 		}
 	}

@@ -31,47 +31,42 @@ func (nq *NStepQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	t := newTrainer("nstep-qlearning", in, nq.Params, xrand.NewSplit(nq.seed, "nstep-q"))
 	t.prime()
 	env, qt := t.env, t.q
-	var actBuf []int
-	vals := make([]float64, in.M())
 
-	// Per-step trajectory storage, reused across episodes. A step's
-	// feasible set is feasible[lo:hi]: the sets of an episode share one
-	// flat buffer.
+	// Per-step trajectory storage, reused across episodes. A step keeps
+	// the greedy value of the state it acted in: the episode sets no
+	// value before its backward pass, which sets only earlier steps'
+	// rows, so that is the value a bootstrap from the state reads.
 	type step struct {
 		h      qrow
 		action int
 		reward float64
-		lo, hi int
+		best   float64
 	}
 	traj := make([]step, 0, in.N())
-	var feasible []int
 
 	return t.train(func() (float64, bool) {
 		traj = traj[:0]
-		feasible = feasible[:0]
 		cost := 0.0
 		feasibleRun := true
 		for !env.done() {
-			actBuf = env.feasibleActions(actBuf)
-			if len(actBuf) == 0 {
+			h := env.row(qt)
+			a, best, ok := env.greedy(qt, h)
+			if !ok {
 				feasibleRun = false
 				break
 			}
-			h := env.row(qt)
-			a := t.pick(qt.values(h, vals), actBuf)
+			a = t.behave(h, a)
 			i := env.device()
 			r := env.take(a)
 			cost -= r
 			t.of[i] = a
-			lo := len(feasible)
-			feasible = append(feasible, actBuf...)
-			traj = append(traj, step{h: h, action: a, reward: r, lo: lo, hi: len(feasible)})
+			traj = append(traj, step{h: h, action: a, reward: r, best: best})
 		}
 		// Terminal value: 0 for a completed episode, a large penalty
 		// for a dead end (the trajectory is punished through its tail).
 		terminal := 0.0
 		if !feasibleRun {
-			terminal = -deadEndPenalty(in)
+			terminal = -env.penalty
 		}
 		// Batch n-step backward updates against the current table.
 		T := len(traj)
@@ -88,9 +83,7 @@ func (nq *NStepQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 				// Bootstrap from the state entered at step `end`,
 				// which is the state acted on at index `end` of
 				// the trajectory.
-				next := traj[end]
-				_, nv := bestQ(qt.values(next.h, vals), feasible[next.lo:next.hi])
-				g += nv
+				g += traj[end].best
 			} else {
 				g += terminal
 			}

@@ -3,6 +3,7 @@ package assign
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"taccc/internal/gap"
 	"taccc/internal/obs"
@@ -64,33 +65,51 @@ type mdp struct {
 	levels   int
 	residual []float64
 	loads    []float64
-	// level[j] is edge j's quantized-load byte, kept current by take and
-	// reset; with step it is the state the Q table is keyed by.
-	level []byte
+	// key packs every edge's quantized load level, width bits per edge:
+	// edge j's level is bits [j*width, (j+1)*width) of the words read as
+	// one little-endian bit string, so a field may straddle two words.
+	// take and reset keep it current; with step it is the state the Q
+	// table is keyed by.
+	width int
+	key   []uint64
 	step  int
 	// rowInit[t] is the Q-row initialization for any state at step t;
 	// the Q tables read it by reference.
 	rowInit [][]float64
+	// cands[candStart[i]:candStart[i+1]] are device i's reachable edges
+	// in the order bestQ ranks them in an init row: by decreasing init
+	// value, ties by index. That is ascending delay under cost seeding
+	// and index order without it.
+	cands, candStart []int32
+	// penalty is deadEndPenalty(in), computed once per solve.
+	penalty float64
+	// act is greedy's feasible-action buffer for spilled rows.
+	act []int
 }
 
 // newMDP builds the MDP with or without cost-seeded Q rows.
 func newMDP(in *gap.Instance, levels int, costSeed bool) *mdp {
+	n, edges := in.N(), in.M()
+	width := bits.Len(uint(levels - 1))
 	m := &mdp{
 		in:       in,
 		order:    byDecreasingLoad(in),
 		levels:   levels,
-		residual: make([]float64, in.M()),
-		loads:    make([]float64, in.M()),
-		level:    make([]byte, in.M()),
+		residual: make([]float64, edges),
+		loads:    make([]float64, edges),
+		width:    width,
+		key:      make([]uint64, (edges*width+63)/64),
+		penalty:  deadEndPenalty(in),
 	}
 	// Cost-seeded Q initialization: a fresh row for step t starts at
 	// -cost(device(t), j), so the untrained greedy policy already acts
 	// like min-delay greedy and learning only has to correct for
 	// capacity interactions. Unreachable edges start at -Inf and are
 	// never picked either way.
-	m.rowInit = make([][]float64, in.N())
+	m.rowInit = make([][]float64, n)
+	flat := make([]float64, n*edges)
 	for t, dev := range m.order {
-		row := make([]float64, in.M())
+		row := flat[t*edges : (t+1)*edges : (t+1)*edges]
 		for j, c := range in.CostRow(dev) {
 			switch {
 			case math.IsInf(c, 1):
@@ -101,15 +120,20 @@ func newMDP(in *gap.Instance, levels int, costSeed bool) *mdp {
 		}
 		m.rowInit[t] = row
 	}
+	if costSeed {
+		m.cands, m.candStart = moveCandidates(in)
+	} else {
+		m.cands, m.candStart = reachableEdges(in)
+	}
 	return m
 }
 
 // reset starts a new episode.
 func (m *mdp) reset() {
 	copy(m.residual, m.in.Capacity)
+	clear(m.loads)
 	for j := range m.loads {
-		m.loads[j] = 0
-		m.level[j] = m.levelOf(j)
+		m.setLevel(j)
 	}
 	m.step = 0
 }
@@ -121,8 +145,9 @@ func (m *mdp) done() bool { return m.step >= len(m.order) }
 func (m *mdp) device() int { return m.order[m.step] }
 
 // levelOf quantizes edge j's utilization, load/capacity clipped to
-// [0, 1), into one byte; zero-capacity edges are always at the top level.
-func (m *mdp) levelOf(j int) byte {
+// [0, 1), into one of the MDP's levels; zero-capacity edges are always
+// at the top level.
+func (m *mdp) levelOf(j int) uint64 {
 	level := m.levels - 1
 	if m.in.Capacity[j] > 0 {
 		u := m.loads[j] / m.in.Capacity[j]
@@ -131,7 +156,21 @@ func (m *mdp) levelOf(j int) byte {
 		}
 		level = int(u * float64(m.levels))
 	}
-	return byte('a' + level)
+	return uint64(level)
+}
+
+// setLevel writes edge j's current level into its key field.
+func (m *mdp) setLevel(j int) {
+	if m.width == 0 {
+		return // one level: the key is empty
+	}
+	level, mask := m.levelOf(j), uint64(1)<<m.width-1
+	pos := j * m.width
+	w, s := pos/64, uint(pos%64)
+	m.key[w] = m.key[w]&^(mask<<s) | level<<s
+	if s+uint(m.width) > 64 {
+		m.key[w+1] = m.key[w+1]&^(mask>>(64-s)) | level>>(64-s)
+	}
 }
 
 // feasibleActions lists edges with remaining capacity for the current
@@ -151,7 +190,7 @@ func (m *mdp) feasibleActions(buf []int) []int {
 }
 
 // row returns the handle of the current state's row of q.
-func (m *mdp) row(q *qtable) qrow { return q.row(m.step, m.level) }
+func (m *mdp) row(q *qtable) qrow { return q.row(m.step, m.key) }
 
 // take places the current device on edge j, returning the reward.
 func (m *mdp) take(j int) float64 {
@@ -159,12 +198,14 @@ func (m *mdp) take(j int) float64 {
 	w := m.in.WeightAt(i, j)
 	m.residual[j] -= w
 	m.loads[j] += w
-	m.level[j] = m.levelOf(j)
+	m.setLevel(j)
 	m.step++
 	return -m.in.CostAt(i, j)
 }
 
-// bestFeasible returns the feasible action with maximal Q and its value.
+// bestQ returns the feasible action with maximal Q and its value; the
+// lowest index wins a tie, and if no value exceeds -Inf the first
+// feasible action is returned with value -Inf.
 func bestQ(row []float64, feasible []int) (int, float64) {
 	best, bestV := feasible[0], math.Inf(-1)
 	for _, a := range feasible {
@@ -173,6 +214,46 @@ func bestQ(row []float64, feasible []int) (int, float64) {
 		}
 	}
 	return best, bestV
+}
+
+// greedy returns what bestQ(q.values(h, buf), m.feasibleActions(buf))
+// returns for the current state's row h, bit for bit; ok is false exactly
+// when no edge fits. Only a spilled row is scanned, by those two calls.
+// A row with no override reads its step's init vector, whose best
+// fitting edge is the first in the device's candidate order that fits.
+// A row with an inline override weighs the override against the first
+// fitting candidate other than its action, under bestQ's lowest-index
+// tie rule.
+func (m *mdp) greedy(q *qtable, h qrow) (a int, v float64, ok bool) {
+	i := m.device()
+	over, ov, spilled := q.override(h)
+	if spilled != nil {
+		m.act = m.feasibleActions(m.act)
+		if len(m.act) == 0 {
+			return 0, 0, false
+		}
+		a, v = bestQ(spilled, m.act)
+		return a, v, true
+	}
+	init := m.rowInit[m.step]
+	b := -1
+	for _, j := range m.cands[m.candStart[i]:m.candStart[i+1]] {
+		// fits, whose reachability test every candidate passes.
+		if int(j) != over && m.in.WeightAt(i, int(j)) <= m.residual[j]+1e-12 {
+			b = int(j)
+			break
+		}
+	}
+	if over >= 0 && fits(m.in, m.residual, i, over) && (b < 0 || ov > init[b] || ov == init[b] && over < b) {
+		if math.IsNaN(ov) {
+			ov = math.Inf(-1) // bestQ never takes a NaN value
+		}
+		return over, ov, true
+	}
+	if b < 0 {
+		return 0, 0, false
+	}
+	return b, init[b], true
 }
 
 // QLearning is the paper's primary heuristic: tabular Q-learning over the
@@ -217,43 +298,37 @@ func (q *QLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	t.progress = q.progress
 	t.prime()
 	env, qt := t.env, t.q
-	var actBuf, nextBuf []int
-	vals, nextVals := make([]float64, in.M()), make([]float64, in.M())
 	got, err := t.train(func() (float64, bool) {
 		cost := 0.0
-		actBuf = env.feasibleActions(actBuf)
-		if len(actBuf) == 0 {
+		h := env.row(qt)
+		a, _, ok := env.greedy(qt, h)
+		if !ok {
 			return cost, false
 		}
-		h := env.row(qt)
-		row := qt.values(h, vals)
 		for {
-			a := t.pick(row, actBuf)
+			a = t.behave(h, a)
+			old := qt.get(h, a)
 			i := env.device()
 			r := env.take(a)
 			cost -= r
 			t.of[i] = a
 
 			if env.done() {
-				qt.set(h, a, row[a]+alpha*(r-row[a]))
+				qt.set(h, a, old+alpha*(r-old))
 				return cost, true
 			}
-			nextBuf = env.feasibleActions(nextBuf)
-			if len(nextBuf) == 0 {
+			// The next state's greedy action is both the TD target's
+			// argmax and the action the next step exploits.
+			nh := env.row(qt)
+			na, nv, ok := env.greedy(qt, nh)
+			if !ok {
 				// Next state is a dead end: large penalty as the
 				// terminal value.
-				qt.set(h, a, row[a]+alpha*(r-deadEndPenalty(in)-row[a]))
+				qt.set(h, a, old+alpha*(r-env.penalty-old))
 				return cost, false
 			}
-			// The next state's row and feasible set are the ones the
-			// following step acts on. Its values go to the buffer that
-			// row does not alias.
-			nh := env.row(qt)
-			nextRow := qt.values(nh, nextVals)
-			_, nv := bestQ(nextRow, nextBuf)
-			qt.set(h, a, row[a]+alpha*(r+nv-row[a]))
-			h, row, actBuf, nextBuf = nh, nextRow, nextBuf, actBuf
-			vals, nextVals = nextVals, vals
+			qt.set(h, a, old+alpha*(r+nv-old))
+			h, a = nh, na
 		}
 	}, true)
 	q.lastTrace = t.curve
@@ -302,35 +377,31 @@ func (s *SARSA) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	}
 	t.prime()
 	qt := t.q
-	var actBuf []int
-	vals, nextVals := make([]float64, in.M()), make([]float64, in.M())
 	return t.train(func() (float64, bool) {
 		cost := 0.0
-		actBuf = env.feasibleActions(actBuf)
 		h := env.row(qt)
-		row := qt.values(h, vals)
-		a := t.pick(row, actBuf)
+		a, _, _ := env.greedy(qt, h)
+		a = t.behave(h, a)
 		for {
+			old := qt.get(h, a)
 			i := env.device()
 			r := env.take(a)
 			cost -= r
 			t.of[i] = a
-			prevH, prevRow, prevA := h, row, a
 
 			if env.done() {
-				qt.set(prevH, prevA, prevRow[prevA]+alpha*(r-prevRow[prevA]))
+				qt.set(h, a, old+alpha*(r-old))
 				return cost, true
 			}
-			actBuf = env.feasibleActions(actBuf)
-			if len(actBuf) == 0 {
-				qt.set(prevH, prevA, prevRow[prevA]+alpha*(r-deadEndPenalty(in)-prevRow[prevA]))
+			nh := env.row(qt)
+			na, _, ok := env.greedy(qt, nh)
+			if !ok {
+				qt.set(h, a, old+alpha*(r-env.penalty-old))
 				return cost, false
 			}
-			h = env.row(qt)
-			row = qt.values(h, nextVals)
-			a = t.pick(row, actBuf)
-			qt.set(prevH, prevA, prevRow[prevA]+alpha*(r+row[a]-prevRow[prevA]))
-			vals, nextVals = nextVals, vals
+			na = t.behave(nh, na)
+			qt.set(h, a, old+alpha*(r+qt.get(nh, na)-old))
+			h, a = nh, na
 		}
 	}, true)
 }

@@ -1,14 +1,13 @@
 package assign
 
 import (
-	"bytes"
-	"encoding/binary"
 	"math/bits"
+	"slices"
 )
 
 // qtable is the Q table of the RL assigners: one value per visited state
-// and action, keyed by the MDP's step and its per-edge level bytes. Rows
-// are implicit. A row's value for action a is the last value set for
+// and action, keyed by the MDP's step and its packed state key. Rows are
+// implicit. A row's value for action a is the last value set for
 // (row, a); otherwise it is init[step][a], read from the per-step init
 // vectors that the table holds by reference and never writes. Its
 // contract, on which every RL variant relies:
@@ -19,7 +18,7 @@ import (
 //     snapshot, which may be an init vector or the row's own storage;
 //   - nothing iterates the table, so its layout never reaches an output.
 //
-// A row holds its level bytes, its step and one inline (action, value)
+// A row holds its key words, its step and one inline (action, value)
 // override. Setting a second distinct action spills the row into a dense
 // row of m values. Rows and spilled rows live in chunks that hold no
 // pointers, so the garbage collector never scans them. Chunks are only
@@ -30,6 +29,8 @@ import (
 // handle.
 type qtable struct {
 	m int
+	// words is the length of a state key.
+	words int
 	// init[t] is the value of every action not yet set in a row at step
 	// t. The table only reads it.
 	init   [][]float64
@@ -47,13 +48,13 @@ type qtable struct {
 // qrow is a row's handle: its row id.
 type qrow uint32
 
-// qchunk stores consecutive rows: row k of the chunk has level bytes
-// keys[k*m:(k+1)*m], step steps[k] and override slot over[k]. The slot
-// is 0 for a row with no override, a+1 for an inline override of action
-// a whose value is vals[k], and qSpilled|s for a row spilled to spill
-// id s.
+// qchunk stores consecutive rows: row k of the chunk has key words
+// keys[k*words:(k+1)*words], step steps[k] and override slot over[k].
+// The slot is 0 for a row with no override, a+1 for an inline override
+// of action a whose value is vals[k], and qSpilled|s for a row spilled
+// to spill id s.
 type qchunk struct {
-	keys  []byte
+	keys  []uint64
 	steps []int32
 	over  []uint32
 	vals  []float64
@@ -80,24 +81,27 @@ const (
 	qSpilled = 1 << 31
 )
 
-// newQTable returns an empty table for rows of m action values, whose
-// unset values at step t are init[t].
-func newQTable(m int, init [][]float64) *qtable { return &qtable{m: m, init: init} }
+// newQTable returns an empty table for rows of m action values keyed by
+// state keys of the given number of words, whose unset values at step t
+// are init[t].
+func newQTable(m, words int, init [][]float64) *qtable {
+	return &qtable{m: m, words: words, init: init}
+}
 
-// row returns the handle of state (step, level), adding the state as a
-// row with no override if it is new. level is read, never retained.
-func (q *qtable) row(step int, level []byte) qrow {
+// row returns the handle of state (step, key), adding the state as a row
+// with no override if it is new. key is read, never retained.
+func (q *qtable) row(step int, key []uint64) qrow {
 	if 4*(q.rows+1) > 3*len(q.index) {
 		q.grow()
 	}
-	h := stateHash(step, level)
+	h := stateHash(step, key)
 	fp := uint32(h)
 	mask := uint32(len(q.index) - 1)
 	for pos := fp & mask; ; pos = (pos + 1) & mask {
 		s := q.index[pos]
 		if s.id == 0 {
 			q.index[pos] = qslot{fp: fp, id: uint32(q.rows) + 1}
-			return q.add(step, level)
+			return q.add(step, key)
 		}
 		if s.fp != fp {
 			continue
@@ -105,27 +109,27 @@ func (q *qtable) row(step int, level []byte) qrow {
 		id := int(s.id - 1)
 		c, k := chunkOf(id)
 		ch := &q.chunks[c]
-		if ch.steps[k] == int32(step) && bytes.Equal(ch.keys[k*q.m:(k+1)*q.m], level) {
+		if ch.steps[k] == int32(step) && slices.Equal(ch.keys[k*q.words:(k+1)*q.words], key) {
 			return qrow(id)
 		}
 	}
 }
 
-// add appends row id q.rows for (step, level), starting a new chunk when
+// add appends row id q.rows for (step, key), starting a new chunk when
 // the last one is full, and returns its handle.
-func (q *qtable) add(step int, level []byte) qrow {
+func (q *qtable) add(step int, key []uint64) qrow {
 	c, k := chunkOf(q.rows)
 	if c == len(q.chunks) {
 		n := chunkRows(q.rows)
 		q.chunks = append(q.chunks, qchunk{
-			keys:  make([]byte, n*q.m),
+			keys:  make([]uint64, n*q.words),
 			steps: make([]int32, n),
 			over:  make([]uint32, n),
 			vals:  make([]float64, n),
 		})
 	}
 	ch := &q.chunks[c]
-	copy(ch.keys[k*q.m:(k+1)*q.m], level)
+	copy(ch.keys[k*q.words:(k+1)*q.words], key)
 	ch.steps[k] = int32(step)
 	id := qrow(q.rows)
 	q.rows++
@@ -150,6 +154,23 @@ func (q *qtable) values(h qrow, buf []float64) []float64 {
 		buf = append(buf[:0], init...)
 		buf[o-1] = ch.vals[k]
 		return buf
+	}
+}
+
+// override returns how row h departs from its step's init vector: a is
+// the action of its inline override and v that action's value, or a is
+// -1 and spilled is the row's own storage if it spilled, or nil if the
+// row has no override.
+func (q *qtable) override(h qrow) (a int, v float64, spilled []float64) {
+	c, k := chunkOf(int(h))
+	ch := &q.chunks[c]
+	switch o := ch.over[k]; {
+	case o == 0:
+		return -1, 0, nil
+	case o&qSpilled != 0:
+		return -1, 0, q.spilled(o &^ qSpilled)
+	default:
+		return int(o - 1), ch.vals[k], nil
 	}
 }
 
@@ -241,21 +262,14 @@ func chunkOf(id int) (c, k int) {
 	return top + 1 - qFirstShift, id - 1<<top
 }
 
-// stateHash is a fixed, unseeded hash of a state: the level bytes are
-// read eight at a time, each word folded in with a multiply and a
-// rotation, and MurmurHash3's 64-bit finalizer mixes the result.
-func stateHash(step int, level []byte) uint64 {
+// stateHash is a fixed, unseeded hash of a state: each key word is
+// folded in with a multiply and a rotation, and MurmurHash3's 64-bit
+// finalizer mixes the result.
+func stateHash(step int, key []uint64) uint64 {
 	const k1, k2 = 0x87c37b91114253d5, 0x4cf5ad432745937f
-	h := uint64(step)*k2 ^ uint64(len(level))
-	for ; len(level) >= 8; level = level[8:] {
-		h = bits.RotateLeft64(h^binary.LittleEndian.Uint64(level)*k1, 31) * k2
-	}
-	if len(level) > 0 {
-		var tail uint64
-		for i, b := range level {
-			tail |= uint64(b) << (8 * i)
-		}
-		h = bits.RotateLeft64(h^tail*k1, 31) * k2
+	h := uint64(step)*k2 ^ uint64(len(key))
+	for _, w := range key {
+		h = bits.RotateLeft64(h^w*k1, 31) * k2
 	}
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd

@@ -9,7 +9,7 @@ import (
 )
 
 // refTable is a reference Q table with dense rows: a map from the text
-// key "<step>|<level bytes>" to a row copied from init on first lookup.
+// key "<step>|<levels>" to a row copied from init on first lookup.
 type refTable map[string][]float64
 
 func (r refTable) row(key string, init []float64) []float64 {
@@ -34,12 +34,23 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
+// qtableShapes are FuzzQTable's (edges, bits per level) pairs: short
+// rows, one level (an empty key), and edge counts whose keys end just
+// before, at and just past a word boundary — 31–33 and 63–65 edges at 2
+// bits, 21 and 22 at 3, where edge 21's field straddles two words.
+var qtableShapes = [][2]int{
+	{1, 2}, {3, 2}, {5, 1}, {12, 3}, {4, 0},
+	{31, 2}, {32, 2}, {33, 2}, {63, 2}, {64, 2}, {65, 2}, {21, 3}, {22, 3},
+}
+
 // FuzzQTable runs a decoded program of lookups, writes and bursts of new
 // states against qtable and a map of dense rows, and requires the same
-// values from both. An operation byte selects:
+// values from both. The state is a step and one level per edge, packed
+// into key words by packLevels. An operation byte selects:
 //
-//   - a lookup of (step 0-3, m level bytes over a three-letter alphabet),
-//     so the same level bytes recur at different steps;
+//   - a lookup at step 0-3 after setting one edge to one level, so
+//     successive states differ in one edge and the same levels recur at
+//     different steps;
 //   - the same lookup followed by a set of one action's value;
 //   - a set through the handle of the last set, which may predate any
 //     number of index and chunk growths; with a random action it repeats
@@ -49,34 +60,44 @@ func sameBits(a, b []float64) bool {
 //     every doubling chunk size and into its first fixed-size chunk
 //     (TestQTableLarge fills many more).
 //
-// Every lookup of a known state must return its first handle, and every
-// read, through values and through get, the reference row's values. At
-// the end every handle taken is read again, and every step's init vector
-// must be unchanged: the table reads init in place, so a write through a
-// shared slice would show there.
+// Every lookup of a known state must return its first handle, no two
+// states may share a handle, and every read, through values and through
+// get, must return the reference row's values. At the end every handle
+// taken is read again, and every step's init vector must be unchanged:
+// the table reads init in place, so a write through a shared slice would
+// show there.
 func FuzzQTable(f *testing.F) {
-	for seed := int64(1); seed <= 4; seed++ {
-		src := xrand.New(seed)
+	for shape := range qtableShapes {
+		src := xrand.New(int64(shape))
 		prog := make([]byte, 600)
 		for b := range prog {
 			prog[b] = byte(src.Intn(256))
 		}
-		f.Add(uint8(seed*3), prog)
+		f.Add(uint8(shape), prog)
 	}
-	// With m = 3: a state at step 0 is created in the first chunk, set
+	// With 3 edges: a state at step 0 is created in the first chunk, set
 	// twice at action 0 and then at action 1, which spills it; nine
-	// bursts take the table past 4,096 rows; the same level bytes at step
-	// 1 are set at action 1, and through that handle at action 2, which
+	// bursts take the table past 4,096 rows; the same levels at step 1
+	// are set at action 1, and through that handle at action 2, which
 	// spills a row after the growth; then the step-0 state is set at
 	// action 2 through the first chunk's spill and read back.
-	prog := []byte{0, 'a', 'b', 'c', 4, 'a', 'b', 'c', 0, 5, 4, 'a', 'b', 'c', 0, 6, 4, 'a', 'b', 'c', 1, 7}
+	prog := []byte{0, 1, 1, 4, 1, 1, 0, 5, 4, 1, 1, 0, 6, 4, 1, 1, 1, 7}
 	for i := 0; i < 9; i++ {
 		prog = append(prog, 7, 255)
 	}
-	prog = append(prog, 12, 'a', 'b', 'c', 1, 9, 6, 2, 10)
-	f.Add(uint8(2), append(prog, 4, 'a', 'b', 'c', 2, 11, 0, 'a', 'b', 'c'))
-	f.Fuzz(func(t *testing.T, mRaw uint8, prog []byte) {
-		m := 1 + int(mRaw%12)
+	prog = append(prog, 12, 1, 1, 1, 9, 6, 2, 10)
+	f.Add(uint8(1), append(prog, 4, 1, 1, 2, 11, 0, 1, 1))
+	// With 22 edges at 3 bits: edge 21, whose field straddles the key's
+	// two words, and edge 20 run through levels at step 0, some states
+	// set, so states that differ only in the straddling field meet.
+	prog = nil
+	for lv := byte(0); lv < 8; lv++ {
+		prog = append(prog, 0, 21, lv, 4, 20, lv, lv%22, lv, 0, 21, 7-lv)
+	}
+	f.Add(uint8(12), prog)
+	f.Fuzz(func(t *testing.T, shape uint8, prog []byte) {
+		sh := qtableShapes[int(shape)%len(qtableShapes)]
+		m, width := sh[0], sh[1]
 		// inits[s] is step s's init vector, a slice of flat, and orig
 		// a copy of flat.
 		inits := make([][]float64, 4604)
@@ -91,9 +112,11 @@ func FuzzQTable(f *testing.F) {
 			}
 		}
 		orig := append([]float64(nil), flat...)
-		q := newQTable(m, inits)
+		levels := make([]int, m)
+		q := newQTable(m, len(packLevels(levels, width)), inits)
 		ref := refTable{}
 		handles := map[string]qrow{}
+		owners := map[qrow]string{}
 		type taken struct {
 			key string
 			h   qrow
@@ -111,15 +134,22 @@ func FuzzQTable(f *testing.F) {
 				}
 			}
 		}
-		level := make([]byte, m)
+		text := make([]byte, m)
 		lookup := func(step int) (string, qrow) {
-			key := strconv.Itoa(step) + "|" + string(level)
-			h := q.row(step, level)
+			for j, level := range levels {
+				text[j] = 'a' + byte(level)
+			}
+			key := strconv.Itoa(step) + "|" + string(text)
+			h := q.row(step, packLevels(levels, width))
 			if first, ok := handles[key]; !ok {
 				handles[key] = h
 			} else if h != first {
 				t.Fatalf("state %q: handle %d, first lookup returned %d", key, h, first)
 			}
+			if owner, ok := owners[h]; ok && owner != key {
+				t.Fatalf("states %q and %q share handle %d", owner, key, h)
+			}
+			owners[h] = key
 			ref.row(key, inits[step])
 			held = append(held, taken{key, h})
 			check(key, h)
@@ -137,14 +167,12 @@ func FuzzQTable(f *testing.F) {
 			k++
 			switch kind := op % 8; {
 			case kind < 6:
-				if k+m > len(prog) {
+				if k+2 > len(prog) {
 					k = len(prog)
 					break
 				}
-				for j := range level {
-					level[j] = 'a' + prog[k+j]%3
-				}
-				k += m
+				levels[int(prog[k])%m] = int(prog[k+1]) & (1<<width - 1)
+				k += 2
 				key, h := lookup(int(op>>3) % 4)
 				if kind >= 4 && k+2 <= len(prog) {
 					last = taken{key, h}
@@ -164,9 +192,6 @@ func FuzzQTable(f *testing.F) {
 				}
 				burst := min(2*int(prog[k]), len(inits)-next)
 				k++
-				for j := range level {
-					level[j] = 'a'
-				}
 				for i := 0; i < burst; i++ {
 					lookup(next)
 					next++
@@ -188,7 +213,7 @@ func FuzzQTable(f *testing.F) {
 }
 
 // TestQTableLarge fills a table past 2^18 rows, well beyond the index's
-// and the chunks' first sizes, with states that share level bytes across
+// and the chunks' first sizes, with states that share keys across
 // steps. It marks each row's action 1 with its insertion order and every
 // other row's action 2 too, which spills half the rows, past 2^17 spill
 // ids. Then it looks every state up again: each must come back as the
@@ -199,16 +224,13 @@ func TestQTableLarge(t *testing.T) {
 	for s := range init {
 		init[s] = []float64{-1, -2, float64(-s)}
 	}
-	q := newQTable(3, init)
-	state := func(i int) (int, []byte) {
-		v := i / 1000
-		return i % 1000, []byte{byte(v), byte(v >> 8), byte(v >> 16)}
-	}
+	q := newQTable(3, 1, init)
+	state := func(i int) (int, []uint64) { return i % 1000, []uint64{uint64(i / 1000)} }
 	handles := make([]qrow, states)
 	buf := make([]float64, 3)
 	for i := range handles {
-		step, level := state(i)
-		handles[i] = q.row(step, level)
+		step, key := state(i)
+		handles[i] = q.row(step, key)
 		if got := q.values(handles[i], buf); !sameBits(got, init[step]) {
 			t.Fatalf("new row %d is %v, want init %v", i, got, init[step])
 		}
@@ -218,12 +240,12 @@ func TestQTableLarge(t *testing.T) {
 		}
 	}
 	for i, h := range handles {
-		step, level := state(i)
+		step, key := state(i)
 		want := []float64{-1, float64(i), float64(-step)}
 		if i%2 == 0 {
 			want[2] = float64(-i)
 		}
-		if got := q.row(step, level); got != h {
+		if got := q.row(step, key); got != h {
 			t.Fatalf("state %d: handle %d, want the first lookup's %d", i, got, h)
 		}
 		if got := q.values(h, buf); !sameBits(got, want) {
@@ -237,14 +259,15 @@ func TestQTableLarge(t *testing.T) {
 
 // TestQTableFingerprintCollisions looks up pairs of states whose 32-bit
 // fingerprints collide, so only the full key comparison tells them apart:
-// the same level bytes at two steps, and two level vectors at one step.
-// Each state must keep its own handle and value.
+// the same key at two steps, and two two-word keys at one step that
+// differ in their first word (levels), or in their second
+// (levels-word1). Each state must keep its own handle and value.
 func TestQTableFingerprintCollisions(t *testing.T) {
-	collide := func(state func(i int) (int, []byte)) [2]int {
+	collide := func(state func(i int) (int, []uint64)) [2]int {
 		seen := map[uint32]int{}
 		for i := 0; i < 1<<20; i++ {
-			step, level := state(i)
-			fp := uint32(stateHash(step, level))
+			step, key := state(i)
+			fp := uint32(stateHash(step, key))
 			if j, ok := seen[fp]; ok {
 				return [2]int{j, i}
 			}
@@ -255,34 +278,31 @@ func TestQTableFingerprintCollisions(t *testing.T) {
 	}
 	cases := []struct {
 		name  string
-		state func(i int) (int, []byte)
+		state func(i int) (int, []uint64)
 	}{
-		{"steps", func(i int) (int, []byte) { return i, []byte("abcd") }},
-		{"levels", func(i int) (int, []byte) {
-			return 7, []byte{'a' + byte(i&7), 'a' + byte(i>>3&7), 'a' + byte(i>>6&7), 'a' + byte(i>>9&7),
-				'a' + byte(i>>12&7), 'a' + byte(i>>15&7), 'a' + byte(i>>18&7)}
-		}},
+		{"steps", func(i int) (int, []uint64) { return i, []uint64{0x1b2c} }},
+		{"levels", func(i int) (int, []uint64) { return 7, []uint64{uint64(i), 0x1b2c} }},
+		{"levels-word1", func(i int) (int, []uint64) { return 7, []uint64{0x1b2c, uint64(i)} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pair := collide(tc.state)
-			_, level := tc.state(0)
-			m := len(level)
+			_, key := tc.state(0)
 			init := make([][]float64, max(pair[0], pair[1])+1)
 			for s := range init {
-				init[s] = make([]float64, m)
+				init[s] = make([]float64, 3)
 			}
-			q := newQTable(m, init)
+			q := newQTable(3, len(key), init)
 			var handles [2]qrow
 			for k, i := range pair {
-				step, level := tc.state(i)
-				handles[k] = q.row(step, level)
+				step, key := tc.state(i)
+				handles[k] = q.row(step, key)
 				q.set(handles[k], 0, float64(k+1))
 			}
 			for k, i := range pair {
-				step, level := tc.state(i)
-				if got := q.row(step, level); got != handles[k] || q.get(got, 0) != float64(k+1) {
-					t.Fatalf("state %d (step %d, %q) shares a row with its colliding twin", i, step, level)
+				step, key := tc.state(i)
+				if got := q.row(step, key); got != handles[k] || q.get(got, 0) != float64(k+1) {
+					t.Fatalf("state %d (step %d, key %x) shares a row with its colliding twin", i, step, key)
 				}
 			}
 		})

@@ -27,7 +27,7 @@ func (dq *DoubleQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	t.prime()
 	env := t.env
 	m := in.M()
-	tableA, tableB := t.q, newQTable(m, env.rowInit)
+	tableA, tableB := t.q, newQTable(m, len(env.key), env.rowInit)
 	var actBuf, nextBuf []int
 	valsA, valsB := make([]float64, m), make([]float64, m)
 	nextValsA, nextValsB := make([]float64, m), make([]float64, m)
@@ -64,7 +64,7 @@ func (dq *DoubleQLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			}
 			nextBuf = env.feasibleActions(nextBuf)
 			if len(nextBuf) == 0 {
-				updT.set(updH, a, upd[a]+alpha*(r-deadEndPenalty(in)-upd[a]))
+				updT.set(updH, a, upd[a]+alpha*(r-env.penalty-upd[a]))
 				return cost, false
 			}
 			nhA, nhB := env.row(tableA), env.row(tableB)
@@ -125,7 +125,7 @@ func (es *ExpectedSARSA) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			}
 			nextBuf = env.feasibleActions(nextBuf)
 			if len(nextBuf) == 0 {
-				qt.set(h, a, row[a]+alpha*(r-deadEndPenalty(in)-row[a]))
+				qt.set(h, a, row[a]+alpha*(r-env.penalty-row[a]))
 				return cost, false
 			}
 			nh := env.row(qt)

@@ -3,7 +3,7 @@ package assign
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"taccc/internal/gap"
 	"taccc/internal/obs"
@@ -50,32 +50,42 @@ func NewTabuSearch(seed int64) *TabuSearch { return &TabuSearch{seed: seed} }
 // Name implements Assigner.
 func (*TabuSearch) Name() string { return "tabu" }
 
-// moveCandidates builds, for every device, its reachable (finite-delay)
-// edges sorted by ascending delay with index-ascending tie order — the
-// order in which shift deltas ascend. Stored flat: device i's candidates
-// are cands[start[i]:start[i+1]].
-func moveCandidates(in *gap.Instance) (cands []int32, start []int32) {
-	n, m := in.N(), in.M()
-	cands = make([]int32, 0, n*m)
+// reachableEdges lists every device's reachable (finite-delay) edges in
+// index order, stored flat: device i's edges are
+// edges[start[i]:start[i+1]].
+func reachableEdges(in *gap.Instance) (edges []int32, start []int32) {
+	n := in.N()
+	edges = make([]int32, 0, n*in.M())
 	start = make([]int32, n+1)
 	for i := 0; i < n; i++ {
-		start[i] = int32(len(cands))
-		row := in.CostRow(i)
-		for j := 0; j < m; j++ {
-			if !math.IsInf(row[j], 1) {
-				cands = append(cands, int32(j))
+		start[i] = int32(len(edges))
+		for j, c := range in.CostRow(i) {
+			if !math.IsInf(c, 1) {
+				edges = append(edges, int32(j))
 			}
 		}
-		ci := cands[start[i]:]
-		sort.Slice(ci, func(a, b int) bool {
-			ja, jb := ci[a], ci[b]
-			if row[ja] != row[jb] {
-				return row[ja] < row[jb]
+	}
+	start[n] = int32(len(edges))
+	return edges, start
+}
+
+// moveCandidates is reachableEdges with each device's edges sorted by
+// ascending delay with index-ascending tie order — the order in which
+// shift deltas ascend.
+func moveCandidates(in *gap.Instance) (cands []int32, start []int32) {
+	cands, start = reachableEdges(in)
+	for i := 0; i < in.N(); i++ {
+		row := in.CostRow(i)
+		slices.SortFunc(cands[start[i]:start[i+1]], func(a, b int32) int {
+			switch {
+			case row[a] < row[b]:
+				return -1
+			case row[a] > row[b]:
+				return 1
 			}
-			return ja < jb
+			return int(a - b)
 		})
 	}
-	start[n] = int32(len(cands))
 	return cands, start
 }
 

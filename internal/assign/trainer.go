@@ -26,8 +26,8 @@ type trainer struct {
 	eps float64
 	// of is the placement the current episode (or rollout) writes.
 	of []int
-	// act is rollout's feasible-action buffer, vals its Q-value buffer
-	// and weights pick's softmax buffer, all reused across calls.
+	// act and vals are behave's feasible-action and Q-value buffers and
+	// weights explore's softmax buffer, all reused across calls.
 	act     []int
 	vals    []float64
 	weights []float64
@@ -76,7 +76,7 @@ func (t *trainer) keep(cost float64, of []int) {
 // the standard warm start that makes episodic search an anytime improver,
 // whose episodes only improve on it.
 func (t *trainer) prime() {
-	t.q = newQTable(t.in.M(), t.env.rowInit)
+	t.q = newQTable(t.in.M(), len(t.env.key), t.env.rowInit)
 	if c, ok := t.rollout(); ok {
 		t.keep(c, t.of)
 	}
@@ -99,11 +99,10 @@ func (t *trainer) rollout() (float64, bool) {
 	env.reset()
 	cost := 0.0
 	for !env.done() {
-		t.act = env.feasibleActions(t.act)
-		if len(t.act) == 0 {
+		a, _, ok := env.greedy(t.q, env.row(t.q))
+		if !ok {
 			return 0, false
 		}
-		a, _ := bestQ(t.q.values(env.row(t.q), t.vals), t.act)
 		i := env.device()
 		cost -= env.take(a)
 		t.of[i] = a
@@ -111,17 +110,35 @@ func (t *trainer) rollout() (float64, bool) {
 	return cost, true
 }
 
-// pick chooses a feasible action: explore with probability eps, otherwise
-// exploit the row. Exploration is cost-biased (softmax over the row
-// rather than uniform) so exploratory episodes sample plausible
-// alternative placements instead of arbitrary far-away edges — uniform
-// exploration wastes most episodes on assignments no policy would choose.
-// UniformExploration (the F11 ablation) restores the uniform draw.
+// pick chooses a feasible action: explore with probability eps,
+// otherwise exploit the row.
 func (t *trainer) pick(row []float64, feasible []int) int {
 	if !t.src.Bernoulli(t.eps) {
 		a, _ := bestQ(row, feasible)
 		return a
 	}
+	return t.explore(row, feasible)
+}
+
+// behave is pick for the current state's row h of t.q, whose greedy
+// action, the one pick would exploit, is given: the row and the
+// feasible edges are read only when the coin says explore, and the
+// draws are pick's.
+func (t *trainer) behave(h qrow, greedy int) int {
+	if !t.src.Bernoulli(t.eps) {
+		return greedy
+	}
+	t.act = t.env.feasibleActions(t.act)
+	return t.explore(t.q.values(h, t.vals), t.act)
+}
+
+// explore draws an exploratory action from the feasible edges.
+// Exploration is cost-biased (softmax over the row rather than uniform)
+// so exploratory episodes sample plausible alternative placements
+// instead of arbitrary far-away edges — uniform exploration wastes most
+// episodes on assignments no policy would choose. UniformExploration
+// (the F11 ablation) restores the uniform draw.
+func (t *trainer) explore(row []float64, feasible []int) int {
 	if t.p.UniformExploration {
 		return feasible[t.src.Intn(len(feasible))]
 	}
