@@ -17,9 +17,13 @@ test:
 
 # Race-detect the full tree. The parallel layer's tests (workers=1 vs
 # workers=8 determinism, experiment suite runner) are the interesting
-# part; everything else rides along for free.
+# part; everything else rides along for free. The simulator's event loop
+# and its observer goroutine share batches, the metrics registry and the
+# sinks, so those packages run ten more times: one run can miss an
+# interleaving that another catches.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -timeout 10m ./internal/cluster/ ./cmd/tacsim/
 
 # Benchmark the parallel kernels at workers=1 vs workers=GOMAXPROCS, the
 # cluster simulator with span tracing off/on, the Q-learning assigner

@@ -141,6 +141,35 @@ func TestRLStepsAllocFree(t *testing.T) {
 	}
 }
 
+// TestBanditStepAllocFree pins the bandit's step at zero allocations: the
+// feasible arms and the untried ones among them both live in buffers
+// reused across steps, so even a step that still has untried arms to
+// choose from allocates nothing.
+func TestBanditStepAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are perturbed by race-detector shadow allocations")
+	}
+	in, err := gap.Synthetic(gap.SyntheticUniform, 120, 12, 0.85, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := newTrainer("bandit", in, RLParams{LoadLevels: 1}, xrand.New(1))
+	tr.env.reset()
+	counts, sums := make([]float64, in.M()), make([]float64, in.M())
+	var feasible, untried []int
+	step := func() {
+		feasible = tr.env.feasibleActions(feasible)
+		_, untried = ucbPick(counts, sums, 0, feasible, untried, tr.src)
+	}
+	step()
+	if len(untried) == 0 {
+		t.Fatal("no untried arm to pick from")
+	}
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("a bandit step allocates %.0f times, want 0", allocs)
+	}
+}
+
 // bytesPerRun measures the mean heap bytes one call of f allocates, the
 // byte-count counterpart of testing.AllocsPerRun (one warm-up call, then
 // the mean over runs, at GOMAXPROCS 1).

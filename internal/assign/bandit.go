@@ -39,7 +39,7 @@ func (b *Bandit) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	}
 	pulls := make([]float64, n)
 
-	var actBuf []int
+	var actBuf, untried []int
 	return t.train(func() (float64, bool) {
 		cost := 0.0
 		for !env.done() {
@@ -48,7 +48,8 @@ func (b *Bandit) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			if len(actBuf) == 0 {
 				return cost, false
 			}
-			a := ucbPick(counts[s], sums[s], pulls[s], actBuf, t.src)
+			var a int
+			a, untried = ucbPick(counts[s], sums[s], pulls[s], actBuf, untried, t.src)
 			i := env.device()
 			r := env.take(a)
 			cost -= r
@@ -62,16 +63,17 @@ func (b *Bandit) Assign(in *gap.Instance) (*gap.Assignment, error) {
 }
 
 // ucbPick chooses among feasible arms by UCB1, preferring untried arms
-// (random among them to break ties fairly).
-func ucbPick(counts, sums []float64, total float64, feasible []int, src *xrand.Source) int {
-	var untried []int
+// (random among them to break ties fairly). It lists the untried arms in
+// buf and returns buf for the next call to reuse.
+func ucbPick(counts, sums []float64, total float64, feasible, buf []int, src *xrand.Source) (int, []int) {
+	untried := buf[:0]
 	for _, a := range feasible {
 		if counts[a] == 0 {
 			untried = append(untried, a)
 		}
 	}
 	if len(untried) > 0 {
-		return untried[src.Intn(len(untried))]
+		return untried[src.Intn(len(untried))], untried
 	}
 	best, bestV := feasible[0], math.Inf(-1)
 	logT := math.Log(total + 1)
@@ -81,5 +83,5 @@ func ucbPick(counts, sums []float64, total float64, feasible []int, src *xrand.S
 			best, bestV = a, v
 		}
 	}
-	return best
+	return best, untried
 }

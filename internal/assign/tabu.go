@@ -105,6 +105,14 @@ func (ts *TabuSearch) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	bestOf := ev.Assignment(start.Of)
 	bestCost := ev.Total()
 	cands, candStart := moveCandidates(in)
+	// candW[k] is the weight of candidate k on its edge, so the scan's
+	// fit test reads it beside the candidate.
+	candW := make([]float64, len(cands))
+	for i := 0; i < n; i++ {
+		for k := candStart[i]; k < candStart[i+1]; k++ {
+			candW[k] = in.WeightAt(i, int(cands[k]))
+		}
+	}
 	residual := ev.Residuals()
 	of := ev.Placement()
 
@@ -125,7 +133,9 @@ func (ts *TabuSearch) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			cRow := in.CostRow(i)
 			curCost := cRow[curJ]
 			tabuRow := tabuUntil[i*m : (i+1)*m]
-			for _, j32 := range cands[candStart[i]:candStart[i+1]] {
+			lo, hi := candStart[i], candStart[i+1]
+			weights := candW[lo:hi]
+			for k, j32 := range cands[lo:hi] {
 				j := int(j32)
 				if j == curJ {
 					continue
@@ -136,7 +146,7 @@ func (ts *TabuSearch) Assign(in *gap.Instance) (*gap.Assignment, error) {
 					// this device can strictly beat the incumbent move.
 					break
 				}
-				if in.WeightAt(i, j) > residual[j]+1e-12 {
+				if weights[k] > residual[j]+1e-12 {
 					continue // does not fit
 				}
 				if it < tabuRow[j] && cur+delta >= bestCost-1e-12 {

@@ -63,7 +63,12 @@ type Config struct {
 	// cluster.delay.{uplink,queue,service,downlink}_ms whose per-request
 	// contributions sum to the end-to-end latency. Unlike Result,
 	// counters include warmup traffic (they mirror what a real
-	// deployment's metrics endpoint would report). Nil costs nothing.
+	// deployment's metrics endpoint would report). The event loop sets
+	// requests_sent and the queue-depth gauges at event time; every
+	// other observation comes from the run's one observer goroutine, in
+	// exit order, so a live read lags the loop by less than two batches
+	// of 512 exits, and Run returns once every exit is booked. Nil costs
+	// nothing.
 	Metrics *obs.Registry
 	// Spans, when non-nil, receives one trace per sampled request as
 	// "span" events (see internal/obs.Span): a root "request" span plus
@@ -71,16 +76,18 @@ type Config struct {
 	// sharing absorbs the PS-server reschedules) and downlink. Traces
 	// cover requests that enter the network; arrivals dropped at the
 	// device (failed or unreachable edge) are never uplinked and are not
-	// traced. Nil costs nothing.
+	// traced. Spans are emitted from the run's one observer goroutine, in
+	// exit order. Nil costs nothing.
 	Spans obs.Sink
 	// SLO, when non-nil, receives every completion (end-to-end latency
 	// plus the per-phase breakdown) and drop, windowed by simulation
 	// time, and evaluates the configured service-level objectives as
 	// windows close. Like Metrics it covers warmup traffic (it mirrors a
-	// deployment's live SLO monitor). Observations are made from the
-	// single-threaded event loop at event time, so the emitted SLO
-	// stream is deterministic per seed at any worker count. Nil costs
-	// nothing.
+	// deployment's live SLO monitor). Observations come from the run's
+	// one observer goroutine, in exit order, and Run calls Finish once
+	// that goroutine has booked every exit, so the emitted SLO stream is
+	// deterministic per seed at any worker count; its live gauges lag
+	// the event loop as Metrics' do. Nil costs nothing.
 	SLO *slo.Tracker
 	// TraceSampleRate is the fraction of requests traced when Spans is
 	// set, in [0, 1]. 0 means trace everything, so a config that only
@@ -260,6 +267,9 @@ type Simulator struct {
 	ps        []*psServer
 
 	met metricsSet
+	// observer books each request exit in the observability planes off
+	// the event loop; Run sets it when any plane is on.
+	observer *observer
 
 	// spanSrc draws trace-sampling decisions (nil when spans are off);
 	// it is split from the config seed under its own label so it never
@@ -716,43 +726,131 @@ func (s *Simulator) serve(slot int32) {
 // that books it: a drop when served is false (at r.edgeAt), otherwise the
 // completion of its service at r.finish, which first frees its place at
 // the edge and draws the downlink delay. Result counts requests sent after
-// warmup; the metrics handles and the SLO tracker see every request;
-// sampled requests emit their trace, the one per-request record.
+// warmup. With any plane on, the exit then goes to the observer, which
+// books it in every plane (see observe).
 func (s *Simulator) exit(r request, served bool) {
 	measured := r.sentAt >= s.cfg.WarmupMs
-	outcome, end := OutcomeDropped, r.edgeAt
+	outcome, down := OutcomeDropped, 0.0
 	if !served {
 		if measured {
 			s.result.Dropped++
 		}
-		s.met.dropped.Add(1)
-		s.cfg.SLO.ObserveDrop(r.edgeAt)
 	} else {
 		j := r.edge
 		s.inFlight[j]--
 		s.met.queueDepth[j].Set(float64(s.inFlight[j]))
-		down := s.downlinkDelay(r.dev, j)
-		end = r.finish + down
+		down = s.downlinkDelay(r.dev, j)
+		end := r.finish + down
 		latency := end - r.sentAt
 		outcome = OutcomeOK
 		if dl := s.cfg.Devices[r.dev].DeadlineMs; dl > 0 && latency > dl {
 			outcome = OutcomeMissed
 		}
-		missed := outcome == OutcomeMissed
 		if measured {
 			s.result.Completed++
 			s.result.Latency.Add(latency)
-			if missed {
+			if outcome == OutcomeMissed {
 				s.result.DeadlineMisses++
 			}
 		}
+	}
+	if s.observer != nil {
+		s.observer.push(exitRecord{r: r, down: down, outcome: outcome})
+	}
+}
+
+// exitRecord is one request exit as the event loop booked it: the
+// request, the downlink delay drawn for a completion, and the outcome.
+type exitRecord struct {
+	r       request
+	down    float64
+	outcome Outcome
+}
+
+// observe books one request exit in the observability planes: the
+// metrics handles and the SLO tracker see every request, and sampled
+// requests emit their trace, the one per-request record. It recomputes
+// the end and the latency exactly as exit did, so every plane sees the
+// values Result holds. It runs on the observer goroutine and reads only
+// what New set.
+func (s *Simulator) observe(x *exitRecord) {
+	r := &x.r
+	end := r.edgeAt
+	if x.outcome == OutcomeDropped {
+		s.met.dropped.Add(1)
+		s.cfg.SLO.ObserveDrop(r.edgeAt)
+	} else {
+		end = r.finish + x.down
+		latency := end - r.sentAt
 		uplink, queue := r.edgeAt-r.sentAt, r.start-r.edgeAt
-		s.met.observeDone(outcome, latency, uplink, queue, r.serviceMs, down)
+		s.met.observeDone(x.outcome, latency, uplink, queue, r.serviceMs, x.down)
 		// SLO windows are keyed by service completion, not by the
 		// response's arrival at the device.
-		s.cfg.SLO.ObserveRequest(r.finish, uplink, queue, r.serviceMs, down, latency, missed)
+		s.cfg.SLO.ObserveRequest(r.finish, uplink, queue, r.serviceMs, x.down, latency, x.outcome == OutcomeMissed)
 	}
-	s.emitTrace(r, end, outcome)
+	s.emitTrace(*r, end, x.outcome)
+}
+
+// observerBatch is the number of exits the event loop hands the observer
+// at once.
+const observerBatch = 512
+
+// observer is the one goroutine of an observed Run. The event loop
+// appends each exit to a batch; a full batch goes to the goroutine, which
+// books its exits in order and hands the emptied batch back. Two batches
+// circulate, so the loop fills one while the goroutine drains the other,
+// and it waits only when it fills its batch before the goroutine has
+// drained the other.
+type observer struct {
+	batch []exitRecord      // the batch the event loop is filling
+	full  chan []exitRecord // filled batches, in exit order
+	free  chan []exitRecord // drained batches, back to the loop
+	done  chan struct{}     // closed once every batch sent is booked
+}
+
+// startObserver starts the goroutine that calls book for every exit
+// pushed, in push order.
+func startObserver(book func(*exitRecord)) *observer {
+	// Each channel can hold both batches, so neither side ever blocks on
+	// a send: the loop waits only for a free batch, the goroutine only
+	// for a full one.
+	o := &observer{
+		batch: make([]exitRecord, 0, observerBatch),
+		full:  make(chan []exitRecord, 2),
+		free:  make(chan []exitRecord, 2),
+		done:  make(chan struct{}),
+	}
+	o.free <- make([]exitRecord, 0, observerBatch)
+	go func() {
+		defer close(o.done)
+		for b := range o.full {
+			for i := range b {
+				book(&b[i])
+			}
+			o.free <- b[:0]
+		}
+	}()
+	return o
+}
+
+// push appends one exit to the loop's batch, handing the batch over once
+// it is full.
+func (o *observer) push(x exitRecord) {
+	o.batch = append(o.batch, x)
+	if len(o.batch) == observerBatch {
+		o.full <- o.batch
+		o.batch = <-o.free
+	}
+}
+
+// stop hands over the last, partial batch and returns once every exit
+// pushed has been booked and the goroutine has ended.
+func (o *observer) stop() {
+	if len(o.batch) > 0 {
+		o.full <- o.batch
+	}
+	close(o.full)
+	<-o.done
 }
 
 // reschedulePS makes edge j's pending completion wake-up stale and arms a
@@ -793,6 +891,18 @@ func (s *Simulator) completePS(j int, gen uint64) {
 	s.reschedulePS(j)
 }
 
+// runEvents pops events until durationMs. With any plane on, it starts
+// the observer first and joins it before it returns on every path, a
+// panic in a handler included; with every plane off it starts no
+// goroutine.
+func (s *Simulator) runEvents(durationMs float64) {
+	if s.cfg.Metrics != nil || s.cfg.SLO != nil || s.cfg.Spans != nil {
+		s.observer = startObserver(s.observe)
+		defer s.observer.stop()
+	}
+	s.engine.Run(durationMs, s.handle)
+}
+
 // Run executes the simulation for durationMs of virtual time and returns
 // the collected result. Run may be called only once.
 func (s *Simulator) Run(durationMs float64) (*Result, error) {
@@ -806,7 +916,7 @@ func (s *Simulator) Run(durationMs float64) (*Result, error) {
 	for i := range s.cfg.Devices {
 		s.scheduleNextArrival(i)
 	}
-	s.engine.Run(durationMs, s.handle)
+	s.runEvents(durationMs)
 	s.cfg.SLO.Finish(durationMs)
 	s.result.DurationMs = durationMs - s.cfg.WarmupMs
 	return &s.result, nil

@@ -9,8 +9,9 @@ import (
 	"taccc/internal/obs"
 )
 
-// spanCollector gathers emitted spans grouped by trace. The simulator is
-// single-threaded, so no locking is needed.
+// spanCollector gathers emitted spans grouped by trace. Spans arrive from
+// the run's one observer goroutine, which Run joins before it returns, so
+// no locking is needed.
 type spanCollector struct {
 	order  []obs.TraceID
 	traces map[obs.TraceID][]obs.Span

@@ -103,8 +103,19 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	idx := sort.SearchFloat64s(h.bounds, v)
-	h.counts[idx].Add(1)
+	// sort.SearchFloat64s without its closure: the first bound >= v. The
+	// predicate is negated rather than flipped to bounds[mid] < v, so a
+	// NaN, which is >= no bound, lands in the overflow bucket.
+	lo, hi := 0, len(h.bounds)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if !(h.bounds[mid] >= v) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	h.counts[lo].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
 }

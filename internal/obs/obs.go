@@ -28,13 +28,16 @@ import (
 // be JSON-serializable (strings, bools, finite numbers).
 //
 // A live span event (from Span.Event, EmitSpan or a tracer Phase) carries
-// its Span as a typed payload instead and has nil Fields; SpanFromEvent
-// is how sinks read it. Spans decoded from a stream arrive as Fields.
+// its Span by value as a typed payload instead and has nil Fields, so
+// building one allocates nothing; SpanFromEvent is how sinks read it.
+// Spans decoded from a stream arrive as Fields.
 type Event struct {
 	Kind   string
 	Fields map[string]interface{}
 
-	span *Span
+	// span is the payload of a live span event, which live marks.
+	span Span
+	live bool
 }
 
 // Sink consumes events. Implementations must be safe for concurrent use;

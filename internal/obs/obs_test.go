@@ -82,6 +82,44 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 	}
 }
 
+// TestHistogramBucketEdges pins where Observe files the values a bucket
+// search can get wrong: each bound itself lands in its own bucket (bounds
+// are inclusive upper edges), the values just above a bound in the next
+// one, -Inf in the first, and +Inf and NaN, which are >= no bound, in the
+// overflow bucket.
+func TestHistogramBucketEdges(t *testing.T) {
+	type edge struct {
+		v    float64
+		want int
+	}
+	bounds := DefaultLatencyBucketsMs()
+	overflow := len(bounds)
+	cases := []edge{
+		{math.Inf(-1), 0},
+		{-1, 0},
+		{0, 0},
+		{math.NaN(), overflow},
+		{math.Inf(1), overflow},
+		{math.MaxFloat64, overflow},
+	}
+	for i, b := range bounds {
+		cases = append(cases, edge{b, i}, edge{math.Nextafter(b, math.Inf(1)), i + 1})
+	}
+	for _, c := range cases {
+		h := NewHistogram(bounds)
+		h.Observe(c.v)
+		got := -1
+		for i, n := range h.snapshot().Counts {
+			if n == 1 {
+				got = i
+			}
+		}
+		if got != c.want {
+			t.Errorf("Observe(%v) filed in bucket %d, want %d", c.v, got, c.want)
+		}
+	}
+}
+
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("requests.sent").Add(7)

@@ -262,8 +262,9 @@ type ObjectiveResult struct {
 
 // Tracker aggregates observations into rolling windows and evaluates
 // the configured objectives as windows close. Not safe for concurrent
-// use: it is driven from the simulator's (single-threaded) event loop in
-// nondecreasing sim-time order. All methods no-op on a nil receiver.
+// use: during a simulation only the run's observer goroutine drives it,
+// in nondecreasing sim-time order, and Run calls Finish after joining
+// that goroutine. All methods no-op on a nil receiver.
 type Tracker struct {
 	cfg    Config
 	bounds []float64

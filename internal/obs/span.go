@@ -42,7 +42,7 @@ func (sp Span) DurationMs() float64 { return sp.EndMs - sp.StartMs }
 // deterministic span sequence serializes byte-identically. Sinks share
 // the Attrs map, so an emitter must not change it after emitting.
 func (sp Span) Event() Event {
-	return Event{Kind: "span", span: &sp}
+	return Event{Kind: "span", span: sp, live: true}
 }
 
 // EmitSpan sends sp into s, tolerating a nil sink.
@@ -63,8 +63,8 @@ func SpanFromEvent(e Event) (Span, bool) {
 	if e.Kind != "span" {
 		return Span{}, false
 	}
-	if e.span != nil {
-		return *e.span, true
+	if e.live {
+		return e.span, true
 	}
 	tr, ok := e.Int("trace")
 	if !ok {

@@ -32,8 +32,8 @@ func EncodeEventLine(e Event) ([]byte, error) {
 // through appendValue. On error dst is returned unfinished and must be
 // discarded.
 func appendLine(dst []byte, e Event) ([]byte, error) {
-	if e.span != nil {
-		return appendSpanLine(dst, e.span)
+	if e.live {
+		return appendSpanLine(dst, &e.span)
 	}
 	var names [16]string
 	keys := names[:0]
