@@ -168,27 +168,45 @@ sysmon-smoke:
 	grep -q '^## Resource attribution' $(SYSMON_DIR)/report.md
 	@echo "sysmon smoke passed; report in $(SYSMON_DIR)/report.md"
 
-# SLO smoke: an overloaded tacsim run with the streaming SLO plane on
-# must archive slo.jsonl with at least one fired alert and keep the
-# live-only series out of metrics.json, tacreport must render the
-# compliance section with the alert timeline, and tactrace must rebuild
-# the request records from the archive's request spans.
+# SLO smoke: an overloaded tacsim run with the streaming SLO plane, the
+# resource sampler, the pipeline trace and -events on must archive all
+# four streams, each non-empty, with at least one fired alert in
+# slo.jsonl, keep the live-only series out of metrics.json, and write an
+# -events file byte-identical to the archive's events.jsonl. tacreport
+# must render the phase, resource and compliance sections with the alert
+# timeline, and must fail, naming slo.jsonl, on a copy of the archive
+# whose slo.jsonl is cut mid-line (its last record loses its closing
+# brace). tactrace must rebuild the request
+# records from the archive's request spans.
 SLO_DIR ?= /tmp/taccc-slo-smoke
 
 slo-smoke:
 	rm -rf $(SLO_DIR)
 	$(GO) run ./cmd/tacsim -iot 60 -edge 3 -rho 0.98 -algo greedy -seed 11 \
 	  -duration 10 -warmup 1 -max-queue 40 \
-	  -slo 'p95<=20@90,miss<=0.05' -slo-window 0.5 -archive $(SLO_DIR)/run
-	test -s $(SLO_DIR)/run/slo.jsonl
+	  -slo 'p95<=20@90,miss<=0.05' -slo-window 0.5 \
+	  -sysmon -sysmon-interval 25ms -trace-out $(SLO_DIR)/trace.json \
+	  -events $(SLO_DIR)/events.jsonl -archive $(SLO_DIR)/run
+	for f in events trace resources slo; do \
+	  test -s $(SLO_DIR)/run/$$f.jsonl || { echo "slo smoke: empty or missing $$f.jsonl"; exit 1; }; \
+	done
+	cmp $(SLO_DIR)/events.jsonl $(SLO_DIR)/run/events.jsonl
 	grep -q '"kind":"slo-alert"' $(SLO_DIR)/run/slo.jsonl
 	grep -q '"state":"firing"' $(SLO_DIR)/run/slo.jsonl
 	if grep -Eq '"(go|proc|sysmon|slo)\.' $(SLO_DIR)/run/metrics.json; then \
 	  echo "slo smoke: live-only series in the archived metrics.json"; exit 1; \
 	fi
 	$(GO) run ./cmd/tacreport $(SLO_DIR)/run -o $(SLO_DIR)/report.md
+	grep -q '^## Pipeline phases' $(SLO_DIR)/report.md
+	grep -q '^## Resource attribution' $(SLO_DIR)/report.md
 	grep -q '^## SLO compliance' $(SLO_DIR)/report.md
 	grep -q '^### Alert timeline' $(SLO_DIR)/report.md
+	cp -r $(SLO_DIR)/run $(SLO_DIR)/cut
+	sed '$$ s/.$$//' $(SLO_DIR)/run/slo.jsonl > $(SLO_DIR)/cut/slo.jsonl
+	if $(GO) run ./cmd/tacreport $(SLO_DIR)/cut -o $(SLO_DIR)/cut.md 2> $(SLO_DIR)/cut.err; then \
+	  echo "slo smoke: tacreport accepted a cut slo.jsonl"; exit 1; \
+	fi
+	grep -q 'slo.jsonl' $(SLO_DIR)/cut.err
 	$(GO) run ./cmd/tactrace -in $(SLO_DIR)/run > $(SLO_DIR)/trace.txt
 	grep -q '^records:' $(SLO_DIR)/trace.txt
 	@echo "slo smoke passed; report in $(SLO_DIR)/report.md"

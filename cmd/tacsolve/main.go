@@ -23,6 +23,7 @@ import (
 
 	taccc "taccc"
 	"taccc/internal/cliutil"
+	"taccc/internal/obs"
 	"taccc/internal/obs/runlog"
 	"taccc/internal/par"
 )
@@ -45,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out      = fs.String("o", "", "write the assignment JSON here")
 		list     = fs.Bool("list", false, "list available algorithms and exit")
 		workers  = fs.Int("workers", runtime.GOMAXPROCS(0), "parallelism for -algo all (1 = sequential)")
-		progress = fs.Bool("progress", false, "print solver improvements to stderr as they happen")
+		progress = fs.Bool("progress", false, "print solver improvements to stderr as they happen (with -algo all, in registry order once every solve has finished)")
 	)
 	version := cliutil.VersionFlag(fs)
 	session := cliutil.NewObs(fs, "per-iteration solver events", true)
@@ -236,14 +237,16 @@ func boolFloat(b bool) float64 {
 // workers at a time — and prints a comparison table in registry order. Each
 // algorithm owns one row slot, so the table — and the returned archive
 // summary (algo.<name>.mean_delay_ms / .max_delay_ms / .feasible) — is
-// identical at any parallelism. The progress sink, when non-nil, is
-// attached to every supporting algorithm; events from concurrent solvers
-// interleave but each carries its algorithm name.
+// identical at any parallelism. So is the progress stream: when sink is
+// non-nil, each supporting algorithm's iteration events are buffered in
+// its row and replayed into sink in registry order after every solve
+// has finished.
 func compareAll(in *taccc.Instance, reg *taccc.AlgorithmRegistry, seed int64, workers int, sink taccc.ProgressSink, traceRoot *taccc.Phase, stdout io.Writer) runlog.Summary {
 	type row struct {
 		got     *taccc.Assignment
 		err     error
 		elapsed time.Duration
+		iters   []taccc.IterEvent
 	}
 	names := reg.Names()
 	rows := make([]row, len(names))
@@ -254,7 +257,8 @@ func compareAll(in *taccc.Instance, reg *taccc.AlgorithmRegistry, seed int64, wo
 			return
 		}
 		if sink != nil {
-			taccc.WithProgress(a, sink)
+			r := &rows[i]
+			taccc.WithProgress(a, obs.ProgressFunc(func(ev taccc.IterEvent) { r.iters = append(r.iters, ev) }))
 		}
 		ph := traceRoot.Child(names[i])
 		taccc.WithPhases(a, ph)
@@ -263,6 +267,11 @@ func compareAll(in *taccc.Instance, reg *taccc.AlgorithmRegistry, seed int64, wo
 		rows[i].elapsed = time.Since(start).Round(time.Microsecond)
 		ph.End()
 	})
+	for _, r := range rows {
+		for _, ev := range r.iters {
+			sink.OnIter(ev)
+		}
+	}
 	boundPh := traceRoot.Child("lower-bound")
 	bound := taccc.LowerBound(in)
 	boundPh.End()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	taccc "taccc"
+	"taccc/internal/obs/runlog"
 )
 
 func writeInstance(t *testing.T) string {
@@ -94,7 +95,8 @@ func TestSolveErrors(t *testing.T) {
 // archived summary.json must be identical.
 func TestSolveAll(t *testing.T) {
 	path := writeInstance(t)
-	var tables, summaries []string
+	var tables []string
+	files := map[string][]string{}
 	for _, workers := range []string{"1", "4"} {
 		dir := filepath.Join(t.TempDir(), "run")
 		var out, errBuf bytes.Buffer
@@ -114,16 +116,26 @@ func TestSolveAll(t *testing.T) {
 			}
 		}
 		tables = append(tables, strings.Join(rows, "\n"))
-		summary, err := os.ReadFile(filepath.Join(dir, "summary.json"))
-		if err != nil {
-			t.Fatal(err)
+		for _, name := range []string{runlog.SummaryFile, runlog.EventsFile, runlog.MetricsFile} {
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[name] = append(files[name], string(data))
 		}
-		summaries = append(summaries, string(summary))
 	}
 	if tables[0] != tables[1] {
 		t.Errorf("table differs between -workers 1 and 4:\n%s\n---\n%s", tables[0], tables[1])
 	}
-	if summaries[0] != summaries[1] {
-		t.Errorf("summary.json differs between -workers 1 and 4:\n%s\n---\n%s", summaries[0], summaries[1])
+	// Concurrent solvers' iteration events are replayed in registry
+	// order, so the event stream, like the summary, is the same at any
+	// -workers.
+	for name, got := range files {
+		if got[0] != got[1] {
+			t.Errorf("%s differs between -workers 1 and 4", name)
+		}
+	}
+	if !strings.Contains(files[runlog.EventsFile][0], `"algo":"qlearning"`) {
+		t.Errorf("%s holds no qlearning iteration events", runlog.EventsFile)
 	}
 }

@@ -170,6 +170,26 @@ func TestBanditStepAllocFree(t *testing.T) {
 	}
 }
 
+// TestBanditSolveBytes pins what a bandit solve builds: its per-position
+// arm statistics and the MDP's episode state, but none of the Q-row
+// seeds (init rows, candidate order) that only Q-table assigners read.
+// A 300×20 solve allocated 219,880 B while it still built them.
+func TestBanditSolveBytes(t *testing.T) {
+	in, err := gap.Synthetic(gap.SyntheticUniform, 300, 20, 0.85, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 136680
+	got := bytesPerRun(t, 5, func() {
+		if _, err := NewBandit(1).Assign(in); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > bound {
+		t.Fatalf("a 300×20 bandit solve allocates %d B, want at most %d", got, bound)
+	}
+}
+
 // bytesPerRun measures the mean heap bytes one call of f allocates, the
 // byte-count counterpart of testing.AllocsPerRun (one warm-up call, then
 // the mean over runs, at GOMAXPROCS 1).

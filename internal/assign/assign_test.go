@@ -314,10 +314,11 @@ func TestQLearningNearOptimalOnSmallInstances(t *testing.T) {
 func TestQLearningTraceMonotone(t *testing.T) {
 	in := mustSynthetic(t, gap.SyntheticUniform, 20, 4, 0.7, 3)
 	q := NewQLearning(3)
+	curve := recordCurve(q)
 	if _, err := q.Assign(in); err != nil {
 		t.Fatal(err)
 	}
-	trace := q.Trace()
+	trace := *curve
 	if len(trace) == 0 {
 		t.Fatal("empty trace")
 	}
@@ -328,11 +329,6 @@ func TestQLearningTraceMonotone(t *testing.T) {
 	}
 	if math.IsInf(trace[len(trace)-1], 1) {
 		t.Fatal("trace never became feasible")
-	}
-	// Trace is a copy.
-	trace[0] = -1
-	if q.Trace()[0] == -1 {
-		t.Fatal("Trace leaked internal storage")
 	}
 }
 
@@ -476,7 +472,7 @@ func keyFromLoads(m *mdp) []uint64 {
 // loads and packed.
 func TestMDPStateKey(t *testing.T) {
 	in := mustSynthetic(t, gap.SyntheticUniform, 4, 3, 0.5, 1)
-	env := newMDP(in, 4, true)
+	env := newMDP(in, 4)
 	env.reset()
 	if env.step != 0 || !slices.Equal(env.key, []uint64{0}) {
 		t.Fatalf("initial state (%d, %x), want (0, [0])", env.step, env.key)
@@ -508,7 +504,7 @@ func TestMDPStateKey(t *testing.T) {
 		}
 		for _, lw := range [][2]int{{1, 0}, {2, 1}, {3, 2}, {4, 2}, {8, 3}} {
 			levels, width := lw[0], lw[1]
-			env := newMDP(zeroCap, levels, true)
+			env := newMDP(zeroCap, levels)
 			if env.width != width || len(env.key) != (edges*width+63)/64 {
 				t.Fatalf("%d edges at %d levels: %d bits per edge in %d words, want %d bits", edges, levels, env.width, len(env.key), width)
 			}

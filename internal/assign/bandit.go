@@ -25,7 +25,8 @@ func (*Bandit) Name() string { return "bandit" }
 // Assign implements Assigner.
 func (b *Bandit) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	// One load level: the bandit ignores the state signature. It keeps no
-	// Q table and trains from scratch, so the trainer is not primed.
+	// Q table and trains from scratch, so the trainer is not primed and
+	// builds no Q-row seeds.
 	t := newTrainer("bandit", in, RLParams{LoadLevels: 1}, xrand.NewSplit(b.seed, "bandit"))
 	env := t.env
 	n, m := in.N(), in.M()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"taccc/internal/gap"
+	"taccc/internal/obs"
 )
 
 // goldenShapes are the instance families the golden determinism test
@@ -417,6 +418,14 @@ func traceHash(curve []float64) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// recordCurve attaches a progress sink to q that records, per episode,
+// the best total cost found so far: the convergence curve.
+func recordCurve(q *QLearning) *[]float64 {
+	var curve []float64
+	q.SetProgress(obs.ProgressFunc(func(ev obs.IterEvent) { curve = append(curve, ev.BestCost) }))
+	return &curve
+}
+
 // TestLearningGoldenAssignments replays every learningHashes row: the
 // assignment, and for Q-learning the per-episode curve, must be the
 // bits captured before the Q table rewrite.
@@ -426,14 +435,18 @@ func TestLearningGoldenAssignments(t *testing.T) {
 		g := g
 		t.Run(fmt.Sprintf("shape%d/seed%d/%s", g.shape, g.seed, g.algo), func(t *testing.T) {
 			a := newLearner(g.algo, g.seed*100, RLParams{NoWarmStart: true})
+			var curve *[]float64
+			if q, ok := a.(*QLearning); ok {
+				curve = recordCurve(q)
+			}
 			got, err := a.Assign(instances[[2]int64{int64(g.shape), g.seed}])
 			h := "ERR"
 			if err == nil {
 				h = hashOf(got.Of)
 			}
 			tr := ""
-			if q, ok := a.(*QLearning); ok {
-				tr = traceHash(q.Trace())
+			if curve != nil {
+				tr = traceHash(*curve)
 			}
 			if h != g.hash || tr != g.trace {
 				t.Fatalf("assignment %s trace %q, golden %s trace %q — learning changed", h, tr, g.hash, g.trace)

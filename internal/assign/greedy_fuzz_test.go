@@ -67,7 +67,8 @@ func FuzzGreedyAction(f *testing.F) {
 		if err != nil {
 			t.Skip(err)
 		}
-		env := newMDP(in, levels, costSeed)
+		env := newMDP(in, levels)
+		env.seedRows(costSeed)
 		q := newQTable(m, len(env.key), env.rowInit)
 		buf := make([]float64, m)
 		env.reset()

@@ -74,7 +74,8 @@ type mdp struct {
 	key   []uint64
 	step  int
 	// rowInit[t] is the Q-row initialization for any state at step t;
-	// the Q tables read it by reference.
+	// the Q tables read it by reference. It, cands and penalty are nil
+	// until seedRows.
 	rowInit [][]float64
 	// cands[candStart[i]:candStart[i+1]] are device i's reachable edges
 	// in the order bestQ ranks them in an init row: by decreasing init
@@ -87,11 +88,14 @@ type mdp struct {
 	act []int
 }
 
-// newMDP builds the MDP with or without cost-seeded Q rows.
-func newMDP(in *gap.Instance, levels int, costSeed bool) *mdp {
-	n, edges := in.N(), in.M()
+// newMDP builds the MDP's episode state: the placement order, the
+// residual capacities and the packed load key. What only a Q table reads
+// — the init rows, the candidate order and the dead-end penalty — is
+// built by seedRows.
+func newMDP(in *gap.Instance, levels int) *mdp {
+	edges := in.M()
 	width := bits.Len(uint(levels - 1))
-	m := &mdp{
+	return &mdp{
 		in:       in,
 		order:    byDecreasingLoad(in),
 		levels:   levels,
@@ -99,8 +103,15 @@ func newMDP(in *gap.Instance, levels int, costSeed bool) *mdp {
 		loads:    make([]float64, edges),
 		width:    width,
 		key:      make([]uint64, (edges*width+63)/64),
-		penalty:  deadEndPenalty(in),
 	}
+}
+
+// seedRows builds the Q tables' init rows, with or without cost seeding,
+// each device's candidate order and the dead-end penalty.
+func (m *mdp) seedRows(costSeed bool) {
+	in := m.in
+	n, edges := in.N(), in.M()
+	m.penalty = deadEndPenalty(in)
 	// Cost-seeded Q initialization: a fresh row for step t starts at
 	// -cost(device(t), j), so the untrained greedy policy already acts
 	// like min-delay greedy and learning only has to correct for
@@ -125,7 +136,6 @@ func newMDP(in *gap.Instance, levels int, costSeed bool) *mdp {
 	} else {
 		m.cands, m.candStart = reachableEdges(in)
 	}
-	return m
 }
 
 // reset starts a new episode.
@@ -266,11 +276,9 @@ type QLearning struct {
 	Params RLParams
 	seed   int64
 
-	// lastTrace records, per episode, the best total cost found so far;
-	// read it with Trace after Assign for the convergence experiment.
-	lastTrace []float64
-	// progress, when non-nil, receives one IterEvent per episode — the
-	// live counterpart of Trace. Strictly observational.
+	// progress, when non-nil, receives one IterEvent per episode whose
+	// BestCost is the best total cost found so far: the convergence
+	// curve. Strictly observational.
 	progress obs.ProgressSink
 }
 
@@ -284,21 +292,13 @@ func NewQLearning(seed int64) *QLearning { return &QLearning{seed: seed} }
 // Name implements Assigner.
 func (*QLearning) Name() string { return "qlearning" }
 
-// Trace returns the per-episode best-cost-so-far curve of the last Assign
-// call. The caller owns the slice.
-func (q *QLearning) Trace() []float64 {
-	out := make([]float64, len(q.lastTrace))
-	copy(out, q.lastTrace)
-	return out
-}
-
 // Assign implements Assigner.
 func (q *QLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	t := newTrainer("qlearning", in, q.Params, xrand.NewSplit(q.seed, "qlearning"))
 	t.progress = q.progress
 	t.prime()
 	env, qt := t.env, t.q
-	got, err := t.train(func() (float64, bool) {
+	return t.train(func() (float64, bool) {
 		cost := 0.0
 		h := env.row(qt)
 		a, _, ok := env.greedy(qt, h)
@@ -331,8 +331,6 @@ func (q *QLearning) Assign(in *gap.Instance) (*gap.Assignment, error) {
 			h, a = nh, na
 		}
 	}, true)
-	q.lastTrace = t.curve
-	return got, err
 }
 
 // deadEndPenalty scales the infeasibility punishment to the instance's

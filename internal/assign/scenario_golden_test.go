@@ -9,6 +9,7 @@ import (
 
 	"taccc/internal/assign"
 	"taccc/internal/experiment"
+	"taccc/internal/obs"
 )
 
 // scenarioGoldens pin Q-learning, warm start off, on generated
@@ -50,6 +51,8 @@ func TestQLearningGoldenScenario(t *testing.T) {
 			q := assign.NewQLearning(1)
 			q.Params.NoWarmStart = true
 			q.Params.LoadLevels = g.levels
+			var curve []float64
+			q.SetProgress(obs.ProgressFunc(func(ev obs.IterEvent) { curve = append(curve, ev.BestCost) }))
 			got, err := q.Assign(built.Instance)
 			if err != nil {
 				t.Fatal(err)
@@ -60,7 +63,6 @@ func TestQLearningGoldenScenario(t *testing.T) {
 				binary.LittleEndian.PutUint32(b[:], uint32(j))
 				of.Write(b[:])
 			}
-			curve := q.Trace()
 			tr := fnv.New64a()
 			distinct := 0
 			for k, v := range curve {

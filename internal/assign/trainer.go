@@ -36,28 +36,27 @@ type trainer struct {
 	bestCost float64
 	found    bool
 
-	// curve is the best cost after each episode (+Inf before the first
-	// feasible one); progress, when non-nil, receives it live.
-	curve    []float64
+	// progress, when non-nil, receives the best cost after each episode
+	// (+Inf before the first feasible one).
 	progress obs.ProgressSink
 }
 
 // newTrainer defaults params and builds the MDP and an empty incumbent;
-// call prime to create the Q table and seed the incumbent before training.
+// call prime to seed the Q rows, create the Q table and seed the
+// incumbent before training.
 func newTrainer(name string, in *gap.Instance, params RLParams, src *xrand.Source) *trainer {
 	p := params.withDefaults()
 	return &trainer{
 		name:     name,
 		in:       in,
 		p:        p,
-		env:      newMDP(in, p.LoadLevels, !p.NoCostSeeding),
+		env:      newMDP(in, p.LoadLevels),
 		src:      src,
 		eps:      epsilon0,
 		of:       make([]int, in.N()),
 		vals:     make([]float64, in.M()),
 		bestOf:   make([]int, in.N()),
 		bestCost: math.Inf(1),
-		curve:    make([]float64, 0, p.Episodes),
 	}
 }
 
@@ -68,14 +67,15 @@ func (t *trainer) keep(cost float64, of []int) {
 	t.found = true
 }
 
-// prime creates the Q table and seeds the incumbent with one
-// pure-exploitation rollout (with cost-seeded Q rows this reproduces
-// min-delay greedy) plus, unless NoWarmStart is set, the regret-greedy
-// constructive solution when that heuristic succeeds. The returned
-// assignment can then never be worse than either constructive baseline:
-// the standard warm start that makes episodic search an anytime improver,
-// whose episodes only improve on it.
+// prime builds the MDP's Q-row seeds, creates the Q table and seeds the
+// incumbent with one pure-exploitation rollout (with cost-seeded Q rows
+// this reproduces min-delay greedy) plus, unless NoWarmStart is set, the
+// regret-greedy constructive solution when that heuristic succeeds. The
+// returned assignment can then never be worse than either constructive
+// baseline: the standard warm start that makes episodic search an
+// anytime improver, whose episodes only improve on it.
 func (t *trainer) prime() {
+	t.env.seedRows(!t.p.NoCostSeeding)
 	t.q = newQTable(t.in.M(), len(t.env.key), t.env.rowInit)
 	if c, ok := t.rollout(); ok {
 		t.keep(c, t.of)
@@ -170,16 +170,15 @@ const eps0Temp = 1e-12
 // train runs p.Episodes episodes and returns the best feasible placement
 // seen. Each episode starts from a reset MDP; the body places devices into
 // t.of and reports the episode's cost and whether it placed all of them.
-// After every episode the incumbent, the curve and the progress sink are
-// updated and eps decays. With final set, one more exploitation rollout
-// over the learned table competes for the incumbent.
+// After every episode the incumbent and the progress sink are updated and
+// eps decays. With final set, one more exploitation rollout over the
+// learned table competes for the incumbent.
 func (t *trainer) train(episode func() (cost float64, feasible bool), final bool) (*gap.Assignment, error) {
 	for ep := 0; ep < t.p.Episodes; ep++ {
 		t.env.reset()
 		if c, ok := episode(); ok && c < t.bestCost {
 			t.keep(c, t.of)
 		}
-		t.curve = append(t.curve, t.bestCost)
 		obs.EmitIter(t.progress, t.name, ep, t.bestCost, t.found)
 		t.eps *= epsilonDecay
 		if t.eps < epsilonMin {

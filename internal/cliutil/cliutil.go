@@ -1,6 +1,6 @@
 // Package cliutil holds the pieces shared by the taccc commands:
-// build-info version reporting, the -events file stream, and Obs, the
-// one observability session tacsolve, tacsim and tacbench run under.
+// build-info version reporting and Obs, the one observability session
+// tacsolve, tacsim and tacbench run under.
 package cliutil
 
 import (

@@ -1,7 +1,6 @@
 package cliutil
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -88,7 +87,7 @@ type Obs struct {
 	spans          *obs.SpanCollector
 	root           *obs.Phase
 	stopProfiles   func()
-	events         *Events
+	events         *obs.JSONL
 	sink           obs.Sink
 	reg            *obs.Registry
 	srv            *httpserv.Server
@@ -166,7 +165,7 @@ func (o *Obs) Start(seed int64, stdout, stderr io.Writer) error {
 	if o.sysmonOn {
 		var sinks []obs.Sink
 		if o.archive != nil {
-			rs, err := o.archive.StartResources()
+			rs, err := o.archive.Stream(runlog.ResourcesFile)
 			if err != nil {
 				return err
 			}
@@ -187,7 +186,7 @@ func (o *Obs) Start(seed int64, stdout, stderr io.Writer) error {
 		}
 		var sink obs.Sink
 		if o.archive != nil {
-			js, err := o.archive.StartSLO()
+			js, err := o.archive.Stream(runlog.SLOFile)
 			if err != nil {
 				return err
 			}
@@ -204,7 +203,7 @@ func (o *Obs) Start(seed int64, stdout, stderr io.Writer) error {
 		o.spans = &obs.SpanCollector{}
 		var sink obs.Sink = o.spans
 		if o.archive != nil {
-			ts, err := o.archive.StartTrace()
+			ts, err := o.archive.Stream(runlog.TraceFile)
 			if err != nil {
 				return err
 			}
@@ -219,12 +218,12 @@ func (o *Obs) Start(seed int64, stdout, stderr io.Writer) error {
 	}
 	var sinks []obs.Sink
 	if o.eventsPath != "" {
-		ev, err := CreateEvents(o.eventsPath)
+		ev, err := obs.CreateJSONL(o.eventsPath)
 		if err != nil {
 			return err
 		}
 		o.events = ev
-		sinks = append(sinks, ev.Sink())
+		sinks = append(sinks, ev)
 	}
 	if o.archive != nil {
 		sinks = append(sinks, o.archive.Sink())
@@ -371,17 +370,7 @@ func (o *Obs) Finish(summary runlog.Summary) error {
 	if o.metricsOut == "" {
 		return nil
 	}
-	f, err := os.Create(o.metricsOut)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(snap)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := runlog.WriteJSONFile(o.metricsOut, snap); err != nil {
 		return fmt.Errorf("metrics: %w", err)
 	}
 	return nil

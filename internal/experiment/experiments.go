@@ -438,12 +438,13 @@ func F4(o Options) ([]*Table, error) {
 		// learner's own progress from greedy-level quality downward;
 		// production runs keep the warm start (see F11).
 		q.Params.NoWarmStart = true
+		var curve []float64
+		q.SetProgress(obs.ProgressFunc(func(ev obs.IterEvent) { curve = append(curve, ev.BestCost) }))
 		if _, err := q.Assign(b.Instance); err != nil && !errors.Is(err, gap.ErrInfeasible) {
 			return nil, err
 		}
-		trace := q.Trace()
-		if len(trace) > 0 {
-			curves = append(curves, trace)
+		if len(curve) > 0 {
+			curves = append(curves, curve)
 		}
 		if g, err := assign.NewGreedy().Assign(b.Instance); err == nil {
 			greedyCost.Add(b.Instance.TotalCost(g))

@@ -9,9 +9,9 @@ import (
 // Sinkerr enforces the loud-failure contract PR 3's /dev/full tests pin
 // down: a command that was asked to write an event stream (-events,
 // -archive) must exit nonzero when the bytes did not reach disk. The
-// JSONL sink latches its first write error and reports it from Flush;
-// Events.Close folds the flush error into the close error — so the one
-// way to lose the error is for a command to drop the return value of
+// JSONL sink latches its first write error and reports it from Flush,
+// and its Close folds that error into the file's close error — so the
+// one way to lose the error is for a command to drop the return value of
 // Flush or Close.
 //
 // Flagged shapes, for methods named Flush or Close returning an error
@@ -117,9 +117,10 @@ func receiverNamedType(fn *types.Func) *types.Named {
 }
 
 // isSinkPackagePath reports whether path declares event-sink types: the
-// obs layer, its runlog archive writer, and the cliutil Events wrapper.
-// Matching by path suffix keeps the analyzer testable against fixture
-// packages named plain "obs".
+// obs layer and its runlog archive writer. cliutil, whose Obs session
+// owns the -events stream, stays in scope so a sink type it declares is
+// checked too. Matching by path suffix keeps the analyzer testable
+// against fixture packages named plain "obs".
 func isSinkPackagePath(path string) bool {
 	for _, suffix := range []string{"obs", "runlog", "cliutil"} {
 		if path == suffix || strings.HasSuffix(path, "/"+suffix) {

@@ -229,7 +229,7 @@ func FuzzEncodeLine(f *testing.F) {
 			wantKind, wantFields = e.Kind, e.Fields
 		}
 		want, wantErr := referenceLine(wantKind, wantFields)
-		got, err := EncodeEventLine(e)
+		got, err := appendLine(nil, e)
 		switch {
 		case wantErr != nil:
 			if err == nil || err.Error() != wantErr.Error() {

@@ -98,24 +98,31 @@ func NewHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
 }
 
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	// sort.SearchFloat64s without its closure: the first bound >= v. The
-	// predicate is negated rather than flipped to bounds[mid] < v, so a
-	// NaN, which is >= no bound, lands in the overflow bucket.
-	lo, hi := 0, len(h.bounds)
+// Bucket returns the bucket v falls in over ascending upper bounds: the
+// first i with bounds[i] >= v, or len(bounds), the overflow bucket, when
+// there is none. It is sort.SearchFloat64s without its closure, with the
+// predicate negated rather than flipped to bounds[i] < v, so a NaN,
+// which is >= no bound, lands in the overflow bucket. Every histogram
+// files its observations through it.
+func Bucket(bounds []float64, v float64) int {
+	lo, hi := 0, len(bounds)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if !(h.bounds[mid] >= v) {
+		if !(bounds[mid] >= v) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	h.counts[lo].Add(1)
+	return lo
+}
+
+// Observe records one value.
+func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
+	h.counts[Bucket(h.bounds, v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
 }

@@ -20,6 +20,7 @@ package obs
 import (
 	"bufio"
 	"io"
+	"os"
 	"sync"
 )
 
@@ -107,19 +108,34 @@ func CountEvents(r *Registry, next Sink) Sink {
 // JSONL streams events as JSON Lines: one object per event with the kind
 // under "kind" plus the event's fields. Writes are serialized behind a
 // mutex so worker-pool goroutines can share one sink; the first
-// marshal/write error is latched and reported by Flush.
+// marshal/write error is latched and reported by Flush and Close.
 type JSONL struct {
-	mu  sync.Mutex
-	w   *bufio.Writer
-	buf []byte // the line being encoded, reused across events
-	err error
-	n   int
+	mu     sync.Mutex
+	w      *bufio.Writer
+	file   io.Closer // the file CreateJSONL opened; nil for NewJSONL
+	closed bool
+	buf    []byte // the line being encoded, reused across events
+	err    error
+	n      int
 }
 
-// NewJSONL wraps w in a buffered JSONL sink. Call Flush before closing the
-// underlying writer.
+// NewJSONL wraps w in a buffered JSONL sink. Call Flush or Close before
+// closing the underlying writer.
 func NewJSONL(w io.Writer) *JSONL {
 	return &JSONL{w: bufio.NewWriter(w)}
+}
+
+// CreateJSONL creates (or truncates) path and returns a JSONL sink that
+// owns the file: Close flushes and closes it. Every JSONL file a tool
+// writes is opened here.
+func CreateJSONL(path string) (*JSONL, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	s := NewJSONL(f)
+	s.file = f
+	return s, nil
 }
 
 // Emit implements Sink. A nil *JSONL discards the event, so disabled
@@ -164,8 +180,36 @@ func (s *JSONL) Flush() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.flush()
+}
+
+func (s *JSONL) flush() error {
 	if s.err != nil {
 		return s.err
 	}
 	return s.w.Flush()
+}
+
+// Close flushes the stream and closes the file CreateJSONL opened,
+// returning the first error of the stream's lifetime, a write error
+// latched during Emit included: a stream whose bytes did not reach disk
+// must fail its run. It is idempotent and nil-safe, so it can be
+// deferred as a backstop and also called to check the error.
+func (s *JSONL) Close() error {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	err := s.flush()
+	if s.file != nil {
+		if cerr := s.file.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }

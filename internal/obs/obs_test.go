@@ -3,7 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -172,6 +174,70 @@ func TestJSONLSinkConcurrent(t *testing.T) {
 	}
 	if len(seen) != n {
 		t.Fatalf("expected %d distinct iters, got %d", n, len(seen))
+	}
+}
+
+type failWriter struct{ err error }
+
+func (f failWriter) Write([]byte) (int, error) { return 0, f.err }
+
+type failCloser struct{ err error }
+
+func (f failCloser) Close() error { return f.err }
+
+// TestJSONLCloseReportsWriteErrors: a write error latched during Emit is
+// what Close returns, and a second Close returns nil.
+func TestJSONLCloseReportsWriteErrors(t *testing.T) {
+	wantErr := errors.New("disk full")
+	s := NewJSONL(failWriter{err: wantErr})
+	Emit(s, "span", map[string]interface{}{"trace": 1})
+	if err := s.Close(); !errors.Is(err, wantErr) {
+		t.Fatalf("Close() = %v, want %v", err, wantErr)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close() = %v, want nil (idempotent)", err)
+	}
+}
+
+// TestJSONLCloseReportsCloseErrors: Close flushes the buffered events
+// before it closes the file, and returns the file's close error.
+func TestJSONLCloseReportsCloseErrors(t *testing.T) {
+	wantErr := errors.New("close failed")
+	var buf bytes.Buffer
+	s := NewJSONL(&buf)
+	s.file = failCloser{err: wantErr}
+	Emit(s, "iter", nil)
+	if err := s.Close(); !errors.Is(err, wantErr) {
+		t.Fatalf("Close() = %v, want %v", err, wantErr)
+	}
+	if !strings.Contains(buf.String(), `"kind":"iter"`) {
+		t.Fatalf("event not flushed before close: %q", buf.String())
+	}
+}
+
+func TestJSONLCloseNilSafe(t *testing.T) {
+	var s *JSONL
+	if err := s.Close(); err != nil {
+		t.Fatalf("nil Close() = %v", err)
+	}
+}
+
+func TestCreateJSONLRoundTrip(t *testing.T) {
+	path := t.TempDir() + "/events.jsonl"
+	s, err := CreateJSONL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Emit(s, "span", map[string]interface{}{"trace": 7})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != `{"kind":"span","trace":7}`+"\n" {
+		t.Fatalf("file holds %q", data)
 	}
 }
 

@@ -12,14 +12,21 @@
 //	<dir>/resources.jsonl  — sysmon resource samples (only with -sysmon)
 //	<dir>/slo.jsonl        — SLO window/eval/alert stream (only with -slo)
 //
-// Every file is written canonically (sorted JSON object keys, fixed
-// indentation), so loading an archive and rewriting it reproduces the
-// original bytes exactly, and two runs of the same tool with the same
-// seed and config produce byte-identical archives — except the
-// manifest's wall-clock fields (start_unix_ms, elapsed_ms), which are
-// the only nondeterministic bytes in an archive by design. cmd/tacreport
-// consumes archives; tacsolve, tacsim and tacbench produce them behind
-// the shared -archive flag (internal/cliutil).
+// The four .jsonl files are the archive's streams, kept in one table:
+// the Writer opens events.jsonl at Create and each optional stream on its
+// first Stream call, Close seals them all in one loop, and Load and Write
+// walk the same table. Every stream is written through obs.JSONL and
+// every JSON file through WriteJSONFile, so each file has one encoder:
+// sorted object keys, fixed indentation. Loading an archive and
+// rewriting it therefore reproduces the original bytes exactly.
+//
+// Two runs of tacsolve or tacsim with the same seed and config produce
+// byte-identical events.jsonl, metrics.json, summary.json and slo.jsonl
+// at any -workers setting. The rest is wall-clock by design: the
+// manifest's start_unix_ms and elapsed_ms, trace.jsonl and
+// resources.jsonl, and the runtime_ms field of tacbench's "cell" events.
+// cmd/tacreport consumes archives; tacsolve, tacsim and tacbench produce
+// them behind the shared -archive flag (internal/cliutil).
 package runlog
 
 import (
@@ -86,22 +93,29 @@ type Manifest struct {
 // wall-clock readings belong in the manifest, not here).
 type Summary map[string]float64
 
+// streams are the archive's JSONL files, in the order Writer.Close seals
+// them, each with the Archive field it loads into. Only events.jsonl is
+// required; the others exist when the producing tool turned their plane
+// on, and Write leaves out a nil one.
+var streams = [...]struct {
+	name  string
+	field func(*Archive) *[]obs.Event
+}{
+	{EventsFile, func(a *Archive) *[]obs.Event { return &a.Events }},
+	{TraceFile, func(a *Archive) *[]obs.Event { return &a.Trace }},
+	{ResourcesFile, func(a *Archive) *[]obs.Event { return &a.Resources }},
+	{SLOFile, func(a *Archive) *[]obs.Event { return &a.SLO }},
+}
+
 // Writer streams one run into an archive directory: events go to
-// events.jsonl as they happen; manifest, metrics and summary are
-// written by Close.
+// events.jsonl as they happen, and each optional stream to its file once
+// Stream opens it; manifest, metrics and summary are written by Close.
 type Writer struct {
-	dir       string
-	man       Manifest
-	file      *os.File
-	sink      *obs.JSONL
-	traceFile *os.File
-	trace     *obs.JSONL
-	resFile   *os.File
-	res       *obs.JSONL
-	sloFile   *os.File
-	slo       *obs.JSONL
-	start     time.Time
-	closed    bool
+	dir    string
+	man    Manifest
+	open   [len(streams)]*obs.JSONL // by streams index; nil until opened
+	start  time.Time
+	closed bool
 }
 
 // Create initializes an archive directory (making it if needed) and
@@ -111,14 +125,14 @@ func Create(dir string, man Manifest) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runlog: %w", err)
 	}
-	f, err := os.Create(filepath.Join(dir, EventsFile))
+	events, err := obs.CreateJSONL(filepath.Join(dir, EventsFile))
 	if err != nil {
 		return nil, fmt.Errorf("runlog: %w", err)
 	}
 	now := time.Now()
 	man.Format = FormatVersion
 	man.StartUnixMs = now.UnixMilli()
-	return &Writer{dir: dir, man: man, file: f, sink: obs.NewJSONL(f), start: now}, nil
+	return &Writer{dir: dir, man: man, open: [len(streams)]*obs.JSONL{events}, start: now}, nil
 }
 
 // Sink returns the archive's event sink (nil on a nil receiver, so it
@@ -127,131 +141,71 @@ func (w *Writer) Sink() *obs.JSONL {
 	if w == nil {
 		return nil
 	}
-	return w.sink
+	return w.open[0]
 }
 
-// StartTrace opens the archive's pipeline-trace stream (trace.jsonl)
-// and returns its sink. Call at most once, before Close; the stream is
-// flushed and closed by Close. Tools that never call StartTrace produce
-// archives without a trace file — the tracing-off default.
-func (w *Writer) StartTrace() (*obs.JSONL, error) {
+// Stream opens the archive's optional stream name — TraceFile,
+// ResourcesFile or SLOFile — and returns its sink; a second call returns
+// the same sink. Close flushes and closes it. Tools that never open a
+// stream produce archives without its file, the plane-off default. A
+// nil receiver returns a nil sink.
+func (w *Writer) Stream(name string) (*obs.JSONL, error) {
 	if w == nil {
 		return nil, nil
 	}
-	if w.trace != nil {
-		return w.trace, nil
+	for i := 1; i < len(streams); i++ {
+		if streams[i].name != name {
+			continue
+		}
+		if w.open[i] == nil {
+			s, err := obs.CreateJSONL(filepath.Join(w.dir, name))
+			if err != nil {
+				return nil, fmt.Errorf("runlog: %w", err)
+			}
+			w.open[i] = s
+		}
+		return w.open[i], nil
 	}
-	f, err := os.Create(filepath.Join(w.dir, TraceFile))
-	if err != nil {
-		return nil, fmt.Errorf("runlog: %w", err)
-	}
-	w.traceFile = f
-	w.trace = obs.NewJSONL(f)
-	return w.trace, nil
+	return nil, fmt.Errorf("runlog: %q is not an optional archive stream", name)
 }
 
-// StartResources opens the archive's resource-sample stream
-// (resources.jsonl) and returns its sink. Call at most once, before
-// Close; the stream is flushed and closed by Close. Tools that never
-// call StartResources produce archives without a resources file — the
-// sysmon-off default.
-func (w *Writer) StartResources() (*obs.JSONL, error) {
-	if w == nil {
-		return nil, nil
-	}
-	if w.res != nil {
-		return w.res, nil
-	}
-	f, err := os.Create(filepath.Join(w.dir, ResourcesFile))
-	if err != nil {
-		return nil, fmt.Errorf("runlog: %w", err)
-	}
-	w.resFile = f
-	w.res = obs.NewJSONL(f)
-	return w.res, nil
-}
-
-// StartSLO opens the archive's SLO stream (slo.jsonl) and returns its
-// sink. Call at most once, before Close; the stream is flushed and
-// closed by Close. Tools that never call StartSLO produce archives
-// without an SLO file — the -slo-off default.
-func (w *Writer) StartSLO() (*obs.JSONL, error) {
-	if w == nil {
-		return nil, nil
-	}
-	if w.slo != nil {
-		return w.slo, nil
-	}
-	f, err := os.Create(filepath.Join(w.dir, SLOFile))
-	if err != nil {
-		return nil, fmt.Errorf("runlog: %w", err)
-	}
-	w.sloFile = f
-	w.slo = obs.NewJSONL(f)
-	return w.slo, nil
-}
-
-// Close flushes the event stream and writes metrics.json, summary.json
+// Close seals every open stream and writes metrics.json, summary.json
 // and manifest.json. It is idempotent; the first error anywhere in the
 // archive's lifetime (including latched event-write errors) is
-// returned — an archive that did not fully reach disk must fail the
-// run loudly. A nil snapshot or summary writes as empty, keeping the
-// archive self-contained either way.
+// returned, naming its file — an archive that did not fully reach disk
+// must fail the run loudly. A nil snapshot or summary writes as empty,
+// keeping the archive self-contained either way.
 func (w *Writer) Close(snap obs.Snapshot, summary Summary) error {
 	if w == nil || w.closed {
 		return nil
 	}
 	w.closed = true
-	err := w.sink.Flush()
-	if cerr := w.file.Close(); err == nil {
-		err = cerr
+	var err error
+	for i, s := range w.open {
+		if cerr := s.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("runlog: %s: %w", streams[i].name, cerr)
+		}
 	}
 	if err != nil {
-		return fmt.Errorf("runlog: events: %w", err)
+		return err
 	}
-	if w.traceFile != nil {
-		err := w.trace.Flush()
-		if cerr := w.traceFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("runlog: trace: %w", err)
-		}
-	}
-	if w.resFile != nil {
-		err := w.res.Flush()
-		if cerr := w.resFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("runlog: resources: %w", err)
-		}
-	}
-	if w.sloFile != nil {
-		err := w.slo.Flush()
-		if cerr := w.sloFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("runlog: slo: %w", err)
-		}
-	}
-	if err := writeJSONFile(filepath.Join(w.dir, MetricsFile), snap); err != nil {
+	if err := WriteJSONFile(filepath.Join(w.dir, MetricsFile), snap); err != nil {
 		return err
 	}
 	if summary == nil {
 		summary = Summary{}
 	}
-	if err := writeJSONFile(filepath.Join(w.dir, SummaryFile), summary); err != nil {
+	if err := WriteJSONFile(filepath.Join(w.dir, SummaryFile), summary); err != nil {
 		return err
 	}
 	w.man.ElapsedMs = float64(time.Since(w.start).Nanoseconds()) / 1e6
-	return writeJSONFile(filepath.Join(w.dir, ManifestFile), w.man)
+	return WriteJSONFile(filepath.Join(w.dir, ManifestFile), w.man)
 }
 
-// writeJSONFile writes v as canonical indented JSON (sorted keys via
-// encoding/json's map ordering, two-space indent, trailing newline).
-func writeJSONFile(path string, v interface{}) error {
+// WriteJSONFile writes v to path as canonical indented JSON (sorted keys
+// via encoding/json's map ordering, two-space indent, trailing newline):
+// the encoding of an archive's JSON files and of -metrics-out.
+func WriteJSONFile(path string, v interface{}) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("runlog: %w", err)
@@ -325,45 +279,20 @@ func Load(dir string) (*Archive, error) {
 	if err := loadJSONFile(dir, SummaryFile, &a.Summary); err != nil {
 		return nil, err
 	}
-	f, err := os.Open(filepath.Join(dir, EventsFile))
-	if err != nil {
-		return nil, fmt.Errorf("runlog: %s: %w", dir, err)
-	}
-	events, err := obs.ReadEventStream(f)
-	f.Close()
-	if err != nil {
-		return nil, fmt.Errorf("runlog: %s: %s: %w", dir, EventsFile, err)
-	}
-	a.Events = events
-	if tf, err := os.Open(filepath.Join(dir, TraceFile)); err == nil {
-		trace, terr := obs.ReadEventStream(tf)
-		tf.Close()
-		if terr != nil {
-			return nil, fmt.Errorf("runlog: %s: %s: %w", dir, TraceFile, terr)
+	for i, st := range streams {
+		f, err := os.Open(filepath.Join(dir, st.name))
+		if i > 0 && os.IsNotExist(err) {
+			continue
 		}
-		a.Trace = trace
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("runlog: %s: %w", dir, err)
-	}
-	if rf, err := os.Open(filepath.Join(dir, ResourcesFile)); err == nil {
-		res, rerr := obs.ReadEventStream(rf)
-		rf.Close()
-		if rerr != nil {
-			return nil, fmt.Errorf("runlog: %s: %s: %w", dir, ResourcesFile, rerr)
+		if err != nil {
+			return nil, fmt.Errorf("runlog: %s: %w", dir, err)
 		}
-		a.Resources = res
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("runlog: %s: %w", dir, err)
-	}
-	if sf, err := os.Open(filepath.Join(dir, SLOFile)); err == nil {
-		sloEvents, serr := obs.ReadEventStream(sf)
-		sf.Close()
-		if serr != nil {
-			return nil, fmt.Errorf("runlog: %s: %s: %w", dir, SLOFile, serr)
+		events, err := obs.ReadEventStream(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("runlog: %s: %s: %w", dir, st.name, err)
 		}
-		a.SLO = sloEvents
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("runlog: %s: %w", dir, err)
+		*st.field(a) = events
 	}
 	return a, nil
 }
@@ -387,79 +316,42 @@ func (a *Archive) Write(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("runlog: %w", err)
 	}
-	f, err := os.Create(filepath.Join(dir, EventsFile))
-	if err != nil {
-		return fmt.Errorf("runlog: %w", err)
-	}
-	werr := func() error {
-		for i, e := range a.Events {
-			line, err := obs.EncodeEventLine(e)
-			if err != nil {
-				return fmt.Errorf("runlog: %s: record %d: %w", EventsFile, i+1, err)
-			}
-			if _, err := f.Write(line); err != nil {
-				return fmt.Errorf("runlog: %s: %w", EventsFile, err)
-			}
+	for i, st := range streams {
+		events := *st.field(a)
+		if i > 0 && events == nil {
+			continue
 		}
-		return nil
-	}()
-	if cerr := f.Close(); werr == nil && cerr != nil {
-		werr = fmt.Errorf("runlog: %s: %w", EventsFile, cerr)
+		if err := writeEventFile(filepath.Join(dir, st.name), events); err != nil {
+			return err
+		}
 	}
-	if werr != nil {
-		return werr
-	}
-	if err := writeJSONFile(filepath.Join(dir, MetricsFile), a.Metrics); err != nil {
+	if err := WriteJSONFile(filepath.Join(dir, MetricsFile), a.Metrics); err != nil {
 		return err
 	}
 	summary := a.Summary
 	if summary == nil {
 		summary = Summary{}
 	}
-	if err := writeJSONFile(filepath.Join(dir, SummaryFile), summary); err != nil {
+	if err := WriteJSONFile(filepath.Join(dir, SummaryFile), summary); err != nil {
 		return err
 	}
-	if a.Trace != nil {
-		if err := writeEventFile(filepath.Join(dir, TraceFile), a.Trace); err != nil {
-			return err
-		}
-	}
-	if a.Resources != nil {
-		if err := writeEventFile(filepath.Join(dir, ResourcesFile), a.Resources); err != nil {
-			return err
-		}
-	}
-	if a.SLO != nil {
-		if err := writeEventFile(filepath.Join(dir, SLOFile), a.SLO); err != nil {
-			return err
-		}
-	}
-	return writeJSONFile(filepath.Join(dir, ManifestFile), a.Manifest)
+	return WriteJSONFile(filepath.Join(dir, ManifestFile), a.Manifest)
 }
 
-// writeEventFile writes a decoded event stream back out through the
-// canonical encoder (byte-identical to what the JSONL sink produced).
+// writeEventFile writes a decoded event stream back out through a JSONL
+// sink, whose line encoder reproduces what the sink first wrote.
 func writeEventFile(path string, events []obs.Event) error {
-	f, err := os.Create(path)
+	s, err := obs.CreateJSONL(path)
 	if err != nil {
 		return fmt.Errorf("runlog: %w", err)
 	}
-	werr := func() error {
-		for i, e := range events {
-			line, err := obs.EncodeEventLine(e)
-			if err != nil {
-				return fmt.Errorf("runlog: %s: record %d: %w", filepath.Base(path), i+1, err)
-			}
-			if _, err := f.Write(line); err != nil {
-				return fmt.Errorf("runlog: %s: %w", filepath.Base(path), err)
-			}
-		}
-		return nil
-	}()
-	if cerr := f.Close(); werr == nil && cerr != nil {
-		werr = fmt.Errorf("runlog: %s: %w", filepath.Base(path), cerr)
+	for _, e := range events {
+		s.Emit(e)
 	}
-	return werr
+	if err := s.Close(); err != nil {
+		return fmt.Errorf("runlog: %s: %w", filepath.Base(path), err)
+	}
+	return nil
 }
 
 // Spans decodes the archive's pipeline trace into spans, in emission

@@ -244,7 +244,7 @@ func writeTracedSample(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	obs.Emit(w.Sink(), "iter", map[string]interface{}{"algo": "tabu", "iter": 0, "feasible": true})
-	trace, err := w.StartTrace()
+	trace, err := w.Stream(TraceFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,13 +335,13 @@ func TestTraceAbsentIsFine(t *testing.T) {
 	}
 }
 
-// TestStartTraceNilAndCorrupt: nil-writer StartTrace no-ops; a corrupted
-// trace stream fails Load with a descriptive error.
+// TestStartTraceNilAndCorrupt: a nil writer's trace stream no-ops; a
+// corrupted trace stream fails Load with a descriptive error.
 func TestStartTraceNilAndCorrupt(t *testing.T) {
 	var w *Writer
-	sink, err := w.StartTrace()
+	sink, err := w.Stream(TraceFile)
 	if sink != nil || err != nil {
-		t.Fatalf("nil writer StartTrace = %v, %v", sink, err)
+		t.Fatalf("nil writer Stream(%s) = %v, %v", TraceFile, sink, err)
 	}
 	dir := filepath.Join(t.TempDir(), "run")
 	writeTracedSample(t, dir)
@@ -360,7 +360,7 @@ func writeResourcedSample(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	obs.Emit(w.Sink(), "iter", map[string]interface{}{"algo": "tabu", "iter": 0, "feasible": true})
-	res, err := w.StartResources()
+	res, err := w.Stream(ResourcesFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,13 +439,14 @@ func TestResourcesAbsentIsFine(t *testing.T) {
 	}
 }
 
-// TestStartResourcesNilAndCorrupt: nil-writer StartResources no-ops; a
-// corrupted resource stream fails Load with a descriptive error.
+// TestStartResourcesNilAndCorrupt: a nil writer's resource stream
+// no-ops; a corrupted resource stream fails Load with a descriptive
+// error.
 func TestStartResourcesNilAndCorrupt(t *testing.T) {
 	var w *Writer
-	sink, err := w.StartResources()
+	sink, err := w.Stream(ResourcesFile)
 	if sink != nil || err != nil {
-		t.Fatalf("nil writer StartResources = %v, %v", sink, err)
+		t.Fatalf("nil writer Stream(%s) = %v, %v", ResourcesFile, sink, err)
 	}
 	dir := filepath.Join(t.TempDir(), "run")
 	writeResourcedSample(t, dir)
@@ -453,6 +454,35 @@ func TestStartResourcesNilAndCorrupt(t *testing.T) {
 	_, err = Load(dir)
 	if err == nil || !strings.Contains(err.Error(), ResourcesFile) {
 		t.Fatalf("corrupt resources load error = %v", err)
+	}
+}
+
+// TestStreamRejectsUnknownName: Stream opens only the optional streams —
+// not events.jsonl, which Create opened, nor any other name — and opens
+// no file for a name it rejects; a second call returns the same sink.
+func TestStreamRejectsUnknownName(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "run")
+	w, err := Create(dir, Manifest{Tool: "tactest", Version: "devel", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{EventsFile, MetricsFile, "bogus.jsonl", ""} {
+		if sink, err := w.Stream(name); sink != nil || err == nil {
+			t.Errorf("Stream(%q) = %v, %v; want an error", name, sink, err)
+		}
+	}
+	a, err := w.Stream(SLOFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := w.Stream(SLOFile); b != a || err != nil {
+		t.Fatalf("second Stream(%s) = %p, %v; want %p", SLOFile, b, err, a)
+	}
+	if err := w.Close(obs.Snapshot{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "bogus.jsonl")); !os.IsNotExist(err) {
+		t.Fatalf("a rejected name left a file behind (err=%v)", err)
 	}
 }
 

@@ -181,7 +181,7 @@ type windowHist struct {
 }
 
 func (w *windowHist) observe(bounds []float64, v float64) {
-	w.counts[searchFloat64s(bounds, v)]++
+	w.counts[obs.Bucket(bounds, v)]++
 	w.count++
 	w.sum += v
 }
@@ -192,21 +192,6 @@ func (w *windowHist) reset() {
 	}
 	w.count = 0
 	w.sum = 0
-}
-
-// searchFloat64s is sort.SearchFloat64s without the package dependency
-// dance: smallest index i with bounds[i] >= v, len(bounds) when none.
-func searchFloat64s(bounds []float64, v float64) int {
-	lo, hi := 0, len(bounds)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if bounds[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // snapshot views the window as an obs.HistogramSnapshot without copying

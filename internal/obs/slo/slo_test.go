@@ -76,6 +76,66 @@ func TestWindowRotation(t *testing.T) {
 	}
 }
 
+// TestWindowBucketEdges is obs's TestHistogramBucketEdges for an SLO
+// window: -Inf, NaN, +Inf, each bound and the next float above it land
+// in the bucket a registry histogram files them in. So a window whose
+// sample is NaN reports its quantiles from the overflow bucket and
+// violates a latency objective, rather than reading as fast.
+func TestWindowBucketEdges(t *testing.T) {
+	type edge struct {
+		v    float64
+		want int
+	}
+	bounds := obs.DefaultLatencyBucketsMs()
+	overflow := len(bounds)
+	cases := []edge{
+		{math.Inf(-1), 0},
+		{-1, 0},
+		{0, 0},
+		{math.NaN(), overflow},
+		{math.Inf(1), overflow},
+		{math.MaxFloat64, overflow},
+	}
+	for i, b := range bounds {
+		cases = append(cases, edge{b, i}, edge{math.Nextafter(b, math.Inf(1)), i + 1})
+	}
+	for _, c := range cases {
+		w := windowHist{counts: make([]int64, len(bounds)+1)}
+		w.observe(bounds, c.v)
+		got := -1
+		for i, n := range w.counts {
+			if n == 1 {
+				got = i
+			}
+		}
+		if got != c.want {
+			t.Errorf("observe(%v) filed in bucket %d, want %d", c.v, got, c.want)
+		}
+	}
+
+	sink := &collect{}
+	tr := mustNew(t, Config{
+		WindowMs:   100,
+		Objectives: []Objective{{Series: SeriesE2E, Stat: StatQuantile(0.95), Threshold: 20, Target: 0.99}},
+		Sink:       sink,
+	})
+	tr.Observe(10, math.NaN(), false)
+	tr.Finish(100)
+	wins := sink.kind("slo-window")
+	if len(wins) != 1 {
+		t.Fatalf("want 1 window, got %d", len(wins))
+	}
+	overflowQ := 2 * bounds[len(bounds)-1]
+	for _, field := range []string{"p50_ms", "p95_ms", "p99_ms"} {
+		if got, _ := wins[0].Num(field); got != overflowQ {
+			t.Errorf("NaN window %s = %v, want the overflow answer %v", field, got, overflowQ)
+		}
+	}
+	if r := tr.Results()[0]; r.Violations != 1 {
+		t.Errorf("a NaN latency window violated p95<=20 %d times, want 1", r.Violations)
+	}
+}
+
 // TestWindowQuantilesVsBruteForce checks the windowed quantile against a
 // brute-force sort of the same samples, allowing the histogram's
 // bucket-upper-bound semantics: the estimate must be the smallest bucket

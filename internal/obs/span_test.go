@@ -27,7 +27,7 @@ func TestSpanEventFields(t *testing.T) {
 		t.Fatalf("SpanFromEvent = %+v, %v; want %+v", got, ok, sp)
 	}
 	const want = `{"attr.edge":2,"attr.outcome":"ok","dur_ms":4.5,"end_ms":14.5,"kind":"span","name":"service","parent":1,"span":3,"start_ms":10,"trace":7}` + "\n"
-	if line, err := EncodeEventLine(e); err != nil || string(line) != want {
+	if line, err := appendLine(nil, e); err != nil || string(line) != want {
 		t.Fatalf("span line = %q, %v; want %q", line, err, want)
 	}
 	if sp.DurationMs() != 4.5 {
@@ -35,7 +35,7 @@ func TestSpanEventFields(t *testing.T) {
 	}
 
 	root := Span{Trace: 7, ID: 1, Name: "request", StartMs: 0, EndMs: 20}
-	line, err := EncodeEventLine(root.Event())
+	line, err := appendLine(nil, root.Event())
 	if err != nil || strings.Contains(string(line), `"parent"`) {
 		t.Fatalf("root span must omit the parent field: %q, %v", line, err)
 	}

@@ -11,26 +11,17 @@ import (
 	"unicode/utf8"
 )
 
-// EncodeEventLine renders one event as its canonical JSONL line (trailing
-// newline included): the event's fields plus the kind under "kind", as
-// one JSON object with its keys in sorted order. The JSONL sink writes
-// the same bytes, so consumers that re-serialize decoded streams (run
-// archives, filters) reproduce stored streams byte-for-byte with it.
-func EncodeEventLine(e Event) ([]byte, error) {
-	buf, err := appendLine(nil, e)
-	if err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// appendLine appends e's canonical line to dst. The bytes are exactly
-// what json.Marshal writes for the same object — a map holding the
-// fields plus "kind", which json.Marshal sorts by key — but without the
-// map copy or the reflection: a typed span writes its fixed key order,
-// and any other event sorts its field names and writes each value
-// through appendValue. On error dst is returned unfinished and must be
-// discarded.
+// appendLine appends e's canonical line to dst (trailing newline
+// included): the event's fields plus the kind under "kind", as one JSON
+// object with its keys in sorted order. It is the one line encoder; the
+// JSONL sink writes through it, so emitting a decoded stream back into a
+// JSONL reproduces the stored bytes (how run archives are rewritten).
+// The bytes are exactly what json.Marshal writes for the same object —
+// a map holding the fields plus "kind", which json.Marshal sorts by key
+// — but without the map copy or the reflection: a typed span writes its
+// fixed key order, and any other event sorts its field names and writes
+// each value through appendValue. On error dst is returned unfinished
+// and must be discarded.
 func appendLine(dst []byte, e Event) ([]byte, error) {
 	if e.live {
 		return appendSpanLine(dst, &e.span)

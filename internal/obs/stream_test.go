@@ -53,7 +53,7 @@ func TestStreamReaderRoundTrip(t *testing.T) {
 	// is what lets run archives be rewritten byte-identically.
 	var rewrite bytes.Buffer
 	for _, e := range events {
-		line, err := EncodeEventLine(e)
+		line, err := appendLine(nil, e)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,17 +10,13 @@ import (
 	"taccc/internal/obs/slo"
 )
 
-// sloCollect buffers tracker events.
-type sloCollect struct{ events []obs.Event }
-
-func (c *sloCollect) Emit(e obs.Event) { c.events = append(c.events, e) }
-
 // sloStream drives a real tracker through an overloaded run and returns
 // its event stream round-tripped through the canonical JSONL encoding —
 // exactly what runlog.Load hands the report (json.Number fields).
 func sloStream(t *testing.T) []obs.Event {
 	t.Helper()
-	sink := &sloCollect{}
+	var buf bytes.Buffer
+	sink := obs.NewJSONL(&buf)
 	tr, err := slo.New(slo.Config{
 		WindowMs: 100,
 		Objectives: []slo.Objective{
@@ -42,13 +38,8 @@ func sloStream(t *testing.T) []obs.Event {
 		tr.ObserveRequest(float64(w*100)+50, 1, 1, 2, 1, v, false)
 	}
 	tr.Finish(500)
-	var buf bytes.Buffer
-	for _, e := range sink.events {
-		line, err := obs.EncodeEventLine(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(line)
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
 	}
 	decoded, err := obs.ReadEventStream(&buf)
 	if err != nil {
