@@ -134,7 +134,7 @@ func BenchmarkBranchAndBound12(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := taccc.BranchAndBound(in, taccc.BnBOptions{}); err != nil {
+		if _, err := taccc.BranchAndBound(in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -413,20 +413,6 @@ func BenchmarkCompareAlgorithmsWorkers(b *testing.B) {
 			if _, err := taccc.CompareAlgorithmsWorkers(sc, algos, 4, workers); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-}
-
-func BenchmarkAllPairsWorkers(b *testing.B) {
-	g, err := taccc.GenerateTopology(taccc.FamilyHierarchical, taccc.TopologyConfig{
-		NumIoT: 400, NumEdge: 40, NumGateways: 80, Seed: 1,
-	}, taccc.PlaceUniform)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchWorkerCounts(b, func(b *testing.B, workers int) {
-		for i := 0; i < b.N; i++ {
-			g.AllPairsWorkers(taccc.LatencyCost, workers)
 		}
 	})
 }

@@ -71,6 +71,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tacbench: %v\n", err)
 		return 2
 	}
+	if *reps < 0 {
+		fmt.Fprintf(stderr, "tacbench: -reps %d must be positive, or 0 for the default\n", *reps)
+		return 2
+	}
 	if *list {
 		for _, s := range taccc.Experiments() {
 			fmt.Fprintf(stdout, "%-4s %s\n", s.ID, s.Title)

@@ -71,3 +71,20 @@ func TestOutdirWritesCSVs(t *testing.T) {
 		t.Fatalf("CSV content unexpected: %q", string(data[:30]))
 	}
 }
+
+// TestBadRepsIsUsageError: a negative -reps exits 2 naming the flag,
+// rather than running the default number of replications.
+func TestBadRepsIsUsageError(t *testing.T) {
+	for _, reps := range []string{"-3", "-1"} {
+		var out, errBuf bytes.Buffer
+		if code := run([]string{"-exp", "F6", "-quick", "-reps", reps, "-csv"}, &out, &errBuf); code != 2 {
+			t.Errorf("-reps %s: exit %d, want 2 (stderr %q)", reps, code, errBuf.String())
+		}
+		if !strings.Contains(errBuf.String(), "-reps") {
+			t.Errorf("-reps %s: message %q does not name the flag", reps, errBuf.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("-reps %s: usage exit printed results: %q", reps, out.String())
+		}
+	}
+}

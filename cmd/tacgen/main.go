@@ -78,6 +78,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
+	if !(*rho > 0 && *rho <= 1) {
+		fmt.Fprintf(stderr, "tacgen: -rho %v must be in (0,1]\n", *rho)
+		return 2
+	}
 	placement := taccc.PlaceUniform
 	if *place == "hotspot" {
 		placement = taccc.PlaceHotspot

@@ -132,7 +132,7 @@ func TestUnknownEnumIsUsageError(t *testing.T) {
 func TestGeneratorErrorLeavesNoFile(t *testing.T) {
 	for _, args := range [][]string{
 		{"-kind", "topology", "-iot", "-1"},
-		{"-kind", "instance", "-rho", "5"},
+		{"-kind", "instance", "-edge", "0"},
 		{"-kind", "synthetic", "-n", "0"},
 		{"-kind", "devices", "-iot", "-3"},
 	} {
@@ -176,5 +176,25 @@ func TestVersionFlag(t *testing.T) {
 	}
 	if !strings.HasPrefix(out.String(), "tacgen ") {
 		t.Fatalf("version banner %q", out.String())
+	}
+}
+
+// TestBadRhoIsUsageError: a -rho outside (0,1], NaN and the infinities
+// included, exits 2 naming the flag, and leaves no output file behind.
+func TestBadRhoIsUsageError(t *testing.T) {
+	for _, rho := range []string{"NaN", "+Inf", "-Inf", "-1", "0", "1.5", "5", "1e300"} {
+		for _, kind := range []string{"instance", "synthetic"} {
+			path := filepath.Join(t.TempDir(), "inst.json")
+			var out, errBuf bytes.Buffer
+			if code := run([]string{"-kind", kind, "-iot", "10", "-edge", "2", "-rho", rho, "-o", path}, &out, &errBuf); code != 2 {
+				t.Errorf("-kind %s -rho %s: exit %d, want 2 (stderr %q)", kind, rho, code, errBuf.String())
+			}
+			if !strings.Contains(errBuf.String(), "-rho") {
+				t.Errorf("-kind %s -rho %s: message %q does not name the flag", kind, rho, errBuf.String())
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("-kind %s -rho %s left an output file (stat err %v)", kind, rho, err)
+			}
+		}
 	}
 }

@@ -70,6 +70,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tacsim: %v\n", err)
 		return 2
 	}
+	if !(*rho >= 0 && *rho <= 1) {
+		fmt.Fprintf(stderr, "tacsim: -rho %v must be in (0,1], or 0 for the default\n", *rho)
+		return 2
+	}
 	disc := taccc.DisciplineFIFO
 	switch *discipline {
 	case "fifo":

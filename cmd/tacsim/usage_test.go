@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -35,6 +36,24 @@ func TestUsageErrorsLeaveNoArtifacts(t *testing.T) {
 			if _, err := os.Stat(p); !os.IsNotExist(err) {
 				t.Errorf("args %v: %s exists after a usage exit", extra, filepath.Base(p))
 			}
+		}
+	}
+}
+
+// TestBadRhoIsUsageError: a -rho outside (0,1] other than the default's
+// 0, NaN and the infinities included, exits 2 naming the flag before
+// anything runs.
+func TestBadRhoIsUsageError(t *testing.T) {
+	for _, rho := range []string{"NaN", "+Inf", "-Inf", "-1", "1.5", "1e300"} {
+		var out, errBuf bytes.Buffer
+		if code := run([]string{"-iot", "10", "-edge", "2", "-duration", "1", "-rho", rho}, &out, &errBuf); code != 2 {
+			t.Errorf("-rho %s: exit %d, want 2 (stderr %q)", rho, code, errBuf.String())
+		}
+		if !strings.Contains(errBuf.String(), "-rho") {
+			t.Errorf("-rho %s: message %q does not name the flag", rho, errBuf.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("-rho %s: usage exit printed results: %q", rho, out.String())
 		}
 	}
 }

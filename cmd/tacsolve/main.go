@@ -78,6 +78,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case scenarioMode && (*iot <= 0 || *edge <= 0):
 		fmt.Fprintln(stderr, "tacsolve: scenario mode needs both -iot and -edge > 0")
 		return 2
+	case !(*rho >= 0 && *rho <= 1):
+		fmt.Fprintf(stderr, "tacsolve: -rho %v must be in (0, 1], or 0 for the default\n", *rho)
+		return 2
 	}
 	var a taccc.Assigner
 	if *algo != "all" && *algo != "exact" {
@@ -136,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	solvePh.SetAttr("algo", *algo)
 	var got *taccc.Assignment
 	if a == nil {
-		res, err := taccc.BranchAndBound(in, taccc.BnBOptions{})
+		res, err := taccc.BranchAndBound(in)
 		if err != nil {
 			solvePh.End()
 			fmt.Fprintf(stderr, "tacsolve: %v\n", err)

@@ -62,19 +62,19 @@ func TestSysmonEndToEnd(t *testing.T) {
 			t.Fatalf("degenerate sample: %+v", s)
 		}
 	}
-	rewrite := filepath.Join(dir, "rewrite")
-	if err := ar.Write(rewrite); err != nil {
-		t.Fatal(err)
-	}
 	want, err := os.ReadFile(filepath.Join(arDir, runlog.ResourcesFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(filepath.Join(rewrite, runlog.ResourcesFile))
-	if err != nil {
+	var got bytes.Buffer
+	sink := obs.NewJSONL(&got)
+	for _, e := range ar.Resources {
+		sink.Emit(e)
+	}
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want, got) {
+	if !bytes.Equal(want, got.Bytes()) {
 		t.Fatal("resources.jsonl differs after load/rewrite round trip")
 	}
 

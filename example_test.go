@@ -37,7 +37,7 @@ func ExampleBranchAndBound() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := taccc.BranchAndBound(in, taccc.BnBOptions{})
+	res, err := taccc.BranchAndBound(in)
 	if err != nil {
 		log.Fatal(err)
 	}

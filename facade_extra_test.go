@@ -105,7 +105,7 @@ func TestPublicTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Flush(); err != nil {
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	events, err := obs.ReadEventStream(&buf)
@@ -199,7 +199,11 @@ func TestPublicOnlinePolicies(t *testing.T) {
 	if err := policies[1].Tick(0, ctrl); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := ctrl.Placement(0); got != 0 {
-		t.Fatalf("device on edge %d, want 0 after threshold tick", got)
+	ids, _, cur, err := ctrl.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 1 || cur.Of[0] != 0 {
+		t.Fatalf("placement %v of devices %v, want edge 0 after threshold tick", cur.Of, ids)
 	}
 }

@@ -47,17 +47,20 @@ func TestTabuEscapesLocalOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Brute-force optimum as the oracle.
-	opt, err := gap.BruteForce(in)
+	// The proven branch-and-bound optimum as the oracle.
+	opt, err := gap.BranchAndBound(in)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !opt.Proven {
+		t.Fatal("branch-and-bound did not prove the optimum")
 	}
 	got, err := NewTabuSearch(1).Assign(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.TotalCost(got) > in.TotalCost(opt)+1e-9 {
-		t.Fatalf("tabu %v, optimum %v", in.TotalCost(got), in.TotalCost(opt))
+	if in.TotalCost(got) > opt.Cost+1e-9 {
+		t.Fatalf("tabu %v, optimum %v", in.TotalCost(got), opt.Cost)
 	}
 }
 

@@ -142,10 +142,10 @@ func simStreams(t *testing.T, mutate func(*Config), schedule func(*Simulator) er
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := spanSink.Flush(); err != nil {
+	if err := spanSink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sloSink.Flush(); err != nil {
+	if err := sloSink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var result bytes.Buffer

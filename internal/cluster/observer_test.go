@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -95,7 +94,7 @@ func observedPlanes(t *testing.T, cfg *Config, set int) func() [3]string {
 			}
 		}
 		for _, s := range []*obs.JSONL{spanSink, sloSink} {
-			if err := s.Flush(); err != nil {
+			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -133,17 +132,19 @@ func runWithin(t *testing.T, s *Simulator, durMs float64) *Result {
 	return res
 }
 
-// waitGoroutines fails the test unless the goroutine count falls back to
-// at most want. A goroutine that has signalled its exit still counts
-// until it is gone, so the count is polled for a short while.
-func waitGoroutines(t *testing.T, want int) {
+// requireJoined fails the test unless the run started an observer and
+// that observer had booked every exit and ended by the time Run returned.
+// It reads the run's own state, not the process's goroutine count, which
+// another test's observer can still hold for a moment after its run.
+func requireJoined(t *testing.T, s *Simulator) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > want {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines still running, %d before the run", runtime.NumGoroutine(), want)
-		}
-		time.Sleep(time.Millisecond)
+	if s.observer == nil {
+		t.Fatal("an observed run started no observer")
+	}
+	select {
+	case <-s.observer.done:
+	default:
+		t.Fatal("Run returned before its observer ended")
 	}
 }
 
@@ -163,7 +164,6 @@ func TestObserverLifetime(t *testing.T) {
 				}
 			}
 			t.Run(name, func(t *testing.T) {
-				before := runtime.NumGoroutine()
 				cfg := observedConfig(r.d)
 				hashes := observedPlanes(t, &cfg, set)
 				s, err := New(cfg)
@@ -180,29 +180,34 @@ func TestObserverLifetime(t *testing.T) {
 						t.Errorf("%s hash %s, pinned %s", p, got[k], r.hashes[k])
 					}
 				}
-				waitGoroutines(t, before)
+				requireJoined(t, s)
 			})
 		}
 	}
 }
 
 // TestObserverPlanesOffStartsNoGoroutine pins that a run with every plane
-// off books its exits on the event loop alone.
+// off books its exits on the event loop alone: midway through the run it
+// has no observer.
 func TestObserverPlanesOffStartsNoGoroutine(t *testing.T) {
 	s, err := New(observedConfig(DisciplineFIFO))
 	if err != nil {
 		t.Fatal(err)
 	}
-	peak := runtime.NumGoroutine()
-	if err := s.at(500, func() { peak = runtime.NumGoroutine() }); err != nil {
+	checked := false
+	if err := s.at(500, func() {
+		checked = true
+		if s.observer != nil {
+			t.Error("a run with every plane off started an observer")
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
 	if _, err := s.Run(1000); err != nil {
 		t.Fatal(err)
 	}
-	if peak != before {
-		t.Fatalf("%d goroutines mid-run, %d before it", peak, before)
+	if !checked {
+		t.Fatal("the mid-run control point never ran")
 	}
 }
 
@@ -212,7 +217,6 @@ func TestObserverPlanesOffStartsNoGoroutine(t *testing.T) {
 func TestObserverJoinedOnPanic(t *testing.T) {
 	for name, d := range map[string]Discipline{"fifo": DisciplineFIFO, "ps": DisciplinePS} {
 		t.Run(name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
 			cfg := observedConfig(d)
 			observedPlanes(t, &cfg, planeAll)
 			s, err := New(cfg)
@@ -235,7 +239,7 @@ func TestObserverJoinedOnPanic(t *testing.T) {
 			case <-time.After(observerDeadline):
 				t.Fatalf("a panicking Run did not return within %v", observerDeadline)
 			}
-			waitGoroutines(t, before)
+			requireJoined(t, s)
 		})
 	}
 }

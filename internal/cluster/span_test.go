@@ -201,7 +201,7 @@ func TestSpanSamplingDeterministic(t *testing.T) {
 		if _, err := s.Run(8_000); err != nil {
 			t.Fatal(err)
 		}
-		if err := cfg.Spans.(*obs.JSONL).Flush(); err != nil {
+		if err := cfg.Spans.(*obs.JSONL).Close(); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -35,22 +35,16 @@ type AlgoStat struct {
 	// feasible replications.
 	MeanCost float64
 	CostCI95 float64
-	// MaxCost is the mean of per-replication max device delay.
-	MaxCost float64
-	// Imbalance is the mean max/mean edge-utilization ratio.
-	Imbalance float64
 	// MeanRuntimeMs is the mean wall-clock solve time over ALL attempted
 	// replications — feasible, infeasible and errored alike — so it
 	// reflects what a caller actually pays per solve. Compare against
 	// FeasibleRuntimeMs, which averages over the same population as the
 	// cost fields.
 	MeanRuntimeMs float64
-	// RuntimeCI95 is the 95% confidence half-width of MeanRuntimeMs.
-	RuntimeCI95 float64
 	// FeasibleRuntimeMs is the mean wall-clock solve time over feasible
-	// replications only (0 when none were feasible). MeanCost, CostCI95,
-	// MaxCost and Imbalance average over this same population, so runtime
-	// and quality columns built from it are directly comparable.
+	// replications only (0 when none were feasible). MeanCost and CostCI95
+	// average over this same population, so runtime and quality columns
+	// built from it are directly comparable.
 	FeasibleRuntimeMs float64
 	// FeasibleRuntimeCI95 is the 95% confidence half-width of
 	// FeasibleRuntimeMs — the uncertainty the perf-regression gate uses
@@ -74,8 +68,6 @@ type AlgoStat struct {
 type cell struct {
 	runtimeMs float64
 	cost      float64
-	maxCost   float64
-	imbalance float64
 	feasible  bool
 	err       error
 }
@@ -167,8 +159,6 @@ func compareWithRegistry(reg *assign.Registry, sc Scenario, algos []string, reps
 		} else {
 			c.feasible = true
 			c.cost = in.MeanCost(got)
-			c.maxCost = in.MaxCost(got)
-			c.imbalance = in.Imbalance(got)
 		}
 		cells[k] = c
 		if progress != nil {
@@ -188,7 +178,7 @@ func compareWithRegistry(reg *assign.Registry, sc Scenario, algos []string, reps
 	// at any worker count.
 	out := make([]AlgoStat, 0, len(algos))
 	for ai, name := range algos {
-		var cost, maxCost, imb, runtime, feasRuntime stats.Welford
+		var cost, runtime, feasRuntime stats.Welford
 		feasible, errored := 0, 0
 		for r := 0; r < reps; r++ {
 			c := cells[ai*reps+r]
@@ -202,13 +192,10 @@ func compareWithRegistry(reg *assign.Registry, sc Scenario, algos []string, reps
 			feasible++
 			feasRuntime.Add(c.runtimeMs)
 			cost.Add(c.cost)
-			maxCost.Add(c.maxCost)
-			imb.Add(c.imbalance)
 		}
 		st := AlgoStat{
 			Name:          name,
 			MeanRuntimeMs: runtime.Mean(),
-			RuntimeCI95:   runtime.CI95(),
 			FeasibleRate:  float64(feasible) / float64(reps),
 			Reps:          reps,
 			Errors:        errored,
@@ -216,8 +203,6 @@ func compareWithRegistry(reg *assign.Registry, sc Scenario, algos []string, reps
 		if feasible > 0 {
 			st.MeanCost = cost.Mean()
 			st.CostCI95 = cost.CI95()
-			st.MaxCost = maxCost.Mean()
-			st.Imbalance = imb.Mean()
 			st.FeasibleRuntimeMs = feasRuntime.Mean()
 			st.FeasibleRuntimeCI95 = feasRuntime.CI95()
 		}

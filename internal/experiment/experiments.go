@@ -502,7 +502,7 @@ func F5(o Options) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			opt, err := gap.BranchAndBound(b.Instance, gap.BnBOptions{})
+			opt, err := gap.BranchAndBound(b.Instance)
 			if err != nil {
 				if errors.Is(err, gap.ErrInfeasible) {
 					continue

@@ -136,7 +136,7 @@ func TestCellEventsStreamAsJSONL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Flush(); err != nil {
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	events, err := obs.ReadEventStream(&buf)

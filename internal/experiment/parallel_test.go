@@ -18,7 +18,6 @@ func stripRuntimes(stats []AlgoStat) []AlgoStat {
 	copy(out, stats)
 	for i := range out {
 		out[i].MeanRuntimeMs = 0
-		out[i].RuntimeCI95 = 0
 		out[i].FeasibleRuntimeMs = 0
 		out[i].FeasibleRuntimeCI95 = 0
 	}

@@ -112,8 +112,8 @@ func (t *Candidates) Argmin(i int, lambda []float64) (price float64, edge int, w
 	return price, edge, weight
 }
 
-// rowMinBound sums the table's first column, each row's cheapest cost,
-// in row order.
+// rowMinBound is the capacity-relaxed lower bound: every device takes its
+// cheapest edge. It sums the table's first column in row order.
 func (t *Candidates) rowMinBound() float64 {
 	total := 0.0
 	for i := 0; i < t.in.N(); i++ {
@@ -122,31 +122,20 @@ func (t *Candidates) rowMinBound() float64 {
 	return total
 }
 
-// RowMinBound returns the capacity-relaxed lower bound: every device takes
-// its cheapest edge. Always a valid lower bound on the optimal total cost.
-func RowMinBound(in *Instance) float64 {
-	return NewCandidates(in, par.Workers(0)).rowMinBound()
-}
-
-// LagrangianBound computes a lower bound by Lagrangian relaxation of the
+// lagrangianBound computes a lower bound by Lagrangian relaxation of the
 // capacity constraints, improved by projected subgradient ascent on the
-// multipliers for iters rounds. It returns the best bound found (always >=
-// RowMinBound up to floating-point noise, since multipliers start at 0) and
-// the multipliers achieving it.
+// multipliers for iters rounds, on the given number of workers. It
+// returns the best bound found (always >= rowMinBound up to
+// floating-point noise, since multipliers start at 0) and the multipliers
+// achieving it.
 //
 // L(λ) = Σ_i min_j (c_ij + λ_j·w_ij) − Σ_j λ_j·C_j is a valid lower bound
 // for every λ >= 0.
-func LagrangianBound(in *Instance, iters int) (float64, []float64) {
-	workers := par.Workers(0)
-	return NewCandidates(in, workers).lagrangianBound(iters, workers)
-}
-
-// lagrangianBound runs LagrangianBound's rounds on the given number of
-// workers. Each round prices the rows in parallel through Argmin, every
-// row writing its minimum, argmin and the argmin's weight to its own
-// slot; one row-order loop then sums the value and the per-edge demand,
-// so the bound and the multipliers have the same bits at any worker
-// count.
+//
+// Each round prices the rows in parallel through Argmin, every row
+// writing its minimum, argmin and the argmin's weight to its own slot;
+// one row-order loop then sums the value and the per-edge demand, so the
+// bound and the multipliers have the same bits at any worker count.
 func (t *Candidates) lagrangianBound(iters, workers int) (float64, []float64) {
 	in := t.in
 	n, m := in.N(), in.M()

@@ -36,9 +36,9 @@ func goldenBoundInstances(t *testing.T) map[string]*Instance {
 	return out
 }
 
-// goldenBoundHashes pins, per instance, the bits of RowMinBound and
-// LowerBound and of LagrangianBound's value and multipliers at 1, 5 and
-// 50 iterations, taken from the nested sequential implementation.
+// goldenBoundHashes pins, per instance, the bits of the row-min bound
+// and LowerBound and of the Lagrangian bound's value and multipliers at
+// 1, 5 and 50 iterations, taken from the nested sequential implementation.
 var goldenBoundHashes = map[string]string{
 	"uniform-200x10":          "dc8ad859ed2a3a3d",
 	"uniform-400x16-tight":    "6a7e99dc9dc86c58",
@@ -49,9 +49,10 @@ var goldenBoundHashes = map[string]string{
 
 func hashBounds(in *Instance) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "row %x\nlower %x\n", math.Float64bits(RowMinBound(in)), math.Float64bits(LowerBound(in)))
+	table := NewCandidates(in, 1)
+	fmt.Fprintf(h, "row %x\nlower %x\n", math.Float64bits(table.rowMinBound()), math.Float64bits(LowerBound(in)))
 	for _, k := range []int{1, 5, 50} {
-		v, lambda := LagrangianBound(in, k)
+		v, lambda := table.lagrangianBound(k, 1)
 		fmt.Fprintf(h, "lagrangian %d %x", k, math.Float64bits(v))
 		for _, l := range lambda {
 			fmt.Fprintf(h, " %x", math.Float64bits(l))

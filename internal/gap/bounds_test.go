@@ -257,11 +257,12 @@ func TestFlatBoundsMatchNested(t *testing.T) {
 	for name, in := range cases {
 		checkBoundsMatchNested(t, name, in)
 		lower := LowerBound(in)
-		if math.IsNaN(lower) || math.IsNaN(RowMinBound(in)) {
+		table := NewCandidates(in, 1)
+		if math.IsNaN(lower) || math.IsNaN(table.rowMinBound()) {
 			t.Errorf("%s: NaN bound", name)
 		}
 		for _, iters := range []int{1, 50} {
-			v, lambda := LagrangianBound(in, iters)
+			v, lambda := table.lagrangianBound(iters, 1)
 			if math.IsNaN(v) {
 				t.Errorf("%s: LagrangianBound(%d) is NaN", name, iters)
 			}
@@ -416,7 +417,7 @@ func FuzzLowerBound(f *testing.F) {
 		if in.N() > 10 {
 			return
 		}
-		res, err := BranchAndBound(in, BnBOptions{MaxNodes: 200_000})
+		res, err := branchAndBound(in, 200_000)
 		switch {
 		case errors.Is(err, ErrInfeasible), res != nil && !res.Proven:
 			return // no proven optimum to compare with

@@ -49,7 +49,7 @@ func UniformCapacities(m int, totalLoad, rho float64) ([]float64, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("gap: UniformCapacities needs m > 0, got %d", m)
 	}
-	if rho <= 0 || rho > 1 {
+	if !(rho > 0 && rho <= 1) {
 		return nil, fmt.Errorf("gap: rho must be in (0,1], got %v", rho)
 	}
 	if totalLoad < 0 {
@@ -84,7 +84,7 @@ func Synthetic(kind SyntheticKind, n, m int, rho float64, seed int64) (*Instance
 	if n <= 0 || m <= 0 {
 		return nil, fmt.Errorf("gap: Synthetic needs n, m > 0, got %d, %d", n, m)
 	}
-	if rho <= 0 || rho > 1 {
+	if !(rho > 0 && rho <= 1) {
 		return nil, fmt.Errorf("gap: rho must be in (0,1], got %v", rho)
 	}
 	src := xrand.NewSplit(seed, "gap-synthetic")

@@ -15,7 +15,7 @@ func TestWithCloudMakesInfeasibleSolvable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BruteForce(base); err == nil {
+	if _, err := bruteForce(base); err == nil {
 		t.Fatal("base instance unexpectedly feasible")
 	}
 	withCloud, err := WithCloud(base, 80)
@@ -25,7 +25,7 @@ func TestWithCloudMakesInfeasibleSolvable(t *testing.T) {
 	if withCloud.M() != 3 {
 		t.Fatalf("M = %d, want 3", withCloud.M())
 	}
-	a, err := BruteForce(withCloud)
+	a, err := bruteForce(withCloud)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestWithCloudPrefersEdgesWhenTheyFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BranchAndBound(withCloud, BnBOptions{})
+	res, err := BranchAndBound(withCloud)
 	if err != nil {
 		t.Fatal(err)
 	}

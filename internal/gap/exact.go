@@ -6,49 +6,6 @@ import (
 	"sort"
 )
 
-// BruteForce enumerates all m^n assignments and returns the optimum. It
-// refuses instances where m^n exceeds ~50M nodes; use BranchAndBound
-// beyond that.
-func BruteForce(in *Instance) (*Assignment, error) {
-	n, m := in.N(), in.M()
-	if float64(n)*math.Log(float64(m)) > math.Log(5e7) {
-		return nil, fmt.Errorf("gap: BruteForce instance too large (n=%d, m=%d)", n, m)
-	}
-	of := make([]int, n)
-	bestOf := make([]int, n)
-	bestCost := math.Inf(1)
-	residual := make([]float64, m)
-	copy(residual, in.Capacity)
-
-	var rec func(i int, cost float64)
-	rec = func(i int, cost float64) {
-		if cost >= bestCost {
-			return
-		}
-		if i == n {
-			bestCost = cost
-			copy(bestOf, of)
-			return
-		}
-		cRow := in.CostRow(i)
-		for j := 0; j < m; j++ {
-			w := in.WeightAt(i, j)
-			if w > residual[j]+1e-12 || math.IsInf(cRow[j], 1) {
-				continue
-			}
-			of[i] = j
-			residual[j] -= w
-			rec(i+1, cost+cRow[j])
-			residual[j] += w
-		}
-	}
-	rec(0, 0)
-	if math.IsInf(bestCost, 1) {
-		return nil, ErrInfeasible
-	}
-	return NewAssignment(in, bestOf)
-}
-
 // BnBResult reports a branch-and-bound outcome.
 type BnBResult struct {
 	// Assignment is the best feasible assignment found (nil if none).
@@ -63,28 +20,22 @@ type BnBResult struct {
 	Nodes int64
 }
 
-// BnBOptions tunes BranchAndBound.
-type BnBOptions struct {
-	// MaxNodes caps the number of expanded nodes; 0 means 10M.
-	MaxNodes int64
-	// InitialUpper primes the incumbent with a known feasible cost
-	// (e.g. from a heuristic); 0 means +Inf.
-	InitialUpper float64
-}
+// maxBnBNodes caps the nodes BranchAndBound expands.
+const maxBnBNodes = 10_000_000
 
 // BranchAndBound solves the instance exactly by depth-first search with
 // residual-capacity-aware lower bounds. Devices are branched in order of
-// decreasing best-placement regret, edges in increasing cost order.
-func BranchAndBound(in *Instance, opts BnBOptions) (*BnBResult, error) {
+// decreasing best-placement regret, edges in increasing cost order. It
+// expands at most maxBnBNodes nodes; Proven reports whether the search
+// finished within them.
+func BranchAndBound(in *Instance) (*BnBResult, error) {
+	return branchAndBound(in, maxBnBNodes)
+}
+
+// branchAndBound is BranchAndBound under a node budget of maxNodes.
+func branchAndBound(in *Instance, maxNodes int64) (*BnBResult, error) {
 	n, m := in.N(), in.M()
-	maxNodes := opts.MaxNodes
-	if maxNodes <= 0 {
-		maxNodes = 10_000_000
-	}
 	upper := math.Inf(1)
-	if opts.InitialUpper > 0 {
-		upper = opts.InitialUpper
-	}
 
 	// Branch order: devices with high regret (gap between best and
 	// second-best edge) first — wrong early choices are pruned sooner.

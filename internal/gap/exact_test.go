@@ -2,14 +2,58 @@ package gap
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
 
+// bruteForce enumerates all m^n assignments and returns the optimum, the
+// oracle that BranchAndBound is checked against. It refuses instances
+// where m^n exceeds ~50M nodes.
+func bruteForce(in *Instance) (*Assignment, error) {
+	n, m := in.N(), in.M()
+	if float64(n)*math.Log(float64(m)) > math.Log(5e7) {
+		return nil, fmt.Errorf("gap: bruteForce instance too large (n=%d, m=%d)", n, m)
+	}
+	of := make([]int, n)
+	bestOf := make([]int, n)
+	bestCost := math.Inf(1)
+	residual := make([]float64, m)
+	copy(residual, in.Capacity)
+
+	var rec func(i int, cost float64)
+	rec = func(i int, cost float64) {
+		if cost >= bestCost {
+			return
+		}
+		if i == n {
+			bestCost = cost
+			copy(bestOf, of)
+			return
+		}
+		cRow := in.CostRow(i)
+		for j := 0; j < m; j++ {
+			w := in.WeightAt(i, j)
+			if w > residual[j]+1e-12 || math.IsInf(cRow[j], 1) {
+				continue
+			}
+			of[i] = j
+			residual[j] -= w
+			rec(i+1, cost+cRow[j])
+			residual[j] += w
+		}
+	}
+	rec(0, 0)
+	if math.IsInf(bestCost, 1) {
+		return nil, ErrInfeasible
+	}
+	return NewAssignment(in, bestOf)
+}
+
 func TestBruteForceTiny(t *testing.T) {
 	in := tiny(t)
-	a, err := BruteForce(in)
+	a, err := bruteForce(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +77,7 @@ func TestBruteForceInfeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BruteForce(in); !errors.Is(err, ErrInfeasible) {
+	if _, err := bruteForce(in); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("want ErrInfeasible, got %v", err)
 	}
 }
@@ -43,7 +87,7 @@ func TestBruteForceRefusesHuge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BruteForce(in); err == nil {
+	if _, err := bruteForce(in); err == nil {
 		t.Fatal("huge instance accepted")
 	}
 }
@@ -55,8 +99,8 @@ func TestBranchAndBoundMatchesBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bf, bfErr := BruteForce(in)
-			bb, bbErr := BranchAndBound(in, BnBOptions{})
+			bf, bfErr := bruteForce(in)
+			bb, bbErr := BranchAndBound(in)
 			if (bfErr == nil) != (bbErr == nil) {
 				t.Fatalf("seed %d: feasibility disagreement: bf=%v bb=%v", seed, bfErr, bbErr)
 			}
@@ -85,7 +129,7 @@ func TestBranchAndBoundInfeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BranchAndBound(in, BnBOptions{})
+	res, err := BranchAndBound(in)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("want ErrInfeasible, got %v", err)
 	}
@@ -99,7 +143,7 @@ func TestBranchAndBoundNodeBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BranchAndBound(in, BnBOptions{MaxNodes: 50})
+	res, err := branchAndBound(in, 50)
 	if err == nil && res.Proven {
 		// With only 50 nodes on a 40x8 instance, a proof is
 		// implausible unless pruning is supernaturally good; accept a
@@ -111,31 +155,10 @@ func TestBranchAndBoundNodeBudget(t *testing.T) {
 	}
 }
 
-func TestBranchAndBoundInitialUpperPrunes(t *testing.T) {
-	in, err := Synthetic(SyntheticUniform, 10, 3, 0.8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	free, err := BranchAndBound(in, BnBOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	primed, err := BranchAndBound(in, BnBOptions{InitialUpper: free.Cost + 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if primed.Nodes > free.Nodes {
-		t.Fatalf("priming increased nodes: %d > %d", primed.Nodes, free.Nodes)
-	}
-	if math.Abs(primed.Cost-free.Cost) > 1e-9 {
-		t.Fatalf("priming changed optimum: %v vs %v", primed.Cost, free.Cost)
-	}
-}
-
 func TestRowMinBound(t *testing.T) {
 	in := tiny(t)
-	if got := RowMinBound(in); got != 6 {
-		t.Fatalf("RowMinBound = %v, want 6", got)
+	if got := NewCandidates(in, 1).rowMinBound(); got != 6 {
+		t.Fatalf("rowMinBound = %v, want 6", got)
 	}
 }
 
@@ -145,18 +168,19 @@ func TestLagrangianBoundValidAndAtLeastRowMin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := BranchAndBound(in, BnBOptions{})
+		res, err := BranchAndBound(in)
 		if errors.Is(err, ErrInfeasible) {
 			continue
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		lb, _ := LagrangianBound(in, 100)
+		table := NewCandidates(in, 1)
+		lb, _ := table.lagrangianBound(100, 1)
 		if lb > res.Cost+1e-6 {
 			t.Fatalf("seed %d: Lagrangian bound %v exceeds optimum %v", seed, lb, res.Cost)
 		}
-		rb := RowMinBound(in)
+		rb := table.rowMinBound()
 		if lb < rb-1e-6 {
 			t.Fatalf("seed %d: Lagrangian bound %v below row-min %v", seed, lb, rb)
 		}
@@ -175,8 +199,8 @@ func TestLagrangianBoundTightensOnCapacityPressure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lb, _ := LagrangianBound(in, 200)
-		if lb > RowMinBound(in)+1e-9 {
+		table := NewCandidates(in, 1)
+		if lb, _ := table.lagrangianBound(200, 1); lb > table.rowMinBound()+1e-9 {
 			improved = true
 			break
 		}
@@ -194,7 +218,7 @@ func TestBoundsSandwichQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := BranchAndBound(in, BnBOptions{})
+		res, err := BranchAndBound(in)
 		if errors.Is(err, ErrInfeasible) {
 			return true
 		}

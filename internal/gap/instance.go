@@ -160,13 +160,6 @@ func NewAssignment(in *Instance, of []int) (*Assignment, error) {
 	return &Assignment{Of: of}, nil
 }
 
-// Clone returns a deep copy.
-func (a *Assignment) Clone() *Assignment {
-	of := make([]int, len(a.Of))
-	copy(of, a.Of)
-	return &Assignment{Of: of}
-}
-
 // TotalCost returns Σ cost[i][a(i)] for the assignment under in. An empty
 // assignment sums to 0.
 func (in *Instance) TotalCost(a *Assignment) float64 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"taccc/internal/jsonx"
@@ -180,15 +181,6 @@ func TestImbalanceIdle(t *testing.T) {
 	}
 	if in.Imbalance(a) < 1 {
 		t.Fatal("imbalance below 1")
-	}
-}
-
-func TestAssignmentClone(t *testing.T) {
-	a := &Assignment{Of: []int{1, 2, 3}}
-	b := a.Clone()
-	b.Of[0] = 9
-	if a.Of[0] != 1 {
-		t.Fatal("Clone aliases storage")
 	}
 }
 
@@ -417,6 +409,19 @@ func TestUniformCapacities(t *testing.T) {
 	}{{0, 1, 0.5}, {2, 1, 0}, {2, 1, 1.5}, {2, -1, 0.5}} {
 		if _, err := UniformCapacities(tc.m, tc.load, tc.rho); err == nil {
 			t.Errorf("UniformCapacities(%d, %v, %v) accepted", tc.m, tc.load, tc.rho)
+		}
+	}
+}
+
+// TestBuildersRejectBadRho: UniformCapacities and Synthetic return their
+// rho error for every rho outside (0, 1], NaN included.
+func TestBuildersRejectBadRho(t *testing.T) {
+	for _, rho := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0, 1.5, 1e300} {
+		if _, err := UniformCapacities(2, 1, rho); err == nil || !strings.Contains(err.Error(), "rho") {
+			t.Errorf("UniformCapacities(rho=%v): err %v, want the rho error", rho, err)
+		}
+		if _, err := Synthetic(SyntheticUniform, 4, 2, rho, 1); err == nil || !strings.Contains(err.Error(), "rho") {
+			t.Errorf("Synthetic(rho=%v): err %v, want the rho error", rho, err)
 		}
 	}
 }

@@ -48,7 +48,7 @@ func TestLPBoundSandwichedByOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := BranchAndBound(in, BnBOptions{})
+		res, err := BranchAndBound(in)
 		if errors.Is(err, ErrInfeasible) {
 			continue
 		}
@@ -60,7 +60,7 @@ func TestLPBoundSandwichedByOptimum(t *testing.T) {
 			t.Fatalf("seed %d: LP bound %v above optimum %v", seed, lpb, res.Cost)
 		}
 		// The LP bound dominates the row-min bound.
-		if rb := RowMinBound(in); lpb < rb-1e-6 {
+		if rb := NewCandidates(in, 1).rowMinBound(); lpb < rb-1e-6 {
 			t.Fatalf("seed %d: LP bound %v below row-min %v", seed, lpb, rb)
 		}
 	}
@@ -75,7 +75,7 @@ func TestLPBoundTighterThanLagrangianOnAverage(t *testing.T) {
 			t.Fatal(err)
 		}
 		lpb := LPBound(in)
-		lgb, _ := LagrangianBound(in, 100)
+		lgb, _ := NewCandidates(in, 1).lagrangianBound(100, 1)
 		if lpb < lgb-1e-4 {
 			t.Fatalf("seed %d: LP bound %v below Lagrangian %v", seed, lpb, lgb)
 		}

@@ -169,8 +169,8 @@ var goldenExactHashes = map[string]string{
 
 func TestExactGolden(t *testing.T) {
 	bnb := fnv.New64a()
-	bnbCase := func(in *Instance, opts BnBOptions) {
-		res, err := BranchAndBound(in, opts)
+	bnbCase := func(in *Instance, maxNodes int64) {
+		res, err := branchAndBound(in, maxNodes)
 		fmt.Fprintf(bnb, "%x %v %d %v\n", math.Float64bits(res.Cost), res.Proven, res.Nodes, errors.Is(err, ErrInfeasible))
 	}
 	lpb := fnv.New64a()
@@ -186,15 +186,15 @@ func TestExactGolden(t *testing.T) {
 	}
 	for seed := int64(0); seed < 20; seed++ {
 		for _, kind := range []SyntheticKind{SyntheticUniform, SyntheticCorrelated} {
-			bnbCase(synth(kind, 8, 3, 0.75, seed), BnBOptions{})
+			bnbCase(synth(kind, 8, 3, 0.75, seed), maxBnBNodes)
 		}
 	}
 	for seed := int64(0); seed < 15; seed++ {
-		bnbCase(synth(SyntheticCorrelated, 10, 3, 0.7, seed), BnBOptions{})
+		bnbCase(synth(SyntheticCorrelated, 10, 3, 0.7, seed), maxBnBNodes)
 	}
-	bnbCase(synth(SyntheticCorrelated, 40, 8, 0.95, 2), BnBOptions{MaxNodes: 50})
-	bnbCase(synth(SyntheticUniform, 10, 3, 0.8, 4), BnBOptions{})
-	bnbCase(tiny(t), BnBOptions{})
+	bnbCase(synth(SyntheticCorrelated, 40, 8, 0.95, 2), 50)
+	bnbCase(synth(SyntheticUniform, 10, 3, 0.8, 4), maxBnBNodes)
+	bnbCase(tiny(t), maxBnBNodes)
 
 	lpCase(tiny(t))
 	for seed := int64(0); seed < 10; seed++ {

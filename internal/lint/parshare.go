@@ -34,7 +34,7 @@ var Parshare = &Analyzer{
 // parEntryPoints are the internal/par functions that fan a closure out
 // across workers.
 var parEntryPoints = map[string]bool{
-	"For": true, "ForShards": true, "ForErr": true, "Map": true, "MapErr": true,
+	"For": true, "ForShards": true, "ForErr": true, "Map": true,
 }
 
 // isParPackage matches internal/par by path, the way hotloop matches

@@ -9,10 +9,10 @@ import (
 // Sinkerr enforces the loud-failure contract PR 3's /dev/full tests pin
 // down: a command that was asked to write an event stream (-events,
 // -archive) must exit nonzero when the bytes did not reach disk. The
-// JSONL sink latches its first write error and reports it from Flush,
-// and its Close folds that error into the file's close error — so the
+// JSONL sink latches its first write error and reports it from Close,
+// together with the buffer's flush and the file's close errors — so the
 // one way to lose the error is for a command to drop the return value of
-// Flush or Close.
+// Close (or of Flush, on a sink that has one).
 //
 // Flagged shapes, for methods named Flush or Close returning an error
 // whose receiver type is declared in an event-sink package (internal/obs,

@@ -35,14 +35,3 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 	}
 	return out
 }
-
-func MapErr[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	for i := range out {
-		var err error
-		if out[i], err = fn(i); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}

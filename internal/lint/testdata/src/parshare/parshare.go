@@ -48,11 +48,10 @@ func counter() int {
 
 func foldShared() float64 {
 	sum := 0.0
-	_, err := par.MapErr(4, 8, func(i int) (float64, error) {
-		sum = sum + float64(i) // want `par\.MapErr closure writes captured variable "sum"`
-		return sum, nil
+	par.Map(4, 8, func(i int) float64 {
+		sum = sum + float64(i) // want `par\.Map closure writes captured variable "sum"`
+		return sum
 	})
-	_ = err
 	return sum
 }
 

@@ -108,7 +108,7 @@ func CountEvents(r *Registry, next Sink) Sink {
 // JSONL streams events as JSON Lines: one object per event with the kind
 // under "kind" plus the event's fields. Writes are serialized behind a
 // mutex so worker-pool goroutines can share one sink; the first
-// marshal/write error is latched and reported by Flush and Close.
+// marshal/write error is latched and reported by Close.
 type JSONL struct {
 	mu     sync.Mutex
 	w      *bufio.Writer
@@ -116,11 +116,10 @@ type JSONL struct {
 	closed bool
 	buf    []byte // the line being encoded, reused across events
 	err    error
-	n      int
 }
 
-// NewJSONL wraps w in a buffered JSONL sink. Call Flush or Close before
-// closing the underlying writer.
+// NewJSONL wraps w in a buffered JSONL sink. Call Close before closing
+// the underlying writer.
 func NewJSONL(w io.Writer) *JSONL {
 	return &JSONL{w: bufio.NewWriter(w)}
 }
@@ -157,37 +156,7 @@ func (s *JSONL) Emit(e Event) {
 	}
 	if _, err := s.w.Write(s.buf); err != nil {
 		s.err = err
-		return
 	}
-	s.n++
-}
-
-// N returns the number of events written so far (0 on a nil receiver).
-func (s *JSONL) N() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Flush drains the buffer and returns the first error encountered.
-// Nil-safe, like Emit.
-func (s *JSONL) Flush() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flush()
-}
-
-func (s *JSONL) flush() error {
-	if s.err != nil {
-		return s.err
-	}
-	return s.w.Flush()
 }
 
 // Close flushes the stream and closes the file CreateJSONL opened,
@@ -205,7 +174,10 @@ func (s *JSONL) Close() error {
 		return nil
 	}
 	s.closed = true
-	err := s.flush()
+	err := s.err
+	if err == nil {
+		err = s.w.Flush()
+	}
 	if s.file != nil {
 		if cerr := s.file.Close(); err == nil {
 			err = cerr

@@ -14,11 +14,11 @@
 //
 // The four .jsonl files are the archive's streams, kept in one table:
 // the Writer opens events.jsonl at Create and each optional stream on its
-// first Stream call, Close seals them all in one loop, and Load and Write
-// walk the same table. Every stream is written through obs.JSONL and
-// every JSON file through WriteJSONFile, so each file has one encoder:
-// sorted object keys, fixed indentation. Loading an archive and
-// rewriting it therefore reproduces the original bytes exactly.
+// first Stream call, Close seals them all in one loop, and Load walks the
+// same table. Every stream is written through obs.JSONL and every JSON
+// file through WriteJSONFile, so each file has one encoder: sorted object
+// keys, fixed indentation. Re-encoding a loaded archive therefore
+// reproduces the original bytes exactly, which the package's tests check.
 //
 // Two runs of tacsolve or tacsim with the same seed and config produce
 // byte-identical events.jsonl, metrics.json, summary.json and slo.jsonl
@@ -305,51 +305,6 @@ func loadJSONFile(dir, name string, v interface{}) error {
 	defer f.Close()
 	if err := jsonx.Decode(f, v); err != nil {
 		return fmt.Errorf("runlog: %s: %s: invalid or truncated JSON: %w", dir, name, err)
-	}
-	return nil
-}
-
-// Write re-serializes the archive into dir using the same canonical
-// encodings as the Writer, so Load(dir₁) → Write(dir₂) reproduces every
-// file byte-for-byte. Useful for filtering or migrating archives.
-func (a *Archive) Write(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("runlog: %w", err)
-	}
-	for i, st := range streams {
-		events := *st.field(a)
-		if i > 0 && events == nil {
-			continue
-		}
-		if err := writeEventFile(filepath.Join(dir, st.name), events); err != nil {
-			return err
-		}
-	}
-	if err := WriteJSONFile(filepath.Join(dir, MetricsFile), a.Metrics); err != nil {
-		return err
-	}
-	summary := a.Summary
-	if summary == nil {
-		summary = Summary{}
-	}
-	if err := WriteJSONFile(filepath.Join(dir, SummaryFile), summary); err != nil {
-		return err
-	}
-	return WriteJSONFile(filepath.Join(dir, ManifestFile), a.Manifest)
-}
-
-// writeEventFile writes a decoded event stream back out through a JSONL
-// sink, whose line encoder reproduces what the sink first wrote.
-func writeEventFile(path string, events []obs.Event) error {
-	s, err := obs.CreateJSONL(path)
-	if err != nil {
-		return fmt.Errorf("runlog: %w", err)
-	}
-	for _, e := range events {
-		s.Emit(e)
-	}
-	if err := s.Close(); err != nil {
-		return fmt.Errorf("runlog: %s: %w", filepath.Base(path), err)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package runlog
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,51 @@ import (
 	"taccc/internal/obs"
 	"taccc/internal/obs/sysmon"
 )
+
+// Write re-serializes the archive into dir using the same canonical
+// encodings as the Writer, so Load(dir₁) → Write(dir₂) reproduces every
+// file byte-for-byte: the oracle of the round-trip tests.
+func (a *Archive) Write(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("runlog: %w", err)
+	}
+	for i, st := range streams {
+		events := *st.field(a)
+		if i > 0 && events == nil {
+			continue
+		}
+		if err := writeEventFile(filepath.Join(dir, st.name), events); err != nil {
+			return err
+		}
+	}
+	if err := WriteJSONFile(filepath.Join(dir, MetricsFile), a.Metrics); err != nil {
+		return err
+	}
+	summary := a.Summary
+	if summary == nil {
+		summary = Summary{}
+	}
+	if err := WriteJSONFile(filepath.Join(dir, SummaryFile), summary); err != nil {
+		return err
+	}
+	return WriteJSONFile(filepath.Join(dir, ManifestFile), a.Manifest)
+}
+
+// writeEventFile writes a decoded event stream back out through a JSONL
+// sink, whose line encoder reproduces what the sink first wrote.
+func writeEventFile(path string, events []obs.Event) error {
+	s, err := obs.CreateJSONL(path)
+	if err != nil {
+		return fmt.Errorf("runlog: %w", err)
+	}
+	for _, e := range events {
+		s.Emit(e)
+	}
+	if err := s.Close(); err != nil {
+		return fmt.Errorf("runlog: %s: %w", filepath.Base(path), err)
+	}
+	return nil
+}
 
 // writeSample produces a representative archive: iter events, a span
 // event, counters, gauges, a histogram and a summary.

@@ -195,11 +195,18 @@ func (w *windowHist) reset() {
 }
 
 // snapshot views the window as an obs.HistogramSnapshot without copying
-// (callers must not retain it past the next reset).
+// (callers must not retain it past the next reset). A NaN or infinite
+// observation leaves the mean non-finite; it is then reported the way
+// finiteQuantile reports the overflow bucket, as twice the last bound, so
+// the window's mean_ms, its mean gauge and a mean objective's observed
+// value stay JSON-encodable and the window violates a mean objective.
 func (w *windowHist) snapshot(bounds []float64) obs.HistogramSnapshot {
 	s := obs.HistogramSnapshot{Count: w.count, Sum: w.sum, Bounds: bounds, Counts: w.counts}
 	if s.Count > 0 {
 		s.Mean = s.Sum / float64(s.Count)
+		if math.IsNaN(s.Mean) || math.IsInf(s.Mean, 0) {
+			s.Mean = 2 * bounds[len(bounds)-1]
+		}
 	}
 	return s
 }

@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"bytes"
 	"math"
 	"sort"
 	"testing"
@@ -133,6 +134,62 @@ func TestWindowBucketEdges(t *testing.T) {
 	}
 	if r := tr.Results()[0]; r.Violations != 1 {
 		t.Errorf("a NaN latency window violated p95<=20 %d times, want 1", r.Violations)
+	}
+}
+
+// TestWindowNonFiniteMean observes 5 ms and a NaN or +Inf latency in one
+// window, then a clean window, through a JSONL sink and a registry. The
+// stream must stay encodable, the first window's mean must read as the
+// overflow answer in its event, its gauge and its slo-eval, and a
+// mean<=20 objective must count that window as violated.
+func TestWindowNonFiniteMean(t *testing.T) {
+	bounds := obs.DefaultLatencyBucketsMs()
+	overflow := 2 * bounds[len(bounds)-1]
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		var buf bytes.Buffer
+		sink := obs.NewJSONL(&buf)
+		reg := obs.NewRegistry()
+		tr := mustNew(t, Config{
+			WindowMs:   100,
+			Objectives: []Objective{{Name: "lat", Series: SeriesE2E, Stat: StatMean, Threshold: 20, Target: 0.99}},
+			Sink:       sink,
+			Metrics:    reg,
+		})
+		tr.Observe(10, 5, false)
+		tr.Observe(20, v, false)
+		tr.Observe(110, 5, false) // closes window 0
+		if got := reg.Snapshot().Gauges["slo.window.e2e.mean_ms"]; got != overflow {
+			t.Errorf("%v: mean gauge = %v, want %v", v, got, overflow)
+		}
+		tr.Finish(200)
+		if err := sink.Close(); err != nil {
+			t.Fatalf("%v: stream not encodable: %v", v, err)
+		}
+		events, err := obs.ReadEventStream(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var windows, evals []obs.Event
+		for _, e := range events {
+			switch e.Kind {
+			case "slo-window":
+				windows = append(windows, e)
+			case "slo-eval":
+				evals = append(evals, e)
+			}
+		}
+		if len(windows) != 2 || len(evals) != 2 {
+			t.Fatalf("%v: %d windows and %d evals written, want 2 and 2", v, len(windows), len(evals))
+		}
+		if got, _ := windows[0].Num("mean_ms"); got != overflow {
+			t.Errorf("%v: window mean_ms = %v, want %v", v, got, overflow)
+		}
+		if got, _ := evals[0].Num("observed"); got != overflow {
+			t.Errorf("%v: slo-eval observed = %v, want %v", v, got, overflow)
+		}
+		if r := tr.Results()[0]; r.Violations != 1 || r.Met {
+			t.Errorf("%v: mean<=20 has %d violations, met %v; want 1 and false", v, r.Violations, r.Met)
+		}
 	}
 }
 

@@ -46,7 +46,7 @@ func TestEmitSpanThroughJSONL(t *testing.T) {
 	s := NewJSONL(&buf)
 	EmitSpan(nil, Span{Trace: 1, ID: 1, Name: "request"}) // nil sink: no-op
 	EmitSpan(s, Span{Trace: 1, ID: 2, Parent: 1, Name: "uplink", StartMs: 0, EndMs: 3})
-	if err := s.Flush(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var m map[string]interface{}
@@ -112,7 +112,7 @@ func TestMultiSinkCountEventsConcurrent(t *testing.T) {
 	par.For(16, n, func(i int) {
 		Emit(sink, kinds[i%len(kinds)], map[string]interface{}{"i": i})
 	})
-	if err := jsonl.Flush(); err != nil {
+	if err := jsonl.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var counted int64
@@ -181,7 +181,7 @@ func TestEmitSpanAllocs(t *testing.T) {
 				tc.name, got, tc.max, dropped)
 		}
 	}
-	if err := jsonl.Flush(); err != nil {
+	if err := jsonl.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

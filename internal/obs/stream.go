@@ -241,9 +241,6 @@ func (s *StreamReader) Next() (Event, bool) {
 // Err returns the latched first error (nil after a clean end of stream).
 func (s *StreamReader) Err() error { return s.err }
 
-// N returns the number of events decoded so far.
-func (s *StreamReader) N() int { return s.n }
-
 // ReadEventStream decodes an entire JSONL event stream, returning every
 // event plus the first decode error (the events before it are returned
 // either way).

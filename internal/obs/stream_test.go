@@ -19,7 +19,7 @@ func TestStreamReaderRoundTrip(t *testing.T) {
 	sink.Emit(Event{Kind: "cell", Fields: map[string]interface{}{
 		"algo": "greedy", "rep": 3, "runtime_ms": 0.25, "feasible": true,
 	}})
-	if err := sink.Flush(); err != nil {
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	stored := buf.Bytes()

@@ -42,7 +42,7 @@ func TestSampleFromDecodedStream(t *testing.T) {
 		TotalAllocBytes: 100, Mallocs: 5, AllocBytesPerS: 2.5, GCCycles: 1,
 		GCPauseMs: 0.125, Goroutines: 4, RSSBytes: 0}
 	sink.Emit(in.Event())
-	if err := sink.Flush(); err != nil {
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	events, err := obs.ReadEventStream(strings.NewReader(buf.String()))

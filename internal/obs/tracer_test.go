@@ -175,7 +175,7 @@ func TestSpanEventRoundTripThroughJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONL(&buf)
 	EmitSpan(sink, in)
-	if err := sink.Flush(); err != nil {
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	events, err := ReadEventStream(&buf)

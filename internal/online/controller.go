@@ -67,15 +67,6 @@ func (c *Controller) NumDevices() int { return len(c.devices) }
 // already-attached devices (joins don't count).
 func (c *Controller) Migrations() int { return c.migrations }
 
-// Placement returns the edge currently serving the device.
-func (c *Controller) Placement(id int) (int, error) {
-	d, ok := c.devices[id]
-	if !ok {
-		return 0, fmt.Errorf("online: placement of %d: %w", id, ErrUnknownDevice)
-	}
-	return d.edge, nil
-}
-
 // TotalDelay returns the summed current delay over attached devices.
 // Devices are folded in ascending id order: FP addition is not
 // associative, and summing in map-iteration order would make the last

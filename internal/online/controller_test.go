@@ -19,6 +19,22 @@ func newTestController(t *testing.T) *Controller {
 	return c
 }
 
+// placement reads the edge serving device id through Snapshot.
+func placement(t *testing.T, c *Controller, id int) int {
+	t.Helper()
+	ids, _, cur, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, got := range ids {
+		if got == id {
+			return cur.Of[k]
+		}
+	}
+	t.Fatalf("device %d is not attached", id)
+	return -1
+}
+
 func TestNewControllerValidation(t *testing.T) {
 	if _, err := NewController(nil); err == nil {
 		t.Error("empty capacity accepted")
@@ -43,8 +59,8 @@ func TestJoinPlacesCheapest(t *testing.T) {
 	if edge != 1 {
 		t.Fatalf("joined edge %d, want 1", edge)
 	}
-	if got, _ := c.Placement(1); got != 1 {
-		t.Fatalf("Placement = %d", got)
+	if got := placement(t, c, 1); got != 1 {
+		t.Fatalf("placement = %d", got)
 	}
 	if c.NumDevices() != 1 {
 		t.Fatalf("NumDevices = %d", c.NumDevices())
@@ -133,8 +149,8 @@ func TestUpdateCostsAndMigrate(t *testing.T) {
 	if !moved {
 		t.Fatal("expected migration")
 	}
-	if got, _ := c.Placement(1); got != 1 {
-		t.Fatalf("Placement after migrate = %d", got)
+	if got := placement(t, c, 1); got != 1 {
+		t.Fatalf("placement after migrate = %d", got)
 	}
 	if c.Migrations() != 1 {
 		t.Fatalf("Migrations = %d", c.Migrations())
@@ -271,7 +287,7 @@ func TestFailEdgeEvacuates(t *testing.T) {
 		t.Fatalf("stranded %v, want none", stranded)
 	}
 	for _, id := range []int{1, 2} {
-		if e, _ := c.Placement(id); e != 1 {
+		if e := placement(t, c, id); e != 1 {
 			t.Fatalf("device %d on edge %d, want 1", id, e)
 		}
 	}

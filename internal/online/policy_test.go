@@ -79,7 +79,7 @@ func TestThresholdRespectsGain(t *testing.T) {
 		t.Fatalf("Migrations = %d, want 1", c.Migrations())
 	}
 	for id, want := range []int{0, 1} {
-		if got, _ := c.Placement(id); got != want {
+		if got := placement(t, c, id); got != want {
 			t.Fatalf("device %d on edge %d, want %d", id, got, want)
 		}
 	}

@@ -173,19 +173,3 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 	For(workers, n, func(i int) { out[i] = fn(i) })
 	return out
 }
-
-// MapErr is Map over a fallible body, with ForErr's lowest-index error
-// semantics. The result slice is returned even on error; slots whose cells
-// failed hold the zero value (or whatever fn returned alongside its error).
-func MapErr[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	out := make([]T, n)
-	err := ForErr(workers, n, func(i int) error {
-		v, err := fn(i)
-		out[i] = v
-		return err
-	})
-	return out, err
-}

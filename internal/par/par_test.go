@@ -2,7 +2,6 @@ package par
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -85,20 +84,5 @@ func TestMapDeterministic(t *testing.T) {
 	}
 	if Map(4, 0, func(i int) int { return i }) != nil {
 		t.Fatal("Map with n=0 should return nil")
-	}
-}
-
-func TestMapErrPartialResults(t *testing.T) {
-	out, err := MapErr(4, 5, func(i int) (string, error) {
-		if i == 2 {
-			return "", fmt.Errorf("boom %d", i)
-		}
-		return fmt.Sprintf("v%d", i), nil
-	})
-	if err == nil || err.Error() != "boom 2" {
-		t.Fatalf("err = %v", err)
-	}
-	if out[4] != "v4" || out[0] != "v0" {
-		t.Fatalf("healthy cells missing from partial results: %v", out)
 	}
 }

@@ -68,9 +68,6 @@ func (s *Sample) Add(x float64) {
 	s.sorted = false
 }
 
-// N returns the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
-
 // Mean returns the sample mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {

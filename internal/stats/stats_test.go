@@ -112,7 +112,7 @@ func TestSampleQuantileMonotoneQuick(t *testing.T) {
 			lo = math.Min(lo, x)
 			hi = math.Max(hi, x)
 		}
-		if s.N() == 0 {
+		if len(xs) == 0 {
 			return true
 		}
 		q1 := float64(qa) / 255

@@ -18,24 +18,6 @@ func genParallelTestGraph(t testing.TB, seed int64) *Graph {
 	return g
 }
 
-func TestAllPairsWorkersDeterministic(t *testing.T) {
-	for _, seed := range []int64{1, 7} {
-		g := genParallelTestGraph(t, seed)
-		for _, cost := range []LinkCost{LatencyCost, PayloadCost(16)} {
-			want := g.AllPairsWorkers(cost, 1)
-			for _, workers := range []int{2, 8} {
-				got := g.AllPairsWorkers(cost, workers)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d: AllPairs at workers=%d differs from sequential", seed, workers)
-				}
-			}
-			if !reflect.DeepEqual(g.AllPairs(cost), want) {
-				t.Fatalf("seed %d: default AllPairs differs from sequential", seed)
-			}
-		}
-	}
-}
-
 func TestNewDelayMatrixWorkersDeterministic(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
 		g := genParallelTestGraph(t, seed)
@@ -48,30 +30,6 @@ func TestNewDelayMatrixWorkersDeterministic(t *testing.T) {
 		}
 		if !reflect.DeepEqual(NewDelayMatrix(g, LatencyCost), want) {
 			t.Fatalf("seed %d: default NewDelayMatrix differs from sequential", seed)
-		}
-	}
-}
-
-// TestAllPairsMatchesFloydWarshall pins the parallel Dijkstra fan-out to the
-// independent O(n^3) oracle.
-func TestAllPairsParallelMatchesFloydWarshall(t *testing.T) {
-	g, err := Generate(FamilyGeometric, Config{
-		NumIoT: 30, NumEdge: 4, NumGateways: 8, NumRouters: 4, Seed: 3,
-	}, PlaceUniform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := g.FloydWarshall(LatencyCost)
-	got := g.AllPairsWorkers(LatencyCost, 8)
-	if len(got) != len(want) {
-		t.Fatalf("dims differ: %d vs %d", len(got), len(want))
-	}
-	for u := range want {
-		for v := range want[u] {
-			d := got[u][v] - want[u][v]
-			if d > 1e-9 || d < -1e-9 {
-				t.Fatalf("dist[%d][%d] = %v, oracle %v", u, v, got[u][v], want[u][v])
-			}
 		}
 	}
 }

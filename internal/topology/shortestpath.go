@@ -173,63 +173,6 @@ func (g *Graph) HopCounts(src NodeID) []int {
 	return hops
 }
 
-// AllPairs computes the full distance matrix under cost by running Dijkstra
-// from every node, fanning sources out across all cores. The result is
-// row-major: m[u][v]. Use AllPairsWorkers to bound the parallelism.
-func (g *Graph) AllPairs(cost LinkCost) [][]float64 {
-	return g.AllPairsWorkers(cost, 0)
-}
-
-// AllPairsWorkers is AllPairs with an explicit worker count (<= 0 means all
-// cores, 1 is fully sequential). Sources are independent — each goroutine
-// runs Dijkstra from its own node and writes only its own row — so the
-// matrix is identical for every worker count; cost must be safe for
-// concurrent calls (the package's cost models are pure functions).
-func (g *Graph) AllPairsWorkers(cost LinkCost, workers int) [][]float64 {
-	n := len(g.nodes)
-	m := make([][]float64, n)
-	par.For(par.Workers(workers), n, func(u int) {
-		m[u] = g.Dijkstra(NodeID(u), cost).Dist
-	})
-	return m
-}
-
-// FloydWarshall computes all-pairs shortest distances with the classic
-// O(n^3) recurrence. It exists as an independent oracle for testing the
-// Dijkstra implementation and for very small graphs.
-func (g *Graph) FloydWarshall(cost LinkCost) [][]float64 {
-	n := len(g.nodes)
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = make([]float64, n)
-		for j := range m[i] {
-			if i != j {
-				m[i][j] = Infinity
-			}
-		}
-	}
-	for _, l := range g.Links() {
-		c := cost(l)
-		if c < m[l.A][l.B] {
-			m[l.A][l.B] = c
-			m[l.B][l.A] = c
-		}
-	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			if math.IsInf(m[i][k], 1) {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if d := m[i][k] + m[k][j]; d < m[i][j] {
-					m[i][j] = d
-				}
-			}
-		}
-	}
-	return m
-}
-
 // DelayMatrix is the IoT-by-edge communication-delay matrix derived from a
 // topology; it is the bridge between the network substrate and the GAP
 // formulation.

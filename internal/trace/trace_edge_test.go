@@ -23,7 +23,7 @@ func TestEmptyTrace(t *testing.T) {
 		t.Fatalf("%d records from a stream without request spans", len(records))
 	}
 	s := Summarize(records)
-	if s.Completed != 0 || s.Missed != 0 || s.Dropped != 0 || s.Latency.N() != 0 {
+	if s.Completed != 0 || s.Missed != 0 || s.Dropped != 0 || len(s.Latency.Values()) != 0 {
 		t.Fatalf("non-zero summary from empty trace: %+v", s)
 	}
 	if s.MissRate() != 0 {

@@ -55,8 +55,8 @@ func TestSummarize(t *testing.T) {
 	if s.PerEdge[1] != 2 || s.PerEdge[0] != 1 {
 		t.Fatalf("PerEdge = %v", s.PerEdge)
 	}
-	if s.Latency.N() != 3 {
-		t.Fatalf("latency sample N = %d", s.Latency.N())
+	if n := len(s.Latency.Values()); n != 3 {
+		t.Fatalf("latency sample holds %d values", n)
 	}
 	empty := Summarize(nil)
 	if empty.MissRate() != 0 {

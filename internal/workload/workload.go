@@ -112,7 +112,10 @@ func Generate(n int, p Profile) ([]Device, error) {
 	var zipf *xrand.Zipf
 	var popPerm []int
 	if p.ZipfSkew > 0 {
-		zipf = xrand.NewZipf(src.Split("zipf"), n, p.ZipfSkew)
+		// Every pinned device population counts on one parent draw
+		// here; dropping it would shift every later draw.
+		src.Int63()
+		zipf = xrand.NewZipf(n, p.ZipfSkew)
 		popPerm = src.Split("perm").Perm(n)
 	}
 	devices := make([]Device, n)

@@ -155,7 +155,7 @@ func TestPermIsPermutation(t *testing.T) {
 }
 
 func TestZipfUniformWhenSkewZero(t *testing.T) {
-	z := NewZipf(New(1), 4, 0)
+	z := NewZipf(4, 0)
 	for i := 0; i < 4; i++ {
 		if math.Abs(z.Prob(i)-0.25) > 1e-12 {
 			t.Fatalf("Prob(%d) = %v, want 0.25", i, z.Prob(i))
@@ -164,20 +164,16 @@ func TestZipfUniformWhenSkewZero(t *testing.T) {
 }
 
 func TestZipfSkewFavorsLowRanks(t *testing.T) {
-	z := NewZipf(New(1), 100, 1.0)
-	counts := make([]int, 100)
-	for i := 0; i < 100000; i++ {
-		counts[z.Sample()]++
-	}
-	if counts[0] <= counts[50] {
-		t.Fatalf("rank 0 (%d) should dominate rank 50 (%d)", counts[0], counts[50])
+	z := NewZipf(100, 1.0)
+	if z.Prob(0) <= z.Prob(50) {
+		t.Fatalf("rank 0 (%v) should dominate rank 50 (%v)", z.Prob(0), z.Prob(50))
 	}
 }
 
 func TestZipfProbSumsToOne(t *testing.T) {
-	z := NewZipf(New(1), 37, 0.8)
+	z := NewZipf(37, 0.8)
 	sum := 0.0
-	for i := 0; i < z.N(); i++ {
+	for i := 0; i < 37; i++ {
 		sum += z.Prob(i)
 	}
 	if math.Abs(sum-1) > 1e-9 {
@@ -196,27 +192,8 @@ func TestZipfPanics(t *testing.T) {
 					t.Errorf("NewZipf(%d, %v) did not panic", tc.n, tc.s)
 				}
 			}()
-			NewZipf(New(1), tc.n, tc.s)
+			NewZipf(tc.n, tc.s)
 		}()
-	}
-}
-
-// Property: Zipf samples are always within range for arbitrary seeds/sizes.
-func TestZipfSampleInRangeQuick(t *testing.T) {
-	f := func(seed int64, n uint8, skewCenti uint16) bool {
-		size := int(n%64) + 1
-		skew := float64(skewCenti%300) / 100
-		z := NewZipf(New(seed), size, skew)
-		for i := 0; i < 50; i++ {
-			v := z.Sample()
-			if v < 0 || v >= size {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -2,17 +2,16 @@ package xrand
 
 import "math"
 
-// Zipf samples integers in [0, n) with probability proportional to
-// 1/(rank+1)^s. A skew s of 0 degenerates to uniform; typical IoT demand
-// skews are in [0.6, 1.2].
+// Zipf is the distribution over ranks [0, n) with probability
+// proportional to 1/(rank+1)^s. A skew s of 0 degenerates to uniform;
+// typical IoT demand skews are in [0.6, 1.2].
 type Zipf struct {
 	cdf []float64
-	src *Source
 }
 
-// NewZipf returns a Zipf sampler over n ranks with skew s drawing from src.
-// It panics if n <= 0 or s < 0.
-func NewZipf(src *Source, n int, s float64) *Zipf {
+// NewZipf returns the Zipf distribution over n ranks with skew s. It
+// panics if n <= 0 or s < 0.
+func NewZipf(n int, s float64) *Zipf {
 	if n <= 0 {
 		panic("xrand: NewZipf with n <= 0")
 	}
@@ -28,26 +27,7 @@ func NewZipf(src *Source, n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= total
 	}
-	return &Zipf{cdf: cdf, src: src}
-}
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Sample returns a rank in [0, N()).
-func (z *Zipf) Sample() int {
-	r := z.src.Float64()
-	// Binary search for the first cdf entry >= r.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return &Zipf{cdf: cdf}
 }
 
 // Prob returns the probability mass of rank i.

@@ -24,7 +24,6 @@ func TestCompareAlgorithmsWorkersFacadeDeterminism(t *testing.T) {
 	}
 	for i := range seq {
 		seq[i].MeanRuntimeMs, con[i].MeanRuntimeMs = 0, 0
-		seq[i].RuntimeCI95, con[i].RuntimeCI95 = 0, 0
 		seq[i].FeasibleRuntimeMs, con[i].FeasibleRuntimeMs = 0, 0
 		seq[i].FeasibleRuntimeCI95, con[i].FeasibleRuntimeCI95 = 0, 0
 	}
@@ -39,12 +38,6 @@ func TestTopologyKernelsWorkersFacadeDeterminism(t *testing.T) {
 	}, taccc.PlaceUniform)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(
-		g.AllPairsWorkers(taccc.LatencyCost, 8),
-		g.AllPairsWorkers(taccc.LatencyCost, 1),
-	) {
-		t.Fatal("AllPairs differs between workers=8 and workers=1")
 	}
 	if !reflect.DeepEqual(
 		taccc.NewDelayMatrixWorkers(g, taccc.LatencyCost, 8),

@@ -79,7 +79,7 @@ func TestSoakDynamicPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Flush(); err != nil {
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -31,8 +31,6 @@ type (
 	Assignment = gap.Assignment
 	// Violation describes one overloaded edge.
 	Violation = gap.Violation
-	// BnBOptions tunes the exact solver.
-	BnBOptions = gap.BnBOptions
 	// BnBResult is the exact solver's outcome.
 	BnBResult = gap.BnBResult
 	// SyntheticKind selects a synthetic instance family.
@@ -63,9 +61,7 @@ func SyntheticInstance(kind SyntheticKind, n, m int, rho float64, seed int64) (*
 }
 
 // BranchAndBound solves an instance exactly (small instances only).
-func BranchAndBound(in *Instance, opts BnBOptions) (*BnBResult, error) {
-	return gap.BranchAndBound(in, opts)
-}
+func BranchAndBound(in *Instance) (*BnBResult, error) { return gap.BranchAndBound(in) }
 
 // LowerBound returns the best available lower bound on the optimal total
 // delay (max of capacity-relaxed and Lagrangian bounds).

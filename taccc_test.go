@@ -64,7 +64,7 @@ func TestPublicManualInstance(t *testing.T) {
 	if in.TotalCost(a) != 2 {
 		t.Fatalf("TotalCost = %v, want 2", in.TotalCost(a))
 	}
-	res, err := taccc.BranchAndBound(in, taccc.BnBOptions{})
+	res, err := taccc.BranchAndBound(in)
 	if err != nil {
 		t.Fatal(err)
 	}
