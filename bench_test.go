@@ -369,6 +369,16 @@ func BenchmarkLowerBoundWide(b *testing.B) {
 	}
 }
 
+// BenchmarkAssignGreedyWide is wide-greedy's solve: greedy on the
+// 20,000 × 200 scenario, built outside the timer.
+func BenchmarkAssignGreedyWide(b *testing.B) {
+	built, err := wideScenario.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSolve(b, "greedy", built)
+}
+
 // BenchmarkWideScaling is the solver scale curve at wide-greedy's shape,
 // 200 edge servers at ρ=0.7: greedy at 10,000 and 100,000 devices and
 // lagrangian at 10,000, one fresh solve per iteration. Each scenario is

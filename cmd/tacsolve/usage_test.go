@@ -58,3 +58,31 @@ func TestBadRhoIsUsageError(t *testing.T) {
 		}
 	}
 }
+
+// TestLPRoundingOverBudget: at rl-solve's shape, 2000 × 50, where the
+// dense LP never returned, -algo lp-rounding exits 1 naming its size
+// budget; under -algo all (at 300 × 10, also over the budget) its row
+// prints as failed and every other row is solved.
+func TestLPRoundingOverBudget(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	if code := run([]string{"-iot", "2000", "-edge", "50", "-rho", "0.85", "-algo", "lp-rounding"}, &out, &errBuf); code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr %q)", code, errBuf.String())
+	}
+	if !strings.Contains(errBuf.String(), "size budget") {
+		t.Errorf("stderr %q does not name the LP size budget", errBuf.String())
+	}
+	out.Reset()
+	errBuf.Reset()
+	if code := run([]string{"-iot", "300", "-edge", "10", "-algo", "all"}, &out, &errBuf); code != 0 {
+		t.Fatalf("-algo all: exit %d (stderr %q)", code, errBuf.String())
+	}
+	for _, line := range strings.Split(out.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 4 || f[0] == "algorithm" || f[0] == "---------" || f[0] == "lower" {
+			continue
+		}
+		if failed := f[1] == "-" && f[3] == "no"; failed != (f[0] == "lp-rounding") {
+			t.Errorf("-algo all row %q: failed = %v", line, failed)
+		}
+	}
+}

@@ -58,6 +58,22 @@ func TestMetaheuristicAllocsDoNotScaleWithIters(t *testing.T) {
 	}
 }
 
+// TestRandomAllocsDoNotScaleWithDevices pins Random's per-device loop at
+// zero allocations: the feasible edges of every device are collected in
+// one reused buffer, so a solve allocates 11 times at 40 and at 400
+// devices alike (172 and 1612 times with a fresh slice per device).
+func TestRandomAllocsDoNotScaleWithDevices(t *testing.T) {
+	for _, n := range []int{40, 400} {
+		in, err := gap.Synthetic(gap.SyntheticUniform, n, 5, 0.5, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := allocsPerAssign(t, func() Assigner { return NewRandom(42) }, in); allocs != 11 {
+			t.Errorf("a %d-device random solve allocates %.0f times, want 11", n, allocs)
+		}
+	}
+}
+
 // TestTracingOffAddsZeroAllocs extends the allocs pins to the phase-
 // tracing plane: a solver with tracing detached (WithPhases(a, nil) —
 // the default state every untraced caller is in) must allocate exactly

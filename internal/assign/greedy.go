@@ -200,8 +200,9 @@ func (r *Random) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	residual := residuals(in)
 	// Heaviest-first still, so pure bad luck doesn't mask capacity
 	// infeasibility that other algorithms would survive.
+	feasible := make([]int, 0, in.M())
 	for _, i := range byDecreasingLoad(in) {
-		var feasible []int
+		feasible = feasible[:0]
 		for j := 0; j < in.M(); j++ {
 			if fits(in, residual, i, j) {
 				feasible = append(feasible, j)

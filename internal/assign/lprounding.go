@@ -2,8 +2,6 @@ package assign
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"taccc/internal/gap"
 	"taccc/internal/xrand"
@@ -55,9 +53,7 @@ func (lr *LPRounding) Assign(in *gap.Instance) (*gap.Assignment, error) {
 	}
 	// Pass 2: fractional devices, heaviest first, follow their largest
 	// feasible LP mass.
-	sort.SliceStable(fractional, func(a, b int) bool {
-		return maxWeight(in, fractional[a]) > maxWeight(in, fractional[b])
-	})
+	heaviestFirst(in, fractional)
 	for _, i := range fractional {
 		best, bestMass := -1, 0.0
 		for j := 0; j < m; j++ {
@@ -87,14 +83,4 @@ func (lr *LPRounding) Assign(in *gap.Instance) (*gap.Assignment, error) {
 		break
 	}
 	return finish(in, of, "lp-rounding")
-}
-
-func maxWeight(in *gap.Instance, i int) float64 {
-	max := 0.0
-	for j := 0; j < in.M(); j++ {
-		if w := in.WeightAt(i, j); !math.IsInf(w, 0) && w > max {
-			max = w
-		}
-	}
-	return max
 }

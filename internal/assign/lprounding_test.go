@@ -2,7 +2,9 @@ package assign
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"taccc/internal/gap"
 )
@@ -67,5 +69,36 @@ func TestLPRoundingRegistered(t *testing.T) {
 	}
 	if a.Name() != "lp-rounding" {
 		t.Fatalf("Name = %q", a.Name())
+	}
+}
+
+// TestLPRoundingOverBudget pins lp-rounding at rl-solve's shape, 2000 ×
+// 50, where its dense LP once passed 3.29 GB without returning in 60 s:
+// the solve now fails with gap.ErrLPTooLarge within a deadline and
+// after allocating next to nothing.
+func TestLPRoundingOverBudget(t *testing.T) {
+	in := mustSynthetic(t, gap.SyntheticUniform, 2000, 50, 0.85, 1)
+	type result struct {
+		err   error
+		bytes uint64
+	}
+	done := make(chan result, 1)
+	go func() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := NewLPRounding(1).Assign(in)
+		runtime.ReadMemStats(&after)
+		done <- result{err, after.TotalAlloc - before.TotalAlloc}
+	}()
+	select {
+	case r := <-done:
+		if !errors.Is(r.err, gap.ErrLPTooLarge) {
+			t.Fatalf("lp-rounding at 2000×50: %v, want gap.ErrLPTooLarge", r.err)
+		}
+		if r.bytes > 64<<10 {
+			t.Errorf("lp-rounding at 2000×50 allocated %d B before refusing", r.bytes)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("lp-rounding at 2000×50 did not return within 10 s")
 	}
 }

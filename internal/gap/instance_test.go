@@ -78,6 +78,86 @@ func TestNewInstanceValidation(t *testing.T) {
 	}
 }
 
+// TestNewInstanceFirstBadCell pins which cell the error names when rows
+// hold several bad cells: the first in row order, each cell's cost
+// before its weight, and a row-constant weight where the row's first
+// cell is. The instances have 3 devices on 4 edges; weights are dense
+// (12 cells) or row-constant (3).
+func TestNewInstanceFirstBadCell(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cells := func(set map[[2]int]float64, n int, fill float64) []float64 {
+		out := make([]float64, n)
+		for k := range out {
+			out[k] = fill
+		}
+		for at, v := range set {
+			out[at[0]*4+at[1]] = v
+		}
+		return out
+	}
+	cases := []struct {
+		name   string
+		cost   map[[2]int]float64
+		weight map[[2]int]float64
+		dense  bool
+		want   string
+	}{
+		{"dense: bad weight before a bad cost", map[[2]int]float64{{1, 2}: nan}, map[[2]int]float64{{1, 0}: -1}, true,
+			"gap: invalid weight -1 at (1,0)"},
+		{"dense: NaN cost before a bad weight", map[[2]int]float64{{1, 1}: nan}, map[[2]int]float64{{1, 3}: inf}, true,
+			"gap: invalid cost NaN at (1,1)"},
+		{"dense: cost and weight bad in one cell", map[[2]int]float64{{1, 3}: -2}, map[[2]int]float64{{1, 3}: nan}, true,
+			"gap: invalid cost -2 at (1,3)"},
+		{"dense: bad cells in later rows", map[[2]int]float64{{2, 0}: -inf, {1, 3}: nan}, map[[2]int]float64{{1, 2}: 0}, true,
+			"gap: invalid weight 0 at (1,2)"},
+		{"row-constant: bad weight before a bad cost", map[[2]int]float64{{1, 2}: nan}, map[[2]int]float64{{0, 1}: 0}, false,
+			"gap: invalid weight 0 at (1,0)"},
+		{"row-constant: bad cost in the first cell", map[[2]int]float64{{1, 0}: -1}, map[[2]int]float64{{0, 1}: nan}, false,
+			"gap: invalid cost -1 at (1,0)"},
+		{"row-constant: NaN cost before a bad weight's row", map[[2]int]float64{{1, 3}: nan}, map[[2]int]float64{{0, 2}: -inf}, false,
+			"gap: invalid cost NaN at (1,3)"},
+		{"row-constant: bad cells in later rows", map[[2]int]float64{{2, 0}: nan}, map[[2]int]float64{{0, 1}: inf, {0, 2}: -1}, false,
+			"gap: invalid weight +Inf at (1,0)"},
+	}
+	for _, tc := range cases {
+		nw := 3
+		if tc.dense {
+			nw = 12
+		}
+		_, err := newInstance(3, cells(tc.cost, 12, 2), cells(tc.weight, nw, 1), []float64{10, 10, 10, 10})
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestMaxWeight checks Instance.MaxWeight against a scan of WeightAt on
+// both weight layouts.
+func TestMaxWeight(t *testing.T) {
+	dense, err := NewInstance(
+		[][]float64{{1, 2, 3}, {1, 2, 3}},
+		[][]float64{{4, 9, 2}, {7, 0.5, 7}},
+		[]float64{10, 10, 10},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowConst, err := newInstance(2, []float64{1, 2, 3, 1, 2, 3}, []float64{6, 0.25}, []float64{10, 10, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		in   *Instance
+		want []float64
+	}{"dense": {dense, []float64{9, 7}}, "row-constant": {rowConst, []float64{6, 0.25}}} {
+		for i, want := range c.want {
+			if got := c.in.MaxWeight(i); got != want || got != slices.Max(weightRow(c.in, i)) {
+				t.Errorf("%s: MaxWeight(%d) = %v, want %v", name, i, got, want)
+			}
+		}
+	}
+}
+
 func TestNewAssignmentValidation(t *testing.T) {
 	in := tiny(t)
 	if _, err := NewAssignment(in, []int{0, 1}); err == nil {

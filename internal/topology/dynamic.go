@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"strconv"
 
 	"taccc/internal/xrand"
 )
@@ -91,8 +92,9 @@ func AttachIoTAt(g *Graph, xs, ys []float64, links LinkParams, seed int64) error
 	}
 	near := newNearestGrid(g, gateways)
 	src := xrand.NewSplit(seed, "attach-iot")
+	g.reserve(len(xs))
 	for i := range xs {
-		id, err := g.AddNode(KindIoT, fmt.Sprintf("iot-%d", i), xs[i], ys[i])
+		id, err := g.AddNode(KindIoT, "iot-"+strconv.Itoa(i), xs[i], ys[i])
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"taccc/internal/xrand"
 )
@@ -148,6 +149,7 @@ func attachIoT(g *Graph, cfg Config, place Placement, src *xrand.Source) {
 			})
 		}
 	}
+	g.reserve(cfg.NumIoT)
 	for i := 0; i < cfg.NumIoT; i++ {
 		var x, y float64
 		switch place {
@@ -160,7 +162,7 @@ func attachIoT(g *Graph, cfg Config, place Placement, src *xrand.Source) {
 			x = src.Uniform(0, cfg.AreaMeters)
 			y = src.Uniform(0, cfg.AreaMeters)
 		}
-		id := g.MustAddNode(KindIoT, fmt.Sprintf("iot-%d", i), x, y)
+		id := g.MustAddNode(KindIoT, "iot-"+strconv.Itoa(i), x, y)
 		g.MustAddLink(id, near.nearest(id), cfg.Links.wireless(src), cfg.Links.WirelessBandwidthMbps)
 	}
 }

@@ -242,11 +242,12 @@ func NewDelayMatrixWorkers(g *Graph, cost LinkCost, workers int) *DelayMatrix {
 // Dijkstra runs from each edge node (one work item per edge) over the
 // graph's core: every node except the pendant IoT devices, those with
 // exactly one link, to a non-IoT node. Each pendant device's row is then
-// filled, in row order, as dist(edge, gateway) + cost(gateway→device),
-// kept only when it is below +Inf. That is exactly what a full Dijkstra
-// computes: a pendant vertex lies on no other node's shortest path, and
-// Dijkstra settles it with that same single relaxation. Devices with
-// several links, or linked to another device, stay in the core.
+// filled as dist(edge, gateway) + cost(gateway→device), kept only when it
+// is below +Inf. That is exactly what a full Dijkstra computes: a pendant
+// vertex lies on no other node's shortest path, and Dijkstra settles it
+// with that same single relaxation. Devices with several links, or linked
+// to another device, stay in the core. The rows are filled on the same
+// workers, each writing only its own row.
 func NewDelayMatrixTraced(g *Graph, cost LinkCost, workers int, phase *obs.Phase) *DelayMatrix {
 	iot := g.NodesOfKind(KindIoT)
 	edge := g.NodesOfKind(KindEdge)
@@ -271,45 +272,57 @@ func NewDelayMatrixTraced(g *Graph, cost LinkCost, workers int, phase *obs.Phase
 			"busy_ms": sh.BusyMs,
 		})
 	}
-	dm := newDelayMatrix(iot, edge)
+	// Every pendant check runs first, sequentially and in row order, so a
+	// negative cost panics on the caller's goroutine with the message a
+	// row-order fill would raise. The checks keep each pendant's link
+	// cost, and the fill, which calls no LinkCost, runs in parallel.
+	access := make([]float64, len(iot))
 	for i, d := range iot {
-		row := dm.DelayMs[i]
-		if v := c.index[d]; v >= 0 {
-			copy(row, coreDist[v*k:(v+1)*k])
+		if c.index[d] >= 0 {
 			continue
 		}
 		h := g.adj[d][0]
 		gw := c.index[h.to]
-		base := coreDist[gw*k : (gw+1)*k]
-		cf := cost(Link{A: h.to, B: d, LatencyMs: h.latencyMs, BandwidthMbps: h.bwMbps})
-		for j, b := range base {
+		access[i] = cost(Link{A: h.to, B: d, LatencyMs: h.latencyMs, BandwidthMbps: h.bwMbps})
+		checkPendantCosts(cost, d, h, access[i], coreDist[gw*k:(gw+1)*k])
+	}
+	dm := newDelayMatrix(iot, edge)
+	par.For(par.Workers(workers), len(iot), func(i int) {
+		row, d := dm.DelayMs[i], iot[i]
+		if v := c.index[d]; v >= 0 {
+			copy(row, coreDist[v*k:(v+1)*k])
+			return
+		}
+		gw := c.index[g.adj[d][0].to]
+		cf := access[i]
+		for j, b := range coreDist[gw*k : (gw+1)*k] {
 			row[j] = Infinity
 			if nd := b + cf; nd < Infinity {
 				row[j] = nd
 			}
 		}
-		checkPendantCosts(cost, d, h, cf, base, row)
-	}
+	})
 	return dm
 }
 
 // checkPendantCosts panics wherever a full Dijkstra would on pendant
-// device d's only link h, to its gateway: on a negative cost out of the
-// gateway once some edge reaches the gateway (base holds its distances),
-// and on a negative cost back out of d once some edge reaches d (row).
-func checkPendantCosts(cost LinkCost, d NodeID, h halfLink, cf float64, base, row []float64) {
-	reached := func(ds []float64) bool {
-		for _, v := range ds {
-			if v < Infinity {
+// device d's only link h, to its gateway: on a negative cost cf out of
+// the gateway once some edge reaches the gateway (base holds its
+// distances), and on a negative cost back out of d once some edge reaches
+// d, that is once some base+cf is below +Inf, the row the fill writes.
+func checkPendantCosts(cost LinkCost, d NodeID, h halfLink, cf float64, base []float64) {
+	reached := func(add float64) bool {
+		for _, b := range base {
+			if b+add < Infinity {
 				return true
 			}
 		}
 		return false
 	}
-	if cf < 0 && reached(base) {
+	if cf < 0 && reached(0) {
 		panic(fmt.Sprintf("topology: negative link cost %v on %d-%d", cf, h.to, d))
 	}
-	if cb := cost(Link{A: d, B: h.to, LatencyMs: h.latencyMs, BandwidthMbps: h.bwMbps}); cb < 0 && reached(row) {
+	if cb := cost(Link{A: d, B: h.to, LatencyMs: h.latencyMs, BandwidthMbps: h.bwMbps}); cb < 0 && reached(cf) {
 		panic(fmt.Sprintf("topology: negative link cost %v on %d-%d", cb, d, h.to))
 	}
 }

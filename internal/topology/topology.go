@@ -13,7 +13,9 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 )
 
 // NodeKind classifies the role a node plays in the deployment.
@@ -115,6 +117,17 @@ func (g *Graph) AddNode(kind NodeKind, name string, x, y float64) (NodeID, error
 	g.adj = append(g.adj, nil)
 	g.byName[name] = id
 	return id, nil
+}
+
+// reserve sizes the node, adjacency and name tables for n more nodes, so
+// a generator that adds a known number of devices grows none of them one
+// node at a time.
+func (g *Graph) reserve(n int) {
+	g.nodes = slices.Grow(g.nodes, n)
+	g.adj = slices.Grow(g.adj, n)
+	byName := make(map[string]NodeID, len(g.byName)+n)
+	maps.Copy(byName, g.byName)
+	g.byName = byName
 }
 
 // MustAddNode is AddNode that panics on error; for use by generators with
@@ -268,16 +281,21 @@ func (g *Graph) Connected() bool {
 // Validate checks structural invariants that generators must uphold: a
 // connected graph with at least one IoT and one edge node.
 func (g *Graph) Validate() error {
-	if len(g.NodesOfKind(KindIoT)) == 0 {
+	if !g.hasKind(KindIoT) {
 		return errors.New("topology: graph has no IoT nodes")
 	}
-	if len(g.NodesOfKind(KindEdge)) == 0 {
+	if !g.hasKind(KindEdge) {
 		return errors.New("topology: graph has no edge nodes")
 	}
 	if !g.Connected() {
 		return errors.New("topology: graph is not connected")
 	}
 	return nil
+}
+
+// hasKind reports whether some node is of the given kind.
+func (g *Graph) hasKind(kind NodeKind) bool {
+	return slices.ContainsFunc(g.nodes, func(n Node) bool { return n.Kind == kind })
 }
 
 // Dist returns the Euclidean distance in meters between two nodes'
