@@ -31,12 +31,14 @@ race:
 # RL warm start) up to 2000 devices, the wide 20000x200 scenario build,
 # greedy and lagrangian scaling at 200 edges (BenchmarkWideScaling), and
 # LowerBound at 200x20 and on the wide scenario, plus the
-# pre-existing hot-path micro-benchmarks. Override BENCHTIME (e.g. 1x in
-# CI smoke).
+# pre-existing hot-path micro-benchmarks. The topology layer's searches
+# run through BenchmarkDelayMatrix and the F9 (congestion), F12
+# (multipath) and F14 (resilience) experiments. Override BENCHTIME (e.g.
+# 1x in CI smoke).
 BENCHTIME ?= 2x
 
 bench:
-	$(GO) test -bench 'Workers|ClusterSim|AssignQLearning|AssignRegret|Wide|LowerBound' -benchtime $(BENCHTIME) -run '^$$' .
+	$(GO) test -bench 'Workers|ClusterSim|AssignQLearning|AssignRegret|Wide|LowerBound|DelayMatrix|Congestion|Multipath|Resilience' -benchtime $(BENCHTIME) -run '^$$' .
 
 vet:
 	$(GO) vet ./...

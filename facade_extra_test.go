@@ -3,7 +3,6 @@ package taccc_test
 import (
 	"bytes"
 	"errors"
-	"math"
 	"testing"
 
 	taccc "taccc"
@@ -60,25 +59,6 @@ func TestPublicCongestionFlow(t *testing.T) {
 	}
 	if multi.MeanDelayMs() <= 0 {
 		t.Fatal("non-positive multipath delay")
-	}
-}
-
-func TestPublicKShortestPaths(t *testing.T) {
-	built, err := taccc.Scenario{Family: taccc.FamilyGrid, NumIoT: 10, NumEdge: 2, Seed: 2}.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	iot := built.Delay.IoT[0]
-	edge := built.Delay.Edge[0]
-	paths, err := built.Graph.KShortestPaths(iot, edge, 3, taccc.LatencyCost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) == 0 {
-		t.Fatal("no paths on connected graph")
-	}
-	if math.Abs(paths[0].Cost-built.Delay.DelayMs[0][0]) > 1e-9 {
-		t.Fatalf("first path cost %v != delay matrix %v", paths[0].Cost, built.Delay.DelayMs[0][0])
 	}
 }
 

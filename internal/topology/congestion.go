@@ -1,8 +1,9 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
-	"math"
+	"slices"
 )
 
 // Flow is one IoT device's steady-state traffic demand toward its edge
@@ -83,72 +84,11 @@ const utilCap = 0.95
 // serving flow k. Delay-matrix-driven assigners are blind to this shared-
 // link contention, which is exactly what the F9 experiment measures.
 func EvaluateCongestion(g *Graph, dm *DelayMatrix, flows []Flow, assignment []int) (*CongestionResult, error) {
-	if len(flows) != len(assignment) {
-		return nil, fmt.Errorf("topology: %d flows but %d assignments", len(flows), len(assignment))
+	paths, load, err := routeFlows(newEdgeTrees(g, dm.Edge), flows, assignment)
+	if err != nil {
+		return nil, err
 	}
-	// Shortest-path trees from each used edge node.
-	trees := make(map[int]*ShortestPaths)
-	for _, col := range assignment {
-		if col < 0 || col >= len(dm.Edge) {
-			return nil, fmt.Errorf("topology: assignment column %d out of range", col)
-		}
-		if _, ok := trees[col]; !ok {
-			trees[col] = g.Dijkstra(dm.Edge[col], LatencyCost)
-		}
-	}
-	// Accumulate per-link load walking each flow's path.
-	load := make(map[linkKey]float64)
-	paths := make([][]NodeID, len(flows))
-	for k, f := range flows {
-		sp := trees[assignment[k]]
-		path := sp.PathTo(f.IoT)
-		if path == nil {
-			return nil, fmt.Errorf("topology: flow %d cannot reach edge column %d", k, assignment[k])
-		}
-		paths[k] = path
-		mbps := f.Mbps()
-		for h := 0; h+1 < len(path); h++ {
-			load[normKey(path[h], path[h+1])] += mbps
-		}
-	}
-	res := &CongestionResult{DelayMs: make([]float64, len(flows))}
-	utils := make(map[linkKey]float64, len(load))
-	for _, key := range sortedLinkKeys(load) {
-		mbps := load[key]
-		l, ok := g.LinkBetween(key.a, key.b)
-		if !ok {
-			return nil, fmt.Errorf("topology: internal error: path uses missing link %d-%d", key.a, key.b)
-		}
-		util := 0.0
-		if l.BandwidthMbps > 0 {
-			util = mbps / l.BandwidthMbps
-		}
-		utils[key] = util
-		res.Links = append(res.Links, LinkLoad{Link: l, Mbps: mbps, Utilization: util})
-		if l.BandwidthMbps > 0 && util >= 1 {
-			res.Overloaded = append(res.Overloaded, l)
-		}
-	}
-	// Effective per-flow delays.
-	for k, f := range flows {
-		path := paths[k]
-		total := 0.0
-		for h := 0; h+1 < len(path); h++ {
-			l, _ := g.LinkBetween(path[h], path[h+1])
-			total += l.LatencyMs
-			if l.BandwidthMbps > 0 {
-				bits := f.PayloadKB * 8 * 1000
-				tx := bits / (l.BandwidthMbps * 1000)
-				u := utils[normKey(path[h], path[h+1])]
-				if u > utilCap {
-					u = utilCap
-				}
-				total += tx / (1 - u)
-			}
-		}
-		res.DelayMs[k] = total
-	}
-	return res, nil
+	return congestionResult(g, flows, paths, load), nil
 }
 
 // CongestionAwareDelayMatrix rebuilds an IoT-by-edge delay matrix whose
@@ -158,25 +98,14 @@ func EvaluateCongestion(g *Graph, dm *DelayMatrix, flows []Flow, assignment []in
 // refresh a few rounds yields congestion-aware configurations (see
 // experiment F9).
 func CongestionAwareDelayMatrix(g *Graph, dm *DelayMatrix, flows []Flow, assignment []int) (*DelayMatrix, error) {
-	if len(flows) != len(assignment) {
-		return nil, fmt.Errorf("topology: %d flows but %d assignments", len(flows), len(assignment))
-	}
-	// Current per-link utilization from the standing assignment.
-	cur, err := EvaluateCongestion(g, dm, flows, assignment)
+	// Per-link loads of the standing assignment, routed as
+	// EvaluateCongestion routes them, on the trees every entry walks.
+	trees := newEdgeTrees(g, dm.Edge)
+	_, load, err := routeFlows(trees, flows, assignment)
 	if err != nil {
 		return nil, err
 	}
-	utils := make(map[linkKey]float64, len(cur.Links))
-	for _, ll := range cur.Links {
-		utils[normKey(ll.Link.A, ll.Link.B)] = ll.Utilization
-	}
 	out := newDelayMatrix(append([]NodeID(nil), dm.IoT...), append([]NodeID(nil), dm.Edge...))
-	// Shortest-path trees from every edge (latency cost, matching the
-	// routing EvaluateCongestion uses).
-	trees := make([]*ShortestPaths, len(dm.Edge))
-	for j, e := range dm.Edge {
-		trees[j] = g.Dijkstra(e, LatencyCost)
-	}
 	iotRow := make(map[NodeID]int, len(dm.IoT))
 	for i, id := range dm.IoT {
 		iotRow[id] = i
@@ -187,27 +116,125 @@ func CongestionAwareDelayMatrix(g *Graph, dm *DelayMatrix, flows []Flow, assignm
 			return nil, fmt.Errorf("topology: flow %d source %d not in delay matrix", k, f.IoT)
 		}
 		for j := range dm.Edge {
-			path := trees[j].PathTo(f.IoT)
-			if path == nil {
-				out.DelayMs[i][j] = math.Inf(1)
-				continue
+			out.DelayMs[i][j] = Infinity
+			if path := trees.pathTo(j, f.IoT); path != nil {
+				out.DelayMs[i][j] = g.effectiveDelay(path, f.PayloadKB, load)
 			}
-			total := 0.0
-			for h := 0; h+1 < len(path); h++ {
-				l, _ := g.LinkBetween(path[h], path[h+1])
-				total += l.LatencyMs
-				if l.BandwidthMbps > 0 {
-					bits := f.PayloadKB * 8 * 1000
-					tx := bits / (l.BandwidthMbps * 1000)
-					u := utils[normKey(path[h], path[h+1])]
-					if u > utilCap {
-						u = utilCap
-					}
-					total += tx / (1 - u)
-				}
-			}
-			out.DelayMs[i][j] = total
 		}
 	}
 	return out, nil
+}
+
+// edgeTrees holds the latency shortest-path trees rooted at a delay
+// matrix's edge columns, each searched on first use over one whole
+// compact build of the graph.
+type edgeTrees struct {
+	c     *coreGraph
+	edge  []NodeID
+	trees []spTree
+}
+
+func newEdgeTrees(g *Graph, edge []NodeID) *edgeTrees {
+	return &edgeTrees{c: newCoreGraph(g, LatencyCost, false), edge: edge, trees: make([]spTree, len(edge))}
+}
+
+// pathTo returns the shortest latency path from edge column j to node v,
+// or nil when v is unreachable.
+func (t *edgeTrees) pathTo(j int, v NodeID) []NodeID {
+	if t.trees[j].dist == nil {
+		prev := make([]int, len(t.c.ids))
+		// AddLink rejects negative latencies, so no search fails.
+		dist, _ := t.c.shortest(t.c.index[t.edge[j]], -1, nil, prev)
+		t.trees[j] = spTree{dist, prev}
+	}
+	return t.c.pathTo(t.trees[j], v)
+}
+
+// routeFlows routes every flow along its tree path from its assigned
+// edge column and returns the paths and the per-link loads they carry.
+func routeFlows(t *edgeTrees, flows []Flow, assignment []int) ([][]NodeID, map[linkKey]float64, error) {
+	if len(flows) != len(assignment) {
+		return nil, nil, fmt.Errorf("topology: %d flows but %d assignments", len(flows), len(assignment))
+	}
+	for _, col := range assignment {
+		if col < 0 || col >= len(t.edge) {
+			return nil, nil, fmt.Errorf("topology: assignment column %d out of range", col)
+		}
+	}
+	load := make(map[linkKey]float64)
+	paths := make([][]NodeID, len(flows))
+	for k, f := range flows {
+		paths[k] = t.pathTo(assignment[k], f.IoT)
+		if paths[k] == nil {
+			return nil, nil, fmt.Errorf("topology: flow %d cannot reach edge column %d", k, assignment[k])
+		}
+		tally(load, paths[k], f.Mbps())
+	}
+	return paths, load, nil
+}
+
+// linkKey identifies an undirected link for load accounting.
+type linkKey struct{ a, b NodeID }
+
+func normKey(a, b NodeID) linkKey {
+	if a > b {
+		a, b = b, a
+	}
+	return linkKey{a, b}
+}
+
+// tally adds mbps to the load of every link along path.
+func tally(load map[linkKey]float64, path []NodeID, mbps float64) {
+	for h := 0; h+1 < len(path); h++ {
+		load[normKey(path[h], path[h+1])] += mbps
+	}
+}
+
+// effectiveDelay returns a path's delay for the given payload under the
+// supplied per-link loads (Mbps): each link's latency plus its
+// transmission time inflated by 1/(1-util), with utilization capped.
+func (g *Graph) effectiveDelay(path []NodeID, payloadKB float64, load map[linkKey]float64) float64 {
+	total := 0.0
+	for h := 0; h+1 < len(path); h++ {
+		l, ok := g.LinkBetween(path[h], path[h+1])
+		if !ok {
+			return Infinity
+		}
+		total += l.LatencyMs
+		if l.BandwidthMbps > 0 {
+			u := load[normKey(path[h], path[h+1])] / l.BandwidthMbps
+			if u > utilCap {
+				u = utilCap
+			}
+			total += transmitMs(payloadKB, l.BandwidthMbps) / (1 - u)
+		}
+	}
+	return total
+}
+
+// congestionResult prices every flow's path under the committed per-link
+// loads and lists each loaded link in ascending (a, b) order with its
+// utilization, adding it to Overloaded once the load meets its bandwidth.
+func congestionResult(g *Graph, flows []Flow, paths [][]NodeID, load map[linkKey]float64) *CongestionResult {
+	res := &CongestionResult{DelayMs: make([]float64, len(flows))}
+	for k, f := range flows {
+		res.DelayMs[k] = g.effectiveDelay(paths[k], f.PayloadKB, load)
+	}
+	keys := make([]linkKey, 0, len(load))
+	for k := range load {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(x, y linkKey) int { return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b)) })
+	for _, key := range keys {
+		l, _ := g.LinkBetween(key.a, key.b)
+		mbps, util := load[key], 0.0
+		if l.BandwidthMbps > 0 {
+			util = mbps / l.BandwidthMbps
+		}
+		res.Links = append(res.Links, LinkLoad{Link: l, Mbps: mbps, Utilization: util})
+		if l.BandwidthMbps > 0 && util >= 1 {
+			res.Overloaded = append(res.Overloaded, l)
+		}
+	}
+	return res
 }

@@ -18,9 +18,9 @@ func referenceDelayMatrix(g *Graph, cost LinkCost) *DelayMatrix {
 		m[i] = make([]float64, len(edge))
 	}
 	for j, e := range edge {
-		sp := g.Dijkstra(e, cost)
+		sp := dijkstra(g, e, cost)
 		for i, d := range iot {
-			m[i][j] = sp.Dist[d]
+			m[i][j] = sp.dist[d]
 		}
 	}
 	return &DelayMatrix{IoT: iot, Edge: edge, DelayMs: m}

@@ -2,7 +2,9 @@ package topology
 
 import (
 	"fmt"
+	"hash"
 	"hash/fnv"
+	"io"
 	"math"
 	"testing"
 
@@ -96,18 +98,29 @@ var goldenGraphHashes = map[string]string{
 
 func hashMatrix(dm *DelayMatrix) string {
 	h := fnv.New64a()
-	fmt.Fprintln(h, dm.IoT, dm.Edge)
-	var buf [8]byte
-	for _, row := range dm.DelayMs {
-		for _, d := range row {
-			b := math.Float64bits(d)
-			for k := range buf {
-				buf[k] = byte(b >> (8 * k))
-			}
-			h.Write(buf[:])
-		}
-	}
+	writeMatrix(h, dm)
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// writeMatrix writes a delay matrix's IoT and edge IDs and the bits of
+// every cell, row by row.
+func writeMatrix(w io.Writer, dm *DelayMatrix) {
+	fmt.Fprintln(w, dm.IoT, dm.Edge)
+	for _, row := range dm.DelayMs {
+		writeBits(w, row...)
+	}
+}
+
+// writeBits writes each value's full-precision bits, little-endian.
+func writeBits(w io.Writer, xs ...float64) {
+	var buf [8]byte
+	for _, x := range xs {
+		b := math.Float64bits(x)
+		for k := range buf {
+			buf[k] = byte(b >> (8 * k))
+		}
+		w.Write(buf[:])
+	}
 }
 
 func hashGraph(g *Graph) string {
@@ -210,4 +223,118 @@ func goldenAttachPoints(g *Graph) (xs, ys []float64) {
 		ys = append(ys, n.Y)
 	}
 	return xs, ys
+}
+
+// goldenSearchHashes pins, per family, every graph search and congestion
+// evaluator on hotspot deployments at seeds 1–4 (see hashSearches).
+var goldenSearchHashes = map[string]string{
+	"hierarchical":    "f132cbf2f80eb808",
+	"geometric":       "93f0822346881907",
+	"waxman":          "5c50a83a7fa71319",
+	"barabasi-albert": "9a9084db571cabf8",
+	"grid":            "2f4f0fd8e0e01444",
+	"fattree":         "0b8113efb5f5165c",
+	"star":            "f5bd40f604088ad4",
+	"ring":            "435937b751a02755",
+}
+
+// searchGoldenConfig is the small deployment the search golden walks:
+// every node is a shortest-path and BFS source, so it stays under 100
+// nodes.
+func searchGoldenConfig(seed int64) Config {
+	return Config{NumIoT: 48, NumEdge: 6, NumGateways: 12, NumRouters: 6, Seed: seed}
+}
+
+// TestTopologySearchGolden requires every family's searches and
+// evaluators, over hotspot deployments at seeds 1 to 4, to hash to the
+// value pinned before the searches shared one kernel.
+func TestTopologySearchGolden(t *testing.T) {
+	for _, fam := range Families() {
+		h := fnv.New64a()
+		for seed := int64(1); seed <= 4; seed++ {
+			g, err := Generate(fam, searchGoldenConfig(seed), PlaceHotspot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := hashSearches(h, g, seed); err != nil {
+				t.Fatalf("%s seed %d: %v", fam, seed, err)
+			}
+		}
+		checkGolden(t, goldenSearchHashes, string(fam), fmt.Sprintf("%016x", h.Sum64()))
+	}
+}
+
+// hashSearches writes, at full precision:
+//   - the shortest-path tree (distance bits and predecessors) from every
+//     node under LatencyCost and PayloadCost(32);
+//   - up to 4 k-shortest paths (nodes and cost bits) from every third
+//     device to every edge server under both cost models;
+//   - HopCounts from every node, Connected, Resilience and
+//     ComputeMetrics;
+//   - EvaluateCongestion, CongestionAwareDelayMatrix and
+//     EvaluateCongestionMultipath (k = 3) for heavy flows from every
+//     device, half of them on their nearest edge and half on a drawn one.
+func hashSearches(h hash.Hash, g *Graph, seed int64) error {
+	costs := []LinkCost{LatencyCost, PayloadCost(32)}
+	for _, cost := range costs {
+		for v := 0; v < g.NumNodes(); v++ {
+			tr := dijkstra(g, NodeID(v), cost)
+			writeBits(h, tr.dist...)
+			fmt.Fprintln(h, tr.prev)
+		}
+	}
+	iot, edge := g.NodesOfKind(KindIoT), g.NodesOfKind(KindEdge)
+	for _, cost := range costs {
+		for i := 0; i < len(iot); i += 3 {
+			for _, e := range edge {
+				for _, p := range kShortestPaths(g, iot[i], e, 4, cost) {
+					fmt.Fprintln(h, p.nodes)
+					writeBits(h, p.cost)
+				}
+			}
+		}
+	}
+	for v := 0; v < g.NumNodes(); v++ {
+		fmt.Fprintln(h, g.HopCounts(NodeID(v)))
+	}
+	rep := g.Resilience()
+	fmt.Fprintln(h, g.Connected(), rep.CutVertices, rep.WorstCaseStranded, rep.WorstVertex)
+	m := ComputeMetrics(g)
+	fmt.Fprintln(h, m.Nodes, m.Links, m.ByKind[KindIoT], m.ByKind[KindGateway], m.ByKind[KindRouter],
+		m.ByKind[KindEdge], m.ByKind[KindCloud], m.MaxDegree, m.DiameterHops)
+	writeBits(h, m.AvgDegree, m.AvgIoTMinDelayMs, m.MaxIoTMinDelayMs, m.AvgIoTEdgeHops)
+
+	dm := NewDelayMatrix(g, LatencyCost)
+	src := xrand.NewSplit(seed, "search-golden-flows")
+	flows := make([]Flow, len(dm.IoT))
+	assignment := make([]int, len(dm.IoT))
+	for i := range flows {
+		flows[i] = Flow{IoT: dm.IoT[i], RateHz: src.Uniform(1, 20), PayloadKB: src.Uniform(10, 400)}
+		_, assignment[i] = dm.MinDelay(i)
+		if i%2 == 1 {
+			assignment[i] = src.Intn(len(dm.Edge))
+		}
+	}
+	single, err := EvaluateCongestion(g, dm, flows, assignment)
+	if err != nil {
+		return err
+	}
+	aware, err := CongestionAwareDelayMatrix(g, dm, flows, assignment)
+	if err != nil {
+		return err
+	}
+	multi, err := g.EvaluateCongestionMultipath(dm, flows, assignment, 3)
+	if err != nil {
+		return err
+	}
+	for _, r := range []*CongestionResult{single, multi} {
+		writeBits(h, r.DelayMs...)
+		for _, l := range r.Links {
+			fmt.Fprintln(h, l.Link.A, l.Link.B)
+			writeBits(h, l.Link.LatencyMs, l.Link.BandwidthMbps, l.Mbps, l.Utilization)
+		}
+		fmt.Fprintln(h, r.Overloaded)
+	}
+	writeMatrix(h, aware)
+	return nil
 }

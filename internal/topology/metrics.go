@@ -27,7 +27,8 @@ type Metrics struct {
 	AvgIoTEdgeHops float64
 }
 
-// ComputeMetrics walks the graph; cost O(V·E) from the per-node BFS.
+// ComputeMetrics walks the graph; cost O(V·E) from the per-node BFS of
+// the hop diameter.
 func ComputeMetrics(g *Graph) Metrics {
 	m := Metrics{
 		Nodes:  g.NumNodes(),
@@ -69,6 +70,9 @@ func ComputeMetrics(g *Graph) Metrics {
 		return m
 	}
 	dm := NewDelayMatrix(g, LatencyCost)
+	// Each device's hop count to its nearest edge, from one search
+	// started at every edge.
+	edgeHops := g.hops(edges, -1)
 	sumDelay, sumHops := 0.0, 0.0
 	counted := 0
 	for i := range dm.IoT {
@@ -81,15 +85,8 @@ func ComputeMetrics(g *Graph) Metrics {
 		if d > m.MaxIoTMinDelayMs {
 			m.MaxIoTMinDelayMs = d
 		}
-		hops := g.HopCounts(dm.IoT[i])
-		best := -1
-		for _, e := range dm.Edge {
-			if h := hops[e]; h >= 0 && (best < 0 || h < best) {
-				best = h
-			}
-		}
-		if best >= 0 {
-			sumHops += float64(best)
+		if h := edgeHops[dm.IoT[i]]; h >= 0 {
+			sumHops += float64(h)
 		}
 	}
 	if counted > 0 {

@@ -6,56 +6,6 @@ import (
 	"sort"
 )
 
-// linkKey identifies an undirected link for load accounting.
-type linkKey struct{ a, b NodeID }
-
-func normKey(a, b NodeID) linkKey {
-	if a > b {
-		a, b = b, a
-	}
-	return linkKey{a, b}
-}
-
-// sortedLinkKeys returns load's keys in ascending (a, b) order, so loops
-// aggregating per-link results iterate deterministically instead of in
-// map order (CongestionResult.Links and Overloaded are ordered output).
-func sortedLinkKeys(load map[linkKey]float64) []linkKey {
-	keys := make([]linkKey, 0, len(load))
-	for k := range load {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
-		}
-		return keys[i].b < keys[j].b
-	})
-	return keys
-}
-
-// effectiveDelay returns a path's delay for the given payload under the
-// supplied per-link loads (Mbps): latency plus transmission inflated by
-// 1/(1-util), with utilization capped.
-func (g *Graph) effectiveDelay(path []NodeID, payloadKB float64, load map[linkKey]float64) float64 {
-	total := 0.0
-	for h := 0; h+1 < len(path); h++ {
-		l, ok := g.LinkBetween(path[h], path[h+1])
-		if !ok {
-			return math.Inf(1)
-		}
-		total += l.LatencyMs
-		if l.BandwidthMbps > 0 {
-			u := load[normKey(path[h], path[h+1])] / l.BandwidthMbps
-			if u > utilCap {
-				u = utilCap
-			}
-			bits := payloadKB * 8 * 1000
-			total += bits / (l.BandwidthMbps * 1000) / (1 - u)
-		}
-	}
-	return total
-}
-
 // EvaluateCongestionMultipath is the congestion-aware routing counterpart
 // of EvaluateCongestion: instead of pinning every flow to its single
 // shortest path, each flow (heaviest first) picks the cheapest of its k
@@ -84,11 +34,16 @@ func (g *Graph) EvaluateCongestionMultipath(dm *DelayMatrix, flows []Flow, assig
 	}
 	sort.SliceStable(order, func(a, b int) bool { return flows[order[a]].Mbps() > flows[order[b]].Mbps() })
 
+	c := newCoreGraph(g, LatencyCost, false)
 	load := make(map[linkKey]float64)
 	chosen := make([][]NodeID, len(flows))
 	for _, fi := range order {
 		f := flows[fi]
-		paths, err := g.KShortestPaths(f.IoT, dm.Edge[assignment[fi]], k, LatencyCost)
+		src, dst := f.IoT, dm.Edge[assignment[fi]]
+		if !g.valid(src) || !g.valid(dst) {
+			return nil, fmt.Errorf("topology: flow %d endpoints %d-%d out of range", fi, src, dst)
+		}
+		paths, err := c.kShortest(src, dst, k)
 		if err != nil {
 			return nil, err
 		}
@@ -97,35 +52,12 @@ func (g *Graph) EvaluateCongestionMultipath(dm *DelayMatrix, flows []Flow, assig
 		}
 		best, bestCost := 0, math.Inf(1)
 		for pi, p := range paths {
-			if c := g.effectiveDelay(p.Nodes, f.PayloadKB, load); c < bestCost {
-				best, bestCost = pi, c
+			if d := g.effectiveDelay(p.nodes, f.PayloadKB, load); d < bestCost {
+				best, bestCost = pi, d
 			}
 		}
-		chosen[fi] = paths[best].Nodes
-		mbps := f.Mbps()
-		for h := 0; h+1 < len(chosen[fi]); h++ {
-			load[normKey(chosen[fi][h], chosen[fi][h+1])] += mbps
-		}
+		chosen[fi] = paths[best].nodes
+		tally(load, chosen[fi], f.Mbps())
 	}
-	// Final result under the committed loads.
-	res := &CongestionResult{DelayMs: make([]float64, len(flows))}
-	for fi, f := range flows {
-		res.DelayMs[fi] = g.effectiveDelay(chosen[fi], f.PayloadKB, load)
-	}
-	for _, key := range sortedLinkKeys(load) {
-		mbps := load[key]
-		l, ok := g.LinkBetween(key.a, key.b)
-		if !ok {
-			return nil, fmt.Errorf("topology: internal error: load on missing link %d-%d", key.a, key.b)
-		}
-		util := 0.0
-		if l.BandwidthMbps > 0 {
-			util = mbps / l.BandwidthMbps
-		}
-		res.Links = append(res.Links, LinkLoad{Link: l, Mbps: mbps, Utilization: util})
-		if l.BandwidthMbps > 0 && util >= 1 {
-			res.Overloaded = append(res.Overloaded, l)
-		}
-	}
-	return res, nil
+	return congestionResult(g, flows, chosen, load), nil
 }

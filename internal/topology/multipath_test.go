@@ -92,6 +92,12 @@ func TestMultipathValidation(t *testing.T) {
 	if _, err := g.EvaluateCongestionMultipath(dm, flows, []int{0}, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
+	for _, id := range []NodeID{-1, 99} {
+		bad := []Flow{{IoT: id, RateHz: 1, PayloadKB: 1}}
+		if _, err := g.EvaluateCongestionMultipath(dm, bad, []int{0}, 2); err == nil {
+			t.Errorf("flow endpoint %d accepted", id)
+		}
+	}
 }
 
 func TestMultipathOnGeneratedTopology(t *testing.T) {

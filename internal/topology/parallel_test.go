@@ -105,3 +105,29 @@ func TestDelayMatrixNegativeAccessCostPanicsOnCaller(t *testing.T) {
 		t.Fatalf("panic %v, want %q", got, want)
 	}
 }
+
+// TestDelayMatrixNegativeCoreCostPanicsOnCaller pins where and how a
+// negative core link cost fails at 8 workers: every router–router link
+// costs -1, so several edge sources' searches meet one. The panic reaches
+// the caller's goroutine, where recover catches it, and names the lowest
+// source's first negative link, as a sequential build does.
+func TestDelayMatrixNegativeCoreCostPanicsOnCaller(t *testing.T) {
+	g := genParallelTestGraph(t, 1)
+	cost := func(l Link) float64 {
+		if g.Node(l.A).Kind == KindRouter && g.Node(l.B).Kind == KindRouter {
+			return -1
+		}
+		return l.LatencyMs
+	}
+	const want = "topology: negative link cost -1 on 4-3"
+	for _, workers := range []int{1, 8} {
+		var got interface{}
+		func() {
+			defer func() { got = recover() }()
+			NewDelayMatrixWorkers(g, cost, workers)
+		}()
+		if got != want {
+			t.Fatalf("%d workers: panic %v, want %q", workers, got, want)
+		}
+	}
+}

@@ -118,29 +118,10 @@ func (g *Graph) Resilience() ResilienceReport {
 // strandedWithout counts IoT devices with no path to any edge when banned
 // is removed (BFS from all edges simultaneously, skipping banned).
 func (g *Graph) strandedWithout(banned NodeID, iot, edges []NodeID) int {
-	reach := make([]bool, len(g.nodes))
-	var queue []NodeID
-	for _, e := range edges {
-		if e == banned {
-			continue
-		}
-		reach[e] = true
-		queue = append(queue, e)
-	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, h := range g.adj[u] {
-			if h.to == banned || reach[h.to] {
-				continue
-			}
-			reach[h.to] = true
-			queue = append(queue, h.to)
-		}
-	}
+	hops := g.hops(edges, banned)
 	stranded := 0
 	for _, d := range iot {
-		if !reach[d] {
+		if hops[d] < 0 {
 			stranded++
 		}
 	}

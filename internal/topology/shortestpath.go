@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"taccc/internal/obs"
 	"taccc/internal/par"
@@ -26,14 +27,18 @@ func LatencyCost(l Link) float64 { return l.LatencyMs }
 // transmission time.
 func PayloadCost(payloadKB float64) LinkCost {
 	return func(l Link) float64 {
-		d := l.LatencyMs
-		if l.BandwidthMbps > 0 {
-			// kB -> bits = *8*1000; Mbit/s -> bits/ms = *1000.
-			bits := payloadKB * 8 * 1000
-			d += bits / (l.BandwidthMbps * 1000)
-		}
-		return d
+		return l.LatencyMs + transmitMs(payloadKB, l.BandwidthMbps)
 	}
+}
+
+// transmitMs is the time to send payloadKB kilobytes at bandwidthMbps:
+// kB -> bits = *8*1000; Mbit/s -> bits/ms = *1000. A bandwidth that is
+// not positive (unspecified, or NaN) adds nothing.
+func transmitMs(payloadKB, bandwidthMbps float64) float64 {
+	if !(bandwidthMbps > 0) {
+		return 0
+	}
+	return payloadKB * 8 * 1000 / (bandwidthMbps * 1000)
 }
 
 // pqItem is a Dijkstra priority-queue entry.
@@ -83,88 +88,36 @@ func (q *pq) pop() pqItem {
 	return h[n]
 }
 
-// ShortestPaths holds single-source shortest-path results.
-type ShortestPaths struct {
-	Source NodeID
-	// Dist[v] is the cost of the cheapest path from Source to v, or
-	// Infinity if unreachable.
-	Dist []float64
-	// Prev[v] is the predecessor of v on that path, or -1 for the source
-	// and unreachable nodes.
-	Prev []NodeID
-}
-
-// PathTo reconstructs the node sequence from the source to v, inclusive.
-// It returns nil if v is unreachable.
-func (sp *ShortestPaths) PathTo(v NodeID) []NodeID {
-	if int(v) >= len(sp.Dist) || math.IsInf(sp.Dist[v], 1) {
-		return nil
-	}
-	var rev []NodeID
-	for u := v; u != -1; u = sp.Prev[u] {
-		rev = append(rev, u)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// Dijkstra computes single-source shortest paths from src under the given
-// cost model. Costs must be non-negative; a negative cost causes a panic.
-func (g *Graph) Dijkstra(src NodeID, cost LinkCost) *ShortestPaths {
-	if !g.valid(src) {
-		panic(fmt.Sprintf("topology: Dijkstra source %d out of range", src))
-	}
-	n := len(g.nodes)
-	dist := make([]float64, n)
-	prev := make([]NodeID, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = Infinity
-		prev[i] = -1
-	}
-	dist[src] = 0
-	q := pq{{node: src, dist: 0}}
-	for len(q) > 0 {
-		item := q.pop()
-		u := item.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		for _, h := range g.adj[u] {
-			c := cost(Link{A: u, B: h.to, LatencyMs: h.latencyMs, BandwidthMbps: h.bwMbps})
-			if c < 0 {
-				panic(fmt.Sprintf("topology: negative link cost %v on %d-%d", c, u, h.to))
-			}
-			if nd := item.dist + c; nd < dist[h.to] {
-				dist[h.to] = nd
-				prev[h.to] = u
-				q.push(pqItem{node: h.to, dist: nd})
-			}
-		}
-	}
-	return &ShortestPaths{Source: src, Dist: dist, Prev: prev}
-}
-
 // HopCounts returns the minimum hop count from src to every node via BFS,
 // with -1 marking unreachable nodes.
 func (g *Graph) HopCounts(src NodeID) []int {
 	if !g.valid(src) {
 		panic(fmt.Sprintf("topology: HopCounts source %d out of range", src))
 	}
+	return g.hops([]NodeID{src}, -1)
+}
+
+// hops is a breadth-first search from every node of srcs at once that
+// never enters banned (-1 bans nothing): it returns each node's hop count
+// to its nearest source, -1 where none is reachable. Hop counts are
+// symmetric, so hops(srcs) is also each node's hop count to its nearest
+// node of srcs.
+func (g *Graph) hops(srcs []NodeID, banned NodeID) []int {
 	hops := make([]int, len(g.nodes))
 	for i := range hops {
 		hops[i] = -1
 	}
-	hops[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue := make([]NodeID, 0, len(g.nodes))
+	for _, s := range srcs {
+		if s != banned && hops[s] < 0 {
+			hops[s] = 0
+			queue = append(queue, s)
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		for _, h := range g.adj[u] {
-			if hops[h.to] == -1 {
+			if h.to != banned && hops[h.to] < 0 {
 				hops[h.to] = hops[u] + 1
 				queue = append(queue, h.to)
 			}
@@ -248,23 +201,38 @@ func NewDelayMatrixWorkers(g *Graph, cost LinkCost, workers int) *DelayMatrix {
 // with that same single relaxation. Devices with several links, or linked
 // to another device, stay in the core. The rows are filled on the same
 // workers, each writing only its own row.
+//
+// A negative cost panics on the caller's goroutine, with the message a
+// sequential build gives: the lowest edge source's first negative core
+// link, then the first negative access link in row order.
 func NewDelayMatrixTraced(g *Graph, cost LinkCost, workers int, phase *obs.Phase) *DelayMatrix {
 	iot := g.NodesOfKind(KindIoT)
 	edge := g.NodesOfKind(KindEdge)
-	c := newCoreGraph(g, cost)
+	c := newCoreGraph(g, cost, true)
 	// coreDist[v*k+j] is the distance from edge j to core node v; each
-	// source writes only its own column.
+	// source writes only its own column and its own slot of neg.
 	k := len(edge)
 	coreDist := make([]float64, len(c.ids)*k)
+	neg := make([]error, k)
 	var now func() float64
 	if phase != nil {
 		now = phase.NowMs
 	}
 	shards := par.ForShards(par.Workers(workers), k, now, func(j int) {
-		for v, d := range c.dijkstra(c.index[edge[j]]) {
+		dist, err := c.shortest(c.index[edge[j]], -1, nil, nil)
+		if err != nil {
+			neg[j] = err
+			return
+		}
+		for v, d := range dist {
 			coreDist[v*k+j] = d
 		}
 	})
+	for _, err := range neg {
+		if err != nil {
+			panic(err.Error())
+		}
+	}
 	for _, sh := range shards {
 		phase.Span("shard", sh.StartMs, sh.EndMs, map[string]interface{}{
 			"worker":  sh.Worker,
@@ -320,11 +288,16 @@ func checkPendantCosts(cost LinkCost, d NodeID, h halfLink, cf float64, base []f
 		return false
 	}
 	if cf < 0 && reached(0) {
-		panic(fmt.Sprintf("topology: negative link cost %v on %d-%d", cf, h.to, d))
+		panic(negativeCost(cf, h.to, d).Error())
 	}
 	if cb := cost(Link{A: d, B: h.to, LatencyMs: h.latencyMs, BandwidthMbps: h.bwMbps}); cb < 0 && reached(cf) {
-		panic(fmt.Sprintf("topology: negative link cost %v on %d-%d", cb, d, h.to))
+		panic(negativeCost(cb, d, h.to).Error())
 	}
+}
+
+// negativeCost is the error for a negative cost c on the link from a to b.
+func negativeCost(c float64, a, b NodeID) error {
+	return fmt.Errorf("topology: negative link cost %v on %d-%d", c, a, b)
 }
 
 // pendant reports whether v is an IoT device whose only link goes to a
@@ -333,25 +306,27 @@ func (g *Graph) pendant(v NodeID) bool {
 	return g.nodes[v].Kind == KindIoT && len(g.adj[v]) == 1 && g.nodes[g.adj[v][0].to].Kind != KindIoT
 }
 
-// coreGraph is a graph without its pendant devices, in compact form, with
-// every directed link's cost evaluated once.
+// coreGraph is a graph in compact form, with every directed link's cost
+// evaluated once, on which every shortest-path search runs. Contracted,
+// it leaves out the pendant devices (the delay matrix's core); whole, it
+// keeps every node, and core index and node ID coincide.
 type coreGraph struct {
 	// index maps a node ID to its core index (-1 for a pendant device),
 	// ids maps a core index back to its node ID.
 	index []int
 	ids   []NodeID
-	// The links out of core node u go to to[start[u]:start[u+1]], at the
-	// costs in the same positions of cost.
+	// The links out of core node u go to to[start[u]:start[u+1]], in the
+	// graph's adjacency order, at the costs in the same positions of cost.
 	start []int
 	to    []int
 	cost  []float64
 }
 
-func newCoreGraph(g *Graph, cost LinkCost) *coreGraph {
+func newCoreGraph(g *Graph, cost LinkCost, contract bool) *coreGraph {
 	c := &coreGraph{index: make([]int, len(g.nodes))}
 	for v := range g.nodes {
 		c.index[v] = -1
-		if !g.pendant(NodeID(v)) {
+		if !contract || !g.pendant(NodeID(v)) {
 			c.index[v] = len(c.ids)
 			c.ids = append(c.ids, NodeID(v))
 		}
@@ -369,13 +344,25 @@ func newCoreGraph(g *Graph, cost LinkCost) *coreGraph {
 	return c
 }
 
-// dijkstra returns the distance from core node src to every core node. It
-// relaxes exactly as Graph.Dijkstra does (its queue items carry core
-// indices), so each distance has the same bits.
-func (c *coreGraph) dijkstra(src int) []float64 {
+// shortest is the package's one Dijkstra. It returns the distance from
+// core node src to every core node (+Inf when unreached), stopping once
+// dst is settled (-1 never stops early). It never relaxes a link from u to
+// v that skip rejects (nil rejects none). When prev is non-nil it records
+// each node's predecessor there, -1 for src and unreached nodes. The
+// first negative cost it would relax ends the search with that link's
+// error.
+//
+// The queue is the typed heap, links are relaxed in adjacency order and
+// each distance is the left-folded sum of its path's costs, so every
+// distance and predecessor has the same bits as container/heap's Dijkstra
+// over the Graph itself.
+func (c *coreGraph) shortest(src, dst int, skip func(u, v int) bool, prev []int) ([]float64, error) {
 	dist := make([]float64, len(c.ids))
 	for i := range dist {
 		dist[i] = Infinity
+	}
+	for i := range prev {
+		prev[i] = -1
 	}
 	done := make([]bool, len(c.ids))
 	dist[src] = 0
@@ -387,18 +374,47 @@ func (c *coreGraph) dijkstra(src int) []float64 {
 			continue
 		}
 		done[u] = true
+		if u == dst {
+			break
+		}
 		for e := c.start[u]; e < c.start[u+1]; e++ {
 			v, w := c.to[e], c.cost[e]
+			if skip != nil && skip(u, v) {
+				continue
+			}
 			if w < 0 {
-				panic(fmt.Sprintf("topology: negative link cost %v on %d-%d", w, c.ids[u], c.ids[v]))
+				return nil, negativeCost(w, c.ids[u], c.ids[v])
 			}
 			if nd := item.dist + w; nd < dist[v] {
 				dist[v] = nd
+				if prev != nil {
+					prev[v] = u
+				}
 				q.push(pqItem{node: NodeID(v), dist: nd})
 			}
 		}
 	}
-	return dist
+	return dist, nil
+}
+
+// spTree is a search's distances and the predecessors it recorded.
+type spTree struct {
+	dist []float64
+	prev []int
+}
+
+// pathTo returns the node IDs on t's path from its source to node v,
+// inclusive, or nil when v is not a reached core node.
+func (c *coreGraph) pathTo(t spTree, v NodeID) []NodeID {
+	if v < 0 || int(v) >= len(c.index) || c.index[v] < 0 || math.IsInf(t.dist[c.index[v]], 1) {
+		return nil
+	}
+	var path []NodeID
+	for u := c.index[v]; u != -1; u = t.prev[u] {
+		path = append(path, c.ids[u])
+	}
+	slices.Reverse(path)
+	return path
 }
 
 // NumIoT returns the number of IoT rows.

@@ -257,25 +257,7 @@ func (g *Graph) LinkBetween(a, b NodeID) (Link, bool) {
 // Connected reports whether every node is reachable from node 0. An empty
 // graph is considered connected.
 func (g *Graph) Connected() bool {
-	if len(g.nodes) == 0 {
-		return true
-	}
-	seen := make([]bool, len(g.nodes))
-	stack := []NodeID{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, h := range g.adj[u] {
-			if !seen[h.to] {
-				seen[h.to] = true
-				count++
-				stack = append(stack, h.to)
-			}
-		}
-	}
-	return count == len(g.nodes)
+	return len(g.nodes) == 0 || !slices.Contains(g.hops([]NodeID{0}, -1), -1)
 }
 
 // Validate checks structural invariants that generators must uphold: a

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -134,24 +135,41 @@ func TestNodesOfKindAndCopySemantics(t *testing.T) {
 	}
 }
 
+// dijkstraTree is a whole-graph shortest-path tree, for tests.
+type dijkstraTree struct {
+	spTree
+	c *coreGraph
+}
+
+// pathTo returns the tree's path from its source to v, nil if unreached.
+func (t dijkstraTree) pathTo(v NodeID) []NodeID { return t.c.pathTo(t.spTree, v) }
+
+// dijkstra runs the package's one shortest-path search from src over the
+// whole graph, recording predecessors. A negative cost it relaxes panics
+// with the search's message.
+func dijkstra(g *Graph, src NodeID, cost LinkCost) dijkstraTree {
+	c := newCoreGraph(g, cost, false)
+	prev := make([]int, len(c.ids))
+	dist, err := c.shortest(c.index[src], -1, nil, prev)
+	if err != nil {
+		panic(err.Error())
+	}
+	return dijkstraTree{spTree{dist, prev}, c}
+}
+
 func TestDijkstraLine(t *testing.T) {
 	g, iot, gw, r, e := lineGraph(t)
-	sp := g.Dijkstra(iot, LatencyCost)
+	sp := dijkstra(g, iot, LatencyCost)
 	want := map[NodeID]float64{iot: 0, gw: 1, r: 2, e: 3}
 	for id, d := range want {
-		if sp.Dist[id] != d {
-			t.Errorf("Dist[%d] = %v, want %v", id, sp.Dist[id], d)
+		if sp.dist[id] != d {
+			t.Errorf("dist[%d] = %v, want %v", id, sp.dist[id], d)
 		}
 	}
-	path := sp.PathTo(e)
+	path := sp.pathTo(e)
 	wantPath := []NodeID{iot, gw, r, e}
-	if len(path) != len(wantPath) {
-		t.Fatalf("PathTo(e) = %v, want %v", path, wantPath)
-	}
-	for i := range path {
-		if path[i] != wantPath[i] {
-			t.Fatalf("PathTo(e) = %v, want %v", path, wantPath)
-		}
+	if !slices.Equal(path, wantPath) {
+		t.Fatalf("pathTo(e) = %v, want %v", path, wantPath)
 	}
 }
 
@@ -163,13 +181,13 @@ func TestDijkstraPicksCheaperPath(t *testing.T) {
 	g.MustAddLink(a, c, 10, 0) // direct but slow
 	g.MustAddLink(a, b, 2, 0)
 	g.MustAddLink(b, c, 3, 0) // detour 5 < 10
-	sp := g.Dijkstra(a, LatencyCost)
-	if sp.Dist[c] != 5 {
-		t.Fatalf("Dist[c] = %v, want 5", sp.Dist[c])
+	sp := dijkstra(g, a, LatencyCost)
+	if sp.dist[c] != 5 {
+		t.Fatalf("dist[c] = %v, want 5", sp.dist[c])
 	}
-	p := sp.PathTo(c)
+	p := sp.pathTo(c)
 	if len(p) != 3 || p[1] != b {
-		t.Fatalf("PathTo(c) = %v, want detour through b", p)
+		t.Fatalf("pathTo(c) = %v, want detour through b", p)
 	}
 }
 
@@ -177,12 +195,12 @@ func TestDijkstraUnreachable(t *testing.T) {
 	g := NewGraph()
 	a := g.MustAddNode(KindIoT, "a", 0, 0)
 	b := g.MustAddNode(KindEdge, "b", 0, 0)
-	sp := g.Dijkstra(a, LatencyCost)
-	if !math.IsInf(sp.Dist[b], 1) {
-		t.Fatalf("Dist to unreachable = %v, want +Inf", sp.Dist[b])
+	sp := dijkstra(g, a, LatencyCost)
+	if !math.IsInf(sp.dist[b], 1) {
+		t.Fatalf("dist to unreachable = %v, want +Inf", sp.dist[b])
 	}
-	if sp.PathTo(b) != nil {
-		t.Fatal("PathTo(unreachable) should be nil")
+	if sp.pathTo(b) != nil {
+		t.Fatal("pathTo(unreachable) should be nil")
 	}
 }
 
@@ -250,23 +268,71 @@ func floydWarshall(g *Graph, cost LinkCost) [][]float64 {
 	return m
 }
 
-func TestDijkstraMatchesFloydWarshall(t *testing.T) {
-	// Random-ish deterministic graph via the Waxman generator.
-	cfg := Config{NumIoT: 20, NumEdge: 4, NumGateways: 12, Seed: 99}
-	g, err := Waxman(cfg, 0.9, 0.5, PlaceUniform)
+// oracleGraph returns the family's small graph (at most 80 nodes) that
+// the oracle tests run on.
+func oracleGraph(t *testing.T, fam Family) *Graph {
+	t.Helper()
+	g, err := Generate(fam, Config{NumIoT: 30, NumEdge: 4, NumGateways: 12, NumRouters: 4, Seed: 99}, PlaceHotspot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw := floydWarshall(g, LatencyCost)
-	for u := 0; u < g.NumNodes(); u++ {
-		sp := g.Dijkstra(NodeID(u), LatencyCost)
-		for v := 0; v < g.NumNodes(); v++ {
-			a, b := sp.Dist[v], fw[u][v]
-			if math.IsInf(a, 1) != math.IsInf(b, 1) {
-				t.Fatalf("reachability mismatch at %d->%d", u, v)
+	if g.NumNodes() > 80 {
+		t.Fatalf("%s: %d nodes, want at most 80", fam, g.NumNodes())
+	}
+	return g
+}
+
+// TestDijkstraMatchesFloydWarshall holds the shortest-path search to the
+// Floyd–Warshall oracle from every node of every family's graph, under
+// the latency and the payload cost model.
+func TestDijkstraMatchesFloydWarshall(t *testing.T) {
+	for _, fam := range Families() {
+		g := oracleGraph(t, fam)
+		for _, cost := range []LinkCost{LatencyCost, PayloadCost(64)} {
+			fw := floydWarshall(g, cost)
+			for u := 0; u < g.NumNodes(); u++ {
+				sp := dijkstra(g, NodeID(u), cost)
+				for v := 0; v < g.NumNodes(); v++ {
+					a, b := sp.dist[v], fw[u][v]
+					if math.IsInf(a, 1) != math.IsInf(b, 1) {
+						t.Fatalf("%s: reachability mismatch at %d->%d", fam, u, v)
+					}
+					if !math.IsInf(a, 1) && math.Abs(a-b) > 1e-9 {
+						t.Fatalf("%s: distance mismatch at %d->%d: dijkstra %v, fw %v", fam, u, v, a, b)
+					}
+				}
 			}
-			if !math.IsInf(a, 1) && math.Abs(a-b) > 1e-9 {
-				t.Fatalf("distance mismatch at %d->%d: dijkstra %v, fw %v", u, v, a, b)
+		}
+	}
+}
+
+// TestHopsMatchFloydWarshall holds the BFS behind HopCounts and Connected
+// to Floyd–Warshall under unit link costs, on every family's graph and
+// on a copy with an isolated node added.
+func TestHopsMatchFloydWarshall(t *testing.T) {
+	unit := func(Link) float64 { return 1 }
+	for _, fam := range Families() {
+		g := oracleGraph(t, fam)
+		island := g.Clone()
+		island.MustAddNode(KindRouter, "island", 0, 0)
+		for _, g := range []*Graph{g, island} {
+			fw := floydWarshall(g, unit)
+			connected := true
+			for u := 0; u < g.NumNodes(); u++ {
+				hops := g.HopCounts(NodeID(u))
+				for v, h := range hops {
+					want := fw[u][v]
+					if math.IsInf(want, 1) {
+						connected = false
+						want = -1
+					}
+					if float64(h) != want {
+						t.Fatalf("%s, %d nodes: hops %d->%d = %d, fw %v", fam, g.NumNodes(), u, v, h, want)
+					}
+				}
+			}
+			if g.Connected() != connected {
+				t.Fatalf("%s, %d nodes: Connected = %v, fw says %v", fam, g.NumNodes(), g.Connected(), connected)
 			}
 		}
 	}
@@ -298,10 +364,10 @@ func TestDelayMatrixMatchesPerIoTDijkstra(t *testing.T) {
 	}
 	dm := NewDelayMatrix(g, LatencyCost)
 	for i, iot := range dm.IoT {
-		sp := g.Dijkstra(iot, LatencyCost)
+		sp := dijkstra(g, iot, LatencyCost)
 		for j, e := range dm.Edge {
-			if math.Abs(dm.DelayMs[i][j]-sp.Dist[e]) > 1e-9 {
-				t.Fatalf("delay[%d][%d] = %v, dijkstra %v", i, j, dm.DelayMs[i][j], sp.Dist[e])
+			if math.Abs(dm.DelayMs[i][j]-sp.dist[e]) > 1e-9 {
+				t.Fatalf("delay[%d][%d] = %v, dijkstra %v", i, j, dm.DelayMs[i][j], sp.dist[e])
 			}
 		}
 	}

@@ -90,8 +90,6 @@ type (
 	DelayMatrix = topology.DelayMatrix
 	// LinkCost maps a link to a traversal cost.
 	LinkCost = topology.LinkCost
-	// Path is a node sequence with total cost (see Graph.KShortestPaths).
-	Path = topology.Path
 )
 
 // Node kinds.
